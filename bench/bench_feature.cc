@@ -24,7 +24,6 @@
 // STARDUST_FULL=1 scales the step count up 8x.
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -32,8 +31,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/aligned.h"
-#include "common/kernels.h"
 #include "core/feature_store.h"
 #include "core/fleet_monitor.h"
 #include "core/snapshot.h"
@@ -401,116 +398,6 @@ MaintainResult RunMaintain(bool batched, std::size_t run_len,
   return result;
 }
 
-// Per-kernel dispatch-layer microbench: ns/element for every maintenance
-// kernel under every backend this CPU supports, across the run lengths the
-// engine actually sees (a base window, a level window, a large exact
-// window). Backends are forced in-process (kernels::SetBackend); the
-// startup selection is restored afterwards. A `checksum` accumulator is
-// folded into every timed call so the kernel work cannot be dead-code
-// eliminated.
-void RunKernelMicrobench() {
-  const kernels::Backend entry_backend = kernels::SelectedBackend();
-  const std::size_t kLens[] = {8, 64, 512};
-  constexpr int kMicroReps = 3;
-  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
-  if (kernels::MaxSupportedBackend() >= kernels::Backend::kAvx2) {
-    backends.push_back(kernels::Backend::kAvx2);
-  }
-  if (kernels::MaxSupportedBackend() >= kernels::Backend::kAvx512) {
-    backends.push_back(kernels::Backend::kAvx512);
-  }
-  AlignedVector<double> in(1024), out(1024), out2(1024);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    in[i] = std::sin(static_cast<double>(i) * 0.37) * 10.0;
-  }
-  double checksum = 0.0;
-  struct Kernel {
-    const char* name;
-    // Runs the kernel once over `n` elements and returns a result value
-    // folded into the checksum.
-    double (*call)(const double* in, std::size_t n, double* out,
-                   double* out2);
-  };
-  const Kernel kKernels[] = {
-      {"haar_down",
-       [](const double* v, std::size_t n, double* o, double*) {
-         kernels::HaarDown(v, n / 2, 0.70710678118654752, o);
-         return o[0];
-       }},
-      {"haar_step",
-       [](const double* v, std::size_t n, double* o, double* o2) {
-         kernels::HaarStep(v, n / 2, 0.70710678118654752, o, o2);
-         return o[0] + o2[0];
-       }},
-      {"reduce_max",
-       [](const double* v, std::size_t n, double*, double*) {
-         return kernels::ReduceMax(v, n);
-       }},
-      {"reduce_min",
-       [](const double* v, std::size_t n, double*, double*) {
-         return kernels::ReduceMin(v, n);
-       }},
-      {"reduce_spread",
-       [](const double* v, std::size_t n, double*, double*) {
-         double mx, mn;
-         kernels::ReduceSpread(v, n, &mx, &mn);
-         return mx - mn;
-       }},
-      {"reduce_sum",
-       [](const double* v, std::size_t n, double*, double*) {
-         return kernels::ReduceSum(v, n);
-       }},
-      {"znorm_apply",
-       [](const double* v, std::size_t n, double* o, double*) {
-         kernels::ZNormApply(v, n, 0.25, 1.75, o);
-         return o[n - 1];
-       }},
-      {"znorm_moments",
-       [](const double* v, std::size_t n, double*, double*) {
-         double mean, norm2;
-         kernels::ZNormMoments(v, n, &mean, &norm2);
-         return mean + norm2;
-       }},
-      {"copy",
-       [](const double* v, std::size_t n, double* o, double*) {
-         kernels::Copy(v, n, o);
-         return o[n - 1];
-       }},
-  };
-  for (kernels::Backend backend : backends) {
-    if (!kernels::SetBackend(kernels::BackendName(backend))) std::abort();
-    for (const Kernel& kernel : kKernels) {
-      for (std::size_t n : kLens) {
-        // Scale iterations so every (kernel, n) cell measures a similar
-        // total element count (~2M), keeping cell noise comparable.
-        const std::size_t iters = (1u << 21) / n;
-        std::uint64_t best_ns = ~0ull;
-        for (int rep = 0; rep < kMicroReps; ++rep) {
-          const std::uint64_t t0 = NowNanos();
-          for (std::size_t it = 0; it < iters; ++it) {
-            checksum += kernel.call(in.data(), n, out.data(), out2.data());
-          }
-          const std::uint64_t dt = NowNanos() - t0;
-          if (dt < best_ns) best_ns = dt;
-        }
-        const double ns_per_element =
-            static_cast<double>(best_ns) /
-            static_cast<double>(iters * n);
-        std::printf(
-            "{\"bench\":\"kernel_micro\",\"kernel\":\"%s\","
-            "\"backend\":\"%s\",\"n\":%zu,\"ns_per_element\":%.3f}\n",
-            kernel.name, kernels::BackendName(backend), n, ns_per_element);
-      }
-    }
-  }
-  // Restore whatever the process started under (STARDUST_KERNELS may have
-  // forced a tier for the whole bench run).
-  if (!kernels::SetBackend(kernels::BackendName(entry_backend))) {
-    std::abort();
-  }
-  if (checksum == 12345.6789) std::fprintf(stderr, "(unreachable)\n");
-}
-
 void EmitLine(const char* mode, std::size_t shards, std::size_t steps,
               const RunResult& r) {
   const double seconds =
@@ -583,18 +470,14 @@ int main() {
                                : 0.0;
     std::printf(
         "{\"bench\":\"feature_maintain\",\"run\":%zu,\"streams\":%zu,"
-        "\"steps\":%zu,\"kernel_backend\":\"%s\","
-        "\"scalar_maintain_ns_per_append\":%.1f,"
+        "\"steps\":%zu,\"scalar_maintain_ns_per_append\":%.1f,"
         "\"batched_maintain_ns_per_append\":%.1f,"
         "\"maintain_speedup\":%.2f,\"state_digest\":%" PRIu64 "}\n",
-        run_len, kStreams, steps,
-        kernels::BackendName(kernels::SelectedBackend()), per_append(scalar),
-        per_append(batched), speedup, batched.state_digest);
+        run_len, kStreams, steps, per_append(scalar), per_append(batched),
+        speedup, batched.state_digest);
     std::fprintf(stderr, "run=%zu maintain %.1f -> %.1f ns/append (%.2fx)\n",
                  run_len, per_append(scalar), per_append(batched), speedup);
   }
-
-  RunKernelMicrobench();
 
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                              std::size_t{8}}) {

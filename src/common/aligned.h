@@ -1,8 +1,9 @@
 // Over-aligned allocation for vector-kernel operands.
 //
-// The SIMD backends in common/kernels.h use unaligned loads (correct on any
-// pointer), but loads that straddle a cache line cost an extra line fill on
-// every iteration. The hot double arrays the kernels stream over —
+// When the compiler vectorizes the loops in common/kernels.h (for example
+// under -DSTARDUST_NATIVE=ON) it uses unaligned loads, which are correct on
+// any pointer, but loads that straddle a cache line cost an extra line fill
+// on every iteration. The hot double arrays the kernels stream over —
 // FeatureStore slabs, the sliding tracker's ring, the summarizer's staged
 // run buffer — are therefore allocated on 64-byte boundaries so a
 // vector-width access never splits a line (64 bytes = one x86 cache line =

@@ -1,30 +1,18 @@
-// Runtime-dispatched SIMD backends for the batched maintenance kernels.
+// The batched maintenance kernels: plain inline scalar loops.
 //
-// One binary carries three implementations of every hot kernel — scalar,
-// AVX2, and AVX-512 — behind a per-kernel function-pointer table resolved
-// once at startup from CPUID. The `STARDUST_KERNELS` environment variable
-// (scalar | avx2 | avx512) or an explicit SetBackend call forces a tier for
-// testing; requests above what the CPU supports clamp down, so forced-
-// backend test matrices pass on any machine.
+// These are the per-level inner loops of the paper's maintenance — the
+// incremental Haar half-merge (Lemma A.1), the DWT halving steps, and the
+// aggregate reductions (Lemmas 4.1/4.2). The per-value and the batched
+// (AppendRun) paths must produce bit-identical state, which the FNV-1a
+// state digests in bench_feature and golden_replay_test check, so each
+// kernel fixes its expression and each comparison reduction documents the
+// tie order it reproduces (this matters for ±0.0 ties: equal under `<`,
+// different bits).
 //
-// Bit-equivalence contract (the FNV-1a state-digest cross-check in
-// bench_feature and golden_replay_test depends on it):
-//   - Elementwise kernels (haar_down, haar_step, znorm_apply, copy) produce
-//     bit-identical results on every backend: each output lane evaluates
-//     the same expression over the same inputs, and the SIMD translation
-//     units are compiled without FMA contraction (-ffp-contract=off, no
-//     -mfma), so (a + b) * s rounds identically to the scalar code.
-//   - Order-sensitive reductions over *equal-priority* comparisons
-//     (reduce_max, reduce_min, reduce_spread) are bit-identical because
-//     equal finite doubles have equal bit patterns — except ±0.0 ties,
-//     which the vector paths detect (result == 0.0) and resolve with a
-//     scalar rescan reproducing the reference tie order exactly.
-//   - Reassociating reductions (reduce_sum, znorm_moments) round
-//     differently under vectorization. They are OFF by default — callers
-//     keep the scalar left-to-right loops — and only engage behind the
-//     explicit SetFastReductions / STARDUST_FAST_REDUCE=1 opt-in, with a
-//     ULP-bounded equivalence test (tests/kernels_test.cc) instead of the
-//     digest gate.
+// They are plain scalar loops on purpose: hand-written SIMD versions made
+// no measurable end-to-end difference (docs/ENGINE.md, "Kernels").
+// Building with -DSTARDUST_NATIVE=ON lets the compiler auto-vectorize them
+// for the build host.
 //
 // All kernels require finite inputs: the append paths reject or split
 // around NaN/±inf before any kernel runs (Stardust::Append pre-validates,
@@ -32,164 +20,70 @@
 #ifndef STARDUST_COMMON_KERNELS_H_
 #define STARDUST_COMMON_KERNELS_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <string>
 
 namespace stardust {
 namespace kernels {
 
-/// ISA tiers, ordered: a machine supporting tier k supports all tiers < k.
-enum class Backend : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
-
-/// "scalar" / "avx2" / "avx512".
-const char* BackendName(Backend backend);
-
-/// Highest tier this CPU can execute (CPUID, resolved once).
-Backend MaxSupportedBackend();
-
-/// The tier the dispatch table currently points at.
-Backend SelectedBackend();
-
-/// Forces a tier by name ("scalar" | "avx2" | "avx512"; "" or "auto" means
-/// best-supported). Unsupported requests clamp to MaxSupportedBackend().
-/// Returns false (and changes nothing) for an unknown name. Not meant to be
-/// called concurrently with running kernels: configure at startup or
-/// between test phases.
-bool SetBackend(const std::string& name);
-
-/// Reassociating-reduction opt-in (see file comment). Also set at startup
-/// from STARDUST_FAST_REDUCE=1. The getter is inline (one relaxed atomic
-/// load) — it sits inside per-arrival exact-feature loops.
-bool FastReductionsEnabled();
-void SetFastReductions(bool enabled);
-
-/// Per-kernel invocation counter indices (metrics JSON "kernels" section).
-enum KernelId : std::size_t {
-  kIdHaarDown = 0,
-  kIdHaarStep,
-  kIdReduceMax,
-  kIdReduceMin,
-  kIdReduceSpread,
-  kIdReduceSum,
-  kIdZNormApply,
-  kIdZNormMoments,
-  kIdCopy,
-  kNumKernels,
-};
-
-/// Stable snake_case name of a kernel id (JSON keys).
-const char* KernelName(std::size_t id);
-std::uint64_t KernelCount(std::size_t id);
-void ResetKernelCounters();
-
-/// The dispatch table. One instance per backend; the active one is picked
-/// at startup. Pointers, not virtuals: resolved once, no per-call vtable.
-struct KernelTable {
-  /// out[k] = (in[2k] + in[2k+1]) * scale for k in [0, half).
-  /// In-place operation (out == in) is allowed: iteration k only reads
-  /// indices >= 2k, which later iterations never overwrite.
-  void (*haar_down)(const double* in, std::size_t half, double scale,
-                    double* out);
-  /// approx[k] = (in[2k] + in[2k+1]) * scale and
-  /// detail[k] = (in[2k] - in[2k+1]) * scale. `approx` may alias `in`;
-  /// `detail` must not overlap in[0, 2*half).
-  void (*haar_step)(const double* in, std::size_t half, double scale,
-                    double* approx, double* detail);
-  /// First maximum under `if (mx < v)` — std::max_element tie order.
-  double (*reduce_max)(const double* v, std::size_t n);
-  /// First minimum under `if (v < mn)` — std::min_element tie order.
-  double (*reduce_min)(const double* v, std::size_t n);
-  /// minmax_element tie order: *last* maximum (`if (!(v < mx))`), first
-  /// minimum.
-  void (*reduce_spread)(const double* v, std::size_t n, double* mx,
-                        double* mn);
-  /// Reassociating sum (fast path only; default callers keep their scalar
-  /// left-to-right loops).
-  double (*reduce_sum)(const double* v, std::size_t n);
-  /// dst[i] = (src[i] - mean) * scale; dst == src allowed.
-  void (*znorm_apply)(const double* src, std::size_t n, double mean,
-                      double scale, double* dst);
-  /// Reassociating mean / centered norm² (fast path only).
-  void (*znorm_moments)(const double* src, std::size_t n, double* mean,
-                        double* norm2);
-  /// dst[0, n) = src[0, n); ranges must not overlap.
-  void (*copy)(const double* src, std::size_t n, double* dst);
-};
-
-namespace internal {
-// Constant-initialized to the scalar table so kernels invoked from other
-// translation units' static initializers are always valid; re-pointed to
-// the CPUID-selected tier by this TU's initializer. Atomic so SetBackend
-// in one thread and kernel calls in another stay data-race-free (tests
-// under TSan force backends around live engines).
-extern std::atomic<const KernelTable*> g_active;
-extern std::atomic<std::uint64_t> g_counts[kNumKernels];
-// Resolved dispatch knobs, kept here so their getters inline into hot
-// loops: g_fast_reductions is the reassociating-reduction opt-in;
-// g_run_cutoff is the already-resolved run-length crossover (override or
-// per-backend calibration — updated by Select/SetRunCutoff in kernels.cc).
-extern std::atomic<bool> g_fast_reductions;
-extern std::atomic<std::size_t> g_run_cutoff;
-
-inline const KernelTable& Active(KernelId id) {
-  g_counts[id].fetch_add(1, std::memory_order_relaxed);
-  return *g_active.load(std::memory_order_relaxed);
-}
-}  // namespace internal
-
-inline bool FastReductionsEnabled() {
-  return internal::g_fast_reductions.load(std::memory_order_relaxed);
-}
-
-// Hot-path entry points: count the invocation, then jump through the table.
+/// out[k] = (in[2k] + in[2k+1]) * scale for k in [0, half).
+/// In-place operation (out == in) is allowed: iteration k only reads
+/// indices >= 2k, which later iterations never overwrite.
 inline void HaarDown(const double* in, std::size_t half, double scale,
                      double* out) {
-  internal::Active(kIdHaarDown).haar_down(in, half, scale, out);
-}
-inline void HaarStep(const double* in, std::size_t half, double scale,
-                     double* approx, double* detail) {
-  internal::Active(kIdHaarStep).haar_step(in, half, scale, approx, detail);
-}
-inline double ReduceMax(const double* v, std::size_t n) {
-  return internal::Active(kIdReduceMax).reduce_max(v, n);
-}
-inline double ReduceMin(const double* v, std::size_t n) {
-  return internal::Active(kIdReduceMin).reduce_min(v, n);
-}
-inline void ReduceSpread(const double* v, std::size_t n, double* mx,
-                         double* mn) {
-  internal::Active(kIdReduceSpread).reduce_spread(v, n, mx, mn);
-}
-inline double ReduceSum(const double* v, std::size_t n) {
-  return internal::Active(kIdReduceSum).reduce_sum(v, n);
-}
-inline void ZNormApply(const double* src, std::size_t n, double mean,
-                       double scale, double* dst) {
-  internal::Active(kIdZNormApply).znorm_apply(src, n, mean, scale, dst);
-}
-inline void ZNormMoments(const double* src, std::size_t n, double* mean,
-                         double* norm2) {
-  internal::Active(kIdZNormMoments).znorm_moments(src, n, mean, norm2);
-}
-inline void Copy(const double* src, std::size_t n, double* dst) {
-  internal::Active(kIdCopy).copy(src, n, dst);
+  for (std::size_t k = 0; k < half; ++k) {
+    out[k] = (in[2 * k] + in[2 * k + 1]) * scale;
+  }
 }
 
-/// Cost-based run-length dispatch: runs of at most this many values take
-/// the per-value append path; longer runs pay the staged-run setup
-/// (BeginRun/EndRun, per-level flat state) that only amortizes across
-/// several values. The crossover was calibrated per backend against
-/// bench_feature's run-length sweep (the per-kernel microbench section in
-/// BENCH_FEATURE.json documents the measurement); STARDUST_RUN_CUTOFF
-/// overrides it for experiments. Every AppendRun entry point (Shard,
-/// FleetMonitor, AggregateMonitor, Stardust) reads the same value, so the
-/// decision is made once per run at the outermost layer and the inner
-/// checks agree with it by construction. Inline: one relaxed atomic load
-/// of the pre-resolved value.
-inline std::size_t BatchedRunCutoff() {
-  return internal::g_run_cutoff.load(std::memory_order_relaxed);
+/// approx[k] = (in[2k] + in[2k+1]) * scale and
+/// detail[k] = (in[2k] - in[2k+1]) * scale. `approx` may alias `in`;
+/// `detail` must not overlap in[0, 2*half).
+inline void HaarStep(const double* in, std::size_t half, double scale,
+                     double* approx, double* detail) {
+  for (std::size_t k = 0; k < half; ++k) {
+    const double sum = (in[2 * k] + in[2 * k + 1]) * scale;
+    detail[k] = (in[2 * k] - in[2 * k + 1]) * scale;
+    approx[k] = sum;
+  }
+}
+
+/// First maximum under `if (mx < v)` — std::max_element tie order.
+inline double ReduceMax(const double* v, std::size_t n) {
+  double mx = v[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    if (mx < v[i]) mx = v[i];
+  }
+  return mx;
+}
+
+/// First minimum under `if (v < mn)` — std::min_element tie order.
+inline double ReduceMin(const double* v, std::size_t n) {
+  double mn = v[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    if (v[i] < mn) mn = v[i];
+  }
+  return mn;
+}
+
+/// minmax_element tie order: *last* maximum (`if (!(v < mx))`), first
+/// minimum.
+inline void ReduceSpread(const double* v, std::size_t n, double* mx,
+                         double* mn) {
+  double hi = v[0];
+  double lo = v[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    const double x = v[i];
+    if (!(x < hi)) hi = x;
+    if (x < lo) lo = x;
+  }
+  *mx = hi;
+  *mn = lo;
+}
+
+/// dst[i] = (src[i] - mean) * scale; dst == src allowed.
+inline void ZNormApply(const double* src, std::size_t n, double mean,
+                       double scale, double* dst) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = (src[i] - mean) * scale;
 }
 
 }  // namespace kernels

@@ -4,11 +4,8 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/kernels.h"
 
 namespace stardust {
-
-std::size_t Stardust::ScalarRunCutoff() { return kernels::BatchedRunCutoff(); }
 
 Result<std::unique_ptr<Stardust>> Stardust::Create(
     const StardustConfig& config) {

@@ -79,11 +79,11 @@ class Stardust {
   /// (BeginRun/EndRun, per-level state loads) that only amortizes across
   /// several values, and bench_feature showed length-1 runs paying ~1.7x
   /// the scalar cost through it. Shared by every AppendRun entry point
-  /// (Stardust, AggregateMonitor, Shard) so dispatch stays consistent.
-  /// The value is the per-kernel-backend calibrated crossover from
-  /// kernels::BatchedRunCutoff() (STARDUST_RUN_CUTOFF overrides). Callers
-  /// that dispatch many runs should read it once per run, not per level.
-  static std::size_t ScalarRunCutoff();
+  /// (Stardust, AggregateMonitor, Shard) so dispatch stays consistent:
+  /// the decision is made once per run at the outermost layer and the
+  /// inner checks agree with it by construction. The crossover was
+  /// measured once against bench_feature's run-length sweep.
+  static constexpr std::size_t ScalarRunCutoff() { return 2; }
 
   /// Batched append — the engine's columnar maintenance path. Produces
   /// summary state bit-identical to n Append calls (see

@@ -126,9 +126,8 @@ void HaarDwtInto(const std::vector<double>& x, std::vector<double>* out,
   std::size_t len = n;
   // Same halving recurrence as HaarDwt, with the approximation vector
   // shrinking in place: a[k] is only written after a[2k] and a[2k+1] were
-  // read (k <= 2k), so no temporary is needed. The dispatched haar_step
-  // kernel (common/kernels.h) is bit-identical to the scalar recurrence on
-  // every backend.
+  // read (k <= 2k), so no temporary is needed. The haar_step kernel
+  // (common/kernels.h) evaluates the same expressions as the recurrence.
   while (len > 1) {
     const std::size_t half = len / 2;
     kernels::HaarStep(a, half, kInvSqrt2, a, o + half);
@@ -143,8 +142,7 @@ void HaarApproxInPlace(std::vector<double>* x, std::size_t out_len) {
   SD_CHECK(out_len <= x->size());
   std::size_t len = x->size();
   double* data = x->data();
-  // In-place halving through the dispatched haar_down kernel
-  // (common/kernels.h) — bit-identical on every backend.
+  // In-place halving through the haar_down kernel (common/kernels.h).
   while (len > out_len) {
     const std::size_t half = len / 2;
     kernels::HaarDown(data, half, kInvSqrt2, data);

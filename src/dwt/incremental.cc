@@ -37,8 +37,8 @@ void MergeHalvesHaarSpan(const double* left, const double* right,
   // Concatenated vector c = [left | right]; Haar low-pass pairs c[2k],
   // c[2k+1]. The first ⌊f/2⌋ outputs pair within `left`, the last ⌊f/2⌋
   // pair within `right`, and an odd f leaves one output straddling the
-  // seam — split there so both segments run the dispatched haar_down
-  // kernel over contiguous input (bit-identical to the fused loop).
+  // seam — split there so both segments run the haar_down kernel over
+  // contiguous input (bit-identical to the fused loop).
   const std::size_t half = f / 2;
   kernels::HaarDown(left, half, scale, out);
   if (f % 2 != 0) {

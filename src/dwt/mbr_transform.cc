@@ -122,8 +122,8 @@ void MergeMbrHalvesHaarInto(const Mbr& left, const Mbr& right, double rescale,
   // Output k reads concatenated inputs 2k and 2k+1: the first ⌊f/2⌋
   // outputs pair within `left`, the last ⌊f/2⌋ pair within `right`, and an
   // odd f leaves one output straddling the seam. Each contiguous segment
-  // runs the dispatched haar_down kernel (common/kernels.h) —
-  // bit-identical to the fused per-index loop of MergeMbrHalvesHaar.
+  // runs the haar_down kernel (common/kernels.h) — bit-identical to the
+  // fused per-index loop of MergeMbrHalvesHaar.
   const std::size_t half = f / 2;
   const std::size_t seam = f % 2;
   kernels::HaarDown(llo, half, scale, out_lo.data());

@@ -14,18 +14,10 @@ namespace stardust {
 namespace {
 
 constexpr char kManifestMagic[4] = {'S', 'D', 'M', 'F'};
-/// v1: shard entries only. v2 appends the query-registry file entry.
-/// v3 appends the per-shard feature-pipeline file entries. v4 appends
-/// the net-state file entry. v5 changes no manifest layout but marks
-/// checkpoints whose feature files carry the SDFP-v2 sketch section and
-/// whose registry is SDQR v3 (both file formats are self-versioned, so
-/// v4 checkpoints restore with sketch measures warming up). v6 appends
-/// the stream-placement file entry. All parse; a v1 manifest restores
-/// with an empty registry, anything below v3 restores with empty query
-/// cores, anything below v4 restores with no network tier state, and
-/// anything below v6 restores with the modulo-hash stream placement.
+/// The only manifest version this build reads: the layout
+/// IngestEngine::Checkpoint writes. Older versions only ever existed
+/// inside this repository and are rejected with a diagnostic.
 constexpr std::uint32_t kManifestVersion = 6;
-constexpr std::uint32_t kMinManifestVersion = 1;
 /// Lower bound on one serialized shard entry (name length + epoch +
 /// appended + checksum); bounds the declared shard count against the
 /// remaining payload so corrupt manifests cannot drive huge allocations.
@@ -96,6 +88,30 @@ Status ReadFileName(Reader* reader, std::string* name) {
       name->find("..") != std::string::npos) {
     return Status::InvalidArgument(
         "manifest file name escapes checkpoint directory");
+  }
+  return Status::OK();
+}
+
+/// Reads a per-shard file list (feature or edge snapshots), which a
+/// manifest carries exactly once per shard.
+Status ReadPerShardEntries(Reader* reader, std::uint64_t num_shards,
+                           const char* what,
+                           std::vector<CheckpointFeatureEntry>* entries) {
+  std::uint64_t count = 0;
+  SD_RETURN_NOT_OK(reader->U64(&count));
+  // Each entry is at least a name length plus a checksum.
+  if (count > reader->remaining() / 16) {
+    return Status::InvalidArgument(std::string("manifest ") + what +
+                                   " entry count out of range");
+  }
+  if (count != num_shards) {
+    return Status::InvalidArgument(std::string("manifest ") + what +
+                                   " entry count disagrees with shard count");
+  }
+  entries->resize(count);
+  for (CheckpointFeatureEntry& entry : *entries) {
+    SD_RETURN_NOT_OK(ReadFileName(reader, &entry.file));
+    SD_RETURN_NOT_OK(reader->U64(&entry.checksum));
   }
   return Status::OK();
 }
@@ -203,9 +219,11 @@ Result<CheckpointManifest> ParseManifest(const std::string& bytes) {
   std::uint64_t checksum = 0;
   SD_RETURN_NOT_OK(header.U32(&version));
   SD_RETURN_NOT_OK(header.U64(&checksum));
-  if (version < kMinManifestVersion || version > kManifestVersion) {
-    return Status::InvalidArgument("unsupported manifest version " +
-                                   std::to_string(version));
+  if (version != kManifestVersion) {
+    return Status::InvalidArgument(
+        "unsupported manifest version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kManifestVersion) +
+        " only)");
   }
   const std::string payload = bytes.substr(sizeof(kManifestMagic) + 12);
   if (Fnv1a(payload) != checksum) {
@@ -237,50 +255,21 @@ Result<CheckpointManifest> ParseManifest(const std::string& bytes) {
     SD_RETURN_NOT_OK(reader.U64(&entry.appended));
     SD_RETURN_NOT_OK(reader.U64(&entry.checksum));
   }
-  if (version >= 2) {
-    SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.queries_file));
-    SD_RETURN_NOT_OK(reader.U64(&manifest.queries_checksum));
+  SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.queries_file));
+  SD_RETURN_NOT_OK(reader.U64(&manifest.queries_checksum));
+  SD_RETURN_NOT_OK(ReadPerShardEntries(&reader, manifest.num_shards,
+                                       "feature", &manifest.features));
+  SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.net_file));
+  SD_RETURN_NOT_OK(reader.U64(&manifest.net_checksum));
+  SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.placement_file));
+  SD_RETURN_NOT_OK(reader.U64(&manifest.placement_checksum));
+  SD_RETURN_NOT_OK(ReadPerShardEntries(&reader, manifest.num_shards, "edge",
+                                       &manifest.edges));
+  if (manifest.queries_file.empty()) {
+    return Status::InvalidArgument("manifest names no query registry file");
   }
-  if (version >= 3) {
-    std::uint64_t num_features = 0;
-    SD_RETURN_NOT_OK(reader.U64(&num_features));
-    // Each entry is at least a name length plus a checksum.
-    if (num_features > reader.remaining() / 16) {
-      return Status::InvalidArgument(
-          "manifest feature entry count out of range");
-    }
-    if (num_features != 0 && num_features != manifest.num_shards) {
-      return Status::InvalidArgument(
-          "manifest feature entry count disagrees with shard count");
-    }
-    manifest.features.resize(num_features);
-    for (CheckpointFeatureEntry& entry : manifest.features) {
-      SD_RETURN_NOT_OK(ReadFileName(&reader, &entry.file));
-      SD_RETURN_NOT_OK(reader.U64(&entry.checksum));
-    }
-  }
-  if (version >= 4) {
-    SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.net_file));
-    SD_RETURN_NOT_OK(reader.U64(&manifest.net_checksum));
-  }
-  if (version >= 6) {
-    SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.placement_file));
-    SD_RETURN_NOT_OK(reader.U64(&manifest.placement_checksum));
-    std::uint64_t num_edges = 0;
-    SD_RETURN_NOT_OK(reader.U64(&num_edges));
-    if (num_edges > reader.remaining() / 16) {
-      return Status::InvalidArgument(
-          "manifest edge entry count exceeds payload");
-    }
-    if (num_edges != 0 && num_edges != manifest.num_shards) {
-      return Status::InvalidArgument(
-          "manifest edge entry count disagrees with the shard count");
-    }
-    manifest.edges.resize(num_edges);
-    for (CheckpointFeatureEntry& entry : manifest.edges) {
-      SD_RETURN_NOT_OK(ReadFileName(&reader, &entry.file));
-      SD_RETURN_NOT_OK(reader.U64(&entry.checksum));
-    }
+  if (manifest.placement_file.empty()) {
+    return Status::InvalidArgument("manifest names no placement file");
   }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("manifest has trailing bytes");
@@ -324,79 +313,35 @@ Result<CheckpointManifest> FindLatestValidCheckpoint(const std::string& dir) {
     CheckpointManifest manifest = std::move(parsed).value();
     // A manifest commits a checkpoint only if every file it names is
     // present and whole. Verify content checksums before accepting.
+    const auto verify = [&](const std::string& file, std::uint64_t sum,
+                            const char* what) {
+      Result<std::string> file_bytes =
+          ReadFileToString((fs::path(dir) / file).string());
+      if (file_bytes.ok() && Fnv1a(file_bytes.value()) == sum) return true;
+      last_error = Status::InvalidArgument("checkpoint " +
+                                           std::to_string(seq) + " " + what +
+                                           " " + file + " missing or corrupt");
+      return false;
+    };
     bool complete = true;
     for (const CheckpointShardEntry& entry : manifest.shards) {
-      Result<std::string> shard_bytes =
-          ReadFileToString((fs::path(dir) / entry.file).string());
-      if (!shard_bytes.ok() || Fnv1a(shard_bytes.value()) != entry.checksum) {
-        last_error = Status::InvalidArgument(
-            "checkpoint " + std::to_string(seq) + " shard file " +
-            entry.file + " missing or corrupt");
-        complete = false;
-        break;
-      }
+      complete = complete && verify(entry.file, entry.checksum, "shard file");
     }
-    if (complete) {
-      for (const CheckpointFeatureEntry& entry : manifest.features) {
-        Result<std::string> feature_bytes =
-            ReadFileToString((fs::path(dir) / entry.file).string());
-        if (!feature_bytes.ok() ||
-            Fnv1a(feature_bytes.value()) != entry.checksum) {
-          last_error = Status::InvalidArgument(
-              "checkpoint " + std::to_string(seq) + " feature file " +
-              entry.file + " missing or corrupt");
-          complete = false;
-          break;
-        }
-      }
+    for (const CheckpointFeatureEntry& entry : manifest.features) {
+      complete =
+          complete && verify(entry.file, entry.checksum, "feature file");
     }
-    if (complete && !manifest.queries_file.empty()) {
-      Result<std::string> query_bytes =
-          ReadFileToString((fs::path(dir) / manifest.queries_file).string());
-      if (!query_bytes.ok() ||
-          Fnv1a(query_bytes.value()) != manifest.queries_checksum) {
-        last_error = Status::InvalidArgument(
-            "checkpoint " + std::to_string(seq) + " query registry file " +
-            manifest.queries_file + " missing or corrupt");
-        complete = false;
-      }
+    for (const CheckpointFeatureEntry& entry : manifest.edges) {
+      complete = complete && verify(entry.file, entry.checksum, "edge file");
     }
-    if (complete && !manifest.net_file.empty()) {
-      Result<std::string> net_bytes =
-          ReadFileToString((fs::path(dir) / manifest.net_file).string());
-      if (!net_bytes.ok() ||
-          Fnv1a(net_bytes.value()) != manifest.net_checksum) {
-        last_error = Status::InvalidArgument(
-            "checkpoint " + std::to_string(seq) + " net state file " +
-            manifest.net_file + " missing or corrupt");
-        complete = false;
-      }
-    }
-    if (complete) {
-      for (const CheckpointFeatureEntry& entry : manifest.edges) {
-        Result<std::string> edge_bytes =
-            ReadFileToString((fs::path(dir) / entry.file).string());
-        if (!edge_bytes.ok() ||
-            Fnv1a(edge_bytes.value()) != entry.checksum) {
-          last_error = Status::InvalidArgument(
-              "checkpoint " + std::to_string(seq) + " edge file " +
-              entry.file + " missing or corrupt");
-          complete = false;
-          break;
-        }
-      }
-    }
-    if (complete && !manifest.placement_file.empty()) {
-      Result<std::string> placement_bytes = ReadFileToString(
-          (fs::path(dir) / manifest.placement_file).string());
-      if (!placement_bytes.ok() ||
-          Fnv1a(placement_bytes.value()) != manifest.placement_checksum) {
-        last_error = Status::InvalidArgument(
-            "checkpoint " + std::to_string(seq) + " placement file " +
-            manifest.placement_file + " missing or corrupt");
-        complete = false;
-      }
-    }
+    complete = complete &&
+               verify(manifest.queries_file, manifest.queries_checksum,
+                      "query registry file") &&
+               verify(manifest.placement_file, manifest.placement_checksum,
+                      "placement file") &&
+               (manifest.net_file.empty() ||
+                verify(manifest.net_file, manifest.net_checksum,
+                       "net state file"));
     if (complete) return manifest;
   }
   return last_error;

@@ -1,37 +1,25 @@
 // Crash-safe checkpoint layout of the ingestion engine.
 //
-// A checkpoint is one epoch-stamped v2 fleet snapshot per shard
-// (`shard-<i>-ck<seq>.snap`), one feature-pipeline snapshot per shard
-// (`features-<i>-ck<seq>.feat`, manifest v3 — the query cores and the
-// feature store), an optional serialized query registry
-// (`queries-ck<seq>.qry`, manifest v2), plus a checksummed manifest
-// (`manifest-<seq>.ck`) naming them, all written atomically
-// (common/atomic_file.h) with the manifest last. Because the manifest is
-// the commit point, a crash anywhere during a checkpoint leaves the
-// previous manifest — and the complete files it references — untouched.
-// Recovery walks the manifests newest-first and restores from the first
-// one whose own checksum and every referenced file verify; partial or
-// corrupt checkpoints are skipped, never half-loaded. Older manifest
-// versions stay loadable: a v1 manifest restores with an empty registry,
-// a v1/v2 manifest (no feature files) restores with empty query cores
-// that warm up as tuples flow, and a pre-v4 manifest (no net-state file,
-// `net-ck<seq>.net`) restores with a fresh alert sequence allocator and
-// no subscriber cursors. v5 marks checkpoints whose feature files carry
-// the sketch-measure section (SDFP v2) and whose registry is SDQR v3;
-// both formats are self-versioned, so v4 checkpoints restore with sketch
-// measures warming up. v6 appends the stream-placement file
+// A checkpoint (manifest v6) is, per shard, one epoch-stamped v2 fleet
+// snapshot (`shard-<i>-ck<seq>.snap`), one feature-pipeline snapshot
+// (`features-<i>-ck<seq>.feat`: the query cores, the feature store and the
+// sketch measures) and one rising-edge snapshot (`edges-<i>-ck<seq>.edge`:
+// alarming flags, pattern watermarks and evaluation floors, so a restored
+// engine continues the alert stream exactly-once); plus the serialized
+// query registry (`queries-ck<seq>.qry`), the stream placement
 // (`placement-ck<seq>.plc`: the placement epoch plus every shard's
-// local->global slot table), so a checkpoint taken after live migrations
-// restores with streams on the shards that own their state; pre-v6
-// manifests restore with the modulo-hash layout (which is exactly the
-// layout their shard files were written under). v6 also carries one
-// rising-edge snapshot per shard (`edges-<i>-ck<seq>.edge`: alarming
-// flags, pattern watermarks and evaluation floors), so a restored engine
-// continues the alert stream exactly — conditions already announced
-// before the checkpoint are not re-announced; pre-v6 manifests restore
-// with empty edge state and err toward re-announcing. docs/ENGINE.md and
-// docs/FEATURES.md document the format and guarantees; docs/NETWORK.md
-// covers the net state.
+// local->global slot table, so streams restore onto the shards that own
+// their state), optionally the network tier's state (`net-ck<seq>.net`),
+// and a checksummed manifest (`manifest-<seq>.ck`) naming them. All files
+// are written atomically (common/atomic_file.h) with the manifest last.
+// Because the manifest is the commit point, a crash anywhere during a
+// checkpoint leaves the previous manifest — and the complete files it
+// references — untouched. Recovery walks the manifests newest-first and
+// restores from the first one whose own checksum and every referenced file
+// verify; partial or corrupt checkpoints are skipped, never half-loaded.
+// Only the current format restores; older checkpoints are rejected with a
+// diagnostic. docs/ENGINE.md and docs/FEATURES.md document the format and
+// guarantees; docs/NETWORK.md covers the net state.
 #ifndef STARDUST_ENGINE_CHECKPOINT_H_
 #define STARDUST_ENGINE_CHECKPOINT_H_
 
@@ -55,11 +43,11 @@ struct CheckpointShardEntry {
   std::uint64_t checksum = 0;
 };
 
-/// One shard's feature-pipeline snapshot in a checkpoint manifest (v3).
+/// One shard's feature-pipeline or rising-edge snapshot in a manifest.
 struct CheckpointFeatureEntry {
   /// Snapshot filename, relative to the checkpoint directory.
   std::string file;
-  /// FNV-1a checksum of the complete feature snapshot file.
+  /// FNV-1a checksum of the complete snapshot file.
   std::uint64_t checksum = 0;
 };
 
@@ -77,31 +65,26 @@ struct CheckpointManifest {
   std::uint64_t max_batch = 0;
   std::uint8_t overload = 0;
   std::vector<CheckpointShardEntry> shards;
-  /// Serialized query registry (QueryRegistry::Serialize), manifest v2.
-  /// Empty file name when the checkpoint carries no registry — either a
-  /// v1 manifest or an engine whose registry was empty.
+  /// Serialized query registry (QueryRegistry::Serialize). Required:
+  /// every checkpoint carries it, even for an empty registry, so the id
+  /// allocator's lineage survives a restore.
   std::string queries_file;
   std::uint64_t queries_checksum = 0;
   /// Per-shard feature pipeline snapshots (FeaturePipeline::Serialize),
-  /// manifest v3. Either empty (older manifest: query cores restore
-  /// empty) or exactly one entry per shard, in shard order.
+  /// exactly one entry per shard, in shard order.
   std::vector<CheckpointFeatureEntry> features;
   /// Serialized network tier state (net/alert_hub.h: the alert sequence
-  /// allocator, subscriber cursors, and replay ring), manifest v4. Empty
-  /// file name when the checkpoint carries none — an older manifest or an
-  /// engine without a network front door attached.
+  /// allocator, subscriber cursors, and replay ring). The only optional
+  /// file: empty name when the engine had no network front door attached.
   std::string net_file;
   std::uint64_t net_checksum = 0;
   /// Stream placement (engine/placement.h) the shard files were laid out
-  /// under, manifest v6: the placement epoch plus each shard's
-  /// local->global slot table. Empty file name on pre-v6 manifests, which
-  /// restore with the modulo-hash default layout.
+  /// under: the placement epoch plus each shard's local->global slot
+  /// table. Required.
   std::string placement_file;
   std::uint64_t placement_checksum = 0;
   /// Per-shard rising-edge snapshots (alarming flags, pattern watermarks),
-  /// manifest v6. Either empty (pre-v6 manifest: edge state restores
-  /// empty, so conditions still alarming at the checkpoint are announced
-  /// once more) or exactly one entry per shard, in shard order.
+  /// exactly one entry per shard, in shard order.
   std::vector<CheckpointFeatureEntry> edges;
 };
 
@@ -115,12 +98,15 @@ std::string CheckpointPlacementFileName(std::uint64_t seq);
 std::string CheckpointManifestFileName(std::uint64_t seq);
 
 /// Manifest (de)serialization behind the same magic + version + checksum
-/// envelope style as core snapshots.
+/// envelope style as core snapshots. ParseManifest accepts only the
+/// version SerializeManifest writes and rejects a manifest that lacks a
+/// feature or edge entry per shard, the queries file, or the placement
+/// file.
 std::string SerializeManifest(const CheckpointManifest& manifest);
 Result<CheckpointManifest> ParseManifest(const std::string& bytes);
 
 /// Newest manifest in `dir` whose envelope checksum and every referenced
-/// shard file's checksum verify. Older checkpoints are consulted in
+/// file's checksum verify. Older checkpoints are consulted in
 /// descending sequence order (the fallback path after a crash or
 /// corruption); NotFound when no complete checkpoint exists.
 Result<CheckpointManifest> FindLatestValidCheckpoint(const std::string& dir);

@@ -10,7 +10,6 @@
 
 #include "common/atomic_file.h"
 #include "common/check.h"
-#include "common/kernels.h"
 #include "common/serialize.h"
 #include "core/snapshot.h"
 #include "geom/mbr.h"
@@ -41,11 +40,6 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   SD_RETURN_NOT_OK(engine_config.Validate());
   if (num_streams == 0) {
     return Status::InvalidArgument("need at least one stream");
-  }
-  if (!engine_config.kernel_backend.empty()) {
-    // Validate() vetted the name; SetBackend clamps requests above what
-    // this CPU supports. Process-wide, like the STARDUST_KERNELS override.
-    kernels::SetBackend(engine_config.kernel_backend);
   }
   const std::size_t num_shards =
       std::min(engine_config.num_shards, num_streams);
@@ -98,12 +92,12 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     store_capacity = FeaturePipeline::kDefaultStoreCapacity;
   }
 
-  // Placement: a fresh engine (and any pre-v6 checkpoint) routes by the
-  // modulo-hash default; a v6 checkpoint carries the slot tables its
-  // shard files were laid out under, parsed and validated here.
+  // Placement: a fresh engine routes by the modulo-hash default; a
+  // checkpoint carries the slot tables its shard files were laid out
+  // under, parsed and validated here.
   std::uint64_t placement_epoch = 0;
   std::vector<std::vector<StreamId>> restored_mappings;
-  if (restoring && !manifest.placement_file.empty()) {
+  if (restoring) {
     const std::filesystem::path placement_path =
         std::filesystem::path(restore_dir) / manifest.placement_file;
     Result<std::string> read = ReadFileToString(placement_path.string());
@@ -154,7 +148,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   engine->core_config_ = config;
   engine->placement_ =
       std::make_unique<PlacementTable>(num_streams, num_shards);
-  if (!restored_mappings.empty()) {
+  if (restoring) {
     std::vector<std::uint32_t> shard_of(num_streams, 0);
     for (std::size_t s = 0; s < restored_mappings.size(); ++s) {
       for (const StreamId global : restored_mappings[s]) {
@@ -169,7 +163,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
       std::make_unique<QueryRegistry>(config, engine_config.query);
   engine->alert_bus_ = std::make_unique<AlertBus>(
       engine_config.query.alert_capacity, engine_config.query.alert_overflow);
-  if (restoring && !manifest.queries_file.empty()) {
+  if (restoring) {
     const std::filesystem::path queries_path =
         std::filesystem::path(restore_dir) / manifest.queries_file;
     Result<std::string> bytes = ReadFileToString(queries_path.string());
@@ -179,12 +173,11 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   engine->shards_.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
     // Default layout: streams s, s + N, s + 2N, ... live on shard s. A
-    // restored v6 placement sizes each shard by its checkpointed slot
-    // table instead (tombstoned slots included).
+    // restored placement sizes each shard by its checkpointed slot table
+    // instead (tombstoned slots included).
     const std::size_t local_streams =
-        restored_mappings.empty()
-            ? (num_streams - s + num_shards - 1) / num_shards
-            : restored_mappings[s].size();
+        restoring ? restored_mappings[s].size()
+                  : (num_streams - s + num_shards - 1) / num_shards;
     std::unique_ptr<FleetAggregateMonitor> fleet;
     if (restoring) {
       const std::filesystem::path shard_path =
@@ -256,35 +249,21 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
         engine->registry_.get(), engine->alert_bus_.get(),
         engine->metrics_.get(), std::move(shard_options)));
     if (restoring) {
-      engine->shards_.back()->RestoreProgress(manifest.shards[s].epoch,
-                                              manifest.shards[s].appended);
-      // Manifest v3 carries the feature pipelines (query cores + feature
-      // store); pre-v3 checkpoints leave them empty and they warm up as
-      // tuples flow (the pre-v3 behavior).
-      if (!manifest.features.empty()) {
-        const std::filesystem::path features_path =
-            std::filesystem::path(restore_dir) / manifest.features[s].file;
-        Result<std::string> feature_bytes =
-            ReadFileToString(features_path.string());
-        if (!feature_bytes.ok()) return feature_bytes.status();
-        SD_RETURN_NOT_OK(
-            engine->shards_.back()->RestoreFeatures(feature_bytes.value()));
-      }
-      if (!restored_mappings.empty()) {
-        SD_RETURN_NOT_OK(engine->shards_.back()->SetStreamMapping(
-            restored_mappings[s]));
-      }
-      // Manifest v6 carries the rising-edge maps; pre-v6 checkpoints
-      // leave them empty and the restore errs toward re-announcing.
-      if (!manifest.edges.empty()) {
-        const std::filesystem::path edge_path =
-            std::filesystem::path(restore_dir) / manifest.edges[s].file;
-        Result<std::string> edge_bytes =
-            ReadFileToString(edge_path.string());
-        if (!edge_bytes.ok()) return edge_bytes.status();
-        SD_RETURN_NOT_OK(
-            engine->shards_.back()->RestoreEdges(edge_bytes.value()));
-      }
+      Shard* shard = engine->shards_.back().get();
+      shard->RestoreProgress(manifest.shards[s].epoch,
+                             manifest.shards[s].appended);
+      const std::filesystem::path features_path =
+          std::filesystem::path(restore_dir) / manifest.features[s].file;
+      Result<std::string> feature_bytes =
+          ReadFileToString(features_path.string());
+      if (!feature_bytes.ok()) return feature_bytes.status();
+      SD_RETURN_NOT_OK(shard->RestoreFeatures(feature_bytes.value()));
+      SD_RETURN_NOT_OK(shard->SetStreamMapping(restored_mappings[s]));
+      const std::filesystem::path edge_path =
+          std::filesystem::path(restore_dir) / manifest.edges[s].file;
+      Result<std::string> edge_bytes = ReadFileToString(edge_path.string());
+      if (!edge_bytes.ok()) return edge_bytes.status();
+      SD_RETURN_NOT_OK(shard->RestoreEdges(edge_bytes.value()));
     }
   }
   SD_CHECK(!engine->shards_.empty());

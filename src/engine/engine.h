@@ -171,11 +171,11 @@ class IngestEngine {
   /// down to the current and previous checkpoints. Serialized against
   /// itself and against the background checkpoint thread. Each shard's
   /// feature pipeline (pattern and correlation query cores + feature
-  /// store) is checkpointed alongside its fleet (manifest v3, one
+  /// store) is checkpointed alongside its fleet (one
   /// `features-<i>-ck<seq>.feat` per shard), taken under the same mutex
-  /// hold so both describe one point in the apply sequence; restoring a
-  /// pre-v3 checkpoint leaves the cores empty and they warm up
-  /// (docs/FEATURES.md, "Checkpoint semantics").
+  /// hold so both describe one point in the apply sequence
+  /// (docs/FEATURES.md, "Checkpoint semantics"). The layout is described
+  /// in engine/checkpoint.h; only the current format restores.
   Status Checkpoint(const std::string& dir);
   /// Sequence number of the last successful Checkpoint; 0 if none yet.
   std::uint64_t last_checkpoint_seq() const {
@@ -184,7 +184,7 @@ class IngestEngine {
 
   /// Attaches the network tier's state to the checkpoint cycle: every
   /// Checkpoint() calls `provider` (on the checkpointing thread) and
-  /// persists the returned bytes as the manifest v4 net-state file
+  /// persists the returned bytes as the checkpoint's net-state file
   /// (net/alert_hub.h Serialize). An empty provider (or empty bytes)
   /// writes no net file. Safe to call while checkpoints run.
   void SetNetStateProvider(std::function<std::string()> provider);

@@ -85,12 +85,6 @@ struct EngineConfig {
   /// correlation core configurations, correlator cadence, and the alert
   /// bus shape (src/query, docs/QUERIES.md).
   QueryConfig query;
-  /// SIMD tier for the maintenance kernels (common/kernels.h): "" keeps
-  /// whatever is active (the CPUID pick, or a STARDUST_KERNELS override),
-  /// "auto" re-resolves to the best supported tier, and "scalar" / "avx2"
-  /// / "avx512" force one (clamped to what the CPU supports). Applied
-  /// process-wide when the engine starts.
-  std::string kernel_backend;
 
   Status Validate() const {
     SD_RETURN_NOT_OK(query.Validate());
@@ -113,12 +107,6 @@ struct EngineConfig {
     if (rebalance_period_ms > 0 && rebalance_hysteresis <= 1.0) {
       return Status::InvalidArgument(
           "rebalance_hysteresis must exceed 1.0");
-    }
-    if (!kernel_backend.empty() && kernel_backend != "auto" &&
-        kernel_backend != "scalar" && kernel_backend != "avx2" &&
-        kernel_backend != "avx512") {
-      return Status::InvalidArgument(
-          "kernel_backend must be one of \"\", auto, scalar, avx2, avx512");
     }
     return Status::OK();
   }

@@ -15,10 +15,9 @@ namespace stardust {
 namespace {
 
 constexpr char kPipelineMagic[4] = {'S', 'D', 'F', 'P'};
-/// v2 appended the sketch-measure section; v1 snapshots restore with no
-/// sketch state (measures warm up from the live stream).
+/// The only version this build reads or writes; older snapshots are
+/// rejected with a diagnostic.
 constexpr std::uint32_t kPipelineVersion = 2;
-constexpr std::uint32_t kMinPipelineVersion = 1;
 
 }  // namespace
 
@@ -487,7 +486,7 @@ std::string FeaturePipeline::Serialize() const {
   }
   store_.SaveTo(&payload);
 
-  // v2 sketch section: per slot, the config plus every live (stream,
+  // Sketch section: per slot, the config plus every live (stream,
   // measure) pair, in ascending stream order.
   const std::size_t before_sketch = payload.buffer().size();
   payload.U64(sketch_configs_.size());
@@ -534,20 +533,21 @@ Status FeaturePipeline::Restore(const std::string& bytes) {
   std::uint64_t checksum = 0;
   SD_RETURN_NOT_OK(header.U32(&version));
   SD_RETURN_NOT_OK(header.U64(&checksum));
-  if (version < kMinPipelineVersion || version > kPipelineVersion) {
+  if (version != kPipelineVersion) {
     return Status::InvalidArgument(
-        "unsupported feature pipeline version " + std::to_string(version));
+        "unsupported feature pipeline version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kPipelineVersion) +
+        " only)");
   }
   const std::string payload = bytes.substr(sizeof(kPipelineMagic) + 12);
   if (Fnv1a(payload) != checksum) {
     return Status::InvalidArgument(
         "feature pipeline snapshot checksum mismatch");
   }
-  return RestorePayload(payload, version);
+  return RestorePayload(payload);
 }
 
-Status FeaturePipeline::RestorePayload(const std::string& payload,
-                                       std::uint32_t version) {
+Status FeaturePipeline::RestorePayload(const std::string& payload) {
   Reader reader(payload);
   std::uint8_t has_pattern = 0;
   SD_RETURN_NOT_OK(reader.U8(&has_pattern));
@@ -588,52 +588,47 @@ Status FeaturePipeline::RestorePayload(const std::string& payload,
     SD_RETURN_NOT_OK(corr_core_->RebuildIndexes());
   }
   SD_RETURN_NOT_OK(store_.RestoreFrom(&reader));
-  if (version >= 2) {
-    std::uint64_t num_slots = 0;
-    SD_RETURN_NOT_OK(reader.U64(&num_slots));
-    // One config is 65 bytes followed by a present count.
-    if (num_slots > reader.remaining() / 73) {
-      return Status::InvalidArgument(
-          "feature pipeline sketch slot count out of range");
-    }
-    std::vector<SketchConfig> configs;
-    std::vector<std::vector<std::unique_ptr<SketchMeasure>>> slots;
-    configs.reserve(num_slots);
-    slots.reserve(num_slots);
-    for (std::uint64_t i = 0; i < num_slots; ++i) {
-      SketchConfig config;
-      SD_RETURN_NOT_OK(config.RestoreFrom(&reader));
-      SD_RETURN_NOT_OK(config.Validate());
-      std::vector<std::unique_ptr<SketchMeasure>> per_stream(num_streams_);
-      std::uint64_t present = 0;
-      SD_RETURN_NOT_OK(reader.U64(&present));
-      if (present > num_streams_) {
-        return Status::InvalidArgument(
-            "feature pipeline sketch stream count out of range");
-      }
-      std::uint64_t last_stream = 0;
-      for (std::uint64_t j = 0; j < present; ++j) {
-        std::uint64_t stream = 0;
-        SD_RETURN_NOT_OK(reader.U64(&stream));
-        // Serialize emits ascending stream ids; anything else is corrupt.
-        if (stream >= num_streams_ || (j > 0 && stream <= last_stream)) {
-          return Status::InvalidArgument(
-              "feature pipeline sketch stream id out of order");
-        }
-        last_stream = stream;
-        auto measure = CreateSketchMeasure(config);
-        SD_RETURN_NOT_OK(measure->RestoreFrom(&reader));
-        per_stream[static_cast<std::size_t>(stream)] = std::move(measure);
-      }
-      configs.push_back(config);
-      slots.push_back(std::move(per_stream));
-    }
-    sketch_configs_ = std::move(configs);
-    sketch_slots_ = std::move(slots);
-  } else {
-    sketch_configs_.clear();
-    sketch_slots_.clear();
+  std::uint64_t num_slots = 0;
+  SD_RETURN_NOT_OK(reader.U64(&num_slots));
+  // One config is 65 bytes followed by a present count.
+  if (num_slots > reader.remaining() / 73) {
+    return Status::InvalidArgument(
+        "feature pipeline sketch slot count out of range");
   }
+  std::vector<SketchConfig> configs;
+  std::vector<std::vector<std::unique_ptr<SketchMeasure>>> slots;
+  configs.reserve(num_slots);
+  slots.reserve(num_slots);
+  for (std::uint64_t i = 0; i < num_slots; ++i) {
+    SketchConfig config;
+    SD_RETURN_NOT_OK(config.RestoreFrom(&reader));
+    SD_RETURN_NOT_OK(config.Validate());
+    std::vector<std::unique_ptr<SketchMeasure>> per_stream(num_streams_);
+    std::uint64_t present = 0;
+    SD_RETURN_NOT_OK(reader.U64(&present));
+    if (present > num_streams_) {
+      return Status::InvalidArgument(
+          "feature pipeline sketch stream count out of range");
+    }
+    std::uint64_t last_stream = 0;
+    for (std::uint64_t j = 0; j < present; ++j) {
+      std::uint64_t stream = 0;
+      SD_RETURN_NOT_OK(reader.U64(&stream));
+      // Serialize emits ascending stream ids; anything else is corrupt.
+      if (stream >= num_streams_ || (j > 0 && stream <= last_stream)) {
+        return Status::InvalidArgument(
+            "feature pipeline sketch stream id out of order");
+      }
+      last_stream = stream;
+      auto measure = CreateSketchMeasure(config);
+      SD_RETURN_NOT_OK(measure->RestoreFrom(&reader));
+      per_stream[static_cast<std::size_t>(stream)] = std::move(measure);
+    }
+    configs.push_back(config);
+    slots.push_back(std::move(per_stream));
+  }
+  sketch_configs_ = std::move(configs);
+  sketch_slots_ = std::move(slots);
   if (!reader.AtEnd()) {
     return Status::InvalidArgument(
         "feature pipeline snapshot has trailing bytes");

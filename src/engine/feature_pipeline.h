@@ -155,7 +155,7 @@ class FeaturePipeline {
   Status Restore(const std::string& bytes);
 
  private:
-  Status RestorePayload(const std::string& payload, std::uint32_t version);
+  Status RestorePayload(const std::string& payload);
   /// Caches any new aligned feature times of `stream` at store level
   /// `spec` (newest kDefaultStoreCapacity at most).
   void CacheStreamFeatures(const FeatureStore::LevelSpec& spec,

@@ -4,7 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "common/kernels.h"
 
 namespace stardust {
 
@@ -137,22 +136,7 @@ std::string EngineMetricsJson(
             i == 0 ? "" : ",", q.id, QueryKindName(q.kind), q.evals, q.hits,
             q.errors, q.rate_limited, q.eval_nanos);
   }
-  out += "]";
-
-  // SIMD kernel dispatch (common/kernels.h): the active ISA tier and the
-  // process-wide per-kernel invocation counters, so deployments can
-  // confirm which backend actually served the traffic.
-  AppendF(&out, ",\"kernels\":{\"backend\":\"%s\",\"max_supported\":\"%s\"",
-          kernels::BackendName(kernels::SelectedBackend()),
-          kernels::BackendName(kernels::MaxSupportedBackend()));
-  AppendF(&out, ",\"fast_reductions\":%s,\"run_cutoff\":%zu,\"counts\":{",
-          kernels::FastReductionsEnabled() ? "true" : "false",
-          kernels::BatchedRunCutoff());
-  for (std::size_t id = 0; id < kernels::kNumKernels; ++id) {
-    AppendF(&out, "%s\"%s\":%" PRIu64, id == 0 ? "" : ",",
-            kernels::KernelName(id), kernels::KernelCount(id));
-  }
-  out += "}}}";
+  out += "]}";
   return out;
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/kernels.h"
 
 namespace stardust {
 
@@ -59,8 +58,8 @@ class Mbr {
   void AssignPoint(const double* p, std::size_t dims) {
     lo_.resize(dims);
     hi_.resize(dims);
-    kernels::Copy(p, dims, lo_.data());
-    kernels::Copy(p, dims, hi_.data());
+    std::copy_n(p, dims, lo_.data());
+    std::copy_n(p, dims, hi_.data());
   }
 
   /// Resizes to `dims` dimensions and resets to the inverted-empty form,

@@ -210,12 +210,9 @@ struct QuerySpec {
   }
 
   /// Checkpoint support: fixed-width little-endian encoding, matching the
-  /// snapshot conventions (common/serialize.h). The rate-limit fields
-  /// were added in registry envelope v2 and the assess-range + sketch
-  /// fields in v3; `version` selects the layout so older snapshots stay
-  /// readable (v1 restores with the limit disabled, v1/v2 restore with
-  /// the legacy [-inf, threshold) assess range).
-  void SaveTo(Writer* writer, std::uint32_t version) const {
+  /// snapshot conventions (common/serialize.h). The layout is the one of
+  /// query registry envelope v3 (engine checkpoints).
+  void SaveTo(Writer* writer) const {
     writer->U8(static_cast<std::uint8_t>(kind));
     writer->U64(window);
     writer->F64(threshold);
@@ -223,22 +220,16 @@ struct QuerySpec {
     writer->F64(radius);
     writer->U64(level == kTopLevel ? std::uint64_t{0xffffffffffffffffULL}
                                    : static_cast<std::uint64_t>(level));
-    if (version >= 2) {
-      writer->F64(alert_rate_per_sec);
-      writer->U64(alert_burst);
-    }
-    if (version >= 3) {
-      assess.SaveTo(writer);
-      sketch.SaveTo(writer);
-    }
+    writer->F64(alert_rate_per_sec);
+    writer->U64(alert_burst);
+    assess.SaveTo(writer);
+    sketch.SaveTo(writer);
   }
 
-  Status RestoreFrom(Reader* reader, std::uint32_t version) {
+  Status RestoreFrom(Reader* reader) {
     std::uint8_t kind_byte = 0;
     SD_RETURN_NOT_OK(reader->U8(&kind_byte));
-    const auto max_kind = static_cast<std::uint8_t>(
-        version >= 3 ? QueryKind::kSketch : QueryKind::kCorrelation);
-    if (kind_byte > max_kind) {
+    if (kind_byte > static_cast<std::uint8_t>(QueryKind::kSketch)) {
       return Status::InvalidArgument("unknown query kind in snapshot");
     }
     kind = static_cast<QueryKind>(kind_byte);
@@ -253,25 +244,10 @@ struct QuerySpec {
     level = level64 == 0xffffffffffffffffULL
                 ? kTopLevel
                 : static_cast<std::size_t>(level64);
-    if (version >= 2) {
-      SD_RETURN_NOT_OK(reader->F64(&alert_rate_per_sec));
-      SD_RETURN_NOT_OK(reader->U64(&alert_burst));
-    } else {
-      alert_rate_per_sec = 0.0;
-      alert_burst = 0;
-    }
-    if (version >= 3) {
-      SD_RETURN_NOT_OK(assess.RestoreFrom(reader));
-      SD_RETURN_NOT_OK(sketch.RestoreFrom(reader));
-    } else {
-      assess = AssessRange{};
-      if (kind == QueryKind::kAggregate) {
-        assess.hi = threshold;
-        assess.hi_inclusive = false;
-      }
-      sketch = SketchConfig{};
-    }
-    return Status::OK();
+    SD_RETURN_NOT_OK(reader->F64(&alert_rate_per_sec));
+    SD_RETURN_NOT_OK(reader->U64(&alert_burst));
+    SD_RETURN_NOT_OK(assess.RestoreFrom(reader));
+    return sketch.RestoreFrom(reader);
   }
 };
 

@@ -9,21 +9,15 @@ namespace stardust {
 namespace {
 
 constexpr char kRegistryMagic[4] = {'S', 'D', 'Q', 'R'};
-/// v2 appended the per-query alert rate-limit fields (QuerySpec::
-/// alert_rate_per_sec / alert_burst); v3 appended the assess range and
-/// sketch config. Older snapshots restore with the limit disabled and
-/// the legacy threshold-derived assess range.
+/// The only version this build reads or writes; older snapshots are
+/// rejected with a diagnostic.
 constexpr std::uint32_t kRegistryVersion = 3;
-constexpr std::uint32_t kMinRegistryVersion = 1;
 
 /// Lower bound on one serialized query (id + kind + window + threshold +
-/// pattern length + radius + level, plus rate + burst in v2, plus the
-/// 17-byte assess range and 65-byte sketch config in v3); bounds the
-/// declared count against the remaining payload.
-constexpr std::uint64_t MinQueryBytes(std::uint32_t version) {
-  if (version >= 3) return 139;
-  return version >= 2 ? 57 : 41;
-}
+/// pattern length + radius + level + rate + burst + the 17-byte assess
+/// range + the 65-byte sketch config); bounds the declared count against
+/// the remaining payload.
+constexpr std::uint64_t kMinQueryBytes = 139;
 
 /// Kind-independent validation of the optional token-bucket limit.
 Status ValidateAlertRate(const QuerySpec& spec) {
@@ -216,7 +210,7 @@ std::string QueryRegistry::Serialize() const {
   payload.U64(queries_.size());
   for (const auto& query : queries_) {
     payload.U64(query->id);
-    query->spec.SaveTo(&payload, kRegistryVersion);
+    query->spec.SaveTo(&payload);
   }
 
   Writer envelope;
@@ -247,9 +241,11 @@ Status QueryRegistry::Restore(const std::string& bytes) {
   std::uint64_t checksum = 0;
   SD_RETURN_NOT_OK(header.U32(&version));
   SD_RETURN_NOT_OK(header.U64(&checksum));
-  if (version < kMinRegistryVersion || version > kRegistryVersion) {
-    return Status::InvalidArgument("unsupported query registry version " +
-                                   std::to_string(version));
+  if (version != kRegistryVersion) {
+    return Status::InvalidArgument(
+        "unsupported query registry version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kRegistryVersion) +
+        " only)");
   }
   const std::string payload = bytes.substr(sizeof(kRegistryMagic) + 12);
   if (Fnv1a(payload) != checksum) {
@@ -262,7 +258,7 @@ Status QueryRegistry::Restore(const std::string& bytes) {
   std::uint64_t count = 0;
   SD_RETURN_NOT_OK(reader.U64(&next_id));
   SD_RETURN_NOT_OK(reader.U64(&count));
-  if (count > reader.remaining() / MinQueryBytes(version)) {
+  if (count > reader.remaining() / kMinQueryBytes) {
     return Status::InvalidArgument(
         "query registry count out of range");
   }
@@ -273,7 +269,7 @@ Status QueryRegistry::Restore(const std::string& bytes) {
     std::uint64_t id = 0;
     SD_RETURN_NOT_OK(reader.U64(&id));
     QuerySpec spec;
-    SD_RETURN_NOT_OK(spec.RestoreFrom(&reader, version));
+    SD_RETURN_NOT_OK(spec.RestoreFrom(&reader));
     // Ids are assigned monotonically and serialized in registration
     // order, so a valid snapshot is strictly increasing — which also
     // guarantees uniqueness against corrupt input.

@@ -49,22 +49,15 @@ Point AggregateExactFeature(AggregateKind kind,
 void AggregateExactFeatureInto(AggregateKind kind, const double* values,
                                std::size_t count, Mbr* out) {
   SD_CHECK(count > 0);
-  // Each branch mirrors AggregateExactFeature exactly through the
-  // dispatched reduction kernels (common/kernels.h): reduce_max/min/spread
-  // reproduce the tie handling of max_element (first maximum), min_element
-  // (first minimum), and minmax_element (first minimum, last maximum) on
-  // every backend, so results are bit-identical even for signed-zero ties.
-  // kSum keeps the scalar left-to-right loop unless the reassociating fast
-  // reduction was explicitly opted into (rounding differs).
+  // Each branch mirrors AggregateExactFeature exactly: the reduction
+  // kernels (common/kernels.h) reproduce the tie handling of max_element
+  // (first maximum), min_element (first minimum), and minmax_element
+  // (first minimum, last maximum), so results are bit-identical even for
+  // signed-zero ties, and kSum is the same left-to-right loop.
   switch (kind) {
     case AggregateKind::kSum: {
-      double sum;
-      if (kernels::FastReductionsEnabled()) {
-        sum = kernels::ReduceSum(values, count);
-      } else {
-        sum = 0.0;
-        for (std::size_t i = 0; i < count; ++i) sum += values[i];
-      }
+      double sum = 0.0;
+      for (std::size_t i = 0; i < count; ++i) sum += values[i];
       out->AssignPoint(&sum, 1);
       return;
     }
@@ -94,13 +87,8 @@ void AggregateExactFeatureSpans(AggregateKind kind, const double* values,
   // AggregateExactFeatureInto, minus the Mbr bookkeeping.
   switch (kind) {
     case AggregateKind::kSum: {
-      double sum;
-      if (kernels::FastReductionsEnabled()) {
-        sum = kernels::ReduceSum(values, count);
-      } else {
-        sum = 0.0;
-        for (std::size_t i = 0; i < count; ++i) sum += values[i];
-      }
+      double sum = 0.0;
+      for (std::size_t i = 0; i < count; ++i) sum += values[i];
       lo[0] = hi[0] = sum;
       return;
     }

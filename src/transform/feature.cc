@@ -30,22 +30,14 @@ void ZNormalizeTo(const double* src, std::size_t n, double* dst,
                   double* mean_out, double* norm2_out) {
   SD_CHECK(src != nullptr && dst != nullptr);
   SD_CHECK(n > 0);
-  // Moments are order-sensitive sums: the scalar left-to-right loops stay
-  // the default; the vectorized znorm_moments kernel only engages behind
-  // the explicit fast-reduction opt-in (rounding differs — see
-  // common/kernels.h). The apply step is elementwise and dispatches
-  // unconditionally (bit-identical on every backend).
+  // Moments are order-sensitive sums, so they stay left-to-right loops.
   double mean = 0.0;
+  for (std::size_t i = 0; i < n; ++i) mean += src[i];
+  mean /= static_cast<double>(n);
   double norm2 = 0.0;
-  if (kernels::FastReductionsEnabled()) {
-    kernels::ZNormMoments(src, n, &mean, &norm2);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) mean += src[i];
-    mean /= static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = src[i] - mean;
-      norm2 += d * d;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = src[i] - mean;
+    norm2 += d * d;
   }
   if (mean_out != nullptr) *mean_out = mean;
   if (norm2_out != nullptr) *norm2_out = norm2;

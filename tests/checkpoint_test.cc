@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/atomic_file.h"
-#include "common/serialize.h"
 #include "engine/engine.h"
 #include "stream/bursty_source.h"
 #include "stream/threshold.h"
@@ -113,13 +112,26 @@ TEST(CheckpointManifestTest, FileNamesEncodeShardAndSeq) {
   EXPECT_EQ(CheckpointQueriesFileName(5), "queries-ck5.qry");
 }
 
-TEST(CheckpointManifestTest, RoundTripCarriesQueryRegistryEntry) {
+/// A manifest with every entry a real checkpoint carries: per shard a
+/// shard, feature and edge entry, plus the queries and placement files.
+CheckpointManifest CompleteManifest(std::uint64_t seq,
+                                    std::size_t num_shards) {
   CheckpointManifest manifest;
-  manifest.seq = 9;
-  manifest.num_streams = 2;
-  manifest.num_shards = 1;
-  manifest.shards = {{"shard-0-ck9.snap", 4, 80, 0x1111ULL}};
-  manifest.queries_file = "queries-ck9.qry";
+  manifest.seq = seq;
+  manifest.num_streams = 2 * num_shards;
+  manifest.num_shards = num_shards;
+  for (std::size_t i = 0; i < num_shards; ++i) {
+    manifest.shards.push_back({CheckpointShardFileName(i, seq), 1, 1, 1});
+    manifest.features.push_back({CheckpointFeaturesFileName(i, seq), 2});
+    manifest.edges.push_back({CheckpointEdgesFileName(i, seq), 3});
+  }
+  manifest.queries_file = CheckpointQueriesFileName(seq);
+  manifest.placement_file = CheckpointPlacementFileName(seq);
+  return manifest;
+}
+
+TEST(CheckpointManifestTest, RoundTripCarriesQueryRegistryEntry) {
+  CheckpointManifest manifest = CompleteManifest(9, 1);
   manifest.queries_checksum = 0x2222ULL;
   Result<CheckpointManifest> parsed =
       ParseManifest(SerializeManifest(manifest));
@@ -128,57 +140,15 @@ TEST(CheckpointManifestTest, RoundTripCarriesQueryRegistryEntry) {
   EXPECT_EQ(parsed.value().queries_checksum, 0x2222ULL);
 }
 
-// Manifests written before the query subsystem existed (version 1: shard
-// entries only) must still parse; they restore with an empty registry.
-TEST(CheckpointManifestTest, ParsesVersion1ManifestsWithoutQueries) {
-  Writer payload;
-  payload.U64(7);     // seq
-  payload.U64(2);     // num_streams
-  payload.U64(1);     // num_shards
-  payload.U64(1024);  // queue_capacity
-  payload.U64(8);     // max_producers
-  payload.U64(256);   // max_batch
-  payload.U8(0);      // overload
-  payload.U64(1);     // shard entries
-  const std::string file = "shard-0-ck7.snap";
-  payload.U64(file.size());
-  payload.Bytes(file.data(), file.size());
-  payload.U64(3);      // epoch
-  payload.U64(99);     // appended
-  payload.U64(0xabc);  // checksum
-
-  Writer envelope;
-  const char magic[4] = {'S', 'D', 'M', 'F'};
-  envelope.Bytes(magic, sizeof(magic));
-  envelope.U32(1);  // the pre-query manifest version
-  envelope.U64(Fnv1a(payload.buffer()));
-  envelope.Bytes(payload.buffer().data(), payload.buffer().size());
-
-  Result<CheckpointManifest> parsed =
-      ParseManifest(std::move(envelope.TakeBuffer()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().seq, 7u);
-  ASSERT_EQ(parsed.value().shards.size(), 1u);
-  EXPECT_EQ(parsed.value().shards[0].file, "shard-0-ck7.snap");
-  EXPECT_TRUE(parsed.value().queries_file.empty());
-  EXPECT_EQ(parsed.value().queries_checksum, 0u);
-}
-
 TEST(CheckpointManifestTest, RejectsEscapingQueriesFileName) {
-  CheckpointManifest manifest;
-  manifest.seq = 1;
-  manifest.num_streams = 1;
-  manifest.num_shards = 1;
-  manifest.shards = {{"shard-0-ck1.snap", 1, 1, 1}};
+  CheckpointManifest manifest = CompleteManifest(1, 1);
   manifest.queries_file = "../queries-ck1.qry";
   EXPECT_FALSE(ParseManifest(SerializeManifest(manifest)).ok());
 }
 
 TEST(CheckpointManifestTest, RoundTrip) {
-  CheckpointManifest manifest;
-  manifest.seq = 42;
+  CheckpointManifest manifest = CompleteManifest(42, 2);
   manifest.num_streams = 6;
-  manifest.num_shards = 2;
   manifest.queue_capacity = 1024;
   manifest.max_producers = 8;
   manifest.max_batch = 256;
@@ -205,12 +175,8 @@ TEST(CheckpointManifestTest, RoundTrip) {
 }
 
 TEST(CheckpointManifestTest, RejectsCorruption) {
-  CheckpointManifest manifest;
-  manifest.seq = 1;
-  manifest.num_streams = 1;
-  manifest.num_shards = 1;
-  manifest.shards = {{"shard-0-ck1.snap", 1, 1, 1}};
-  const std::string bytes = SerializeManifest(manifest);
+  const std::string bytes = SerializeManifest(CompleteManifest(1, 1));
+  ASSERT_TRUE(ParseManifest(bytes).ok());
 
   EXPECT_FALSE(ParseManifest("").ok());
   EXPECT_FALSE(ParseManifest("garbage").ok());
@@ -225,11 +191,8 @@ TEST(CheckpointManifestTest, RejectsCorruption) {
 }
 
 TEST(CheckpointManifestTest, RejectsEscapingFileNames) {
-  CheckpointManifest manifest;
-  manifest.seq = 1;
-  manifest.num_streams = 1;
-  manifest.num_shards = 1;
-  manifest.shards = {{"../../etc/passwd", 1, 1, 1}};
+  CheckpointManifest manifest = CompleteManifest(1, 1);
+  manifest.shards[0].file = "../../etc/passwd";
   EXPECT_FALSE(ParseManifest(SerializeManifest(manifest)).ok());
 }
 
@@ -492,6 +455,49 @@ TEST(CheckpointCrashTest, CorruptQueriesFileFallsBack) {
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(recovered->queries().size(), 1u);
   ExpectSameAnswers(*reference, *recovered);
+}
+
+// A committed manifest that lacks a file every checkpoint carries (a
+// feature entry, an edge entry, the queries file, or the placement file)
+// is rejected, and recovery falls back to the previous checkpoint.
+TEST(CheckpointCrashTest, IncompleteManifestFallsBackToPreviousCheckpoint) {
+  const std::vector<std::function<void(CheckpointManifest*)>> strips = {
+      [](CheckpointManifest* m) { m->features.pop_back(); },
+      [](CheckpointManifest* m) { m->edges.pop_back(); },
+      [](CheckpointManifest* m) { m->queries_file.clear(); },
+      [](CheckpointManifest* m) { m->placement_file.clear(); },
+  };
+  for (std::size_t i = 0; i < strips.size(); ++i) {
+    const std::string dir = FreshDir("ck_incomplete_" + std::to_string(i));
+    auto engine = MakeEngine(4, 2);
+    ASSERT_NE(engine, nullptr);
+    auto sources = Sources(4, 4900);
+    Feed(engine.get(), &sources, 500);
+    ASSERT_TRUE(engine->Checkpoint(dir).ok());
+    auto reference = MakeEngine(4, 2, dir);
+    ASSERT_NE(reference, nullptr);
+    Feed(engine.get(), &sources, 400);
+    ASSERT_TRUE(engine->Checkpoint(dir).ok());
+
+    const std::string path = (fs::path(dir) / "manifest-2.ck").string();
+    Result<std::string> bytes = ReadFileToString(path);
+    ASSERT_TRUE(bytes.ok());
+    Result<CheckpointManifest> complete = ParseManifest(bytes.value());
+    ASSERT_TRUE(complete.ok()) << complete.status().ToString();
+    CheckpointManifest stripped = complete.value();
+    strips[i](&stripped);
+    const std::string stripped_bytes = SerializeManifest(stripped);
+    EXPECT_FALSE(ParseManifest(stripped_bytes).ok()) << "strip " << i;
+    ASSERT_TRUE(AtomicWriteFile(path, stripped_bytes).ok());
+
+    Result<CheckpointManifest> found = FindLatestValidCheckpoint(dir);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found.value().seq, 1u) << "strip " << i;
+    auto recovered = MakeEngine(4, 2, dir);
+    ASSERT_NE(recovered, nullptr) << "strip " << i;
+    EXPECT_EQ(recovered->last_checkpoint_seq(), 1u);
+    ExpectSameAnswers(*reference, *recovered);
+  }
 }
 
 TEST(CheckpointGcTest, KeepsCurrentAndPreviousDropsOlderAndTmp) {

@@ -1,9 +1,9 @@
 // Tests for the compute-once feature state introduced by the pipeline
 // refactor: FeatureStore ring/rotation semantics and byte-stable
 // serialization, FeaturePipeline "SDFP" snapshot round trips (including
-// core-presence compatibility and corruption rejection), and the v3
-// checkpoint manifest with per-shard feature entries (plus v1/v2
-// manifests hand-built byte-for-byte to pin backward compatibility).
+// core-presence compatibility, corruption and retired-version rejection),
+// and the checkpoint manifest with its per-shard feature and edge entries
+// (plus frozen manifest bytes that pin the on-disk format).
 #include "core/feature_store.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "engine/checkpoint.h"
 #include "engine/engine.h"
 #include "engine/feature_pipeline.h"
+#include "fixture_bytes.h"
 #include "query/eval_plan.h"
 #include "query/registry.h"
 #include "stream/threshold.h"
@@ -451,8 +452,29 @@ TEST_F(FeaturePipelineSnapshotTest, RestoreChecksCorePresence) {
   EXPECT_FALSE(narrow.Restore(wide.Serialize()).ok());
 }
 
-// --- Checkpoint manifest versions -------------------------------------
+TEST_F(FeaturePipelineSnapshotTest, RestoreRejectsRetiredVersions) {
+  std::unique_ptr<FeaturePipeline> pipeline = MakePipeline(true, true);
+  pipeline->AdoptPlan(*plan_, *fleet_);
+  Feed(pipeline.get(), 16);
+  const std::string bytes = pipeline->Serialize();
+  for (std::uint32_t version : {0u, 1u, 3u}) {
+    std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
+    const Status status = target->Restore(WithVersion(bytes, version));
+    ASSERT_FALSE(status.ok()) << "version " << version;
+    EXPECT_NE(status.message().find("unsupported feature pipeline version " +
+                                    std::to_string(version)),
+              std::string::npos)
+        << status.ToString();
+  }
+  std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
+  EXPECT_TRUE(target->Restore(WithVersion(bytes, 2)).ok());
+}
 
+// --- Checkpoint manifest -----------------------------------------------
+
+/// A manifest with every entry a real checkpoint carries: per shard a
+/// shard, feature and edge entry, plus the queries and placement files.
+/// The net file is optional and left out.
 CheckpointManifest BaseManifest() {
   CheckpointManifest manifest;
   manifest.seq = 7;
@@ -469,51 +491,18 @@ CheckpointManifest BaseManifest() {
     entry.appended = 100 + i;
     entry.checksum = 0xabcdef00 + i;
     manifest.shards.push_back(entry);
+    manifest.features.push_back({CheckpointFeaturesFileName(i, 7), 0x9999 + i});
+    manifest.edges.push_back({CheckpointEdgesFileName(i, 7), 0x7770 + i});
   }
+  manifest.queries_file = CheckpointQueriesFileName(7);
+  manifest.queries_checksum = 0x1234;
+  manifest.placement_file = CheckpointPlacementFileName(7);
+  manifest.placement_checksum = 0xbeef;
   return manifest;
 }
 
-void WriteManifestPrefix(Writer* payload, const CheckpointManifest& m) {
-  payload->U64(m.seq);
-  payload->U64(m.num_streams);
-  payload->U64(m.num_shards);
-  payload->U64(m.queue_capacity);
-  payload->U64(m.max_producers);
-  payload->U64(m.max_batch);
-  payload->U8(m.overload);
-  payload->U64(m.shards.size());
-  for (const CheckpointShardEntry& entry : m.shards) {
-    payload->U64(entry.file.size());
-    payload->Bytes(entry.file.data(), entry.file.size());
-    payload->U64(entry.epoch);
-    payload->U64(entry.appended);
-    payload->U64(entry.checksum);
-  }
-}
-
-std::string ManifestEnvelope(std::uint32_t version,
-                             const std::string& payload) {
-  Writer envelope;
-  const char magic[4] = {'S', 'D', 'M', 'F'};
-  envelope.Bytes(magic, sizeof(magic));
-  envelope.U32(version);
-  envelope.U64(Fnv1a(payload));
-  envelope.Bytes(payload.data(), payload.size());
-  return std::move(envelope.TakeBuffer());
-}
-
-TEST(CheckpointManifestTest, V3RoundTripWithFeatureEntries) {
-  CheckpointManifest manifest = BaseManifest();
-  manifest.queries_file = CheckpointQueriesFileName(7);
-  manifest.queries_checksum = 0x1234;
-  for (std::size_t i = 0; i < 2; ++i) {
-    CheckpointFeatureEntry entry;
-    entry.file = CheckpointFeaturesFileName(i, 7);
-    entry.checksum = 0x9999 + i;
-    manifest.features.push_back(entry);
-  }
-
-  auto parsed = ParseManifest(SerializeManifest(manifest));
+TEST(CheckpointManifestTest, RoundTripCarriesEveryEntry) {
+  auto parsed = ParseManifest(SerializeManifest(BaseManifest()));
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   const CheckpointManifest& m = parsed.value();
   EXPECT_EQ(m.seq, 7u);
@@ -533,17 +522,23 @@ TEST(CheckpointManifestTest, V3RoundTripWithFeatureEntries) {
   ASSERT_EQ(m.features.size(), 2u);
   EXPECT_EQ(m.features[0].file, CheckpointFeaturesFileName(0, 7));
   EXPECT_EQ(m.features[1].checksum, 0x999au);
+  ASSERT_EQ(m.edges.size(), 2u);
+  EXPECT_EQ(m.edges[1].file, CheckpointEdgesFileName(1, 7));
+  EXPECT_EQ(m.edges[1].checksum, 0x7771u);
+  EXPECT_EQ(m.placement_file, CheckpointPlacementFileName(7));
+  EXPECT_EQ(m.placement_checksum, 0xbeefu);
+  EXPECT_TRUE(m.net_file.empty());
 }
 
-TEST(CheckpointManifestTest, RejectsFeatureCountShardMismatch) {
-  // A v3 manifest must carry zero feature entries or exactly one per
-  // shard; anything else is a torn checkpoint.
-  CheckpointManifest manifest = BaseManifest();
-  CheckpointFeatureEntry entry;
-  entry.file = CheckpointFeaturesFileName(0, 7);
-  entry.checksum = 1;
-  manifest.features.push_back(entry);
-  EXPECT_FALSE(ParseManifest(SerializeManifest(manifest)).ok());
+TEST(CheckpointManifestTest, RejectsEntryCountShardMismatch) {
+  // A manifest carries exactly one feature and one edge entry per shard;
+  // anything else is a torn checkpoint.
+  CheckpointManifest features = BaseManifest();
+  features.features.pop_back();
+  EXPECT_FALSE(ParseManifest(SerializeManifest(features)).ok());
+  CheckpointManifest edges = BaseManifest();
+  edges.edges.push_back(edges.edges.back());
+  EXPECT_FALSE(ParseManifest(SerializeManifest(edges)).ok());
 }
 
 TEST(CheckpointManifestTest, RejectsEscapingFileNames) {
@@ -552,58 +547,62 @@ TEST(CheckpointManifestTest, RejectsEscapingFileNames) {
   EXPECT_FALSE(ParseManifest(SerializeManifest(manifest)).ok());
 }
 
-TEST(CheckpointManifestTest, ParsesHandBuiltV2Manifest) {
-  // Byte-for-byte v2 manifest (pre-feature-pipeline): shard entries plus
-  // the registry file, no feature section. Must parse with features
-  // empty so the engine restores with warm-up cores.
-  const CheckpointManifest base = BaseManifest();
-  Writer payload;
-  WriteManifestPrefix(&payload, base);
-  const std::string queries = CheckpointQueriesFileName(7);
-  payload.U64(queries.size());
-  payload.Bytes(queries.data(), queries.size());
-  payload.U64(0x7777);
-
-  auto parsed = ParseManifest(ManifestEnvelope(2, payload.buffer()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_EQ(parsed.value().queries_file, queries);
-  EXPECT_EQ(parsed.value().queries_checksum, 0x7777u);
-  EXPECT_TRUE(parsed.value().features.empty());
-}
-
-TEST(CheckpointManifestTest, ParsesHandBuiltV1Manifest) {
-  // Byte-for-byte v1 manifest: shard entries only. Registry and feature
-  // sections must come back empty.
-  const CheckpointManifest base = BaseManifest();
-  Writer payload;
-  WriteManifestPrefix(&payload, base);
-
-  auto parsed = ParseManifest(ManifestEnvelope(1, payload.buffer()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_EQ(parsed.value().num_shards, 2u);
-  ASSERT_EQ(parsed.value().shards.size(), 2u);
-  EXPECT_TRUE(parsed.value().queries_file.empty());
-  EXPECT_TRUE(parsed.value().features.empty());
-}
-
 TEST(CheckpointManifestTest, RejectsBadVersionsAndChecksum) {
-  const CheckpointManifest base = BaseManifest();
-  Writer payload;
-  WriteManifestPrefix(&payload, base);
+  const std::string bytes = SerializeManifest(BaseManifest());
+  ASSERT_TRUE(ParseManifest(bytes).ok());
 
-  EXPECT_FALSE(ParseManifest(ManifestEnvelope(0, payload.buffer())).ok());
-  EXPECT_FALSE(ParseManifest(ManifestEnvelope(9, payload.buffer())).ok());
+  // Versions 1-5 are the retired layouts; 0 and 7+ never existed.
+  for (std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 9u}) {
+    const Result<CheckpointManifest> parsed =
+        ParseManifest(WithVersion(bytes, version));
+    ASSERT_FALSE(parsed.ok()) << "version " << version;
+    EXPECT_NE(parsed.status().message().find("unsupported manifest version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
 
-  std::string flipped = ManifestEnvelope(1, payload.buffer());
+  std::string flipped = bytes;
   flipped[flipped.size() - 1] ^= 0x01;
   EXPECT_FALSE(ParseManifest(flipped).ok());
 
-  // v1 envelope with trailing v2 bytes the version says should not exist.
+  // Trailing bytes behind a complete payload, with a matching checksum.
+  const std::string payload = bytes.substr(16) + std::string(8, '\0');
   Writer extended;
-  WriteManifestPrefix(&extended, base);
-  extended.U64(0);
-  extended.U64(0);
-  EXPECT_FALSE(ParseManifest(ManifestEnvelope(1, extended.buffer())).ok());
+  extended.Bytes(bytes.data(), 8);
+  extended.U64(Fnv1a(payload));
+  extended.Bytes(payload.data(), payload.size());
+  EXPECT_FALSE(ParseManifest(extended.buffer()).ok());
+}
+
+// Frozen bytes of BaseManifest() plus a net file, written by
+// SerializeManifest. Any change to the on-disk manifest layout fails
+// here instead of silently orphaning existing checkpoints.
+constexpr const char* kManifestFixtureHex =
+    "53444d4606000000bef4f0177f627d7c07000000000000000400000000000000"
+    "0200000000000000000400000000000004000000000000000001000000000000"
+    "010200000000000000100000000000000073686172642d302d636b372e736e61"
+    "700a00000000000000640000000000000000efcdab0000000010000000000000"
+    "0073686172642d312d636b372e736e61700b0000000000000065000000000000"
+    "0001efcdab000000000f00000000000000717565726965732d636b372e717279"
+    "3412000000000000020000000000000013000000000000006665617475726573"
+    "2d302d636b372e66656174999900000000000013000000000000006665617475"
+    "7265732d312d636b372e666561749a990000000000000b000000000000006e65"
+    "742d636b372e6e657455550000000000001100000000000000706c6163656d65"
+    "6e742d636b372e706c63efbe0000000000000200000000000000100000000000"
+    "000065646765732d302d636b372e656467657077000000000000100000000000"
+    "000065646765732d312d636b372e656467657177000000000000";
+
+TEST(CheckpointManifestTest, FrozenManifestParsesAndReserializesByteEqual) {
+  const std::string bytes = FromHex(kManifestFixtureHex);
+  ASSERT_EQ(bytes.size(), 410u);
+  const Result<CheckpointManifest> parsed = ParseManifest(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  CheckpointManifest expected = BaseManifest();
+  expected.net_file = CheckpointNetFileName(7);
+  expected.net_checksum = 0x5555;
+  EXPECT_EQ(SerializeManifest(parsed.value()), bytes);
+  EXPECT_EQ(SerializeManifest(expected), bytes);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Elastic stream placement: the PlacementTable routing map, live
 // MigrateStream correctness (state equivalence against an unmigrated
-// twin engine), the rebalancer thread, and the checkpoint v6 placement
-// manifest — including crash injection on the placement file write and
-// pre-v6 manifest compatibility.
+// twin engine), the rebalancer thread, and the checkpoint placement
+// file — including crash injection on the placement file write.
 #include "engine/placement.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "common/atomic_file.h"
-#include "common/serialize.h"
 #include "engine/checkpoint.h"
 #include "engine/engine.h"
 #include "stream/bursty_source.h"
@@ -287,7 +285,7 @@ TEST(RebalancerTest, MovesAStreamOffTheHotShard) {
   ASSERT_TRUE(engine->Stop().ok());
 }
 
-// --- Checkpoint v6 -------------------------------------------------------
+// --- Checkpoint ----------------------------------------------------------
 
 TEST(PlacementCheckpointTest, FileNameEncodesSeq) {
   EXPECT_EQ(CheckpointPlacementFileName(3), "placement-ck3.plc");
@@ -300,6 +298,9 @@ TEST(PlacementCheckpointTest, ManifestRoundTripCarriesPlacement) {
   manifest.num_streams = 2;
   manifest.num_shards = 1;
   manifest.shards = {{"shard-0-ck4.snap", 1, 1, 1}};
+  manifest.features = {{CheckpointFeaturesFileName(0, 4), 2}};
+  manifest.edges = {{CheckpointEdgesFileName(0, 4), 3}};
+  manifest.queries_file = CheckpointQueriesFileName(4);
   manifest.placement_file = "placement-ck4.plc";
   manifest.placement_checksum = 0xbeef;
   Result<CheckpointManifest> parsed =
@@ -307,46 +308,6 @@ TEST(PlacementCheckpointTest, ManifestRoundTripCarriesPlacement) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().placement_file, "placement-ck4.plc");
   EXPECT_EQ(parsed.value().placement_checksum, 0xbeefULL);
-}
-
-// A version-5 manifest (everything through the net-state entry, no
-// placement fields) must still parse; it restores with the modulo
-// default placement.
-TEST(PlacementCheckpointTest, ParsesVersion5ManifestsWithoutPlacement) {
-  Writer payload;
-  payload.U64(7);     // seq
-  payload.U64(2);     // num_streams
-  payload.U64(1);     // num_shards
-  payload.U64(1024);  // queue_capacity
-  payload.U64(8);     // max_producers
-  payload.U64(256);   // max_batch
-  payload.U8(0);      // overload
-  payload.U64(1);     // shard entries
-  const std::string file = "shard-0-ck7.snap";
-  payload.U64(file.size());
-  payload.Bytes(file.data(), file.size());
-  payload.U64(3);      // epoch
-  payload.U64(99);     // appended
-  payload.U64(0xabc);  // checksum
-  payload.U64(0);      // queries file (none)
-  payload.U64(0);      // queries checksum
-  payload.U64(0);      // feature entries
-  payload.U64(0);      // net file (none)
-  payload.U64(0);      // net checksum
-
-  Writer envelope;
-  const char magic[4] = {'S', 'D', 'M', 'F'};
-  envelope.Bytes(magic, sizeof(magic));
-  envelope.U32(5);  // the pre-placement manifest version
-  envelope.U64(Fnv1a(payload.buffer()));
-  envelope.Bytes(payload.buffer().data(), payload.buffer().size());
-
-  Result<CheckpointManifest> parsed =
-      ParseManifest(std::move(envelope.TakeBuffer()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().seq, 7u);
-  EXPECT_TRUE(parsed.value().placement_file.empty());
-  EXPECT_EQ(parsed.value().placement_checksum, 0u);
 }
 
 // Checkpoint after migrations, restore, and the restored engine both

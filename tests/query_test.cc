@@ -1,5 +1,6 @@
 // Tests for the continuous-query subsystem (src/query + engine wiring):
-// registry validation/versioning, checkpoint round trips, and the
+// registry validation, the frozen registry format, checkpoint round
+// trips, and the
 // flagship integration property — one IngestEngine serving all three
 // query classes of the paper concurrently against live multi-producer
 // ingestion, with the hits arriving through the alert bus.
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "fixture_bytes.h"
 #include "query/sinks.h"
 #include "stream/threshold.h"
 
@@ -302,31 +304,99 @@ TEST(QueryRegistryTest, SerializePreservesRateLimitFields) {
   EXPECT_EQ(snapshot->aggregate[0]->spec.alert_burst, 8u);
 }
 
-// Backward compatibility: a v1 registry snapshot (no rate-limit fields)
-// restores with the limit disabled.
-TEST(QueryRegistryTest, RestoresV1SnapshotsWithRateLimitDisabled) {
-  Writer payload;
-  payload.U64(2);  // next_id
-  payload.U64(1);  // count
-  payload.U64(1);  // id
-  QuerySpec spec = QuerySpec::Aggregate(20, 42.0);
-  spec.SaveTo(&payload, /*version=*/1);
+TEST(QueryRegistryTest, RestoreRejectsRetiredVersions) {
+  QueryRegistry source(AggregateConfig(), FullQueryConfig());
+  ASSERT_TRUE(source.Register(QuerySpec::Aggregate(20, 1.0)).ok());
+  const std::string bytes = source.Serialize();
+  // Versions 1 and 2 are the retired layouts; 0 and 4 never existed.
+  for (std::uint32_t version : {0u, 1u, 2u, 4u}) {
+    QueryRegistry target(AggregateConfig(), FullQueryConfig());
+    const Status status = target.Restore(WithVersion(bytes, version));
+    ASSERT_FALSE(status.ok()) << "version " << version;
+    EXPECT_NE(status.message().find("unsupported query registry version " +
+                                    std::to_string(version)),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(target.size(), 0u);
+  }
+}
 
-  Writer envelope;
-  const char magic[4] = {'S', 'D', 'Q', 'R'};
-  envelope.Bytes(magic, sizeof(magic));
-  envelope.U32(1);  // registry version 1
-  envelope.U64(Fnv1a(payload.buffer()));
-  envelope.Bytes(payload.buffer().data(), payload.buffer().size());
+// Frozen bytes of a registry (format v3) holding one query of each class,
+// written by QueryRegistry::Serialize after registering, in order:
+//   1  Aggregate(20, 42.0) rate-limited to 2.5/s, burst 8
+//   2  Pattern({1, ..., 8}, 0.25)
+//   3  Correlation(0.5, level 0)
+//   4  Sketch(quantile q=0.9 over 64 values, assess (0, 3])
+// Any change to the on-disk registry layout fails here instead of
+// silently orphaning existing checkpoints.
+constexpr const char* kRegistryFixtureHex =
+    "53445152030000004a2317281f52992b05000000000000000400000000000000"
+    "0100000000000000001400000000000000000000000000454000000000000000"
+    "000000000000000000ffffffffffffffff000000000000044008000000000000"
+    "00000000000000f0ff0000000000004540010000000000000000000400000000"
+    "0000000c000000000000007b14ae47e17a843f04000000000000009a99999999"
+    "99a93f2000000000000000000000000000e03f02000000000000000100000000"
+    "0000000000000000000000000800000000000000000000000000f03f00000000"
+    "0000004000000000000008400000000000001040000000000000144000000000"
+    "000018400000000000001c400000000000002040000000000000d03fffffffff"
+    "ffffffff00000000000000000000000000000000000000000000f0ff00000000"
+    "0000f07f0300000000000000000004000000000000000c000000000000007b14"
+    "ae47e17a843f04000000000000009a9999999999a93f20000000000000000000"
+    "00000000e03f0300000000000000020000000000000000000000000000000000"
+    "00000000000000000000000000e03f0000000000000000000000000000000000"
+    "00000000000000000000000000f0ff000000000000f07f030000000000000000"
+    "0004000000000000000c000000000000007b14ae47e17a843f04000000000000"
+    "009a9999999999a93f2000000000000000000000000000e03f04000000000000"
+    "0003400000000000000000000000000008400000000000000000000000000000"
+    "0000ffffffffffffffff00000000000000000000000000000000000000000000"
+    "000000000000000008400202400000000000000004000000000000000c000000"
+    "000000007b14ae47e17a843f04000000000000009a9999999999a93f20000000"
+    "00000000cdccccccccccec3f";
 
+TEST(QueryRegistryTest, FrozenRegistryRestoresAndReserializesByteEqual) {
+  const std::string bytes = FromHex(kRegistryFixtureHex);
+  ASSERT_EQ(bytes.size(), 684u);
   QueryRegistry restored(AggregateConfig(), FullQueryConfig());
-  ASSERT_TRUE(restored.Restore(envelope.buffer()).ok());
+  ASSERT_TRUE(restored.Restore(bytes).ok());
+  EXPECT_EQ(restored.Serialize(), bytes);
+
   const auto snapshot = restored.snapshot();
   ASSERT_EQ(snapshot->aggregate.size(), 1u);
-  EXPECT_EQ(snapshot->aggregate[0]->spec.window, 20u);
-  EXPECT_EQ(snapshot->aggregate[0]->spec.threshold, 42.0);
-  EXPECT_EQ(snapshot->aggregate[0]->spec.alert_rate_per_sec, 0.0);
-  EXPECT_TRUE(snapshot->aggregate[0]->AllowAlert());
+  ASSERT_EQ(snapshot->pattern.size(), 1u);
+  ASSERT_EQ(snapshot->correlation.size(), 1u);
+  ASSERT_EQ(snapshot->sketch.size(), 1u);
+  const QuerySpec& agg = snapshot->aggregate[0]->spec;
+  EXPECT_EQ(agg.window, 20u);
+  EXPECT_EQ(agg.threshold, 42.0);
+  EXPECT_EQ(agg.alert_rate_per_sec, 2.5);
+  EXPECT_EQ(agg.alert_burst, 8u);
+  EXPECT_EQ(snapshot->pattern[0]->spec.pattern.size(), 8u);
+  EXPECT_EQ(snapshot->correlation[0]->spec.level, 0u);
+  const QuerySpec& sketch = snapshot->sketch[0]->spec;
+  EXPECT_EQ(sketch.sketch.kind, SketchKind::kQuantile);
+  EXPECT_EQ(sketch.sketch.q, 0.9);
+  EXPECT_FALSE(sketch.assess.lo_inclusive);
+  EXPECT_EQ(sketch.assess.hi, 3.0);
+
+  // A re-registration of the same specs serializes to the same bytes.
+  QueryRegistry fresh(AggregateConfig(), FullQueryConfig());
+  ASSERT_TRUE(
+      fresh.Register(QuerySpec::Aggregate(20, 42.0).WithAlertRate(2.5, 8))
+          .ok());
+  ASSERT_TRUE(
+      fresh.Register(QuerySpec::Pattern({1, 2, 3, 4, 5, 6, 7, 8}, 0.25))
+          .ok());
+  ASSERT_TRUE(fresh.Register(QuerySpec::Correlation(0.5, 0)).ok());
+  SketchConfig quantile;
+  quantile.kind = SketchKind::kQuantile;
+  quantile.window = 64;
+  quantile.q = 0.9;
+  AssessRange assess;
+  assess.lo = 0.0;
+  assess.hi = 3.0;
+  assess.lo_inclusive = false;
+  ASSERT_TRUE(fresh.Register(QuerySpec::Sketch(quantile, assess)).ok());
+  EXPECT_EQ(fresh.Serialize(), bytes);
 }
 
 // Engine integration of the limiter: four streams cross the aggregate

@@ -229,36 +229,9 @@ TEST_F(SketchCheckpointTest, MeasuresSurviveRestore) {
   EXPECT_GE(alerts[0].value, 5.0);
 }
 
-// --- QuerySpec version compatibility ------------------------------------
+// --- QuerySpec serialization ---------------------------------------------
 
-TEST(QuerySpecCompatTest, V2PayloadsSynthesizeTheLegacyAssessRange) {
-  QuerySpec spec = QuerySpec::Aggregate(32, 7.5);
-  spec.WithAlertRate(2.0, 3);
-  Writer writer;
-  spec.SaveTo(&writer, 2);  // pre-assess layout
-  QuerySpec restored;
-  Reader reader(writer.buffer());
-  ASSERT_TRUE(restored.RestoreFrom(&reader, 2).ok());
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(restored.kind, QueryKind::kAggregate);
-  EXPECT_EQ(restored.window, 32u);
-  EXPECT_EQ(restored.threshold, 7.5);
-  // Synthesized conformance range: (-inf, threshold), upper exclusive.
-  EXPECT_EQ(restored.assess.hi, 7.5);
-  EXPECT_FALSE(restored.assess.hi_inclusive);
-  EXPECT_TRUE(restored.assess.Contains(7.49));
-  EXPECT_FALSE(restored.assess.Contains(7.5));
-  EXPECT_EQ(restored.sketch, SketchConfig{});
-  // A v2 reader never sees the sketch kind.
-  QuerySpec sketch_spec = QuerySpec::Sketch(SketchConfig{.window = 8}, {});
-  Writer w3;
-  sketch_spec.SaveTo(&w3, 3);
-  QuerySpec as_v2;
-  Reader r3(w3.buffer());
-  EXPECT_FALSE(as_v2.RestoreFrom(&r3, 2).ok());
-}
-
-TEST(QuerySpecCompatTest, V3RoundTripsAssessAndSketch) {
+TEST(QuerySpecSerializationTest, RoundTripsAssessAndSketch) {
   SketchConfig config;
   config.kind = SketchKind::kQuantile;
   config.window = 64;
@@ -269,10 +242,10 @@ TEST(QuerySpecCompatTest, V3RoundTripsAssessAndSketch) {
   assess.lo_inclusive = false;
   QuerySpec spec = QuerySpec::Sketch(config, assess);
   Writer writer;
-  spec.SaveTo(&writer, 3);
+  spec.SaveTo(&writer);
   QuerySpec restored;
   Reader reader(writer.buffer());
-  ASSERT_TRUE(restored.RestoreFrom(&reader, 3).ok());
+  ASSERT_TRUE(restored.RestoreFrom(&reader).ok());
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(restored.kind, QueryKind::kSketch);
   EXPECT_EQ(restored.sketch, config);

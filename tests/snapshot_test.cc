@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/pattern_query.h"
+#include "fixture_bytes.h"
 #include "stream/random_walk.h"
 
 namespace stardust {
@@ -413,11 +414,12 @@ TEST(FleetSnapshotTest, FileRoundTripAndCrashKeepsOldFile) {
 }
 
 // ---------------------------------------------------------------------
-// v1 backward compatibility
+// Frozen format
 // ---------------------------------------------------------------------
 
-// Frozen bytes of a v1 snapshot: AggregateConfig(), one stream, thirty
-// values of (t % 7) * 1.5 - 3.0. Generated once from the v1 serializer
+// Frozen bytes of a v1 snapshot, the current format of the bare-Stardust
+// snapshot kind ("v2" tags the fleet kind): AggregateConfig(), one stream,
+// thirty values of (t % 7) * 1.5 - 3.0. Generated once from the serializer
 // and embedded so that any accidental change to the on-disk format (or to
 // the restore path) breaks this test rather than silently orphaning
 // users' existing snapshot files.
@@ -463,20 +465,6 @@ constexpr const char* kV1FixtureHex =
     "0000000000000001000000000000000000000000000000000000000000000000"
     "0000000000000000020000000000000003000000000000000100000000000000"
     "00000000000000000000000000000000000000000000000000";
-
-std::string FromHex(const std::string& hex) {
-  std::string bytes;
-  bytes.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
-    const auto nibble = [](char c) -> unsigned {
-      if (c >= '0' && c <= '9') return static_cast<unsigned>(c - '0');
-      return static_cast<unsigned>(c - 'a') + 10;
-    };
-    bytes.push_back(
-        static_cast<char>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
-  }
-  return bytes;
-}
 
 TEST(SnapshotTest, V1FixtureStaysLoadable) {
   const std::string bytes = FromHex(kV1FixtureHex);
