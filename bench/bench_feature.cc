@@ -33,7 +33,6 @@
 #include "bench_util.h"
 #include "core/feature_store.h"
 #include "core/fleet_monitor.h"
-#include "core/snapshot.h"
 #include "core/stardust.h"
 #include "engine/feature_pipeline.h"
 #include "query/eval_plan.h"
@@ -150,14 +149,9 @@ RunResult RunShared(std::size_t shards, std::size_t steps) {
   std::shared_ptr<const EvalPlan> plan =
       CompileEvalPlan(*registry.snapshot(), registry.version(), ctx);
 
-  std::vector<std::unique_ptr<FleetAggregateMonitor>> fleets;
   std::vector<std::unique_ptr<FeaturePipeline>> pipelines;
   std::vector<std::vector<StreamId>> touched(shards);
   for (std::size_t i = 0; i < shards; ++i) {
-    auto fleet = FleetAggregateMonitor::Create(
-        fleet_config, {{16, 1e18}}, parts[i].count);
-    if (!fleet.ok()) std::abort();
-    fleets.push_back(std::move(fleet.value()));
     auto corr = Stardust::Create(corr_config);
     if (!corr.ok()) std::abort();
     for (std::size_t s = 0; s < parts[i].count; ++s) {
@@ -165,8 +159,8 @@ RunResult RunShared(std::size_t shards, std::size_t steps) {
       touched[i].push_back(static_cast<StreamId>(s));
     }
     pipelines.push_back(std::make_unique<FeaturePipeline>(
-        nullptr, std::move(corr.value()), parts[i].count));
-    pipelines.back()->AdoptPlan(*plan, *fleets.back());
+        fleet_config, nullptr, std::move(corr.value()), parts[i].count));
+    pipelines.back()->AdoptPlan(*plan);
   }
 
   RunResult result;
@@ -177,9 +171,6 @@ RunResult RunShared(std::size_t shards, std::size_t steps) {
     for (std::size_t i = 0; i < shards; ++i) {
       for (std::size_t s = 0; s < parts[i].count; ++s) {
         const double value = ValueAt(parts[i].begin + s, t);
-        if (!fleets[i]->Append(static_cast<StreamId>(s), value).ok()) {
-          std::abort();
-        }
         if (!pipelines[i]->Append(static_cast<StreamId>(s), value).ok()) {
           std::abort();
         }
@@ -314,13 +305,14 @@ RunResult RunRecompute(std::size_t shards, std::size_t steps) {
   return result;
 }
 
-/// Batched-vs-scalar maintenance at one shard of kStreams streams: the
-/// same per-stream value sequences and the same batch cadence (one
-/// FinishBatch per `run_len` steps — the engine's ApplyBatch shape), with
-/// state updated either per value (the scalar seed path) or via the
-/// columnar AppendRun kernels. Returns the maintain time plus an FNV-1a
-/// digest of the serialized fleet + pipeline state so the two modes can
-/// be asserted bit-identical.
+/// Batched-vs-scalar maintenance at one shard of kStreams streams — the
+/// shard's whole maintenance job, the feature pipeline with its raw
+/// tails: the same per-stream value sequences and the same batch cadence
+/// (one FinishBatch per `run_len` steps — the engine's ApplyBatch shape),
+/// with state updated either per value (Append) or via the columnar
+/// AppendRun kernels. Returns the maintain time plus an FNV-1a digest of
+/// the serialized pipeline state so the two modes can be asserted
+/// bit-identical.
 struct MaintainResult {
   std::uint64_t appends = 0;
   std::uint64_t maintain_ns = 0;
@@ -357,10 +349,6 @@ MaintainResult RunMaintain(bool batched, std::size_t run_len,
   std::shared_ptr<const EvalPlan> plan =
       CompileEvalPlan(*registry.snapshot(), registry.version(), ctx);
 
-  auto fleet_or =
-      FleetAggregateMonitor::Create(fleet_config, {{16, 1e18}}, kStreams);
-  if (!fleet_or.ok()) std::abort();
-  std::unique_ptr<FleetAggregateMonitor> fleet = std::move(fleet_or.value());
   auto corr = Stardust::Create(corr_config);
   if (!corr.ok()) std::abort();
   std::vector<StreamId> touched;
@@ -368,8 +356,9 @@ MaintainResult RunMaintain(bool batched, std::size_t run_len,
     corr.value()->AddStream();
     touched.push_back(static_cast<StreamId>(s));
   }
-  FeaturePipeline pipeline(nullptr, std::move(corr.value()), kStreams);
-  pipeline.AdoptPlan(*plan, *fleet);
+  FeaturePipeline pipeline(fleet_config, nullptr, std::move(corr.value()),
+                           kStreams);
+  pipeline.AdoptPlan(*plan);
 
   MaintainResult result;
   std::vector<double> run(run_len);
@@ -380,11 +369,9 @@ MaintainResult RunMaintain(bool batched, std::size_t run_len,
       for (std::size_t k = 0; k < len; ++k) run[k] = ValueAt(s, t + k);
       const StreamId stream = static_cast<StreamId>(s);
       if (batched) {
-        if (!fleet->AppendRun(stream, run.data(), len).ok()) std::abort();
         if (!pipeline.AppendRun(stream, run.data(), len).ok()) std::abort();
       } else {
         for (std::size_t k = 0; k < len; ++k) {
-          if (!fleet->Append(stream, run[k]).ok()) std::abort();
           if (!pipeline.Append(stream, run[k]).ok()) std::abort();
         }
       }
@@ -393,8 +380,7 @@ MaintainResult RunMaintain(bool batched, std::size_t run_len,
     pipeline.FinishBatch(touched);
     result.maintain_ns += NowNanos() - t0;
   }
-  result.state_digest =
-      Fnv1a(SerializeFleetSnapshot(*fleet) + pipeline.Serialize());
+  result.state_digest = Fnv1a(pipeline.Serialize());
   return result;
 }
 

@@ -1,5 +1,8 @@
-// Ingestion throughput: single-threaded FleetAggregateMonitor baseline vs
-// the sharded IngestEngine at 1/2/4/8 shards. Producers post round-robin
+// Ingestion throughput: single-threaded FleetAggregateMonitor baseline
+// (Algorithm 2 on every window) vs the sharded IngestEngine at 1/2/4/8
+// shards, which registers the same thresholds as aggregate queries,
+// answers them from exact sliding trackers and publishes their alerts on
+// the alert bus (no sink attached). Producers post round-robin
 // over the fleet under kBlock (no data loss), so the measured rate is the
 // end-to-end sustained append throughput. One JSON line per configuration
 // on stdout (prose goes to stderr), ready for plotting:
@@ -18,6 +21,7 @@
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
+#include "core/fleet_monitor.h"
 #include "engine/engine.h"
 #include "stream/bursty_source.h"
 #include "stream/threshold.h"

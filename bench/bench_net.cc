@@ -43,9 +43,9 @@ std::uint64_t NowNanos() {
           .count());
 }
 
-/// Fleet core shared by both measurements: SUM aggregates so the query
-/// window `agg_window` is an indexed resolution, fleet thresholds parked
-/// out of range (alerts come from registered queries only).
+/// Aggregate-path configuration shared by both measurements: SUM
+/// aggregates so the query window `agg_window` is an indexed resolution
+/// (alerts come from registered queries).
 StardustConfig FleetConfig(std::size_t base, std::size_t agg_window) {
   StardustConfig fleet;
   fleet.transform = TransformKind::kAggregate;
@@ -71,10 +71,9 @@ ServerFixture StartFixture(std::size_t num_streams, std::size_t base,
   econfig.queue_capacity = 1 << 14;
   econfig.max_batch = 256;
   econfig.overload = OverloadPolicy::kBlock;
-  std::vector<WindowThreshold> parked = {{base, 1e18}};
 
   ServerFixture fx;
-  auto engine = IngestEngine::Create(FleetConfig(base, agg_window), parked,
+  auto engine = IngestEngine::Create(FleetConfig(base, agg_window), {},
                                      num_streams, econfig);
   if (!engine.ok()) {
     std::fprintf(stderr, "bench_net: engine: %s\n",

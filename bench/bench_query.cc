@@ -157,11 +157,9 @@ RunResult RunConfig(const Mix& mix, std::size_t shards,
   econfig.query.alert_capacity = 4096;
   econfig.query.alert_overflow = OverloadPolicy::kBlock;
 
-  const std::vector<WindowThreshold> fleet_thresholds{{16, 1e18}};
-  auto engine = std::move(IngestEngine::Create(FleetConfig(),
-                                               fleet_thresholds, kStreams,
-                                               econfig))
-                    .value();
+  auto engine =
+      std::move(IngestEngine::Create(FleetConfig(), {}, kStreams, econfig))
+          .value();
   std::atomic<std::uint64_t> sink_count{0};
   engine->alerts().AddSink(std::make_shared<CallbackSink>(
       [&sink_count](const Alert&) {

@@ -657,9 +657,8 @@ int RunSubscribe(const Args& args) {
   const std::size_t agg_window = args.GetSize("agg-window", 2 * base);
   const std::size_t f = args.GetSize("coefficients", 4);
 
-  // Fleet (aggregate) core: sized so the requested query window is an
-  // indexed resolution. The fleet's own thresholds are parked far out of
-  // range — alerts come from the registered queries only.
+  // Aggregate-path configuration: sized so the requested query window is
+  // an indexed resolution. Alerts come from the registered queries.
   StardustConfig fleet;
   fleet.transform = TransformKind::kAggregate;
   fleet.aggregate = AggregateKind::kSum;
@@ -672,7 +671,6 @@ int RunSubscribe(const Args& args) {
   fleet.history = std::max(length, base << (fleet.num_levels - 1));
   fleet.box_capacity = args.GetSize("capacity", 4);
   fleet.update_period = 1;
-  std::vector<WindowThreshold> fleet_thresholds = {{base, 1e18}};
 
   EngineConfig econfig;
   econfig.num_shards = args.GetSize("shards", 2);
@@ -722,8 +720,8 @@ int RunSubscribe(const Args& args) {
     econfig.query.enable_correlation = true;
   }
 
-  Result<std::unique_ptr<IngestEngine>> engine = IngestEngine::Create(
-      fleet, fleet_thresholds, num_streams, econfig);
+  Result<std::unique_ptr<IngestEngine>> engine =
+      IngestEngine::Create(fleet, {}, num_streams, econfig);
   if (!engine.ok()) return Fail(engine.status());
 
   // JSONL subscriber: one line per alert on stdout, delivered on the bus

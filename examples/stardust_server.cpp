@@ -114,9 +114,9 @@ int main(int argc, char** argv) {
   const std::size_t base = args.GetSize("base", 10);
   const std::size_t agg_window = args.GetSize("agg-window", 2 * base);
 
-  // Fleet core sized so the query window is an indexed resolution; the
-  // fleet's own thresholds are parked out of range — alerts come from
-  // registered queries only (same shape as stardust_cli subscribe).
+  // Aggregate-path configuration sized so the query window is an indexed
+  // resolution; alerts come from registered queries (same shape as
+  // stardust_cli subscribe).
   StardustConfig fleet;
   fleet.transform = TransformKind::kAggregate;
   fleet.aggregate = AggregateKind::kSum;
@@ -128,7 +128,6 @@ int main(int argc, char** argv) {
   fleet.history = std::max(4 * agg_window, base << (fleet.num_levels - 1));
   fleet.box_capacity = args.GetSize("capacity", 4);
   fleet.update_period = 1;
-  std::vector<WindowThreshold> fleet_thresholds = {{base, 1e18}};
 
   EngineConfig econfig;
   econfig.num_shards = args.GetSize("shards", 4);
@@ -149,16 +148,15 @@ int main(int argc, char** argv) {
   bool restored = false;
   Result<std::unique_ptr<IngestEngine>> engine = Status::NotFound("fresh");
   if (!checkpoint_dir.empty()) {
-    engine = IngestEngine::Create(fleet, fleet_thresholds, num_streams,
-                                  econfig, checkpoint_dir);
+    engine =
+        IngestEngine::Create(fleet, {}, num_streams, econfig, checkpoint_dir);
     restored = engine.ok();
     if (!engine.ok() && engine.status().code() != StatusCode::kNotFound) {
       return Fail(engine.status());
     }
   }
   if (!engine.ok()) {
-    engine = IngestEngine::Create(fleet, fleet_thresholds, num_streams,
-                                  econfig);
+    engine = IngestEngine::Create(fleet, {}, num_streams, econfig);
     if (!engine.ok()) return Fail(engine.status());
   }
 

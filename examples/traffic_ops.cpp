@@ -6,16 +6,21 @@
 // The burst fleet runs behind the sharded ingestion engine (src/engine):
 // arrivals are posted to lock-free shard queues and applied by worker
 // threads, the way a production collector would ingest link counters.
-// The engine's runtime metrics are printed at the end.
+// Every trained {window, threshold} is an aggregate query; a counting
+// sink tallies their alerts per link. The engine's runtime metrics are
+// printed at the end.
 //
 //   $ ./build/examples/traffic_ops
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/lag_correlation.h"
 #include "engine/engine.h"
+#include "query/sinks.h"
 #include "stream/threshold.h"
 
 int main() {
@@ -76,13 +81,22 @@ int main() {
   fleet_config.update_period = 1;
   // Two shards: links {0,2,4} land on shard 0, links {1,3,5} on shard 1.
   // kBlock keeps the run lossless; the drop policies are for live feeds.
+  // max_batch 1 evaluates the queries after every arrival, so the alert
+  // counts depend only on the traffic, not on how arrivals were batched.
   EngineConfig engine_config;
   engine_config.num_shards = 2;
   engine_config.queue_capacity = 1024;
+  engine_config.max_batch = 1;
   engine_config.overload = OverloadPolicy::kBlock;
+  // Declared before the engine so the sink's counters outlive its bus.
+  std::vector<std::atomic<std::uint64_t>> alerts_per_link(links);
   auto engine = std::move(IngestEngine::Create(fleet_config, thresholds,
                                                links, engine_config))
                     .value();
+  engine->alerts().AddSink(std::make_shared<CallbackSink>(
+      [&alerts_per_link](const Alert& alert) {
+        alerts_per_link[alert.stream].fetch_add(1, std::memory_order_relaxed);
+      }));
 
   // --- Lag correlation over windows of 256, lags up to 128 --------------
   StardustConfig lag_config;
@@ -108,18 +122,25 @@ int main() {
     if (!engine->PostBatch(tick).ok()) return 1;
     if (!lag_monitor->AppendAll(values).ok()) return 1;
   }
-  // Drain the shard queues so the totals below cover every arrival.
+  // Drain the shard queues and the alert bus so the counts below cover
+  // every arrival.
   if (!engine->Flush().ok()) return 1;
 
-  std::printf("fleet burst monitoring (16 windows x %zu links, %zu "
-              "engine shards):\n",
-              links, engine->num_shards());
+  std::printf("fleet burst monitoring (%zu aggregate queries x %zu links, "
+              "%zu engine shards):\n",
+              thresholds.size(), links, engine->num_shards());
   for (StreamId link = 0; link < links; ++link) {
-    const AlarmStats stats = engine->StreamTotal(link);
-    std::printf("  link %u: %8llu alarms, %8llu true (precision %.3f)\n",
-                link, static_cast<unsigned long long>(stats.candidates),
-                static_cast<unsigned long long>(stats.true_alarms),
-                stats.Precision());
+    std::printf("  link %u: %6llu alerts\n", link,
+                static_cast<unsigned long long>(alerts_per_link[link].load()));
+  }
+  std::printf("\nalarming after the last arrival:\n");
+  for (const auto& query : engine->queries().snapshot()->aggregate) {
+    Result<std::vector<StreamId>> alarming =
+        engine->CurrentlyAlarming(query->id);
+    if (!alarming.ok()) return 1;
+    std::printf("  window %3zu:", query->spec.window);
+    for (StreamId link : alarming.value()) std::printf(" link %u", link);
+    std::printf("%s\n", alarming.value().empty() ? " (none)" : "");
   }
 
   std::printf("\ndiscovered propagation (last round, verified lagged "

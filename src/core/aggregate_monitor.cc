@@ -22,6 +22,20 @@ std::vector<std::size_t> WindowSizes(
 
 Result<std::unique_ptr<AggregateMonitor>> AggregateMonitor::Create(
     const StardustConfig& config, std::vector<WindowThreshold> thresholds) {
+  if (thresholds.empty()) {
+    return Status::InvalidArgument("no windows to monitor");
+  }
+  SD_RETURN_NOT_OK(Validate(config, thresholds));
+  Result<std::unique_ptr<Stardust>> core = Stardust::Create(config);
+  if (!core.ok()) return core.status();
+  return std::unique_ptr<AggregateMonitor>(new AggregateMonitor(
+      std::move(core).value(), std::move(thresholds)));
+}
+
+Status AggregateMonitor::Validate(
+    const StardustConfig& config,
+    const std::vector<WindowThreshold>& thresholds) {
+  SD_RETURN_NOT_OK(config.Validate());
   if (config.transform != TransformKind::kAggregate) {
     return Status::InvalidArgument(
         "aggregate monitoring requires an aggregate transform");
@@ -33,9 +47,6 @@ Result<std::unique_ptr<AggregateMonitor>> AggregateMonitor::Create(
     return Status::InvalidArgument(
         "continuous aggregate monitoring requires the online algorithm "
         "(uniform T == 1)");
-  }
-  if (thresholds.empty()) {
-    return Status::InvalidArgument("no windows to monitor");
   }
   for (const auto& wt : thresholds) {
     if (wt.window == 0 || wt.window % config.base_window != 0) {
@@ -51,10 +62,7 @@ Result<std::unique_ptr<AggregateMonitor>> AggregateMonitor::Create(
       return Status::InvalidArgument("window exceeds the history");
     }
   }
-  Result<std::unique_ptr<Stardust>> core = Stardust::Create(config);
-  if (!core.ok()) return core.status();
-  return std::unique_ptr<AggregateMonitor>(new AggregateMonitor(
-      std::move(core).value(), std::move(thresholds)));
+  return Status::OK();
 }
 
 AggregateMonitor::AggregateMonitor(std::unique_ptr<Stardust> stardust,

@@ -46,6 +46,12 @@ class AggregateMonitor {
   static Result<std::unique_ptr<AggregateMonitor>> Create(
       const StardustConfig& config,
       std::vector<WindowThreshold> thresholds);
+  /// The requirements Create places on `config` (which must also be
+  /// valid) and every threshold window, except that an empty list
+  /// passes. The ingestion engine,
+  /// whose aggregate path answers the same windows, checks them too.
+  static Status Validate(const StardustConfig& config,
+                         const std::vector<WindowThreshold>& thresholds);
 
   /// Feeds one value and runs every monitored window's check.
   Status Append(double value);

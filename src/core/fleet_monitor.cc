@@ -67,52 +67,6 @@ std::uint64_t FleetAggregateMonitor::AppendCount(StreamId stream) const {
   return monitors_[stream]->stardust().summarizer(0).now();
 }
 
-Result<StreamId> FleetAggregateMonitor::AddStream() {
-  std::vector<WindowThreshold> thresholds;
-  thresholds.reserve(num_windows());
-  for (std::size_t w = 0; w < num_windows(); ++w) {
-    thresholds.push_back(threshold(w));
-  }
-  Result<std::unique_ptr<AggregateMonitor>> monitor =
-      AggregateMonitor::Create(config(), std::move(thresholds));
-  if (!monitor.ok()) return monitor.status();
-  monitors_.push_back(std::move(monitor).value());
-  return static_cast<StreamId>(monitors_.size() - 1);
-}
-
-Status FleetAggregateMonitor::ResetStream(StreamId stream) {
-  if (stream >= monitors_.size()) {
-    return Status::InvalidArgument("unknown stream");
-  }
-  std::vector<WindowThreshold> thresholds;
-  thresholds.reserve(num_windows());
-  for (std::size_t w = 0; w < num_windows(); ++w) {
-    thresholds.push_back(threshold(w));
-  }
-  Result<std::unique_ptr<AggregateMonitor>> monitor =
-      AggregateMonitor::Create(config(), std::move(thresholds));
-  if (!monitor.ok()) return monitor.status();
-  monitors_[stream] = std::move(monitor).value();
-  return Status::OK();
-}
-
-Status FleetAggregateMonitor::SaveStreamTo(StreamId stream,
-                                           Writer* writer) const {
-  if (stream >= monitors_.size()) {
-    return Status::InvalidArgument("unknown stream");
-  }
-  monitors_[stream]->SaveTo(writer);
-  return Status::OK();
-}
-
-Status FleetAggregateMonitor::RestoreStreamFrom(StreamId stream,
-                                                Reader* reader) {
-  if (stream >= monitors_.size()) {
-    return Status::InvalidArgument("unknown stream");
-  }
-  return monitors_[stream]->RestoreFrom(reader);
-}
-
 AlarmStats FleetAggregateMonitor::FleetTotal() const {
   AlarmStats total;
   for (const auto& monitor : monitors_) {

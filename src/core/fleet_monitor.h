@@ -77,25 +77,9 @@ class FleetAggregateMonitor {
   /// stream count the snapshot was taken with.
   Status RestoreFrom(Reader* reader);
 
-  /// Values ever appended to one stream — a const snapshot accessor so
-  /// concurrent readers (e.g. the ingestion engine's cross-shard reads)
-  /// never need the mutable Stardust surface.
+  /// Values ever appended to one stream — a const snapshot accessor, so
+  /// readers never need the mutable Stardust surface.
   std::uint64_t AppendCount(StreamId stream) const;
-
-  // --- Elastic placement support (engine/shard.cc migration) ------------
-
-  /// Appends one fresh monitor (same config + thresholds as the fleet)
-  /// and returns its stream index.
-  Result<StreamId> AddStream();
-  /// Replaces one monitor with a fresh one — the tombstone half of a
-  /// stream migration; the slot can later be reused via
-  /// RestoreStreamFrom.
-  Status ResetStream(StreamId stream);
-  /// Per-stream slice of SaveTo: serializes exactly one monitor.
-  Status SaveStreamTo(StreamId stream, Writer* writer) const;
-  /// Installs a SaveStreamTo slice into one monitor slot (bit-exact,
-  /// same contract as AggregateMonitor::RestoreFrom).
-  Status RestoreStreamFrom(StreamId stream, Reader* reader);
 
  private:
   explicit FleetAggregateMonitor(

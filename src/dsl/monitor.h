@@ -3,8 +3,8 @@
 // A monitor names a measure over a sliding window, an assessment range
 // the measure must stay inside (the Stream DaQ "assess" clause), and an
 // optional alert rate limit. Measures cover both the engine's exact
-// aggregates (sum / max / min / spread — whichever the fleet cores
-// maintain) and the approximate sketch measures of src/sketch (distinct /
+// aggregates (sum / max / min / spread — whichever the engine's
+// aggregate path maintains) and the approximate sketch measures of src/sketch (distinct /
 // heavy_hitters / quantile). CompileMonitor turns a definition into the
 // QuerySpec registered with the live QueryRegistry; after that the DSL is
 // out of the loop — evaluation runs the compiled plan, never this text.
@@ -45,7 +45,7 @@ struct MonitorDef {
 };
 
 /// True when `measure` names an approximate sketch measure (as opposed
-/// to an exact fleet aggregate).
+/// to an exact aggregate).
 bool IsSketchMeasure(const std::string& measure);
 
 /// Parses an assessment range:
@@ -67,9 +67,10 @@ Result<MonitorDef> MonitorFromNode(const TextNode& node,
                                    const std::string& source);
 
 /// Lowers a definition into the QuerySpec to register. `engine_kind` is
-/// the aggregate the fleet cores maintain: an exact measure naming any
-/// other aggregate is a compile error (the engine computes one exact
-/// aggregate per deployment; sketch measures are independent of it).
+/// the aggregate the engine's aggregate path maintains: an exact measure
+/// naming any other aggregate is a compile error (the engine computes
+/// one exact aggregate per deployment; sketch measures are independent
+/// of it).
 Result<QuerySpec> CompileMonitor(const MonitorDef& def,
                                  AggregateKind engine_kind);
 

@@ -266,7 +266,7 @@ Result<ScenarioReport> RunScenario(
     specs.push_back(std::move(spec.value()));
   }
 
-  // Size the fleet so every exact-monitor window is an indexed
+  // Size the aggregate path so every exact-monitor window is an indexed
   // resolution (the same derivation stardust_cli's subscribe path uses).
   const std::size_t base = def.base_window;
   std::size_t levels = std::max<std::size_t>(def.num_levels, 1);
@@ -284,9 +284,6 @@ Result<ScenarioReport> RunScenario(
                       : std::max(def.rows.size(), base << (levels - 1));
   fleet.box_capacity = 4;
   fleet.update_period = 1;
-  // The fleet's own window thresholds are parked out of range — alerts
-  // come from the compiled monitors only.
-  std::vector<WindowThreshold> fleet_thresholds = {{base, 1e18}};
 
   EngineConfig econfig;
   econfig.num_shards = std::max<std::size_t>(def.shards, 1);
@@ -296,7 +293,7 @@ Result<ScenarioReport> RunScenario(
   econfig.max_batch = def.max_batch != 0 ? def.max_batch : base;
 
   Result<std::unique_ptr<IngestEngine>> engine =
-      IngestEngine::Create(fleet, fleet_thresholds, def.streams, econfig);
+      IngestEngine::Create(fleet, {}, def.streams, econfig);
   if (!engine.ok()) return engine.status();
 
   std::vector<QueryId> ids;

@@ -47,8 +47,8 @@ struct ScenarioDef {
   std::size_t shards = 2;
   /// 0 = one base window per stream (paced replay; see RunScenario).
   std::size_t max_batch = 0;
-  /// Exact aggregate the fleet cores maintain: "sum" (default), "max",
-  /// "min", or "spread".
+  /// Exact aggregate the engine's aggregate path maintains: "sum"
+  /// (default), "max", "min", or "spread".
   std::string aggregate = "sum";
   std::vector<MonitorDef> monitors;
   ScenarioExpect expect;

@@ -17,15 +17,15 @@ constexpr char kManifestMagic[4] = {'S', 'D', 'M', 'F'};
 /// The only manifest version this build reads: the layout
 /// IngestEngine::Checkpoint writes. Older versions only ever existed
 /// inside this repository and are rejected with a diagnostic.
-constexpr std::uint32_t kManifestVersion = 6;
-/// Lower bound on one serialized shard entry (name length + epoch +
-/// appended + checksum); bounds the declared shard count against the
-/// remaining payload so corrupt manifests cannot drive huge allocations.
-constexpr std::uint64_t kMinShardEntryBytes = 32;
+constexpr std::uint32_t kManifestVersion = 7;
+/// Size of one serialized shard entry (epoch + appended); bounds the
+/// declared shard count against the remaining payload so corrupt
+/// manifests cannot drive huge allocations.
+constexpr std::uint64_t kShardEntryBytes = 16;
 constexpr std::uint64_t kMaxFileNameBytes = 4096;
 
 /// Extracts the sequence number from `manifest-<seq>.ck`,
-/// `shard-<i>-ck<seq>.snap`, `features-<i>-ck<seq>.feat`,
+/// `features-<i>-ck<seq>.feat`,
 /// `edges-<i>-ck<seq>.edge`, `queries-ck<seq>.qry`, `net-ck<seq>.net`,
 /// or `placement-ck<seq>.plc`; false otherwise.
 bool ParseSeqFromName(const std::string& name, std::uint64_t* seq) {
@@ -33,11 +33,6 @@ bool ParseSeqFromName(const std::string& name, std::uint64_t* seq) {
   if (name.rfind("manifest-", 0) == 0 && name.size() > 12 &&
       name.compare(name.size() - 3, 3, ".ck") == 0) {
     digits = name.substr(9, name.size() - 12);
-  } else if (name.rfind("shard-", 0) == 0 && name.size() > 5 &&
-             name.compare(name.size() - 5, 5, ".snap") == 0) {
-    const std::size_t ck = name.rfind("-ck");
-    if (ck == std::string::npos) return false;
-    digits = name.substr(ck + 3, name.size() - ck - 8);
   } else if (name.rfind("features-", 0) == 0 && name.size() > 5 &&
              name.compare(name.size() - 5, 5, ".feat") == 0) {
     const std::size_t ck = name.rfind("-ck");
@@ -118,11 +113,6 @@ Status ReadPerShardEntries(Reader* reader, std::uint64_t num_shards,
 
 }  // namespace
 
-std::string CheckpointShardFileName(std::size_t shard, std::uint64_t seq) {
-  return "shard-" + std::to_string(shard) + "-ck" + std::to_string(seq) +
-         ".snap";
-}
-
 std::string CheckpointFeaturesFileName(std::size_t shard,
                                        std::uint64_t seq) {
   return "features-" + std::to_string(shard) + "-ck" + std::to_string(seq) +
@@ -161,11 +151,8 @@ std::string SerializeManifest(const CheckpointManifest& manifest) {
   payload.U8(manifest.overload);
   payload.U64(manifest.shards.size());
   for (const CheckpointShardEntry& entry : manifest.shards) {
-    payload.U64(entry.file.size());
-    payload.Bytes(entry.file.data(), entry.file.size());
     payload.U64(entry.epoch);
     payload.U64(entry.appended);
-    payload.U64(entry.checksum);
   }
   payload.U64(manifest.queries_file.size());
   payload.Bytes(manifest.queries_file.data(), manifest.queries_file.size());
@@ -241,7 +228,7 @@ Result<CheckpointManifest> ParseManifest(const std::string& bytes) {
   SD_RETURN_NOT_OK(reader.U8(&manifest.overload));
   std::uint64_t num_entries = 0;
   SD_RETURN_NOT_OK(reader.U64(&num_entries));
-  if (num_entries > reader.remaining() / kMinShardEntryBytes) {
+  if (num_entries > reader.remaining() / kShardEntryBytes) {
     return Status::InvalidArgument("manifest shard count out of range");
   }
   if (num_entries != manifest.num_shards) {
@@ -250,10 +237,8 @@ Result<CheckpointManifest> ParseManifest(const std::string& bytes) {
   }
   manifest.shards.resize(num_entries);
   for (CheckpointShardEntry& entry : manifest.shards) {
-    SD_RETURN_NOT_OK(ReadFileName(&reader, &entry.file));
     SD_RETURN_NOT_OK(reader.U64(&entry.epoch));
     SD_RETURN_NOT_OK(reader.U64(&entry.appended));
-    SD_RETURN_NOT_OK(reader.U64(&entry.checksum));
   }
   SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.queries_file));
   SD_RETURN_NOT_OK(reader.U64(&manifest.queries_checksum));
@@ -324,9 +309,6 @@ Result<CheckpointManifest> FindLatestValidCheckpoint(const std::string& dir) {
       return false;
     };
     bool complete = true;
-    for (const CheckpointShardEntry& entry : manifest.shards) {
-      complete = complete && verify(entry.file, entry.checksum, "shard file");
-    }
     for (const CheckpointFeatureEntry& entry : manifest.features) {
       complete =
           complete && verify(entry.file, entry.checksum, "feature file");

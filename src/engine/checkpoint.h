@@ -1,11 +1,12 @@
 // Crash-safe checkpoint layout of the ingestion engine.
 //
-// A checkpoint (manifest v6) is, per shard, one epoch-stamped v2 fleet
-// snapshot (`shard-<i>-ck<seq>.snap`), one feature-pipeline snapshot
-// (`features-<i>-ck<seq>.feat`: the query cores, the feature store and the
-// sketch measures) and one rising-edge snapshot (`edges-<i>-ck<seq>.edge`:
-// alarming flags, pattern watermarks and evaluation floors, so a restored
-// engine continues the alert stream exactly-once); plus the serialized
+// A checkpoint (manifest v7) is, per shard, the epoch and applied-tuple
+// stamps (in the manifest), one feature-pipeline snapshot
+// (`features-<i>-ck<seq>.feat`: the raw tails, the query cores, the
+// feature store and the sketch measures) and one rising-edge snapshot
+// (`edges-<i>-ck<seq>.edge`: alarming flags, pattern watermarks and
+// evaluation floors, so a restored engine continues the alert stream
+// exactly-once); plus the serialized
 // query registry (`queries-ck<seq>.qry`), the stream placement
 // (`placement-ck<seq>.plc`: the placement epoch plus every shard's
 // local->global slot table, so streams restore onto the shards that own
@@ -31,16 +32,12 @@
 
 namespace stardust {
 
-/// One shard's entry in a checkpoint manifest.
+/// One shard's progress stamps in a checkpoint manifest.
 struct CheckpointShardEntry {
-  /// Snapshot filename, relative to the checkpoint directory.
-  std::string file;
-  /// Shard epoch (applied batches) when the snapshot was serialized.
+  /// Shard epoch (applied batches) when the shard was serialized.
   std::uint64_t epoch = 0;
-  /// Tuples applied to the shard's monitors at that point.
+  /// Tuples applied to the shard at that point.
   std::uint64_t appended = 0;
-  /// FNV-1a checksum of the complete shard snapshot file.
-  std::uint64_t checksum = 0;
 };
 
 /// One shard's feature-pipeline or rising-edge snapshot in a manifest.
@@ -89,7 +86,6 @@ struct CheckpointManifest {
 };
 
 /// Canonical file names within a checkpoint directory.
-std::string CheckpointShardFileName(std::size_t shard, std::uint64_t seq);
 std::string CheckpointFeaturesFileName(std::size_t shard, std::uint64_t seq);
 std::string CheckpointEdgesFileName(std::size_t shard, std::uint64_t seq);
 std::string CheckpointQueriesFileName(std::uint64_t seq);

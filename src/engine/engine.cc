@@ -11,7 +11,7 @@
 #include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/serialize.h"
-#include "core/snapshot.h"
+#include "core/aggregate_monitor.h"
 #include "geom/mbr.h"
 #include "rtree/rtree.h"
 
@@ -38,6 +38,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     std::size_t num_streams, const EngineConfig& engine_config,
     const std::string& restore_dir) {
   SD_RETURN_NOT_OK(engine_config.Validate());
+  SD_RETURN_NOT_OK(AggregateMonitor::Validate(config, thresholds));
   if (num_streams == 0) {
     return Status::InvalidArgument("need at least one stream");
   }
@@ -47,6 +48,11 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   CheckpointManifest manifest;
   const bool restoring = !restore_dir.empty();
   if (restoring) {
+    if (!thresholds.empty()) {
+      return Status::InvalidArgument(
+          "a restoring Create takes its queries from the checkpoint; pass "
+          "no thresholds");
+    }
     Result<CheckpointManifest> found = FindLatestValidCheckpoint(restore_dir);
     if (!found.ok()) return found.status();
     manifest = std::move(found).value();
@@ -82,10 +88,8 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     const std::size_t cores = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
     const std::size_t sharing = (num_shards + cores - 1) / cores;
-    std::size_t cache_bytes = engine_config.cache_bytes != 0
-                                  ? engine_config.cache_bytes
-                                  : ProbedL2CacheBytes();
-    cache_bytes /= std::max<std::size_t>(1, sharing);
+    const std::size_t cache_bytes =
+        ProbedL2CacheBytes() / std::max<std::size_t>(1, sharing);
     store_capacity =
         DeriveStoreCapacity(max_local_streams, entry_bytes, cache_bytes);
   } else if (store_capacity == 0) {
@@ -170,6 +174,13 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     if (!bytes.ok()) return bytes.status();
     SD_RETURN_NOT_OK(engine->registry_->Restore(bytes.value()));
   }
+  // Thresholds are sugar for aggregate queries, registered before any
+  // shard compiles its first plan.
+  for (const WindowThreshold& wt : thresholds) {
+    Result<QueryId> id = engine->registry_->Register(
+        QuerySpec::Aggregate(wt.window, wt.threshold));
+    if (!id.ok()) return id.status();
+  }
   engine->shards_.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
     // Default layout: streams s, s + N, s + 2N, ... live on shard s. A
@@ -178,36 +189,6 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     const std::size_t local_streams =
         restoring ? restored_mappings[s].size()
                   : (num_streams - s + num_shards - 1) / num_shards;
-    std::unique_ptr<FleetAggregateMonitor> fleet;
-    if (restoring) {
-      const std::filesystem::path shard_path =
-          std::filesystem::path(restore_dir) / manifest.shards[s].file;
-      Result<std::unique_ptr<FleetAggregateMonitor>> restored =
-          LoadFleetSnapshot(shard_path.string());
-      if (!restored.ok()) return restored.status();
-      fleet = std::move(restored).value();
-      if (fleet->num_streams() != local_streams) {
-        return Status::InvalidArgument(
-            "checkpoint shard " + std::to_string(s) +
-            " stream count disagrees with placement");
-      }
-      if (fleet->num_windows() != thresholds.size()) {
-        return Status::InvalidArgument(
-            "checkpoint window count disagrees with requested thresholds");
-      }
-      for (std::size_t w = 0; w < thresholds.size(); ++w) {
-        if (fleet->threshold(w).window != thresholds[w].window ||
-            fleet->threshold(w).threshold != thresholds[w].threshold) {
-          return Status::InvalidArgument(
-              "checkpoint thresholds disagree with requested thresholds");
-        }
-      }
-    } else {
-      Result<std::unique_ptr<FleetAggregateMonitor>> created =
-          FleetAggregateMonitor::Create(config, thresholds, local_streams);
-      if (!created.ok()) return created.status();
-      fleet = std::move(created).value();
-    }
     // The query cores are per-shard Stardust instances over the same
     // local streams, owned by the shard's feature pipeline together with
     // the shared feature store.
@@ -232,7 +213,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
       }
     }
     auto pipeline = std::make_unique<FeaturePipeline>(
-        std::move(pattern_core), std::move(corr_core), local_streams,
+        config, std::move(pattern_core), std::move(corr_core), local_streams,
         store_capacity);
     ShardOptions shard_options;
     if (engine_config.pin_shards) {
@@ -245,7 +226,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     engine->shards_.push_back(std::make_unique<Shard>(
         s, num_shards, engine_config.max_producers,
         engine_config.queue_capacity, engine_config.overload,
-        engine_config.max_batch, std::move(fleet), std::move(pipeline),
+        engine_config.max_batch, std::move(pipeline),
         engine->registry_.get(), engine->alert_bus_.get(),
         engine->metrics_.get(), std::move(shard_options)));
     if (restoring) {
@@ -257,6 +238,8 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
       Result<std::string> feature_bytes =
           ReadFileToString(features_path.string());
       if (!feature_bytes.ok()) return feature_bytes.status();
+      // The pipeline checks the per-shard stream count (the placement's
+      // slot count) and the tails' history against this engine's.
       SD_RETURN_NOT_OK(shard->RestoreFeatures(feature_bytes.value()));
       SD_RETURN_NOT_OK(shard->SetStreamMapping(restored_mappings[s]));
       const std::filesystem::path edge_path =
@@ -290,9 +273,8 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     engine->metrics_->correlator_level_evals =
         std::make_unique<std::atomic<std::uint64_t>[]>(levels);
     engine->metrics_->correlator_num_levels = levels;
-    engine->probe_pool_ = std::make_unique<ProbePool>(
-        ProbePool::ResolveWorkers(
-            engine_config.query.correlator_probe_workers));
+    engine->probe_pool_ =
+        std::make_unique<ProbePool>(ProbePool::ResolveWorkers());
   }
   engine->alert_bus_->Start();
   for (auto& shard : engine->shards_) {
@@ -489,40 +471,19 @@ void IngestEngine::Resume() {
   for (auto& shard : shards_) shard->set_paused(false);
 }
 
-AlarmStats IngestEngine::StreamTotal(StreamId stream) const {
-  SD_CHECK(stream < num_streams_);
-  AlarmStats out;
-  if (shards_[ShardOf(stream)]->FindStreamTotal(stream, &out, nullptr)) {
-    return out;
-  }
-  // Mid-migration gap: the placement names the target before the state
-  // installs there. Whichever shard still holds the slice answers.
-  for (const auto& shard : shards_) {
-    if (shard->FindStreamTotal(stream, &out, nullptr)) return out;
-  }
-  return AlarmStats{};
-}
-
-AlarmStats IngestEngine::FleetTotal(
-    std::vector<ShardStamp>* stamps) const {
-  if (stamps != nullptr) {
-    stamps->clear();
-    stamps->reserve(shards_.size());
-  }
-  AlarmStats total;
-  for (const auto& shard : shards_) {
-    ShardStamp stamp;
-    const AlarmStats s = shard->ShardTotal(&stamp);
-    total.candidates += s.candidates;
-    total.true_alarms += s.true_alarms;
-    total.checks += s.checks;
-    if (stamps != nullptr) stamps->push_back(stamp);
-  }
-  return total;
-}
-
 Result<std::vector<StreamId>> IngestEngine::CurrentlyAlarming(
-    std::size_t window_index, std::vector<ShardStamp>* stamps) const {
+    QueryId id, std::vector<ShardStamp>* stamps) const {
+  const std::shared_ptr<const QueryRegistry::Snapshot> snapshot =
+      registry_->snapshot();
+  bool known = false;
+  for (const auto* queries : {&snapshot->aggregate, &snapshot->sketch}) {
+    for (const auto& q : *queries) known = known || q->id == id;
+  }
+  if (!known) {
+    return Status::InvalidArgument("query " + std::to_string(id) +
+                                   " is not a registered aggregate or "
+                                   "sketch query");
+  }
   if (stamps != nullptr) {
     stamps->clear();
     stamps->reserve(shards_.size());
@@ -530,12 +491,9 @@ Result<std::vector<StreamId>> IngestEngine::CurrentlyAlarming(
   std::vector<StreamId> alarming;
   for (const auto& shard : shards_) {
     ShardStamp stamp;
-    Result<std::vector<StreamId>> local =
-        shard->CurrentlyAlarming(window_index, &stamp);
-    if (!local.ok()) return local.status();
     // Shards report global ids directly off their slot tables.
-    alarming.insert(alarming.end(), local.value().begin(),
-                    local.value().end());
+    const std::vector<StreamId> local = shard->CurrentlyAlarming(id, &stamp);
+    alarming.insert(alarming.end(), local.begin(), local.end());
     if (stamps != nullptr) stamps->push_back(stamp);
   }
   std::sort(alarming.begin(), alarming.end());
@@ -615,7 +573,7 @@ Status IngestEngine::MigrateStream(StreamId stream, std::size_t from,
     std::this_thread::sleep_for(std::chrono::microseconds(20));
   }
   // 4. Move the state. The correlator round lock is held across the
-  // extract/install gap so no round can observe a fleet without the
+  // extract/install gap so no round can observe the shards without the
   // stream and spuriously re-alert its pairs when it reappears.
   std::string blob;
   {
@@ -777,9 +735,8 @@ Status IngestEngine::Checkpoint(const std::string& dir) {
   // Serialize and persist shard by shard. Each SerializeState holds only
   // that shard's state mutex, so ingestion keeps flowing on every other
   // shard (and on this one, into its rings) while the checkpoint runs.
-  // The feature pipeline bytes come out of the same mutex hold as the
-  // fleet bytes, so the two files describe one point in the apply
-  // sequence.
+  // The pipeline bytes, the edge bytes and the stamp come out of one
+  // mutex hold, so they describe one point in the apply sequence.
   manifest.features.reserve(shards_.size());
   manifest.edges.reserve(shards_.size());
   std::vector<std::vector<StreamId>> mappings(shards_.size());
@@ -788,20 +745,8 @@ Status IngestEngine::Checkpoint(const std::string& dir) {
     ShardStamp stamp;
     std::string feature_bytes;
     std::string edge_bytes;
-    const std::string bytes = shard->SerializeState(
-        &stamp, &feature_bytes, &mappings[s], &edge_bytes);
-    CheckpointShardEntry entry;
-    entry.file = CheckpointShardFileName(shard->index(), seq);
-    entry.epoch = stamp.epoch;
-    entry.appended = stamp.appended;
-    entry.checksum = Fnv1a(bytes);
-    const std::filesystem::path path = std::filesystem::path(dir) / entry.file;
-    const Status written = AtomicWriteFile(path.string(), bytes);
-    if (!written.ok()) {
-      metrics_->checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
-      return written;
-    }
-    manifest.shards.push_back(std::move(entry));
+    shard->SerializeState(&stamp, &feature_bytes, &mappings[s], &edge_bytes);
+    manifest.shards.push_back({stamp.epoch, stamp.appended});
 
     CheckpointFeatureEntry feature_entry;
     feature_entry.file = CheckpointFeaturesFileName(shard->index(), seq);
@@ -816,9 +761,9 @@ Status IngestEngine::Checkpoint(const std::string& dir) {
     }
     manifest.features.push_back(std::move(feature_entry));
 
-    // The rising-edge maps ride next to the feature bytes (manifest v6):
-    // without them a restore would re-announce every condition that was
-    // already alarming when the checkpoint was taken.
+    // The rising-edge maps ride next to the feature bytes: without them a
+    // restore would re-announce every condition that was already
+    // alarming when the checkpoint was taken.
     CheckpointFeatureEntry edge_entry;
     edge_entry.file = CheckpointEdgesFileName(shard->index(), seq);
     edge_entry.checksum = Fnv1a(edge_bytes);
@@ -849,8 +794,8 @@ Status IngestEngine::Checkpoint(const std::string& dir) {
   }
 
   // The network tier's state (alert sequence allocator, subscriber
-  // cursors, replay ring) rides along when a provider is attached
-  // (manifest v4). Taken after the shard snapshots: the hub state may be
+  // cursors, replay ring) rides along when a provider is attached.
+  // Taken after the shard snapshots: the hub state may be
   // slightly fresher than the shards, which errs toward retaining — a
   // replayed alert is deduplicated by its sequence number downstream.
   if (net_state_provider_) {
@@ -868,11 +813,10 @@ Status IngestEngine::Checkpoint(const std::string& dir) {
     }
   }
 
-  // The stream placement rides the checkpoint (manifest v6): the
-  // placement epoch plus every shard's local->global slot table,
-  // captured under the same migration_mu_ hold as the shard bytes so
-  // the restore lays streams out exactly as the shard files were
-  // written.
+  // The stream placement rides the checkpoint: the placement epoch plus
+  // every shard's local->global slot table, captured under the same
+  // migration_mu_ hold as the shard bytes so the restore lays streams
+  // out exactly as the shard files were written.
   {
     Writer placement_writer;
     placement_writer.U64(placement_->epoch());

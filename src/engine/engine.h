@@ -2,20 +2,21 @@
 // of Section 2.1 ("a system that has M input streams"). The M streams are
 // partitioned across N worker shards by an epoch-versioned placement
 // table (engine/placement.h; the default layout is the historical stream
-// id modulo the shard count); each shard owns a private Stardust +
-// monitor set and drains bounded lock-free SPSC rings filled by producer
-// threads via Post/PostBatch. Placement is elastic: MigrateStream moves
-// one stream's full state between shards while ingestion continues (no
-// tuple loss, no duplicate or missing alerts), and an optional background
-// rebalancer drives migrations off the per-shard load signal. Overload
-// behavior is an explicit policy (block / drop-newest / drop-oldest,
-// with drop counters), and cross-shard reads return coherent per-shard
-// snapshots stamped with sequence epochs. See docs/ENGINE.md.
+// id modulo the shard count); each shard owns its streams' state in one
+// private feature pipeline and drains bounded lock-free SPSC rings filled
+// by producer threads via Post/PostBatch. Placement is elastic:
+// MigrateStream moves one stream's full state between shards while
+// ingestion continues (no tuple loss, no duplicate or missing alerts),
+// and an optional background rebalancer drives migrations off the
+// per-shard load signal. Overload behavior is an explicit policy (block /
+// drop-newest / drop-oldest, with drop counters), and cross-shard reads
+// return coherent per-shard snapshots stamped with sequence epochs. See
+// docs/ENGINE.md.
 //
 // Layered on top is the continuous-query subsystem (src/query,
 // docs/QUERIES.md): queries registered at runtime through queries() are
-// evaluated while ingestion is live — aggregate and pattern queries
-// inline by the shard workers, correlation queries by a dedicated
+// evaluated while ingestion is live — aggregate, sketch and pattern
+// queries inline by the shard workers, correlation queries by a dedicated
 // correlator thread aligning per-shard feature snapshots — and every hit
 // is delivered through the alert bus (alerts()) to registered sinks.
 #ifndef STARDUST_ENGINE_ENGINE_H_
@@ -37,7 +38,6 @@
 #include "common/check.h"
 #include "common/status.h"
 #include "core/config.h"
-#include "core/fleet_monitor.h"
 #include "engine/checkpoint.h"
 #include "engine/engine_config.h"
 #include "engine/metrics.h"
@@ -52,22 +52,29 @@
 
 namespace stardust {
 
-/// Thread-safe ingestion facade over a sharded fleet of aggregate
-/// monitors. Producer threads call Post/PostBatch concurrently (each
-/// distinct thread is auto-registered, up to EngineConfig::max_producers);
-/// reads may come from any thread at any time.
+/// Thread-safe ingestion facade over a sharded set of monitored streams.
+/// Producer threads call Post/PostBatch concurrently (each distinct thread
+/// is auto-registered, up to EngineConfig::max_producers); reads may come
+/// from any thread at any time.
 class IngestEngine {
  public:
-  /// Builds the engine and starts its worker threads. `config` and
-  /// `thresholds` follow FleetAggregateMonitor::Create; the effective
-  /// shard count is min(engine_config.num_shards, num_streams).
+  /// Builds the engine and starts its worker threads. `config` is the
+  /// aggregate-path configuration: it must meet AggregateMonitor::
+  /// Validate, its aggregate kind drives aggregate queries and its
+  /// `history` bounds every stream's retained raw tail. On a fresh
+  /// engine each `{window, threshold}` of `thresholds` is registered, in
+  /// order, as QuerySpec::Aggregate(window, threshold) (ids 1, 2, ...);
+  /// the list may be empty. The effective shard count is
+  /// min(engine_config.num_shards, num_streams).
   ///
   /// A non-empty `restore_dir` resumes from the newest complete
-  /// checkpoint in that directory (see Checkpoint): every shard's monitor
-  /// state, alarm counters, epoch stamps, and the query registry continue
-  /// the pre-crash lineage. The requested shape (stream count, shard
-  /// count, windows, thresholds) must match the checkpointed one.
-  /// NotFound when the directory holds no complete checkpoint.
+  /// checkpoint in that directory (see Checkpoint): every shard's stream
+  /// state, epoch stamps, alert edge state, and the query registry
+  /// continue the pre-crash lineage. The queries come from the
+  /// checkpoint, so `thresholds` must be empty (InvalidArgument
+  /// otherwise). The requested shape (stream count, shard count) must
+  /// match the checkpointed one. NotFound when the directory holds no
+  /// complete checkpoint.
   static Result<std::unique_ptr<IngestEngine>> Create(
       const StardustConfig& config, std::vector<WindowThreshold> thresholds,
       std::size_t num_streams, const EngineConfig& engine_config = {},
@@ -81,13 +88,6 @@ class IngestEngine {
 
   std::size_t num_streams() const { return num_streams_; }
   std::size_t num_shards() const { return shards_.size(); }
-  std::size_t num_windows() const {
-    // Create never constructs a shardless engine; guard anyway so a
-    // hypothetical zero-shard instance fails loudly instead of indexing
-    // an empty vector.
-    SD_CHECK(!shards_.empty());
-    return shards_[0]->num_windows();
-  }
   const EngineConfig& engine_config() const { return config_; }
 
   /// Shard that owns a stream per the live placement table (a fresh
@@ -141,18 +141,16 @@ class IngestEngine {
   Status UnregisterQuery(QueryId id) { return registry_->Unregister(id); }
 
   // --- Cross-shard reads ------------------------------------------------
-  /// Alarm counters of one stream, summed over its windows.
-  AlarmStats StreamTotal(StreamId stream) const;
-  /// Counters summed over the whole fleet; `stamps` (optional) receives
-  /// one sequence-stamped epoch per shard identifying the exact state
-  /// each shard contributed.
-  AlarmStats FleetTotal(std::vector<ShardStamp>* stamps = nullptr) const;
-  /// Streams (global ids, ascending) whose verified aggregate currently
-  /// exceeds the threshold of the given window.
+  /// Streams (global ids, ascending) currently alarming on query `id`:
+  /// the exact aggregate (or sketch estimate) left the query's assess
+  /// range at the stream's latest evaluation — the rising-edge state the
+  /// shards keep for alerts. `stamps` (optional) receives one
+  /// sequence-stamped epoch per shard identifying the exact state each
+  /// shard contributed. InvalidArgument when `id` names no registered
+  /// aggregate or sketch query.
   Result<std::vector<StreamId>> CurrentlyAlarming(
-      std::size_t window_index,
-      std::vector<ShardStamp>* stamps = nullptr) const;
-  /// Values ever applied to one stream's monitor.
+      QueryId id, std::vector<ShardStamp>* stamps = nullptr) const;
+  /// Values ever applied to one stream.
   std::uint64_t StreamAppendCount(StreamId stream) const;
 
   const EngineMetrics& metrics() const { return *metrics_; }
@@ -170,12 +168,12 @@ class IngestEngine {
   /// checkpoint intact. On success the directory is garbage-collected
   /// down to the current and previous checkpoints. Serialized against
   /// itself and against the background checkpoint thread. Each shard's
-  /// feature pipeline (pattern and correlation query cores + feature
-  /// store) is checkpointed alongside its fleet (one
-  /// `features-<i>-ck<seq>.feat` per shard), taken under the same mutex
-  /// hold so both describe one point in the apply sequence
-  /// (docs/FEATURES.md, "Checkpoint semantics"). The layout is described
-  /// in engine/checkpoint.h; only the current format restores.
+  /// feature pipeline (raw tails, query cores, feature store, sketch
+  /// measures) is checkpointed as one `features-<i>-ck<seq>.feat`, next
+  /// to its edge state, both taken under one mutex hold so they describe
+  /// one point in the apply sequence (docs/FEATURES.md, "Checkpoint
+  /// semantics"). The layout is described in engine/checkpoint.h; only
+  /// the current format restores.
   Status Checkpoint(const std::string& dir);
   /// Sequence number of the last successful Checkpoint; 0 if none yet.
   std::uint64_t last_checkpoint_seq() const {
@@ -201,7 +199,7 @@ class IngestEngine {
   void TriggerCorrelatorRound();
 
   // --- Elastic placement (docs/ENGINE.md, "Elastic sharding") -----------
-  /// Moves `stream`'s entire per-stream state (monitor, summarizers,
+  /// Moves `stream`'s entire per-stream state (raw tail, summarizers,
   /// sliding trackers, sketch slots, feature-store rows, alert edge
   /// state) from shard `from` to shard `to` while ingestion continues.
   /// The protocol: the target starts parking the stream's tuples, the
@@ -296,8 +294,8 @@ class IngestEngine {
   const std::uint64_t engine_id_;
   const EngineConfig config_;
   const std::size_t num_streams_;
-  /// Fleet monitors' Stardust configuration (plan compilation context
-  /// for the correlator); set once in Create.
+  /// Aggregate-path configuration (plan compilation context for the
+  /// correlator); set once in Create.
   StardustConfig core_config_;
   std::unique_ptr<EngineMetrics> metrics_;
   std::unique_ptr<QueryRegistry> registry_;

@@ -52,13 +52,11 @@ struct EngineConfig {
   std::function<bool(std::size_t level)> correlator_fault_hook;
   /// Aligned feature times retained per (level, stream) in each shard's
   /// FeatureStore ring. 0 (the default) derives a capacity from the
-  /// cache geometry so a shard's hot store set fits in roughly half the
-  /// L2 cache (core/feature_store.h, DeriveStoreCapacity).
+  /// probed L2 data-cache size so a shard's hot store set fits in roughly
+  /// half of it, falling back to the fixed default capacity when the
+  /// platform does not expose the cache size (core/feature_store.h,
+  /// DeriveStoreCapacity).
   std::size_t store_capacity = 0;
-  /// Cache budget in bytes the derivation above targets. 0 (the default)
-  /// probes the L2 data-cache size, falling back to the fixed default
-  /// capacity when the platform does not expose it.
-  std::size_t cache_bytes = 0;
   /// Period of the background checkpoint thread in milliseconds; 0 (the
   /// default) disables it. When enabled the engine checkpoints itself
   /// into `checkpoint_dir` every period without stopping ingestion

@@ -1,5 +1,7 @@
 #include "engine/feature_pipeline.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -8,6 +10,7 @@
 #include "common/serialize.h"
 #include "core/level_state.h"
 #include "core/summarizer.h"
+#include "transform/aggregate.h"
 #include "transform/feature.h"
 
 namespace stardust {
@@ -17,15 +20,51 @@ namespace {
 constexpr char kPipelineMagic[4] = {'S', 'D', 'F', 'P'};
 /// The only version this build reads or writes; older snapshots are
 /// rejected with a diagnostic.
-constexpr std::uint32_t kPipelineVersion = 2;
+constexpr std::uint32_t kPipelineVersion = 3;
+
+// One stream's raw tail: the ring capacity (so a restore can reject a
+// tail taken under another history), the append count, and the retained
+// values oldest first.
+void SaveTail(const RingBuffer<double>& tail, Writer* writer) {
+  writer->U64(tail.capacity());
+  writer->U64(tail.size());
+  std::vector<double> values;
+  tail.CopyWindow(tail.first_position(),
+                  static_cast<std::size_t>(tail.size() - tail.first_position()),
+                  &values);
+  writer->DoubleVector(values);
+}
+
+Status RestoreTail(Reader* reader, RingBuffer<double>* tail) {
+  std::uint64_t capacity = 0;
+  std::uint64_t total = 0;
+  SD_RETURN_NOT_OK(reader->U64(&capacity));
+  if (capacity != tail->capacity()) {
+    return Status::InvalidArgument(
+        "raw tail capacity " + std::to_string(capacity) +
+        " differs from the requested history " +
+        std::to_string(tail->capacity()));
+  }
+  SD_RETURN_NOT_OK(reader->U64(&total));
+  std::vector<double> values;
+  SD_RETURN_NOT_OK(reader->DoubleVector(&values, tail->capacity()));
+  if (values.size() != std::min<std::uint64_t>(total, capacity)) {
+    return Status::InvalidArgument("raw tail size mismatch");
+  }
+  tail->RestoreTail(total, values);
+  return Status::OK();
+}
 
 }  // namespace
 
-FeaturePipeline::FeaturePipeline(std::unique_ptr<Stardust> pattern_core,
+FeaturePipeline::FeaturePipeline(const StardustConfig& aggregate,
+                                 std::unique_ptr<Stardust> pattern_core,
                                  std::unique_ptr<Stardust> corr_core,
                                  std::size_t num_streams,
                                  std::size_t store_capacity)
     : num_streams_(num_streams),
+      aggregate_(aggregate),
+      tails_(num_streams, RingBuffer<double>(aggregate.history)),
       pattern_core_(std::move(pattern_core)),
       corr_core_(std::move(corr_core)),
       store_(num_streams, store_capacity) {
@@ -36,8 +75,7 @@ FeaturePipeline::FeaturePipeline(std::unique_ptr<Stardust> pattern_core,
            corr_core_->num_streams() == num_streams_);
 }
 
-void FeaturePipeline::AdoptPlan(const EvalPlan& plan,
-                                const FleetAggregateMonitor& fleet) {
+void FeaturePipeline::AdoptPlan(const EvalPlan& plan) {
   if (plan.aggregate_windows != tracker_windows_) {
     tracker_windows_ = plan.aggregate_windows;
     trackers_.clear();
@@ -45,7 +83,7 @@ void FeaturePipeline::AdoptPlan(const EvalPlan& plan,
     if (!tracker_windows_.empty()) {
       ++tracker_rebuilds_;
       for (StreamId s = 0; s < num_streams_; ++s) {
-        trackers_[s] = BackfillTracker(s, fleet);
+        trackers_[s] = BackfillTracker(s);
       }
     }
   }
@@ -93,8 +131,11 @@ void FeaturePipeline::AdoptPlan(const EvalPlan& plan,
 }
 
 Status FeaturePipeline::Append(StreamId stream, double value) {
-  SD_DCHECK(stream < num_streams_);
-  ++appends_;
+  return AppendRun(stream, &value, 1);
+}
+
+Status FeaturePipeline::AppendValue(StreamId stream, double value) {
+  tails_[stream].Push(value);
   if (!trackers_.empty() && trackers_[stream] != nullptr) {
     trackers_[stream]->Push(value);
   }
@@ -116,8 +157,25 @@ Status FeaturePipeline::Append(StreamId stream, double value) {
 
 Status FeaturePipeline::AppendRun(StreamId stream, const double* values,
                                   std::size_t n) {
-  SD_DCHECK(stream < num_streams_);
+  if (stream >= num_streams_) {
+    return Status::InvalidArgument("unknown stream");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(values[i])) {
+      // A NaN/Inf would silently poison every structure it reaches.
+      return Status::InvalidArgument("stream values must be finite");
+    }
+  }
   appends_ += n;
+  if (n <= Stardust::ScalarRunCutoff()) {
+    // Cost-based dispatch, as inside Stardust::AppendRun: a short run
+    // gains nothing from the span kernels' per-run setup.
+    for (std::size_t i = 0; i < n; ++i) {
+      SD_RETURN_NOT_OK(AppendValue(stream, values[i]));
+    }
+    return Status::OK();
+  }
+  tails_[stream].PushSpan(values, n);
   if (!trackers_.empty() && trackers_[stream] != nullptr) {
     trackers_[stream]->PushSpan(values, n);
   }
@@ -251,14 +309,13 @@ bool FeaturePipeline::CorrelationFeature(std::size_t level, StreamId stream,
 }
 
 std::unique_ptr<SlidingAggregateTracker> FeaturePipeline::BackfillTracker(
-    StreamId stream, const FleetAggregateMonitor& fleet) {
+    StreamId stream) {
   auto tracker = std::make_unique<SlidingAggregateTracker>(
-      fleet.config().aggregate, tracker_windows_);
+      aggregate_.aggregate, tracker_windows_);
   // Backfill from the retained raw tail so a query registered mid-stream
-  // becomes answerable exactly when the seed path's Algorithm-2
-  // verification would have been (window fully inside retained history).
-  const RingBuffer<double>& raw =
-      fleet.monitor(stream).stardust().summarizer(0).raw();
+  // is answerable as soon as its window lies inside the retained history
+  // (the condition Algorithm 2's exact post-check needs).
+  const RingBuffer<double>& raw = tails_[stream];
   const std::uint64_t first = raw.first_position();
   const std::size_t count = static_cast<std::size_t>(raw.size() - first);
   raw.CopyWindow(first, count, &window_scratch_);
@@ -273,9 +330,10 @@ bool FeaturePipeline::AnyLevelIndexed(const Stardust& core) {
   return false;
 }
 
-StreamId FeaturePipeline::GrowStream(const FleetAggregateMonitor& fleet) {
+StreamId FeaturePipeline::GrowStream() {
   const StreamId local = static_cast<StreamId>(num_streams_);
   ++num_streams_;
+  tails_.emplace_back(aggregate_.history);
   if (pattern_core_ != nullptr) {
     const StreamId id = pattern_core_->AddStream();
     SD_CHECK(id == local);
@@ -289,18 +347,18 @@ StreamId FeaturePipeline::GrowStream(const FleetAggregateMonitor& fleet) {
     trackers_.resize(num_streams_);
     if (!tracker_windows_.empty()) {
       trackers_[local] = std::make_unique<SlidingAggregateTracker>(
-          fleet.config().aggregate, tracker_windows_);
+          aggregate_.aggregate, tracker_windows_);
     }
   }
   for (auto& per_stream : sketch_slots_) per_stream.resize(num_streams_);
   return local;
 }
 
-Status FeaturePipeline::ResetStream(StreamId stream,
-                                    const FleetAggregateMonitor& fleet) {
+Status FeaturePipeline::ResetStream(StreamId stream) {
   if (stream >= num_streams_) {
     return Status::InvalidArgument("unknown stream");
   }
+  tails_[stream] = RingBuffer<double>(aggregate_.history);
   if (pattern_core_ != nullptr) {
     SD_RETURN_NOT_OK(pattern_core_->ResetStream(stream));
   }
@@ -312,7 +370,7 @@ Status FeaturePipeline::ResetStream(StreamId stream,
         tracker_windows_.empty()
             ? nullptr
             : std::make_unique<SlidingAggregateTracker>(
-                  fleet.config().aggregate, tracker_windows_);
+                  aggregate_.aggregate, tracker_windows_);
   }
   for (auto& per_stream : sketch_slots_) per_stream[stream] = nullptr;
   store_.ClearStream(stream);
@@ -324,6 +382,7 @@ Status FeaturePipeline::SaveStreamTo(StreamId stream, Writer* writer) const {
   if (stream >= num_streams_) {
     return Status::InvalidArgument("unknown stream");
   }
+  SaveTail(tails_[stream], writer);
   writer->U8(pattern_core_ != nullptr ? 1 : 0);
   if (pattern_core_ != nullptr) {
     pattern_core_->summarizer(stream).SaveTo(writer);
@@ -353,11 +412,13 @@ Status FeaturePipeline::SaveStreamTo(StreamId stream, Writer* writer) const {
   return Status::OK();
 }
 
-Status FeaturePipeline::RestoreStreamFrom(StreamId stream, Reader* reader,
-                                          const FleetAggregateMonitor& fleet) {
+Status FeaturePipeline::RestoreStreamFrom(StreamId stream, Reader* reader) {
   if (stream >= num_streams_) {
     return Status::InvalidArgument("unknown stream");
   }
+  // The tail goes in first: a tracker whose window set differs from this
+  // shard's plan is rebuilt from it below.
+  SD_RETURN_NOT_OK(RestoreTail(reader, &tails_[stream]));
   std::uint8_t has_pattern = 0;
   SD_RETURN_NOT_OK(reader->U8(&has_pattern));
   if (has_pattern != 0) {
@@ -404,19 +465,19 @@ Status FeaturePipeline::RestoreStreamFrom(StreamId stream, Reader* reader,
     // Consume the tracker bytes with a tracker of the serialized shape;
     // keep it only when it matches this shard's plan window set (then
     // the restore is bit-exact). A mismatch (plan skew between shards)
-    // falls through to the history backfill below.
+    // falls through to the tail backfill below.
     auto restored = std::make_unique<SlidingAggregateTracker>(
-        fleet.config().aggregate, windows);
+        aggregate_.aggregate, windows);
     SD_RETURN_NOT_OK(restored->RestoreFrom(reader));
     if (!tracker_windows_.empty()) {
       if (trackers_.size() < num_streams_) trackers_.resize(num_streams_);
       trackers_[stream] = windows == tracker_windows_
                               ? std::move(restored)
-                              : BackfillTracker(stream, fleet);
+                              : BackfillTracker(stream);
     }
   } else if (!tracker_windows_.empty()) {
     if (trackers_.size() < num_streams_) trackers_.resize(num_streams_);
-    trackers_[stream] = BackfillTracker(stream, fleet);
+    trackers_[stream] = BackfillTracker(stream);
   }
   std::uint64_t num_slots = 0;
   SD_RETURN_NOT_OK(reader->U64(&num_slots));
@@ -470,6 +531,11 @@ FeaturePipeline::Counters FeaturePipeline::counters() const {
 
 std::string FeaturePipeline::Serialize() const {
   Writer payload;
+  payload.U64(num_streams_);
+  // The kind the trackers rebuilt from these tails evaluate: a restore
+  // under another kind would silently change every aggregate answer.
+  payload.U8(static_cast<std::uint8_t>(aggregate_.aggregate));
+  for (const RingBuffer<double>& tail : tails_) SaveTail(tail, &payload);
   payload.U8(pattern_core_ != nullptr ? 1 : 0);
   if (pattern_core_ != nullptr) {
     payload.U64(num_streams_);
@@ -549,6 +615,23 @@ Status FeaturePipeline::Restore(const std::string& bytes) {
 
 Status FeaturePipeline::RestorePayload(const std::string& payload) {
   Reader reader(payload);
+  std::uint64_t tail_streams = 0;
+  SD_RETURN_NOT_OK(reader.U64(&tail_streams));
+  if (tail_streams != num_streams_) {
+    return Status::InvalidArgument("feature pipeline stream count mismatch");
+  }
+  std::uint8_t kind = 0;
+  SD_RETURN_NOT_OK(reader.U8(&kind));
+  if (kind != static_cast<std::uint8_t>(aggregate_.aggregate)) {
+    return Status::InvalidArgument(
+        std::string("feature pipeline snapshot aggregate kind ") +
+        AggregateKindName(static_cast<AggregateKind>(kind)) +
+        " differs from the requested " +
+        AggregateKindName(aggregate_.aggregate));
+  }
+  for (RingBuffer<double>& tail : tails_) {
+    SD_RETURN_NOT_OK(RestoreTail(&reader, &tail));
+  }
   std::uint8_t has_pattern = 0;
   SD_RETURN_NOT_OK(reader.U8(&has_pattern));
   if (has_pattern != 0) {

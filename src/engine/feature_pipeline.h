@@ -1,14 +1,15 @@
-// FeaturePipeline: the compute-once feature maintenance stage of a shard.
+// FeaturePipeline: the compute-once maintenance stage of a shard.
 //
-// One pipeline per shard owns every piece of derived per-stream state the
-// query classes consume — the online unit-sphere DWT core (pattern
-// queries), the batch z-normalized DWT core (correlation features), the
-// per-stream sliding trackers backing the plan's aggregate window set,
-// and the columnar FeatureStore caching z-normalized correlation
-// features. The shard worker feeds each applied tuple exactly once
-// (Append) and closes the batch exactly once (FinishBatch); every query
-// stage then reads the shared state instead of re-deriving it, which is
-// the unified-framework claim of the paper made concrete (docs/
+// One pipeline per shard owns every piece of per-stream state the engine
+// maintains — each stream's raw tail (the last `history` values and the
+// append count), the online unit-sphere DWT core (pattern queries), the
+// batch z-normalized DWT core (correlation features), the per-stream
+// sliding trackers backing the plan's aggregate window set, the windowed
+// sketch measures, and the columnar FeatureStore caching z-normalized
+// correlation features. The shard worker feeds each applied tuple exactly
+// once (Append) and closes the batch exactly once (FinishBatch); every
+// query stage then reads the shared state instead of re-deriving it,
+// which is the unified-framework claim of the paper made concrete (docs/
 // FEATURES.md).
 //
 // Threading: all methods are called by the owning shard's worker under
@@ -22,15 +23,18 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
+#include "common/ring_buffer.h"
 #include "common/status.h"
 #include "core/feature_store.h"
-#include "sketch/measure.h"
-#include "core/fleet_monitor.h"
 #include "core/stardust.h"
 #include "query/eval_plan.h"
+#include "sketch/measure.h"
 #include "transform/sliding_tracker.h"
 
 namespace stardust {
+
+class FleetAggregateMonitor;
 
 class FeaturePipeline {
  public:
@@ -57,32 +61,62 @@ class FeaturePipeline {
     std::uint64_t sketch_serialized_bytes = 0;
   };
 
-  /// Either core may be null (query kind disabled). Non-null cores must
-  /// have exactly `num_streams` streams registered.
-  FeaturePipeline(std::unique_ptr<Stardust> pattern_core,
+  /// `aggregate` is the engine's aggregate-path configuration: its
+  /// aggregate kind drives the sliding trackers and its `history` is the
+  /// capacity of every stream's raw tail. Either core may be null (query
+  /// kind disabled). Non-null cores must have exactly `num_streams`
+  /// streams registered.
+  FeaturePipeline(const StardustConfig& aggregate,
+                  std::unique_ptr<Stardust> pattern_core,
                   std::unique_ptr<Stardust> corr_core,
                   std::size_t num_streams,
                   std::size_t store_capacity = kDefaultStoreCapacity);
+  /// Forwarding constructor for perfbench/layers.cc only: a default
+  /// (SUM, history 1024) aggregate configuration. Removed by the ROADMAP
+  /// item "Benchmark follow-up".
+  FeaturePipeline(std::unique_ptr<Stardust> pattern_core,
+                  std::unique_ptr<Stardust> corr_core,
+                  std::size_t num_streams)
+      : FeaturePipeline(StardustConfig{}, std::move(pattern_core),
+                        std::move(corr_core), num_streams) {}
 
   std::size_t num_streams() const { return num_streams_; }
+  const StardustConfig& aggregate_config() const { return aggregate_; }
   const Stardust* pattern_core() const { return pattern_core_.get(); }
   const Stardust* corr_core() const { return corr_core_.get(); }
   const FeatureStore& store() const { return store_; }
 
+  /// Values ever appended to `stream` (alert end times, the rebalancer's
+  /// load signal, the per-stream metrics counts).
+  std::uint64_t AppendCount(StreamId stream) const {
+    SD_DCHECK(stream < num_streams_);
+    return tails_[stream].size();
+  }
+
   /// Reconfigures the pipeline for a freshly compiled plan: rebuilds the
   /// per-stream trackers when the aggregate window set changed (backfilled
-  /// from `fleet`'s raw history so a query registered mid-stream becomes
-  /// evaluable exactly when the seed path would have answered it), and
-  /// points the store's level set at the plan's correlation groups.
-  void AdoptPlan(const EvalPlan& plan, const FleetAggregateMonitor& fleet);
+  /// from each stream's raw tail, so a query registered mid-stream is
+  /// ready as soon as its window fits in the retained tail), and points
+  /// the store's level set at the plan's correlation groups.
+  void AdoptPlan(const EvalPlan& plan);
+  /// Forwarding overload for perfbench/layers.cc only; ignores `fleet`.
+  /// Removed by the ROADMAP item "Benchmark follow-up".
+  void AdoptPlan(const EvalPlan& plan, const FleetAggregateMonitor& /*fleet*/) {
+    AdoptPlan(plan);
+  }
 
-  /// Feeds one applied tuple through every maintained structure. Must
-  /// mirror the fleet append stream exactly (same tuples, same order).
+  /// Feeds one applied tuple through every maintained structure. An
+  /// out-of-range stream ("unknown stream") or a non-finite value
+  /// ("stream values must be finite") is rejected before any structure
+  /// is touched.
   Status Append(StreamId stream, double value);
 
   /// Feeds a run of consecutive applied tuples of one stream. Equivalent
   /// to n Append calls bit-for-bit (tracker window-major span push, core
-  /// batched runs); the shard's columnar maintenance path.
+  /// batched runs; runs of at most Stardust::ScalarRunCutoff() values
+  /// take the per-value path); the shard's columnar maintenance path. A
+  /// run holding a non-finite value is rejected whole, before any
+  /// structure is touched (the shard splits runs around such values).
   Status AppendRun(StreamId stream, const double* values, std::size_t n);
 
   /// Closes one applied batch: bumps the store epoch and caches the new
@@ -123,52 +157,57 @@ class FeaturePipeline {
 
   // --- Elastic placement support (engine/shard.cc migration) -----------
 
-  /// Appends one fresh stream slot (cores, store row, tracker, sketch
-  /// slots) and returns its local index. `fleet` supplies the aggregate
-  /// kind for the new tracker.
-  StreamId GrowStream(const FleetAggregateMonitor& fleet);
-  /// Resets one stream's derived state to empty — the tombstone half of
-  /// a migration. The slot stays valid for later reuse via
+  /// Appends one fresh stream slot (raw tail, cores, store row, tracker,
+  /// sketch slots) and returns its local index.
+  StreamId GrowStream();
+  /// Resets one stream's state to empty — the tombstone half of a
+  /// migration. The slot stays valid for later reuse via
   /// RestoreStreamFrom.
-  Status ResetStream(StreamId stream, const FleetAggregateMonitor& fleet);
-  /// Serializes one stream's slice of every maintained structure:
-  /// summarizers, tracker, sketch measures, and store rows.
+  Status ResetStream(StreamId stream);
+  /// Serializes one stream's slice of every maintained structure: raw
+  /// tail, summarizers, tracker, sketch measures, and store rows.
   Status SaveStreamTo(StreamId stream, Writer* writer) const;
-  /// Installs a SaveStreamTo slice into `stream`'s slot. The tracker is
-  /// restored bit-exactly when the serialized window set matches this
-  /// pipeline's plan, otherwise rebuilt from `fleet`'s raw history;
-  /// sketch measures are claimed by config; store rows for levels this
-  /// shard no longer monitors are dropped (recomputed on miss).
-  Status RestoreStreamFrom(StreamId stream, Reader* reader,
-                           const FleetAggregateMonitor& fleet);
+  /// Installs a SaveStreamTo slice into `stream`'s slot. The raw tail is
+  /// installed first; the tracker is restored bit-exactly when the
+  /// serialized window set matches this pipeline's plan, otherwise
+  /// rebuilt from that tail; sketch measures are claimed by config; store
+  /// rows for levels this shard no longer monitors are dropped
+  /// (recomputed on miss).
+  Status RestoreStreamFrom(StreamId stream, Reader* reader);
 
-  /// Serializes the cores, the store, and the live sketch measures under
-  /// the "SDFP" v2 envelope (magic + version + FNV-1a checksum), so a
-  /// restored engine resumes pattern/correlation/sketch query evaluation
-  /// instead of warming from empty. Trackers are not serialized;
-  /// AdoptPlan rebuilds them from the restored fleet's raw history.
+  /// Serializes the aggregate kind, the raw tails, the cores, the store,
+  /// and the live sketch measures under the "SDFP" v3 envelope (magic +
+  /// version + FNV-1a checksum), so a restored engine resumes every query
+  /// class instead of warming from empty. Trackers are not serialized;
+  /// AdoptPlan rebuilds them from the restored tails.
   std::string Serialize() const;
-  /// Restores a pipeline serialized by Serialize. Core presence must be
-  /// compatible: bytes carrying a core this pipeline does not have are
-  /// rejected; a missing core in the bytes leaves this pipeline's core
-  /// empty (it warms up, the pre-refactor behavior).
+  /// Restores a pipeline serialized by Serialize. The bytes must have
+  /// been taken with this pipeline's aggregate kind and `history`. Core
+  /// presence must be compatible: bytes carrying a core this pipeline
+  /// does not have are rejected; a missing core in the bytes leaves this
+  /// pipeline's core empty (it warms up).
   Status Restore(const std::string& bytes);
 
  private:
   Status RestorePayload(const std::string& payload);
+  /// Feeds one value, already checked, through every structure.
+  Status AppendValue(StreamId stream, double value);
   /// Caches any new aligned feature times of `stream` at store level
   /// `spec` (newest kDefaultStoreCapacity at most).
   void CacheStreamFeatures(const FeatureStore::LevelSpec& spec,
                            StreamId stream);
 
-  /// Backfills one tracker from the fleet's retained raw history (the
-  /// AdoptPlan seed path, factored out for migration installs).
-  std::unique_ptr<SlidingAggregateTracker> BackfillTracker(
-      StreamId stream, const FleetAggregateMonitor& fleet);
+  /// Builds one tracker over the plan's window set and backfills it from
+  /// the stream's raw tail (AdoptPlan and migration installs).
+  std::unique_ptr<SlidingAggregateTracker> BackfillTracker(StreamId stream);
   /// True when any level of `core` currently maintains an R*-tree.
   static bool AnyLevelIndexed(const Stardust& core);
 
   std::size_t num_streams_;
+  const StardustConfig aggregate_;
+  /// Per stream: the last `aggregate_.history` values and, as its size,
+  /// the append count.
+  std::vector<RingBuffer<double>> tails_;
   std::unique_ptr<Stardust> pattern_core_;
   std::unique_ptr<Stardust> corr_core_;
   FeatureStore store_;

@@ -83,8 +83,8 @@ struct ShardMetricsSnapshot {
   std::size_t num_streams = 0;
   /// Per-resident-stream append counts, keyed by global stream id and
   /// sorted ascending — the rebalancer's load signal. The counts are the
-  /// fleet's existing per-monitor append counters read at scrape time,
-  /// so maintaining them adds nothing to the hot append path.
+  /// pipeline's raw-tail sizes read at scrape time, so maintaining them
+  /// adds nothing to the hot append path.
   std::vector<std::pair<StreamId, std::uint64_t>> stream_appends;
 
   // Feature pipeline accounting (docs/FEATURES.md): the exactly-once
@@ -115,8 +115,8 @@ struct ShardMetricsSnapshot {
   std::uint64_t plan_sketch_evals = 0;
 
   // Batched-maintenance accounting: whether the worker is pinned to its
-  // requested core, nanoseconds spent in state maintenance (fleet +
-  // pipeline appends and batch close), and the per-ApplyBatch wall-time
+  // requested core, nanoseconds spent in state maintenance (pipeline
+  // appends and batch close), and the per-ApplyBatch wall-time
   // histogram summary.
   bool pinned = false;
   std::uint64_t maintain_ns = 0;

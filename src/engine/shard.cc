@@ -13,7 +13,6 @@
 #include "common/check.h"
 #include "common/serialize.h"
 #include "core/pattern_query.h"
-#include "core/snapshot.h"
 
 namespace stardust {
 
@@ -174,7 +173,7 @@ Status LoadEdgeMap(std::unordered_map<QueryId, std::vector<T>>* map,
       } else {
         SD_RETURN_NOT_OK(reader->U64(&value));
       }
-      // Slots past the current fleet size (a layout the checkpoint
+      // Slots past the current slot count (a layout the checkpoint
       // validation would have rejected anyway) are dropped, not UB.
       if (v < num_streams) values[v] = static_cast<T>(value);
     }
@@ -188,7 +187,6 @@ Status LoadEdgeMap(std::unordered_map<QueryId, std::vector<T>>* map,
 Shard::Shard(std::size_t index, std::size_t num_shards,
              std::size_t num_producers, std::size_t queue_capacity,
              OverloadPolicy policy, std::size_t max_batch,
-             std::unique_ptr<FleetAggregateMonitor> fleet,
              std::unique_ptr<FeaturePipeline> pipeline,
              QueryRegistry* registry, AlertBus* alerts,
              EngineMetrics* metrics, ShardOptions options)
@@ -200,11 +198,8 @@ Shard::Shard(std::size_t index, std::size_t num_shards,
       registry_(registry),
       alerts_(alerts),
       options_(std::move(options)) {
-  fleet_ = std::move(fleet);
   pipeline_ = std::move(pipeline);
-  SD_CHECK(fleet_ != nullptr);
   SD_CHECK(pipeline_ != nullptr);
-  SD_CHECK(pipeline_->num_streams() == fleet_->num_streams());
   SD_CHECK(num_producers > 0);
   SD_CHECK(num_shards_ > 0 && index_ < num_shards_);
   SD_CHECK((registry_ != nullptr) == (alerts_ != nullptr));
@@ -214,7 +209,7 @@ Shard::Shard(std::size_t index, std::size_t num_shards,
   // Default slot table: the engine's historical modulo layout, local
   // slot l holding global l * num_shards + index. SetStreamMapping
   // replaces it when a checkpoint restores a post-migration layout.
-  const std::size_t locals = fleet_->num_streams();
+  const std::size_t locals = pipeline_->num_streams();
   global_of_.resize(locals);
   for (StreamId local = 0; local < locals; ++local) {
     global_of_[local] =
@@ -441,7 +436,7 @@ void Shard::RefreshQuerySnapshot() {
   // configs); the next ApplyBatch commits it, prunes stale evaluation
   // state, and re-points the pipeline.
   PlanContext ctx;
-  ctx.fleet = &fleet_->config();
+  ctx.fleet = &pipeline_->aggregate_config();
   ctx.pattern = pipeline_->pattern_core() != nullptr
                     ? &pipeline_->pattern_core()->config()
                     : nullptr;
@@ -506,11 +501,11 @@ void Shard::GroupRuns(const std::vector<StreamValue>& batch) {
   invalid_.clear();
   local_scratch_.clear();
   newly_parked_ = 0;
-  // An unknown global surfaces through the scalar path as an
-  // out-of-range local append, so append_errors accounting matches the
-  // pre-placement engine's handling of an unmapped stream id.
+  // An unknown global surfaces as an out-of-range local append, so
+  // append_errors accounting matches the pre-placement engine's handling
+  // of an unmapped stream id.
   const StreamId unknown_local =
-      static_cast<StreamId>(fleet_->num_streams());
+      static_cast<StreamId>(pipeline_->num_streams());
   // Pass 1: translate to local slots and count tuples per stream (first
   // touch resets the stale count from the previous batch, so no
   // O(num_streams) clear is needed).
@@ -544,7 +539,7 @@ void Shard::GroupRuns(const std::vector<StreamValue>& batch) {
   }
   run_values_.resize(offset);
   // Pass 2: stable scatter — per-stream value order is batch order, so a
-  // run replays exactly the subsequence the scalar path would append.
+  // run replays exactly the subsequence a per-tuple apply would.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const StreamId local = local_scratch_[i];
     if (local == kNoStream) continue;
@@ -553,59 +548,21 @@ void Shard::GroupRuns(const std::vector<StreamValue>& batch) {
   for (StreamId s : touched_list_) touched_[s] = 0;
 }
 
-void Shard::ApplyTupleLocked(StreamId stream, double value) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = Clock::now();
-  Status status = fleet_->Append(stream, value);
-  // The pipeline sees the same tuples in the same order as the fleet;
-  // its failures surface like fleet append failures.
-  if (status.ok()) status = pipeline_->Append(stream, value);
-  const std::uint64_t nanos = ElapsedNanos(start);
-  maintain_ns_ += nanos;
-  metrics_->append_latency.Record(nanos);
-  if (status.ok()) {
-    metrics_->appended.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    metrics_->append_errors.fetch_add(1, std::memory_order_relaxed);
-    if (worker_status_.ok()) worker_status_ = status;
-  }
-}
-
 void Shard::ApplyRunLocked(StreamId stream, const double* values,
                            std::size_t count) {
   using Clock = std::chrono::steady_clock;
-  // One cutoff decision per run, not per segment: the backend-calibrated
-  // crossover is loaded from atomics and cannot change mid-run.
-  const std::size_t cutoff = Stardust::ScalarRunCutoff();
   std::size_t i = 0;
   while (i < count) {
-    // Non-finite values are rejected per tuple by the scalar path (fleet
-    // append fails, pipeline skipped). Split the run around them so the
-    // batched path rejects the exact same tuples with the same status.
-    if (!std::isfinite(values[i])) {
-      ApplyTupleLocked(stream, values[i]);
-      ++i;
-      continue;
-    }
+    // The pipeline rejects a run holding a non-finite value whole. Split
+    // the run so each such value is a run of its own — rejected and
+    // accounted alone — while its finite neighbours still apply.
     std::size_t j = i + 1;
-    while (j < count && std::isfinite(values[j])) ++j;
+    if (std::isfinite(values[i])) {
+      while (j < count && std::isfinite(values[j])) ++j;
+    }
     const std::size_t len = j - i;
-    // Short runs gain nothing from the run machinery (its fixed setup
-    // cost per level only amortizes across multiple values); take the
-    // scalar path so sparse batches never regress. The cutoff matches
-    // the dispatch inside Stardust::AppendRun (ScalarRunCutoff).
-    if (len <= cutoff) {
-      for (std::size_t k = i; k < j; ++k) {
-        ApplyTupleLocked(stream, values[k]);
-      }
-      i = j;
-      continue;
-    }
     const Clock::time_point start = Clock::now();
-    Status status = fleet_->AppendRun(stream, values + i, len);
-    if (status.ok()) {
-      status = pipeline_->AppendRun(stream, values + i, len);
-    }
+    const Status status = pipeline_->AppendRun(stream, values + i, len);
     const std::uint64_t nanos = ElapsedNanos(start);
     maintain_ns_ += nanos;
     // Charge the run's amortized per-value cost; one atomic round-trip
@@ -614,9 +571,9 @@ void Shard::ApplyRunLocked(StreamId stream, const double* values,
     if (status.ok()) {
       metrics_->appended.fetch_add(len, std::memory_order_relaxed);
     } else {
-      // A finite run can only fail on internal errors (streams are
-      // validated, values are finite); surface it once like the scalar
-      // path surfaces its first failure.
+      // A rejected tuple (non-finite value, unknown stream) is a run of
+      // one; a longer run can only fail on internal errors. Either way
+      // the failure counts once.
       metrics_->append_errors.fetch_add(1, std::memory_order_relaxed);
       if (worker_status_.ok()) worker_status_ = status;
     }
@@ -633,7 +590,7 @@ void Shard::EvaluateQueriesLocked(std::vector<Alert>* out) {
   }
 
   const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
-  const std::size_t num_streams = fleet_->num_streams();
+  const std::size_t num_streams = pipeline_->num_streams();
 
   // Aggregate stage: every query sharing a window reads the one tracker
   // the pipeline maintains for that window — the Algorithm-2 check costs
@@ -656,12 +613,12 @@ void Shard::EvaluateQueriesLocked(std::vector<Alert>* out) {
           edge_scratch_.push_back(&edge);
         }
         for (StreamId s : touched_list_) {
-          // Ready mirrors the seed path's availability exactly: the
-          // tracker has a full window iff the retained raw history does.
+          // Ready mirrors Algorithm 2's availability exactly: the
+          // tracker has a full window iff the retained raw tail does.
           if (!pipeline_->TrackerReady(s, group.tracker_index)) continue;
           const double exact =
               pipeline_->TrackerValue(s, group.tracker_index);
-          const std::uint64_t end_time = fleet_->AppendCount(s) - 1;
+          const std::uint64_t end_time = pipeline_->AppendCount(s) - 1;
           for (std::size_t qi = 0; qi < group.queries.size(); ++qi) {
             const auto& q = group.queries[qi];
             std::vector<char>& edge = *edge_scratch_[qi];
@@ -724,7 +681,7 @@ void Shard::EvaluateQueriesLocked(std::vector<Alert>* out) {
         // before it evaluates (sketch state cannot be backfilled).
         if (!pipeline_->SketchReady(s, group.slot)) continue;
         const double estimate = pipeline_->SketchEstimate(s, group.slot);
-        const std::uint64_t end_time = fleet_->AppendCount(s) - 1;
+        const std::uint64_t end_time = pipeline_->AppendCount(s) - 1;
         for (std::size_t qi = 0; qi < group.queries.size(); ++qi) {
           const auto& q = group.queries[qi];
           std::vector<char>& edge = *edge_scratch_[qi];
@@ -826,7 +783,7 @@ void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
       plan_ = std::move(pending_plan_);
       pending_plan_ = nullptr;
       PruneQueryStateLocked();
-      pipeline_->AdoptPlan(*plan_, *fleet_);
+      pipeline_->AdoptPlan(*plan_);
     }
     // A completed migration released its parked tuples: apply them
     // first, in arrival order, ahead of this batch — exactly the order
@@ -842,12 +799,12 @@ void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
     }
     work_size = work->size();
     // Batched columnar maintenance: regroup the batch into one
-    // contiguous run per stream and append each run through the fleet
-    // and pipeline run entry points (one state load/store per level per
-    // run instead of per value). Streams are independent, so reordering
+    // contiguous run per stream and append each run through the
+    // pipeline's run entry point (one state load/store per level per run
+    // instead of per value). Streams are independent, so reordering
     // across streams — while keeping each stream's values in batch
-    // order — leaves every per-stream monitor, tracker, and summarizer
-    // byte-identical to the scalar per-tuple path.
+    // order — leaves every per-stream tail, tracker, and summarizer
+    // byte-identical to the per-tuple path.
     GroupRuns(*work);
     if (newly_parked_ > 0) {
       parked_.fetch_add(newly_parked_, std::memory_order_release);
@@ -857,10 +814,10 @@ void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
       ApplyRunLocked(stream, run_values_.data() + run_begin_[i],
                      run_count_[stream]);
     }
-    // Tuples naming an unknown stream cannot be grouped; push them
-    // through the scalar path so their errors are accounted identically.
+    // Tuples naming an unknown stream cannot be grouped; each is a run
+    // of one the pipeline rejects, accounted like any rejected tuple.
     for (const StreamValue& tuple : invalid_) {
-      ApplyTupleLocked(tuple.stream, tuple.value);
+      ApplyRunLocked(tuple.stream, &tuple.value, 1);
     }
     // Close the batch exactly once: features are derived here and only
     // read (never recomputed) by the query stages below and by
@@ -872,7 +829,7 @@ void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
       EvaluateQueriesLocked(&alerts);
     }
     // Publish inside the lock so a reader's stamp always matches the
-    // monitor state it observed. Parked tuples are not applied yet;
+    // stream state it observed. Parked tuples are not applied yet;
     // they count when the post-install drain actually applies them.
     applied_.fetch_add(work_size - newly_parked_,
                        std::memory_order_release);
@@ -913,39 +870,27 @@ void Shard::RebuildSortedLocalsLocked() {
             });
 }
 
-bool Shard::FindStreamTotal(StreamId global_stream, AlarmStats* out,
-                            ShardStamp* stamp) const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  const StreamId local = LocalOfLocked(global_stream);
-  if (local == kNoStream) return false;
-  if (stamp != nullptr) *stamp = StampLocked();
-  *out = fleet_->StreamTotal(local);
-  return true;
-}
-
-AlarmStats Shard::ShardTotal(ShardStamp* stamp) const {
+std::vector<StreamId> Shard::CurrentlyAlarming(QueryId id,
+                                               ShardStamp* stamp) const {
   std::lock_guard<std::mutex> lock(state_mu_);
   if (stamp != nullptr) *stamp = StampLocked();
-  return fleet_->FleetTotal();
-}
-
-Result<std::vector<StreamId>> Shard::CurrentlyAlarming(
-    std::size_t window_index, ShardStamp* stamp) const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  if (stamp != nullptr) *stamp = StampLocked();
-  Result<std::vector<StreamId>> locals =
-      fleet_->CurrentlyAlarming(window_index);
-  if (!locals.ok()) return locals.status();
-  std::vector<StreamId> globals;
-  globals.reserve(locals.value().size());
-  for (StreamId local : locals.value()) {
-    const StreamId global = global_of_[local];
-    // A tombstoned slot holds a freshly reset monitor and cannot alarm;
-    // the skip is a correctness net, not a steady-state path.
-    if (global != kNoStream) globals.push_back(global);
+  const std::vector<char>* edge = nullptr;
+  if (const auto it = agg_alarming_.find(id); it != agg_alarming_.end()) {
+    edge = &it->second;
+  } else if (const auto jt = sketch_alarming_.find(id);
+             jt != sketch_alarming_.end()) {
+    edge = &jt->second;
   }
-  std::sort(globals.begin(), globals.end());
-  return globals;
+  std::vector<StreamId> alarming;
+  if (edge == nullptr) return alarming;
+  // Tombstoned slots are not in sorted_locals_, and the walk is in
+  // ascending global order.
+  for (StreamId local : sorted_locals_) {
+    if (local < edge->size() && (*edge)[local] != 0) {
+      alarming.push_back(global_of_[local]);
+    }
+  }
+  return alarming;
 }
 
 bool Shard::FindStreamAppendCount(StreamId global_stream,
@@ -953,7 +898,7 @@ bool Shard::FindStreamAppendCount(StreamId global_stream,
   std::lock_guard<std::mutex> lock(state_mu_);
   const StreamId local = LocalOfLocked(global_stream);
   if (local == kNoStream) return false;
-  *out = fleet_->AppendCount(local);
+  *out = pipeline_->AppendCount(local);
   return true;
 }
 
@@ -963,27 +908,24 @@ std::vector<std::pair<StreamId, std::uint64_t>> Shard::StreamAppendCounts()
   std::vector<std::pair<StreamId, std::uint64_t>> counts;
   counts.reserve(sorted_locals_.size());
   for (StreamId local : sorted_locals_) {
-    counts.emplace_back(global_of_[local], fleet_->AppendCount(local));
+    counts.emplace_back(global_of_[local], pipeline_->AppendCount(local));
   }
   return counts;
 }
 
-std::string Shard::SerializeState(ShardStamp* stamp, std::string* features,
-                                  std::vector<StreamId>* mapping,
-                                  std::string* edges) const {
+void Shard::SerializeState(ShardStamp* stamp, std::string* features,
+                           std::vector<StreamId>* mapping,
+                           std::string* edges) const {
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (stamp != nullptr) *stamp = StampLocked();
-  if (features != nullptr) *features = pipeline_->Serialize();
-  if (mapping != nullptr) *mapping = global_of_;
-  if (edges != nullptr) {
-    Writer writer;
-    SaveEdgeMap(agg_alarming_, &writer);
-    SaveEdgeMap(sketch_alarming_, &writer);
-    SaveEdgeMap(pattern_watermark_, &writer);
-    SaveEdgeMap(pattern_eval_floor_, &writer);
-    *edges = writer.TakeBuffer();
-  }
-  return SerializeFleetSnapshot(*fleet_);
+  *stamp = StampLocked();
+  *features = pipeline_->Serialize();
+  *mapping = global_of_;
+  Writer writer;
+  SaveEdgeMap(agg_alarming_, &writer);
+  SaveEdgeMap(sketch_alarming_, &writer);
+  SaveEdgeMap(pattern_watermark_, &writer);
+  SaveEdgeMap(pattern_eval_floor_, &writer);
+  *edges = writer.TakeBuffer();
 }
 
 Status Shard::RestoreFeatures(const std::string& bytes) {
@@ -995,7 +937,7 @@ Status Shard::RestoreFeatures(const std::string& bytes) {
 Status Shard::RestoreEdges(const std::string& bytes) {
   SD_CHECK(!worker_.joinable());
   std::lock_guard<std::mutex> lock(state_mu_);
-  const std::size_t num_streams = fleet_->num_streams();
+  const std::size_t num_streams = pipeline_->num_streams();
   Reader reader(bytes);
   SD_RETURN_NOT_OK(LoadEdgeMap(&agg_alarming_, num_streams, &reader));
   SD_RETURN_NOT_OK(LoadEdgeMap(&sketch_alarming_, num_streams, &reader));
@@ -1011,7 +953,7 @@ Status Shard::RestoreEdges(const std::string& bytes) {
 Status Shard::SetStreamMapping(const std::vector<StreamId>& globals) {
   SD_CHECK(!worker_.joinable());
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (globals.size() != fleet_->num_streams()) {
+  if (globals.size() != pipeline_->num_streams()) {
     return Status::InvalidArgument(
         "stream mapping size does not match the shard's slot count");
   }
@@ -1075,7 +1017,6 @@ Status Shard::PrepareReceive(StreamId global_stream) {
 }
 
 Status Shard::SaveStreamLocked(StreamId local, Writer* writer) const {
-  SD_RETURN_NOT_OK(fleet_->SaveStreamTo(local, writer));
   SD_RETURN_NOT_OK(pipeline_->SaveStreamTo(local, writer));
   SaveEdgeSlice(agg_alarming_, local, writer);
   SaveEdgeSlice(sketch_alarming_, local, writer);
@@ -1096,8 +1037,7 @@ Status Shard::ExtractStream(StreamId global_stream, std::string* blob) {
   // Tombstone the slot: reset every per-stream structure to empty and
   // mark the local id reusable. The caller already re-routed the stream
   // and drained this shard's rings, so no tuple can reach the slot.
-  SD_RETURN_NOT_OK(fleet_->ResetStream(local));
-  SD_RETURN_NOT_OK(pipeline_->ResetStream(local, *fleet_));
+  SD_RETURN_NOT_OK(pipeline_->ResetStream(local));
   for (auto& [id, edge] : agg_alarming_) {
     if (local < edge.size()) edge[local] = 0;
   }
@@ -1129,21 +1069,16 @@ Status Shard::InstallStream(StreamId global_stream,
     local = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    Result<StreamId> grown = fleet_->AddStream();
-    if (!grown.ok()) return grown.status();
-    local = grown.value();
-    const StreamId pipeline_local = pipeline_->GrowStream(*fleet_);
-    SD_CHECK(pipeline_local == local);
-    const std::size_t num_streams = fleet_->num_streams();
+    local = pipeline_->GrowStream();
+    const std::size_t num_streams = pipeline_->num_streams();
     touched_.resize(num_streams, 0);
     run_count_.resize(num_streams, 0);
     run_cursor_.resize(num_streams, 0);
     global_of_.resize(num_streams, kNoStream);
   }
   Reader reader(blob);
-  SD_RETURN_NOT_OK(fleet_->RestoreStreamFrom(local, &reader));
-  SD_RETURN_NOT_OK(pipeline_->RestoreStreamFrom(local, &reader, *fleet_));
-  const std::size_t num_streams = fleet_->num_streams();
+  SD_RETURN_NOT_OK(pipeline_->RestoreStreamFrom(local, &reader));
+  const std::size_t num_streams = pipeline_->num_streams();
   SD_RETURN_NOT_OK(
       LoadEdgeSlice(&agg_alarming_, local, num_streams, &reader));
   SD_RETURN_NOT_OK(
@@ -1210,7 +1145,7 @@ ShardMetricsSnapshot Shard::MetricsSnapshot() const {
     snapshot.stream_appends.reserve(sorted_locals_.size());
     for (StreamId local : sorted_locals_) {
       snapshot.stream_appends.emplace_back(global_of_[local],
-                                           fleet_->AppendCount(local));
+                                           pipeline_->AppendCount(local));
     }
     const FeaturePipeline::Counters counters = pipeline_->counters();
     snapshot.pipeline_batches = counters.batches;
@@ -1238,22 +1173,6 @@ ShardMetricsSnapshot Shard::MetricsSnapshot() const {
     }
   }
   return snapshot;
-}
-
-std::vector<Shard::FeatureClock> Shard::CorrelationClocks(
-    std::size_t level) const {
-  const Stardust* corr_core = pipeline_->corr_core();
-  SD_CHECK(corr_core != nullptr);
-  std::lock_guard<std::mutex> lock(state_mu_);
-  std::vector<FeatureClock> clocks(corr_core->num_streams());
-  for (StreamId s = 0; s < corr_core->num_streams(); ++s) {
-    const LevelThread& thread = corr_core->summarizer(s).thread(level);
-    if (!thread.empty()) {
-      clocks[s].has = true;
-      clocks[s].time = thread.last_time();
-    }
-  }
-  return clocks;
 }
 
 bool Shard::CorrelationClockMinSince(std::size_t level,
@@ -1311,27 +1230,6 @@ Status Shard::CorrelationGatherAt(std::size_t level, std::uint64_t t,
                          view.feature + view.dims);
     out->znormed.insert(out->znormed.end(), view.znormed,
                         view.znormed + view.window);
-  }
-  return Status::OK();
-}
-
-Status Shard::CorrelationFeaturesAt(
-    std::size_t level, std::uint64_t t,
-    std::vector<CorrelationFeature>* out) const {
-  SD_CHECK(pipeline_->corr_core() != nullptr);
-  std::lock_guard<std::mutex> lock(state_mu_);
-  for (StreamId s : sorted_locals_) {
-    // Served from the shared FeatureStore when the pipeline cached this
-    // aligned time (the steady state); recomputed from the correlation
-    // core only for rounds lagging behind the cache ring. Streams whose
-    // data expired (or never reached `t`) are skipped either way.
-    FeatureStore::View view;
-    if (!pipeline_->CorrelationFeature(level, s, t, &view)) continue;
-    CorrelationFeature feature;
-    feature.global_stream = global_of_[s];
-    feature.feature.assign(view.feature, view.feature + view.dims);
-    feature.znormed.assign(view.znormed, view.znormed + view.window);
-    out->push_back(std::move(feature));
   }
   return Status::OK();
 }

@@ -1,6 +1,6 @@
-// One worker shard of the ingestion engine: a private fleet of monitors
-// (its own Stardust state, untouched by any other thread) fed by one
-// bounded SPSC ring per registered producer. The worker thread drains the
+// One worker shard of the ingestion engine: private per-stream state (its
+// own feature pipeline, untouched by any other thread) fed by one bounded
+// SPSC ring per registered producer. The worker thread drains the
 // rings in batches and applies them under the shard's state mutex; reader
 // snapshots take the same mutex and are stamped with the shard epoch
 // (number of applied batches) so cross-shard reads can report exactly how
@@ -15,12 +15,14 @@
 // (PrepareReceive) and applied in arrival order once the stream's state
 // is installed — no tuple is lost and no alert fires twice.
 //
-// Every piece of derived query state the shard maintains lives in its
-// FeaturePipeline (engine/feature_pipeline.h): the online unit-sphere DWT
-// core (pattern queries, Algorithm 3), the batch z-normalized DWT core
-// plus FeatureStore (feature source for the cross-shard correlator), and
-// the per-window sliding trackers serving aggregate queries. The worker
-// feeds the pipeline exactly once per applied tuple and batch, then
+// Every piece of per-stream state the shard maintains lives in its
+// FeaturePipeline (engine/feature_pipeline.h), the shard's one
+// maintenance writer: the raw tail and append count, the online
+// unit-sphere DWT core (pattern queries, Algorithm 3), the batch
+// z-normalized DWT core plus FeatureStore (feature source for the
+// cross-shard correlator), the per-window sliding trackers serving
+// aggregate queries, and the sketch measures. The worker feeds the
+// pipeline exactly once per applied tuple and batch, then
 // executes the compiled EvalPlan of the current registry snapshot
 // (query/eval_plan.h) against the shared state and publishes hits to the
 // alert bus (docs/QUERIES.md, docs/FEATURES.md).
@@ -39,7 +41,6 @@
 #include "common/latency_histogram.h"
 #include "common/ring_buffer.h"
 #include "common/status.h"
-#include "core/fleet_monitor.h"
 #include "core/stardust.h"
 #include "engine/engine_config.h"
 #include "engine/feature_pipeline.h"
@@ -84,15 +85,6 @@ struct ShardStamp {
   std::uint64_t appended = 0;
 };
 
-/// One local stream's contribution to a correlator round: its feature
-/// point at the monitored level and the exact z-normalized window, both
-/// taken at the same aligned feature time under the shard state mutex.
-struct CorrelationFeature {
-  StreamId global_stream = 0;
-  Point feature;
-  std::vector<double> znormed;
-};
-
 /// Worker-thread placement options for one shard.
 struct ShardOptions {
   /// Pin the worker thread to `pin_core` when it starts. Pinning is
@@ -106,19 +98,19 @@ struct ShardOptions {
   std::function<bool(std::size_t core)> pin_hook;
 };
 
-/// A shard owns its monitors exclusively; all mutation happens on its
+/// A shard owns its stream state exclusively; all mutation happens on its
 /// worker thread. Producers only touch the rings and atomic counters.
 class Shard {
  public:
   /// `num_shards` is the engine's effective shard count (for the default
   /// modulo local -> global stream id mapping). `pipeline` must be
-  /// non-null and sized for the fleet's streams; its cores may be absent
-  /// (query kind disabled). `registry` and `alerts` may be null only
-  /// together (no query evaluation); a pattern core requires a registry.
+  /// non-null and sized for the shard's local streams; its cores may be
+  /// absent (query kind disabled). `registry` and `alerts` may be null
+  /// only together (no query evaluation); a pattern core requires a
+  /// registry.
   Shard(std::size_t index, std::size_t num_shards,
         std::size_t num_producers, std::size_t queue_capacity,
         OverloadPolicy policy, std::size_t max_batch,
-        std::unique_ptr<FleetAggregateMonitor> fleet,
         std::unique_ptr<FeaturePipeline> pipeline, QueryRegistry* registry,
         AlertBus* alerts, EngineMetrics* metrics,
         ShardOptions options = {});
@@ -185,56 +177,49 @@ class Shard {
   }
 
   std::size_t index() const { return index_; }
-  /// Local slots (including tombstoned ones left by migrations).
-  std::size_t num_streams() const { return fleet_->num_streams(); }
-  std::size_t num_windows() const { return fleet_->num_windows(); }
 
   // --- Snapshot reads (mutex-coherent against the worker) --------------
-  /// Stats of one globally-identified stream. Returns false when the
-  /// stream is not resident on this shard (`*out` untouched) — the
-  /// engine retries against the owner named by the placement table.
-  bool FindStreamTotal(StreamId global_stream, AlarmStats* out,
-                       ShardStamp* stamp) const;
-  AlarmStats ShardTotal(ShardStamp* stamp) const;
-  /// Alarming streams as GLOBAL ids (ascending).
-  Result<std::vector<StreamId>> CurrentlyAlarming(std::size_t window_index,
-                                                  ShardStamp* stamp) const;
-  /// Values ever applied to one resident stream's monitor; false when the
-  /// stream is not resident here.
+  /// Resident streams (GLOBAL ids, ascending) whose edge state for query
+  /// `id` is alarming: the exact aggregate (or sketch estimate) left the
+  /// query's assess range at the stream's latest evaluation. `id` must
+  /// name an aggregate or sketch query; a query no batch has evaluated
+  /// yet has no alarming stream.
+  std::vector<StreamId> CurrentlyAlarming(QueryId id,
+                                          ShardStamp* stamp) const;
+  /// Values ever applied to one resident stream; false when the stream is
+  /// not resident here.
   bool FindStreamAppendCount(StreamId global_stream,
                              std::uint64_t* out) const;
   /// Append count of every resident stream, keyed by global id and
   /// sorted ascending. One mutex hold; feeds the rebalancer and the
-  /// per-stream metrics surface (the counters themselves are maintained
-  /// by the fleet on the append path, so scraping adds no hot-loop
-  /// work).
+  /// per-stream metrics surface (the counters themselves are the raw
+  /// tails' sizes, maintained on the append path, so scraping adds no
+  /// hot-loop work).
   std::vector<std::pair<StreamId, std::uint64_t>> StreamAppendCounts()
       const;
-  /// Serialized v2 fleet snapshot of this shard's monitors, taken under
-  /// the state mutex so the bytes and the stamp describe the same point
-  /// in the apply sequence. Ingestion continues around the call; only
-  /// this shard's worker waits for the serialization. When `features` is
-  /// non-null it receives the feature pipeline's "SDFP" snapshot taken
-  /// under the same mutex hold; when `mapping` is non-null it receives
-  /// the local -> global slot table (kNoStream tombstones included) of
-  /// the same instant, so a checkpoint can persist the placement the
-  /// bytes were laid out under; when `edges` is non-null it receives the
-  /// serialized rising-edge state (alarming flags, pattern watermarks and
-  /// evaluation floors) of the same instant, so a restore continues the
-  /// alert stream without re-announcing conditions that were already
-  /// alarming at the checkpoint.
-  std::string SerializeState(ShardStamp* stamp,
-                             std::string* features = nullptr,
-                             std::vector<StreamId>* mapping = nullptr,
-                             std::string* edges = nullptr) const;
-  /// Restores the feature pipeline (query cores + feature store) from an
-  /// "SDFP" snapshot. Only valid before Start().
+  /// Checkpoint capture, under one state-mutex hold so every output
+  /// describes the same point in the apply sequence: `stamp` (epoch and
+  /// applied count), `features` (the feature pipeline's "SDFP"
+  /// snapshot), `mapping` (the local -> global slot table, kNoStream
+  /// tombstones included, so a checkpoint can persist the placement the
+  /// bytes were laid out under) and `edges` (the serialized rising-edge
+  /// state: alarming flags, pattern watermarks and evaluation floors, so
+  /// a restore continues the alert stream without re-announcing
+  /// conditions that were already alarming at the checkpoint). Ingestion
+  /// continues around the call; only this shard's worker waits for the
+  /// serialization.
+  void SerializeState(ShardStamp* stamp, std::string* features,
+                      std::vector<StreamId>* mapping,
+                      std::string* edges) const;
+  /// Restores the feature pipeline (raw tails, query cores, feature
+  /// store, sketch measures) from an "SDFP" snapshot. Only valid before
+  /// Start().
   Status RestoreFeatures(const std::string& bytes);
   /// Restores the rising-edge maps serialized by SerializeState's
   /// `edges` output. Only valid before Start().
   Status RestoreEdges(const std::string& bytes);
   /// Replaces the local -> global slot table (checkpoint restore of a
-  /// post-migration layout). `globals` must have one entry per fleet
+  /// post-migration layout). `globals` must have one entry per local
   /// slot; kNoStream entries become free slots. Only valid before
   /// Start().
   Status SetStreamMapping(const std::vector<StreamId>& globals);
@@ -252,14 +237,14 @@ class Shard {
   /// lands its state. Fails when another migration is already parked
   /// here or the stream is already resident.
   Status PrepareReceive(StreamId global_stream);
-  /// Serializes every piece of per-stream state (monitor, summarizers,
+  /// Serializes every piece of per-stream state (raw tail, summarizers,
   /// tracker, sketch measures, store rows, alert edge state) into
   /// `blob`, then tombstones the local slot. The caller must have
   /// drained this shard's rings of the stream first (placement flip +
   /// producer quiescence + ring drain barrier).
   Status ExtractStream(StreamId global_stream, std::string* blob);
   /// Installs an ExtractStream blob under `global_stream`, reusing a
-  /// tombstoned slot when one is free (growing the fleet otherwise), and
+  /// tombstoned slot when one is free (growing the pipeline otherwise), and
   /// releases the parked tuples to the worker. Requires a matching
   /// PrepareReceive.
   Status InstallStream(StreamId global_stream, const std::string& blob);
@@ -273,19 +258,11 @@ class Shard {
   bool ParkDrained() const;
 
   // --- Correlator support (requires a correlation core) ----------------
-  /// Phase 1 of a correlator round: the latest aligned feature time of
-  /// every local stream at `level` of the correlation core (one entry
-  /// per local slot; `has == false` while a stream's window has not
-  /// filled yet, and forever for tombstoned slots).
-  struct FeatureClock {
-    bool has = false;
-    std::uint64_t time = 0;
-  };
-  std::vector<FeatureClock> CorrelationClocks(std::size_t level) const;
-  /// Reduced form of CorrelationClocks for the round-skip decision: the
-  /// minimum clock over this shard's started streams, plus the feature
-  /// store epoch the summary was taken at. The correlator caches one per
-  /// (level, shard) and passes the cached `store_epoch` back as
+  /// Phase 1 of a correlator round: the minimum latest aligned feature
+  /// time at `level` of the correlation core over this shard's started
+  /// streams (a stream starts once its first window filled), plus the
+  /// feature store epoch the summary was taken at. The correlator caches
+  /// one per (level, shard) and passes the cached `store_epoch` back as
   /// `since_epoch`; when the level saw no store put since then the call
   /// returns false without scanning a single stream (`out` untouched) —
   /// no put means no stream's aligned feature time moved, so the cached
@@ -297,19 +274,16 @@ class Shard {
   };
   bool CorrelationClockMinSince(std::size_t level, std::uint64_t since_epoch,
                                 ClockSummary* out) const;
-  /// Phase 2: appends, for every local stream that still has its feature
-  /// and raw window at aligned time `t`, the feature point and the exact
+  /// Phase 2: for every local stream that still has its feature and raw
+  /// window at aligned time `t`, the feature point and the exact
   /// z-normalized window. Streams whose data already expired (or never
   /// reached `t`) are skipped — the correlator's rounds are best-effort
-  /// over whatever every shard can still serve coherently.
-  Status CorrelationFeaturesAt(std::size_t level, std::uint64_t t,
-                               std::vector<CorrelationFeature>* out) const;
-  /// Columnar variant of CorrelationFeaturesAt: one flat buffer per
-  /// column, reusable across rounds so the steady state allocates
-  /// nothing. Stream k of the gather owns features[k*dims .. ) and
-  /// znormed[k*window .. ). Global stream ids are ascending within one
-  /// shard's gather (the scan walks the slot table in global order, so
-  /// the invariant survives migrations reshuffling local slots).
+  /// over whatever every shard can still serve coherently. One flat
+  /// buffer per column, reusable across rounds so the steady state
+  /// allocates nothing. Stream k of the gather owns features[k*dims .. )
+  /// and znormed[k*window .. ). Global stream ids are ascending within
+  /// one shard's gather (the scan walks the slot table in global order,
+  /// so the invariant survives migrations reshuffling local slots).
   struct CorrelationGather {
     std::vector<StreamId> streams;  // global ids
     std::vector<double> features;   // streams.size() × dims
@@ -353,19 +327,15 @@ class Shard {
   /// the packed run_values_ buffer in two allocation-free passes.
   /// Tuples of the parked in-flight stream are diverted to park_;
   /// tuples naming an unknown global are diverted to invalid_ with an
-  /// out-of-range local id so the scalar path accounts them as append
+  /// out-of-range local id so the pipeline rejects them as append
   /// errors. Called with state_mu_ held.
   void GroupRuns(const std::vector<StreamValue>& batch);
-  /// Applies one stream's run through the batched maintenance path,
-  /// splitting at non-finite values so rejected tuples surface the exact
-  /// per-tuple error accounting of the scalar path. Called with state_mu_
-  /// held.
+  /// Applies one stream's run through the pipeline's run path, splitting
+  /// at non-finite values so each rejected tuple counts as one append
+  /// error, exactly as if the tuples had been applied one by one. Called
+  /// with state_mu_ held.
   void ApplyRunLocked(StreamId stream, const double* values,
                       std::size_t count);
-  /// Scalar fallback for one tuple (non-finite value or out-of-range
-  /// stream): the pre-batching append path, kept so error semantics and
-  /// accounting stay identical. Called with state_mu_ held.
-  void ApplyTupleLocked(StreamId stream, double value);
   /// Runs the compiled plan's aggregate + pattern stages against the
   /// pipeline state; called with state_mu_ held after FinishBatch.
   /// Alerts are collected into `out` and published by the caller after
@@ -381,8 +351,8 @@ class Shard {
   /// Rebuilds the global-ascending slot scan order after any slot-table
   /// mutation. Called with state_mu_ held.
   void RebuildSortedLocalsLocked();
-  /// One stream's full serialized slice (monitor + pipeline + edge
-  /// state); shared by ExtractStream and SerializeStream so the
+  /// One stream's full serialized slice (pipeline + edge state); shared
+  /// by ExtractStream and SerializeStream so the
   /// destructive and the oracle path emit identical bytes. Called with
   /// state_mu_ held.
   Status SaveStreamLocked(StreamId local, Writer* writer) const;
@@ -426,13 +396,12 @@ class Shard {
   /// behind; the next batch (or idle sweep) must drain them.
   std::atomic<bool> park_pending_{false};
 
-  /// Guards fleet_, the feature pipeline, the committed plan_, the slot
-  /// tables, the park, the query edge maps, and worker_status_: held by
+  /// Guards the feature pipeline, the committed plan_, the slot tables,
+  /// the park, the query edge maps, and worker_status_: held by
   /// the worker while applying a batch (and evaluating queries), by
   /// readers while snapshotting, and by migrations while extracting or
   /// installing stream state.
   mutable std::mutex state_mu_;
-  std::unique_ptr<FleetAggregateMonitor> fleet_;
   std::unique_ptr<FeaturePipeline> pipeline_;
   /// Plan currently driving evaluation; swapped in under state_mu_.
   std::shared_ptr<const EvalPlan> plan_;
@@ -490,15 +459,15 @@ class Shard {
   /// Per-tuple local translation of the current batch (kNoStream =
   /// parked or unknown, already diverted in pass 1).
   std::vector<StreamId> local_scratch_;
-  /// Tuples naming an unknown global (cannot be grouped); applied
-  /// through the scalar path for identical error accounting.
+  /// Tuples naming an unknown global (cannot be grouped); each is
+  /// applied as a run of one so the pipeline rejects and accounts it.
   std::vector<StreamValue> invalid_;
   /// Tuples of the current batch diverted to park_ by GroupRuns.
   std::size_t newly_parked_ = 0;
   /// Merged (park + batch) scratch for the drain-after-install batch.
   std::vector<StreamValue> merged_;
-  /// Nanoseconds spent in batched maintenance (fleet + pipeline appends
-  /// and batch close), guarded by state_mu_; feeds
+  /// Nanoseconds spent in batched maintenance (pipeline appends and batch
+  /// close), guarded by state_mu_; feeds
   /// maintain_ns_per_append in metrics.
   std::uint64_t maintain_ns_ = 0;
   /// Wall time of whole ApplyBatch calls (drain to alert handoff).

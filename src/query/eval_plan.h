@@ -27,7 +27,8 @@ namespace stardust {
 
 /// What the plan compiler may assume about the engine's cores.
 struct PlanContext {
-  /// Fleet monitor configuration (aggregate path). Required.
+  /// Aggregate-path configuration (the engine's aggregate kind and raw
+  /// tail history). Required.
   const StardustConfig* fleet = nullptr;
   /// Online pattern core configuration; null when patterns are disabled.
   const StardustConfig* pattern = nullptr;
@@ -46,10 +47,10 @@ struct EvalPlan {
     std::size_t window = 0;
     /// Index into `aggregate_windows` (== the pipeline tracker slot).
     std::size_t tracker_index = 0;
-    /// False when `window` exceeds the fleet's raw history: the seed
-    /// path could never verify such a window exactly (Algorithm 2's
-    /// post-check needs the raw subsequence), so the group is skipped
-    /// rather than alarm from tracker state the seed path never saw.
+    /// False when `window` exceeds the raw tail's history: Algorithm 2
+    /// could never verify such a window exactly (its post-check needs
+    /// the raw subsequence), so the group is skipped rather than alarm
+    /// from tracker state no retained data backs.
     bool evaluable = true;
     std::vector<std::shared_ptr<RegisteredQuery>> queries;
   };

@@ -20,8 +20,7 @@ ProbePool::~ProbePool() {
   for (std::thread& t : threads_) t.join();
 }
 
-std::size_t ProbePool::ResolveWorkers(std::size_t configured) {
-  if (configured != 0) return configured;
+std::size_t ProbePool::ResolveWorkers() {
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw <= 1) return 0;
   return std::min<std::size_t>(hw - 1, 4);

@@ -5,9 +5,9 @@
 // index that does not change during the phase. The pool partitions the
 // probe set dynamically (an atomic task cursor) across its workers plus
 // the calling thread, and Run returns only when every task finished, so
-// the caller's merge step sees all results. With zero workers (single
-// hardware thread, or configured off) Run degrades to a plain inline
-// loop — no threads, no synchronization.
+// the caller's merge step sees all results. With zero workers (a single
+// hardware thread) Run degrades to a plain inline loop — no threads, no
+// synchronization.
 #ifndef STARDUST_QUERY_PROBE_POOL_H_
 #define STARDUST_QUERY_PROBE_POOL_H_
 
@@ -40,11 +40,11 @@ class ProbePool {
   /// correlator serializes rounds).
   void Run(std::size_t num_tasks, const std::function<void(std::size_t)>& fn);
 
-  /// Resolves a configured worker count: 0 means auto — one less than the
-  /// hardware concurrency, clamped to [0, 4] (on a single-core host the
-  /// pool degrades to inline execution; beyond a few workers the probe
-  /// phase is memory-bound).
-  static std::size_t ResolveWorkers(std::size_t configured);
+  /// The correlator's worker count: one less than the hardware
+  /// concurrency, clamped to [0, 4] (on a single-core host the pool
+  /// degrades to inline execution; beyond a few workers the probe phase
+  /// is memory-bound).
+  static std::size_t ResolveWorkers();
 
  private:
   void WorkerLoop();

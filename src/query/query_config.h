@@ -1,10 +1,11 @@
 // Configuration of the continuous-query subsystem layered on the
 // ingestion engine (docs/QUERIES.md).
 //
-// The aggregate path always exists (it evaluates against the engine's
-// fleet monitors); the pattern and correlation paths each need a
-// dedicated Stardust core per shard and are opt-in because they add a
-// per-tuple summarization cost to the shard workers.
+// The aggregate and sketch paths always exist (they evaluate against the
+// state every shard's feature pipeline keeps); the pattern and
+// correlation paths each need a dedicated Stardust core per shard and
+// are opt-in because they add a per-tuple summarization cost to the
+// shard workers.
 #ifndef STARDUST_QUERY_QUERY_CONFIG_H_
 #define STARDUST_QUERY_QUERY_CONFIG_H_
 
@@ -46,12 +47,6 @@ struct QueryConfig {
   /// largest registered radius of each level group (StatStream's choice:
   /// cell == radius, so neighbor enumeration reaches one cell out).
   double correlation_grid_cell = 0.0;
-
-  /// Worker threads of the correlator's probe pool (the calling thread
-  /// always participates too). 0 (the default) auto-sizes to the
-  /// hardware: one less than the concurrency, clamped to [0, 4] — a
-  /// single-core host probes inline with no pool threads at all.
-  std::size_t correlator_probe_workers = 0;
 
   /// Bounded alert-queue capacity and overflow policy (mirrors the
   /// ingestion rings; see common/overload_policy.h). kBlock applies
@@ -103,10 +98,6 @@ struct QueryConfig {
       if (correlation_grid_cell < 0.0) {
         return Status::InvalidArgument(
             "correlation_grid_cell must be non-negative");
-      }
-      if (correlator_probe_workers > 64) {
-        return Status::InvalidArgument(
-            "correlator_probe_workers must be at most 64");
       }
     }
     return Status::OK();

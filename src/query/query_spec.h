@@ -118,8 +118,8 @@ struct QuerySpec {
 
   /// kAggregate: alarm when the exact aggregate over the trailing
   /// `window` values of a stream reaches `threshold` (Algorithm 2 filter
-  /// + verify). `window` must be a positive multiple of the fleet's base
-  /// window with window/W < 2^num_levels.
+  /// + verify). `window` must be a positive multiple of the aggregate
+  /// path's base window with window/W < 2^num_levels.
   std::size_t window = 0;
   double threshold = 0.0;
 

@@ -113,7 +113,7 @@ class QueryRegistry {
     }
   };
 
-  /// `aggregate_config` is the fleet monitors' Stardust configuration
+  /// `aggregate_config` is the engine's aggregate-path configuration
   /// (validates aggregate query windows); `query_config` gates the
   /// pattern/correlation kinds and validates their specs.
   QueryRegistry(const StardustConfig& aggregate_config,

@@ -42,51 +42,40 @@ TEST(CheckDeathTest, ZeroCapacityRingBufferAborts) {
   EXPECT_DEATH(RingBuffer<int>(0), "SD_CHECK failed");
 }
 
-// Guards behind IngestEngine::num_windows()/ShardOf(): a shard can never
-// be built with a shape that would make the engine's modulo/index
-// arithmetic undefined.
-std::unique_ptr<FleetAggregateMonitor> TestFleet() {
+// Guards behind IngestEngine::ShardOf(): a shard can never be built with
+// a shape that would make the engine's modulo/index arithmetic
+// undefined.
+std::unique_ptr<FeaturePipeline> TestPipeline() {
   StardustConfig config;
   config.transform = TransformKind::kAggregate;
   config.aggregate = AggregateKind::kSum;
   config.base_window = 10;
   config.num_levels = 2;
   config.history = 40;
-  return std::move(FleetAggregateMonitor::Create(config, {{10, 1.0}}, 2))
-      .value();
-}
-
-std::unique_ptr<FeaturePipeline> TestPipeline() {
-  return std::make_unique<FeaturePipeline>(nullptr, nullptr, 2);
-}
-
-TEST(CheckDeathTest, ShardWithNullFleetAborts) {
-  EXPECT_DEATH(Shard(0, 1, 1, 64, OverloadPolicy::kBlock, 16, nullptr,
-                     TestPipeline(), nullptr, nullptr, nullptr),
-               "SD_CHECK failed");
+  return std::make_unique<FeaturePipeline>(config, nullptr, nullptr, 2);
 }
 
 TEST(CheckDeathTest, ShardWithNullPipelineAborts) {
-  EXPECT_DEATH(Shard(0, 1, 1, 64, OverloadPolicy::kBlock, 16, TestFleet(),
-                     nullptr, nullptr, nullptr, nullptr),
+  EXPECT_DEATH(Shard(0, 1, 1, 64, OverloadPolicy::kBlock, 16, nullptr,
+                     nullptr, nullptr, nullptr),
                "SD_CHECK failed");
 }
 
 TEST(CheckDeathTest, ShardWithZeroShardCountAborts) {
-  EXPECT_DEATH(Shard(0, 0, 1, 64, OverloadPolicy::kBlock, 16, TestFleet(),
+  EXPECT_DEATH(Shard(0, 0, 1, 64, OverloadPolicy::kBlock, 16,
                      TestPipeline(), nullptr, nullptr, nullptr),
                "SD_CHECK failed");
 }
 
 TEST(CheckDeathTest, ShardWithOutOfRangeIndexAborts) {
-  EXPECT_DEATH(Shard(3, 2, 1, 64, OverloadPolicy::kBlock, 16, TestFleet(),
+  EXPECT_DEATH(Shard(3, 2, 1, 64, OverloadPolicy::kBlock, 16,
                      TestPipeline(), nullptr, nullptr, nullptr),
                "SD_CHECK failed");
 }
 
 TEST(CheckDeathTest, ShardWithRegistryButNoBusAborts) {
   QueryRegistry registry(StardustConfig{}, QueryConfig{});
-  EXPECT_DEATH(Shard(0, 1, 1, 64, OverloadPolicy::kBlock, 16, TestFleet(),
+  EXPECT_DEATH(Shard(0, 1, 1, 64, OverloadPolicy::kBlock, 16,
                      TestPipeline(), &registry, nullptr, nullptr),
                "SD_CHECK failed");
 }

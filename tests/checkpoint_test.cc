@@ -9,10 +9,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "alert_log.h"
 #include "common/atomic_file.h"
 #include "engine/engine.h"
 #include "stream/bursty_source.h"
@@ -50,13 +54,21 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-std::unique_ptr<IngestEngine> MakeEngine(std::size_t streams,
-                                         std::size_t shards,
-                                         const std::string& restore_dir = {}) {
+/// A fresh engine registers Thresholds(2.0) as aggregate queries 1..3; a
+/// restoring one takes its queries from the checkpoint. `max_batch` 1
+/// evaluates the queries after every tuple, so two engines fed the same
+/// tuples raise the same alerts however their workers were scheduled.
+std::unique_ptr<IngestEngine> MakeEngine(
+    std::size_t streams, std::size_t shards,
+    const std::string& restore_dir = {},
+    std::size_t max_batch = EngineConfig().max_batch) {
   EngineConfig econfig;
   econfig.num_shards = shards;
+  econfig.max_batch = max_batch;
   Result<std::unique_ptr<IngestEngine>> engine = IngestEngine::Create(
-      StreamConfig(), Thresholds(2.0), streams, econfig, restore_dir);
+      StreamConfig(),
+      restore_dir.empty() ? Thresholds(2.0) : std::vector<WindowThreshold>{},
+      streams, econfig, restore_dir);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return engine.ok() ? std::move(engine).value() : nullptr;
 }
@@ -83,37 +95,36 @@ std::vector<BurstySource> Sources(std::size_t streams, std::uint64_t seed) {
 }
 
 /// Every externally observable monitoring answer of the two engines must
-/// agree exactly.
+/// agree exactly: append counts, the registered queries, and which
+/// streams each aggregate query finds alarming.
 void ExpectSameAnswers(const IngestEngine& a, const IngestEngine& b) {
   ASSERT_EQ(a.num_streams(), b.num_streams());
-  ASSERT_EQ(a.num_windows(), b.num_windows());
   for (StreamId s = 0; s < a.num_streams(); ++s) {
-    const AlarmStats want = a.StreamTotal(s);
-    const AlarmStats got = b.StreamTotal(s);
-    EXPECT_EQ(got.candidates, want.candidates) << "stream " << s;
-    EXPECT_EQ(got.true_alarms, want.true_alarms) << "stream " << s;
-    EXPECT_EQ(got.checks, want.checks) << "stream " << s;
     EXPECT_EQ(b.StreamAppendCount(s), a.StreamAppendCount(s))
         << "stream " << s;
   }
-  for (std::size_t w = 0; w < a.num_windows(); ++w) {
-    auto want = a.CurrentlyAlarming(w);
-    auto got = b.CurrentlyAlarming(w);
-    ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), want.value()) << "window " << w;
+  ASSERT_EQ(b.queries().size(), a.queries().size());
+  const auto snapshot = a.queries().snapshot();
+  ASSERT_FALSE(snapshot->aggregate.empty());
+  for (const auto& q : snapshot->aggregate) {
+    auto want = a.CurrentlyAlarming(q->id);
+    auto got = b.CurrentlyAlarming(q->id);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), want.value()) << "query " << q->id;
   }
 }
 
 TEST(CheckpointManifestTest, FileNamesEncodeShardAndSeq) {
-  EXPECT_EQ(CheckpointShardFileName(0, 1), "shard-0-ck1.snap");
-  EXPECT_EQ(CheckpointShardFileName(3, 12), "shard-3-ck12.snap");
+  EXPECT_EQ(CheckpointFeaturesFileName(0, 1), "features-0-ck1.feat");
+  EXPECT_EQ(CheckpointEdgesFileName(3, 12), "edges-3-ck12.edge");
   EXPECT_EQ(CheckpointManifestFileName(7), "manifest-7.ck");
   EXPECT_EQ(CheckpointQueriesFileName(5), "queries-ck5.qry");
 }
 
-/// A manifest with every entry a real checkpoint carries: per shard a
-/// shard, feature and edge entry, plus the queries and placement files.
+/// A manifest with every entry a real checkpoint carries: per shard the
+/// progress stamps, a feature and an edge entry, plus the queries and
+/// placement files.
 CheckpointManifest CompleteManifest(std::uint64_t seq,
                                     std::size_t num_shards) {
   CheckpointManifest manifest;
@@ -121,7 +132,7 @@ CheckpointManifest CompleteManifest(std::uint64_t seq,
   manifest.num_streams = 2 * num_shards;
   manifest.num_shards = num_shards;
   for (std::size_t i = 0; i < num_shards; ++i) {
-    manifest.shards.push_back({CheckpointShardFileName(i, seq), 1, 1, 1});
+    manifest.shards.push_back({1, 1});
     manifest.features.push_back({CheckpointFeaturesFileName(i, seq), 2});
     manifest.edges.push_back({CheckpointEdgesFileName(i, seq), 3});
   }
@@ -153,8 +164,7 @@ TEST(CheckpointManifestTest, RoundTrip) {
   manifest.max_producers = 8;
   manifest.max_batch = 256;
   manifest.overload = 1;
-  manifest.shards = {{"shard-0-ck42.snap", 10, 300, 0xdeadbeefULL},
-                     {"shard-1-ck42.snap", 11, 301, 0xfeedfaceULL}};
+  manifest.shards = {{10, 300}, {11, 301}};
   Result<CheckpointManifest> parsed =
       ParseManifest(SerializeManifest(manifest));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -167,11 +177,10 @@ TEST(CheckpointManifestTest, RoundTrip) {
   EXPECT_EQ(got.max_batch, 256u);
   EXPECT_EQ(got.overload, 1);
   ASSERT_EQ(got.shards.size(), 2u);
-  EXPECT_EQ(got.shards[0].file, "shard-0-ck42.snap");
   EXPECT_EQ(got.shards[0].epoch, 10u);
   EXPECT_EQ(got.shards[0].appended, 300u);
-  EXPECT_EQ(got.shards[0].checksum, 0xdeadbeefULL);
-  EXPECT_EQ(got.shards[1].file, "shard-1-ck42.snap");
+  EXPECT_EQ(got.shards[1].epoch, 11u);
+  EXPECT_EQ(got.shards[1].appended, 301u);
 }
 
 TEST(CheckpointManifestTest, RejectsCorruption) {
@@ -192,7 +201,7 @@ TEST(CheckpointManifestTest, RejectsCorruption) {
 
 TEST(CheckpointManifestTest, RejectsEscapingFileNames) {
   CheckpointManifest manifest = CompleteManifest(1, 1);
-  manifest.shards[0].file = "../../etc/passwd";
+  manifest.features[0].file = "../../etc/passwd";
   EXPECT_FALSE(ParseManifest(SerializeManifest(manifest)).ok());
 }
 
@@ -206,12 +215,19 @@ TEST(CheckpointRestoreTest, RoundTripPreservesEveryAnswer) {
   EXPECT_EQ(engine->metrics().checkpoints.load(), 1u);
   EXPECT_EQ(engine->last_checkpoint_seq(), 1u);
 
+  // The pipeline snapshot carries the raw tails: no per-shard fleet
+  // file is written.
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().filename().string().rfind("shard-", 0), 0u)
+        << entry.path();
+  }
+
   auto restored = MakeEngine(6, 2, dir);
   ASSERT_NE(restored, nullptr);
   ExpectSameAnswers(*engine, *restored);
   // Epoch stamps continue the pre-crash lineage, not a fresh count.
   std::vector<ShardStamp> stamps;
-  restored->FleetTotal(&stamps);
+  ASSERT_TRUE(restored->CurrentlyAlarming(1, &stamps).ok());
   std::uint64_t appended = 0;
   for (const ShardStamp& stamp : stamps) appended += stamp.appended;
   EXPECT_EQ(appended, 6u * 1200u);
@@ -219,11 +235,11 @@ TEST(CheckpointRestoreTest, RoundTripPreservesEveryAnswer) {
 }
 
 // The acceptance property: restore + identical tail == uninterrupted run,
-// down to every alarm counter and alarming-stream list.
+// down to every append count, alarming-stream list, and continued alert.
 TEST(CheckpointRestoreTest, RestoredEngineContinuesBitExact) {
   const std::string dir = FreshDir("ck_continue");
-  auto uninterrupted = MakeEngine(6, 3);
-  auto crashing = MakeEngine(6, 3);
+  auto uninterrupted = MakeEngine(6, 3, {}, 1);
+  auto crashing = MakeEngine(6, 3, {}, 1);
   ASSERT_NE(uninterrupted, nullptr);
   ASSERT_NE(crashing, nullptr);
 
@@ -235,14 +251,55 @@ TEST(CheckpointRestoreTest, RestoredEngineContinuesBitExact) {
   // "Crash": drop the engine without any further persistence.
   crashing.reset();
 
-  auto restored = MakeEngine(6, 3, dir);
+  auto restored = MakeEngine(6, 3, dir, 1);
   ASSERT_NE(restored, nullptr);
   // Replay the tail into both; the tail values continue the same
   // deterministic per-stream sequences.
+  AlertLog uninterrupted_alerts(uninterrupted.get());
+  AlertLog restored_alerts(restored.get());
   auto tail_a = sources_a;
   Feed(uninterrupted.get(), &sources_a, 700);
   Feed(restored.get(), &tail_a, 700);
   ExpectSameAnswers(*uninterrupted, *restored);
+  const auto want = uninterrupted_alerts.Sorted();
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(restored_alerts.Sorted(), want);
+}
+
+// Trackers are rebuilt from the restored raw tails: an aggregate query on
+// a new window, registered after a restore, answers on its first batch
+// instead of warming up for a window.
+TEST(CheckpointRestoreTest, QueryRegisteredAfterRestoreIsReadyOnFirstBatch) {
+  const std::string dir = FreshDir("ck_backfill");
+  auto engine = MakeEngine(4, 2);
+  ASSERT_NE(engine, nullptr);
+  auto sources = Sources(4, 1300);
+  Feed(engine.get(), &sources, 300);
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+  engine.reset();
+
+  auto restored = MakeEngine(4, 2, dir);
+  ASSERT_NE(restored, nullptr);
+  AlertLog log(restored.get());
+  // Event counts are non-negative, so every full 30-value SUM alarms.
+  Result<QueryId> id = restored->RegisterQuery(QuerySpec::Aggregate(30, 0.0));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  Feed(restored.get(), &sources, 1);
+  const std::vector<AlertLog::Key> alerts = log.Sorted(id.value());
+  ASSERT_EQ(alerts.size(), 4u);
+  auto replay = Sources(4, 1300);
+  for (StreamId s = 0; s < 4; ++s) {
+    EXPECT_EQ(std::get<1>(alerts[s]), s);
+    EXPECT_EQ(std::get<2>(alerts[s]), 300u) << "stream " << s;
+    // The backfilled window holds the checkpointed values, not zeros.
+    const std::vector<double> values = replay[s].Take(301);
+    EXPECT_EQ(std::get<3>(alerts[s]),
+              std::accumulate(values.end() - 30, values.end(), 0.0))
+        << "stream " << s;
+  }
+  auto alarming = restored->CurrentlyAlarming(id.value());
+  ASSERT_TRUE(alarming.ok());
+  EXPECT_EQ(alarming.value(), (std::vector<StreamId>{0, 1, 2, 3}));
 }
 
 TEST(CheckpointRestoreTest, ValidatesShape) {
@@ -265,27 +322,46 @@ TEST(CheckpointRestoreTest, ValidatesShape) {
   EXPECT_FALSE(IngestEngine::Create(StreamConfig(), Thresholds(2.0), 6,
                                     three_shards, dir)
                    .ok());
-  // Wrong thresholds.
-  EXPECT_FALSE(IngestEngine::Create(StreamConfig(), Thresholds(4.0), 6,
-                                    two_shards, dir)
-                   .ok());
-  // Matching shape restores fine.
-  EXPECT_TRUE(IngestEngine::Create(StreamConfig(), Thresholds(2.0), 6,
-                                   two_shards, dir)
-                  .ok());
+  // Non-empty thresholds on restore are rejected: the queries come from
+  // the checkpoint.
+  const Result<std::unique_ptr<IngestEngine>> with_thresholds =
+      IngestEngine::Create(StreamConfig(), Thresholds(2.0), 6, two_shards,
+                           dir);
+  ASSERT_FALSE(with_thresholds.ok());
+  EXPECT_EQ(with_thresholds.status().code(), StatusCode::kInvalidArgument);
+  // A raw-tail history other than the checkpointed one.
+  StardustConfig longer_history = StreamConfig();
+  longer_history.history = 400;
+  EXPECT_FALSE(
+      IngestEngine::Create(longer_history, {}, 6, two_shards, dir).ok());
+  // Another aggregate kind: the restored queries would silently evaluate
+  // MAX over a state checkpointed under SUM.
+  StardustConfig max_kind = StreamConfig();
+  max_kind.aggregate = AggregateKind::kMax;
+  const Result<std::unique_ptr<IngestEngine>> other_kind =
+      IngestEngine::Create(max_kind, {}, 6, two_shards, dir);
+  ASSERT_FALSE(other_kind.ok());
+  EXPECT_EQ(other_kind.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(other_kind.status().message().find("aggregate kind"),
+            std::string::npos)
+      << other_kind.status().ToString();
+  // Matching shape restores fine, with the checkpointed queries.
+  auto restored =
+      IngestEngine::Create(StreamConfig(), {}, 6, two_shards, dir);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value()->queries().size(), Thresholds(2.0).size());
 }
 
 TEST(CheckpointRestoreTest, EmptyOrMissingDirectoryIsNotFound) {
   EngineConfig econfig;
   econfig.num_shards = 2;
   const std::string empty = FreshDir("ck_empty");
-  Result<std::unique_ptr<IngestEngine>> from_empty = IngestEngine::Create(
-      StreamConfig(), Thresholds(2.0), 4, econfig, empty);
+  Result<std::unique_ptr<IngestEngine>> from_empty =
+      IngestEngine::Create(StreamConfig(), {}, 4, econfig, empty);
   ASSERT_FALSE(from_empty.ok());
   EXPECT_EQ(from_empty.status().code(), StatusCode::kNotFound);
   Result<std::unique_ptr<IngestEngine>> from_missing = IngestEngine::Create(
-      StreamConfig(), Thresholds(2.0), 4, econfig,
-      empty + "/does-not-exist");
+      StreamConfig(), {}, 4, econfig, empty + "/does-not-exist");
   ASSERT_FALSE(from_missing.ok());
   EXPECT_EQ(from_missing.status().code(), StatusCode::kNotFound);
 }
@@ -354,8 +430,8 @@ TEST(CheckpointCrashTest, CrashOnManifestWriteOnlyFallsBack) {
   SetAtomicFileHookForTest(nullptr);
   ASSERT_FALSE(crashed.ok());
 
-  // The orphaned shard-ck2 files exist but no manifest commits them.
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "shard-0-ck2.snap"));
+  // The orphaned ck2 files exist but no manifest commits them.
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "features-0-ck2.feat"));
   EXPECT_FALSE(fs::exists(fs::path(dir) / "manifest-2.ck"));
   auto recovered = MakeEngine(4, 2, dir);
   ASSERT_NE(recovered, nullptr);
@@ -369,13 +445,13 @@ TEST(CheckpointCrashTest, CrashOnManifestWriteOnlyFallsBack) {
 TEST(CheckpointCrashTest, CorruptNewestCheckpointFallsBack) {
   const auto corruptions =
       std::vector<std::function<void(const std::string&)>>{
-          // Truncate a shard file of checkpoint 2.
+          // Truncate a feature file of checkpoint 2.
           [](const std::string& dir) {
-            fs::resize_file(fs::path(dir) / "shard-0-ck2.snap", 10);
+            fs::resize_file(fs::path(dir) / "features-0-ck2.feat", 10);
           },
-          // Flip one byte in the middle of a shard file.
+          // Flip one byte in the middle of a feature file.
           [](const std::string& dir) {
-            const fs::path path = fs::path(dir) / "shard-1-ck2.snap";
+            const fs::path path = fs::path(dir) / "features-1-ck2.feat";
             std::fstream f(path,
                            std::ios::in | std::ios::out | std::ios::binary);
             f.seekg(0, std::ios::end);
@@ -388,9 +464,9 @@ TEST(CheckpointCrashTest, CorruptNewestCheckpointFallsBack) {
             f.seekp(mid);
             f.write(&c, 1);
           },
-          // Delete a shard file outright.
+          // Delete an edge file outright.
           [](const std::string& dir) {
-            fs::remove(fs::path(dir) / "shard-0-ck2.snap");
+            fs::remove(fs::path(dir) / "edges-0-ck2.edge");
           },
           // Truncate the manifest itself.
           [](const std::string& dir) {
@@ -421,19 +497,22 @@ TEST(CheckpointCrashTest, CorruptNewestCheckpointFallsBack) {
 }
 
 // The query-registry file is covered by the same checksum discipline as
-// the shard files: corrupting it invalidates the whole checkpoint and
+// the per-shard files: corrupting it invalidates the whole checkpoint and
 // recovery falls back to the previous one.
 TEST(CheckpointCrashTest, CorruptQueriesFileFallsBack) {
   const std::string dir = FreshDir("ck_corrupt_queries");
   auto engine = MakeEngine(4, 2);
   ASSERT_NE(engine, nullptr);
   ASSERT_TRUE(engine->RegisterQuery(QuerySpec::Aggregate(10, 5.0)).ok());
+  // The three threshold queries plus the one above.
+  const std::size_t registered = Thresholds(2.0).size() + 1;
+  ASSERT_EQ(engine->queries().size(), registered);
   auto sources = Sources(4, 4800);
   Feed(engine.get(), &sources, 500);
   ASSERT_TRUE(engine->Checkpoint(dir).ok());
   auto reference = MakeEngine(4, 2, dir);
   ASSERT_NE(reference, nullptr);
-  EXPECT_EQ(reference->queries().size(), 1u);
+  EXPECT_EQ(reference->queries().size(), registered);
   Feed(engine.get(), &sources, 400);
   ASSERT_TRUE(engine->Checkpoint(dir).ok());
 
@@ -453,7 +532,7 @@ TEST(CheckpointCrashTest, CorruptQueriesFileFallsBack) {
   EXPECT_EQ(found.value().seq, 1u);
   auto recovered = MakeEngine(4, 2, dir);
   ASSERT_NE(recovered, nullptr);
-  EXPECT_EQ(recovered->queries().size(), 1u);
+  EXPECT_EQ(recovered->queries().size(), registered);
   ExpectSameAnswers(*reference, *recovered);
 }
 
@@ -506,7 +585,7 @@ TEST(CheckpointGcTest, KeepsCurrentAndPreviousDropsOlderAndTmp) {
   ASSERT_NE(engine, nullptr);
   auto sources = Sources(2, 4500);
   // A stray tmp file from a hypothetical interrupted writer.
-  { std::ofstream(dir + "/shard-0-ck9.snap.tmp") << "partial"; }
+  { std::ofstream(dir + "/features-0-ck9.feat.tmp") << "partial"; }
   Feed(engine.get(), &sources, 200);
   ASSERT_TRUE(engine->Checkpoint(dir).ok());
   Feed(engine.get(), &sources, 200);
@@ -515,9 +594,9 @@ TEST(CheckpointGcTest, KeepsCurrentAndPreviousDropsOlderAndTmp) {
   ASSERT_TRUE(engine->Checkpoint(dir).ok());
 
   // Checkpoints 2 and 3 survive; 1 and the tmp leftover are gone.
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "shard-0-ck9.snap.tmp"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "features-0-ck9.feat.tmp"));
   EXPECT_FALSE(fs::exists(fs::path(dir) / "manifest-1.ck"));
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "shard-0-ck1.snap"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "features-0-ck1.feat"));
   EXPECT_FALSE(fs::exists(fs::path(dir) / "queries-ck1.qry"));
   EXPECT_TRUE(fs::exists(fs::path(dir) / "manifest-2.ck"));
   EXPECT_TRUE(fs::exists(fs::path(dir) / "manifest-3.ck"));

@@ -50,10 +50,6 @@ StardustConfig FleetConfig() {
   return config;
 }
 
-std::vector<WindowThreshold> QuietThresholds() {
-  return {{10, 1e9}, {20, 1e9}};
-}
-
 // Batch z-normalized DWT correlation core (T == W, c == 1): levels 0 and
 // 1 monitor windows 8 and 16 at aligned times every 8 values.
 StardustConfig CorrelationCore(std::size_t history) {
@@ -132,7 +128,7 @@ std::multiset<AlertKey> RunGoldenWorkload(std::size_t shards,
   constexpr std::size_t kPhases = 6;
   constexpr std::uint64_t kStepsPerPhase = 32;
   auto engine = std::move(IngestEngine::Create(
-                              FleetConfig(), QuietThresholds(), kStreams,
+                              FleetConfig(), {}, kStreams,
                               CorrelatorEngineConfig(shards, kind)))
                     .value();
   auto ring = std::make_shared<RingSink>();
@@ -205,7 +201,7 @@ TEST(CorrelatorStressTest, ChurnConservesAlertsAcrossShardCounts) {
   bool have_reference = false;
   for (const std::size_t shards : {1u, 2u, 4u}) {
     auto engine = std::move(IngestEngine::Create(
-                                FleetConfig(), QuietThresholds(), kStreams,
+                                FleetConfig(), {}, kStreams,
                                 CorrelatorEngineConfig(
                                     shards, CorrelationIndexKind::kGrid)))
                       .value();
@@ -292,7 +288,7 @@ TEST(CorrelatorFaultTest, FailedLevelGroupRetriesWithoutLosingAlerts) {
     return level == 0 && fail_level0.load();
   };
   auto engine = std::move(IngestEngine::Create(FleetConfig(),
-                                               QuietThresholds(), kStreams,
+                                               {}, kStreams,
                                                econfig))
                     .value();
   auto ring = std::make_shared<RingSink>();
@@ -357,7 +353,7 @@ TEST(CorrelatorExpireTest, ExpiredPairReAlertsWhenItRecorrelates) {
   // stream that raced ahead cannot serve old round times from cache.
   econfig.store_capacity = 1;
   auto engine = std::move(IngestEngine::Create(FleetConfig(),
-                                               QuietThresholds(), kStreams,
+                                               {}, kStreams,
                                                econfig))
                     .value();
   auto ring = std::make_shared<RingSink>();
@@ -412,7 +408,7 @@ TEST(CorrelatorMetricsTest, RoundsCountOncePerInvocationAcrossLevels) {
   constexpr std::size_t kStreams = 2;
   auto engine =
       std::move(IngestEngine::Create(
-                    FleetConfig(), QuietThresholds(), kStreams,
+                    FleetConfig(), {}, kStreams,
                     CorrelatorEngineConfig(1, CorrelationIndexKind::kGrid)))
           .value();
   auto ring = std::make_shared<RingSink>();

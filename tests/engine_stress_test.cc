@@ -179,12 +179,12 @@ TEST(EngineStressTest, ConcurrentReadersSeeMonotonicEpochs) {
     std::vector<std::uint64_t> last_epoch(engine->num_shards(), 0);
     std::vector<ShardStamp> stamps;
     while (!stop_readers.load(std::memory_order_acquire)) {
-      engine->FleetTotal(&stamps);
+      // Query 1 is Thresholds()'s first window.
+      if (!engine->CurrentlyAlarming(1, &stamps).ok()) monotonic.store(false);
       for (const ShardStamp& stamp : stamps) {
         if (stamp.epoch < last_epoch[stamp.shard]) monotonic.store(false);
         last_epoch[stamp.shard] = stamp.epoch;
       }
-      (void)engine->CurrentlyAlarming(0);
       (void)engine->MetricsJson();
     }
   });

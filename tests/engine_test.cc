@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "alert_log.h"
 #include "core/fleet_monitor.h"
 #include "engine/feature_pipeline.h"
 #include "engine/metrics.h"
@@ -39,31 +45,69 @@ std::vector<WindowThreshold> Thresholds(double lambda) {
 TEST(IngestEngineTest, CreateValidation) {
   EXPECT_FALSE(
       IngestEngine::Create(StreamConfig(), Thresholds(2.0), 0).ok());
-  EXPECT_FALSE(IngestEngine::Create(StreamConfig(), {}, 4).ok());
   EngineConfig bad;
   bad.num_shards = 0;
   EXPECT_FALSE(
       IngestEngine::Create(StreamConfig(), Thresholds(2.0), 4, bad).ok());
+  // The aggregate path keeps AggregateMonitor's requirements.
+  StardustConfig invalid = StreamConfig();
+  invalid.base_window = 0;
+  EXPECT_FALSE(IngestEngine::Create(invalid, {}, 4).ok());
+  StardustConfig dwt = StreamConfig();
+  dwt.transform = TransformKind::kDwt;
+  dwt.base_window = 16;
+  EXPECT_FALSE(IngestEngine::Create(dwt, {}, 4).ok());
+  StardustConfig batch = StreamConfig();
+  batch.update_period = 10;
+  batch.box_capacity = 1;
+  EXPECT_FALSE(IngestEngine::Create(batch, {}, 4).ok());
+  StardustConfig dyadic = StreamConfig();
+  dyadic.update_schedule = UpdateSchedule::kDyadic;
+  dyadic.box_capacity = 1;
+  EXPECT_FALSE(IngestEngine::Create(dyadic, {}, 4).ok());
+  // Threshold windows: not a multiple of the base window, beyond the
+  // levels (10 * 16 > 10 * (2^4 - 1)), beyond the history.
+  EXPECT_FALSE(IngestEngine::Create(StreamConfig(), {{15, 1.0}}, 4).ok());
+  EXPECT_FALSE(IngestEngine::Create(StreamConfig(), {{160, 1.0}}, 4).ok());
+  StardustConfig short_history = StreamConfig();
+  short_history.history = 100;
+  EXPECT_FALSE(IngestEngine::Create(short_history, {{120, 1.0}}, 4).ok());
+  // No thresholds is a plain engine: alerts come from registered queries.
+  auto plain = IngestEngine::Create(StreamConfig(), {}, 4);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain.value()->queries().size(), 0u);
   EXPECT_TRUE(
       IngestEngine::Create(StreamConfig(), Thresholds(2.0), 4).ok());
 }
 
-TEST(IngestEngineTest, ShardCountIsCappedAtStreamCount) {
+// Create's thresholds are sugar: each becomes, in order, an aggregate
+// query with the next id.
+TEST(IngestEngineTest, ThresholdsRegisterAggregateQueriesInOrder) {
   EngineConfig config;
   config.num_shards = 8;
-  auto engine = std::move(IngestEngine::Create(StreamConfig(),
-                                               Thresholds(2.0), 3, config))
+  const auto thresholds = Thresholds(2.0);
+  auto engine = std::move(
+                    IngestEngine::Create(StreamConfig(), thresholds, 3, config))
                     .value();
   EXPECT_EQ(engine->num_shards(), 3u);
   EXPECT_EQ(engine->num_streams(), 3u);
-  EXPECT_EQ(engine->num_windows(), 3u);
+  const auto snapshot = engine->queries().snapshot();
+  ASSERT_EQ(snapshot->size(), thresholds.size());
+  ASSERT_EQ(snapshot->aggregate.size(), thresholds.size());
+  for (std::size_t w = 0; w < thresholds.size(); ++w) {
+    const auto& q = snapshot->aggregate[w];
+    EXPECT_EQ(q->id, w + 1);
+    EXPECT_EQ(q->spec.window, thresholds[w].window);
+    EXPECT_EQ(q->spec.threshold, thresholds[w].threshold);
+  }
+  // An id that names no aggregate or sketch query is rejected.
+  EXPECT_FALSE(engine->CurrentlyAlarming(thresholds.size() + 1).ok());
 }
 
-// Regression for the shape accessors: num_windows() indexes shards_[0]
-// and ShardOf() takes stream modulo the shard count, both of which were
-// undefined on an (hypothetically) shardless engine. They are now guarded
-// with SD_CHECK/SD_DCHECK; this pins the behavior on the smallest engine
-// Create can produce.
+// Regression for the shape accessors: ShardOf() takes stream modulo the
+// shard count, which was undefined on an (hypothetically) shardless
+// engine. It is now guarded with SD_DCHECK; this pins the behavior on
+// the smallest engine Create can produce.
 TEST(IngestEngineTest, MinimalEngineShapeAccessorsAreSafe) {
   EngineConfig config;
   config.num_shards = 1;
@@ -72,103 +116,171 @@ TEST(IngestEngineTest, MinimalEngineShapeAccessorsAreSafe) {
                     .value();
   EXPECT_EQ(engine->num_shards(), 1u);
   EXPECT_EQ(engine->num_streams(), 1u);
-  EXPECT_EQ(engine->num_windows(), 3u);
   EXPECT_EQ(engine->ShardOf(0), 0u);
   ASSERT_TRUE(engine->Stop().ok());
 }
 
-// The core acceptance property: a 1-shard engine fed by one producer is
-// bit-for-bit the same computation as a direct FleetAggregateMonitor
-// replay of the same sequence.
-TEST(IngestEngineTest, SingleShardMatchesDirectReplay) {
-  const std::size_t streams = 4;
-  const auto thresholds = Thresholds(2.0);
-  auto direct = std::move(FleetAggregateMonitor::Create(
-                              StreamConfig(), thresholds, streams))
-                    .value();
-  EngineConfig econfig;
-  econfig.num_shards = 1;
-  econfig.queue_capacity = 64;
-  auto engine = std::move(IngestEngine::Create(StreamConfig(), thresholds,
-                                               streams, econfig))
-                    .value();
-
-  std::vector<std::unique_ptr<BurstySource>> sources;
-  for (std::uint64_t i = 0; i < streams; ++i) {
-    sources.push_back(std::make_unique<BurstySource>(300 + i));
-  }
-  for (int t = 0; t < 2000; ++t) {
-    for (StreamId s = 0; s < streams; ++s) {
-      const double v = sources[s]->Next();
-      ASSERT_TRUE(direct->Append(s, v).ok());
-      ASSERT_TRUE(engine->Post(s, v).ok());
+/// Per-tuple reference for Create's threshold queries (ids 1, 2, ...):
+/// the exact rolling SUM of every window, recomputed from the raw values
+/// after each arrival, alerting on each rising edge of `sum >= threshold`.
+/// The BurstySource values are event counts, so the sums are exact.
+std::vector<AlertLog::Key> RollingSumAlerts(
+    const std::vector<std::vector<double>>& values,
+    const std::vector<WindowThreshold>& thresholds) {
+  std::vector<AlertLog::Key> keys;
+  for (StreamId s = 0; s < values.size(); ++s) {
+    for (std::size_t w = 0; w < thresholds.size(); ++w) {
+      const std::size_t window = thresholds[w].window;
+      bool alarming = false;
+      for (std::size_t t = window - 1; t < values[s].size(); ++t) {
+        double sum = 0.0;
+        for (std::size_t k = t + 1 - window; k <= t; ++k) sum += values[s][k];
+        const bool alarm = sum >= thresholds[w].threshold;
+        if (alarm && !alarming) keys.emplace_back(w + 1, s, t, sum);
+        alarming = alarm;
+      }
     }
   }
-  ASSERT_TRUE(engine->Flush().ok());
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
 
-  for (StreamId s = 0; s < streams; ++s) {
-    const AlarmStats want = direct->StreamTotal(s);
-    const AlarmStats got = engine->StreamTotal(s);
-    EXPECT_EQ(got.candidates, want.candidates) << "stream " << s;
-    EXPECT_EQ(got.true_alarms, want.true_alarms) << "stream " << s;
-    EXPECT_EQ(got.checks, want.checks) << "stream " << s;
-    EXPECT_EQ(engine->StreamAppendCount(s), 2000u);
+/// `engine` answers every threshold query like `direct`: the same append
+/// count per stream and the same CurrentlyAlarming set per window.
+void ExpectSameAsDirect(const IngestEngine& engine,
+                        const FleetAggregateMonitor& direct,
+                        std::size_t num_windows, std::uint64_t ticks) {
+  for (StreamId s = 0; s < engine.num_streams(); ++s) {
+    EXPECT_EQ(engine.StreamAppendCount(s), ticks) << "stream " << s;
   }
-  const AlarmStats want_total = direct->FleetTotal();
-  std::vector<ShardStamp> stamps;
-  const AlarmStats got_total = engine->FleetTotal(&stamps);
-  EXPECT_EQ(got_total.candidates, want_total.candidates);
-  EXPECT_EQ(got_total.true_alarms, want_total.true_alarms);
-  EXPECT_EQ(got_total.checks, want_total.checks);
-  ASSERT_EQ(stamps.size(), 1u);
-  EXPECT_EQ(stamps[0].appended, 2000u * streams);
-
-  for (std::size_t w = 0; w < engine->num_windows(); ++w) {
-    auto want_alarming = direct->CurrentlyAlarming(w);
-    auto got_alarming = engine->CurrentlyAlarming(w);
+  for (std::size_t w = 0; w < num_windows; ++w) {
+    auto want_alarming = direct.CurrentlyAlarming(w);
+    auto got_alarming = engine.CurrentlyAlarming(w + 1);
     ASSERT_TRUE(want_alarming.ok());
-    ASSERT_TRUE(got_alarming.ok());
+    ASSERT_TRUE(got_alarming.ok()) << got_alarming.status().ToString();
     EXPECT_EQ(got_alarming.value(), want_alarming.value()) << "window " << w;
   }
 }
 
-// Sharded and unsharded runs agree too: per-stream monitors are
-// independent, so the partitioning must not change any per-stream result.
-TEST(IngestEngineTest, ShardedMatchesDirectReplayPerStream) {
-  const std::size_t streams = 6;
-  const auto thresholds = Thresholds(2.0);
+/// Creates two engines over `thresholds` and feeds each `ticks`
+/// synchronized arrivals of every stream, the same tuples a direct
+/// FleetAggregateMonitor gets. The batched engine is flushed once at the
+/// end, so its shards apply long runs through the span path (raw tail,
+/// trackers, AppendRun); the per-tuple engine is flushed after every
+/// tick, so each stream is evaluated after each of its tuples. Both must
+/// end in the direct Algorithm-2 answer, and the per-tuple engine's
+/// alerts must equal the rolling-sum reference. Returns the batched
+/// engine.
+std::unique_ptr<IngestEngine> ExpectMatchesDirectReplay(
+    std::size_t streams, const std::vector<WindowThreshold>& thresholds,
+    const EngineConfig& econfig, int ticks,
+    const std::function<double(StreamId)>& next) {
   auto direct = std::move(FleetAggregateMonitor::Create(
                               StreamConfig(), thresholds, streams))
                     .value();
+  auto batched = std::move(IngestEngine::Create(StreamConfig(), thresholds,
+                                                streams, econfig))
+                     .value();
+  auto per_tuple = std::move(IngestEngine::Create(StreamConfig(), thresholds,
+                                                  streams, econfig))
+                       .value();
+  AlertLog log(per_tuple.get());
+  std::vector<std::vector<double>> values(streams);
+  for (int t = 0; t < ticks; ++t) {
+    for (StreamId s = 0; s < streams; ++s) {
+      const double v = next(s);
+      values[s].push_back(v);
+      EXPECT_TRUE(direct->Append(s, v).ok());
+      EXPECT_TRUE(batched->Post(s, v).ok());
+      EXPECT_TRUE(per_tuple->Post(s, v).ok());
+    }
+    EXPECT_TRUE(per_tuple->Flush().ok());
+  }
+  EXPECT_TRUE(batched->Flush().ok());
+  const auto count = static_cast<std::uint64_t>(ticks);
+  ExpectSameAsDirect(*batched, *direct, thresholds.size(), count);
+  ExpectSameAsDirect(*per_tuple, *direct, thresholds.size(), count);
+  const std::vector<AlertLog::Key> want = RollingSumAlerts(values, thresholds);
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(log.Sorted(), want);
+  EXPECT_TRUE(per_tuple->Stop().ok());
+  return batched;
+}
+
+// The core acceptance property: a 1-shard engine fed by one producer
+// answers its threshold queries exactly like a direct Algorithm-2
+// FleetAggregateMonitor replay of the same sequence.
+TEST(IngestEngineTest, SingleShardMatchesDirectReplay) {
+  const std::size_t streams = 4;
+  EngineConfig econfig;
+  econfig.num_shards = 1;
+  econfig.queue_capacity = 64;
+  std::vector<std::unique_ptr<BurstySource>> sources;
+  for (std::uint64_t i = 0; i < streams; ++i) {
+    sources.push_back(std::make_unique<BurstySource>(300 + i));
+  }
+  auto engine = ExpectMatchesDirectReplay(
+      streams, Thresholds(2.0), econfig, 2000,
+      [&sources](StreamId s) { return sources[s]->Next(); });
+  std::vector<ShardStamp> stamps;
+  ASSERT_TRUE(engine->CurrentlyAlarming(1, &stamps).ok());
+  ASSERT_EQ(stamps.size(), 1u);
+  EXPECT_EQ(stamps[0].appended, 2000u * streams);
+  ASSERT_TRUE(engine->Stop().ok());
+}
+
+// Sharded and unsharded runs agree too: streams are independent, so the
+// partitioning must not change any per-stream result.
+TEST(IngestEngineTest, ShardedMatchesDirectReplayPerStream) {
   EngineConfig econfig;
   econfig.num_shards = 3;
-  auto engine = std::move(IngestEngine::Create(StreamConfig(), thresholds,
-                                               streams, econfig))
-                    .value();
-  ASSERT_EQ(engine->num_shards(), 3u);
-
   BurstySource source(77);
-  for (int t = 0; t < 1500; ++t) {
-    for (StreamId s = 0; s < streams; ++s) {
-      const double v = source.Next();
-      ASSERT_TRUE(direct->Append(s, v).ok());
-      ASSERT_TRUE(engine->Post(s, v).ok());
-    }
+  auto engine = ExpectMatchesDirectReplay(
+      6, Thresholds(2.0), econfig, 1500,
+      [&source](StreamId) { return source.Next(); });
+  EXPECT_EQ(engine->num_shards(), 3u);
+  ASSERT_TRUE(engine->Stop().ok());
+}
+
+// A non-finite value is rejected as one append error and leaves no trace
+// in the stream's state: the tuples around it apply as if it was never
+// posted.
+TEST(IngestEngineTest, NonFiniteValuesAreRejectedWithoutTouchingState) {
+  EngineConfig econfig;
+  econfig.num_shards = 1;
+  auto engine = std::move(IngestEngine::Create(StreamConfig(),
+                                               Thresholds(2.0), 2, econfig))
+                    .value();
+  auto clean = std::move(IngestEngine::Create(StreamConfig(),
+                                              Thresholds(2.0), 2, econfig))
+                   .value();
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  std::vector<StreamValue> batch;
+  std::vector<StreamValue> clean_batch;
+  for (int t = 0; t < 120; ++t) {
+    const StreamValue tuple{static_cast<StreamId>(t % 2), 1.0 * t};
+    batch.push_back(tuple);
+    clean_batch.push_back(tuple);
+    // Mid-run, so the batched path must split the run around it.
+    if (t == 40 || t == 41 || t == 90) batch.push_back({0, bad[t % 3]});
   }
-  ASSERT_TRUE(engine->Flush().ok());
-  for (StreamId s = 0; s < streams; ++s) {
-    const AlarmStats want = direct->StreamTotal(s);
-    const AlarmStats got = engine->StreamTotal(s);
-    EXPECT_EQ(got.candidates, want.candidates) << "stream " << s;
-    EXPECT_EQ(got.true_alarms, want.true_alarms) << "stream " << s;
-    EXPECT_EQ(got.checks, want.checks) << "stream " << s;
-  }
-  for (std::size_t w = 0; w < engine->num_windows(); ++w) {
-    auto want_alarming = direct->CurrentlyAlarming(w);
-    auto got_alarming = engine->CurrentlyAlarming(w);
-    ASSERT_TRUE(want_alarming.ok());
-    ASSERT_TRUE(got_alarming.ok());
-    EXPECT_EQ(got_alarming.value(), want_alarming.value()) << "window " << w;
+  ASSERT_TRUE(engine->PostBatch(batch).ok());
+  ASSERT_TRUE(clean->PostBatch(clean_batch).ok());
+  const Status flushed = engine->Flush();
+  EXPECT_EQ(flushed.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(flushed.message(), "stream values must be finite");
+  ASSERT_TRUE(clean->Flush().ok());
+  EXPECT_EQ(engine->metrics().append_errors.load(), 3u);
+  EXPECT_EQ(engine->metrics().appended.load(), 120u);
+  EXPECT_EQ(engine->StreamAppendCount(0), 60u);
+  for (StreamId s = 0; s < 2; ++s) {
+    std::string got;
+    std::string want;
+    ASSERT_TRUE(engine->DebugStreamState(s, &got).ok());
+    ASSERT_TRUE(clean->DebugStreamState(s, &want).ok());
+    EXPECT_EQ(got, want) << "stream " << s;
   }
 }
 
@@ -312,7 +424,7 @@ TEST(IngestEngineTest, EpochStampsAdvanceWithAppliedBatches) {
                                                Thresholds(2.0), 4, econfig))
                     .value();
   std::vector<ShardStamp> before;
-  engine->FleetTotal(&before);
+  ASSERT_TRUE(engine->CurrentlyAlarming(1, &before).ok());
   for (int t = 0; t < 300; ++t) {
     for (StreamId s = 0; s < 4; ++s) {
       ASSERT_TRUE(engine->Post(s, 1.0).ok());
@@ -320,7 +432,7 @@ TEST(IngestEngineTest, EpochStampsAdvanceWithAppliedBatches) {
   }
   ASSERT_TRUE(engine->Flush().ok());
   std::vector<ShardStamp> after;
-  engine->FleetTotal(&after);
+  ASSERT_TRUE(engine->CurrentlyAlarming(1, &after).ok());
   ASSERT_EQ(before.size(), 2u);
   ASSERT_EQ(after.size(), 2u);
   std::uint64_t appended = 0;
@@ -382,15 +494,12 @@ TEST(ShardTest, DrainRotationKeepsSaturatedProducerFromStarvingOthers) {
   config.base_window = 10;
   config.num_levels = 2;
   config.history = 40;
-  auto fleet = std::move(FleetAggregateMonitor::Create(config, {{10, 1e9}},
-                                                       kProducers))
-                   .value();
   auto pipeline =
-      std::make_unique<FeaturePipeline>(nullptr, nullptr, kProducers);
+      std::make_unique<FeaturePipeline>(config, nullptr, nullptr, kProducers);
   EngineMetrics metrics;
   Shard shard(0, 1, kProducers, kQueue, OverloadPolicy::kBlock,
-              /*max_batch=*/16, std::move(fleet), std::move(pipeline),
-              nullptr, nullptr, &metrics);
+              /*max_batch=*/16, std::move(pipeline), nullptr, nullptr,
+              &metrics);
   shard.set_paused(true);
   shard.Start();
   // Fill every ring while the worker is paused (producer p -> stream p).

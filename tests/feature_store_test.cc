@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/serialize.h"
-#include "core/fleet_monitor.h"
 #include "core/stardust.h"
 #include "engine/checkpoint.h"
 #include "engine/engine.h"
@@ -81,10 +80,6 @@ QueryConfig FullQueryConfig() {
   return config;
 }
 
-std::vector<WindowThreshold> FleetThresholds() {
-  return {{10, 1e9}, {20, 1e9}};
-}
-
 std::unique_ptr<Stardust> MakeCore(const StardustConfig& config) {
   auto created = Stardust::Create(config);
   EXPECT_TRUE(created.ok()) << created.status().message();
@@ -132,8 +127,9 @@ TEST(FeatureStoreTest, DeriveStoreCapacityFallsBackOnUnknownInputs) {
 TEST(FeatureStoreTest, StoreCapacityOverrideTakesPrecedence) {
   // An explicit capacity bypasses derivation entirely: the pipeline's
   // store is built with exactly the requested ring size.
-  FeaturePipeline pipeline(nullptr, MakeCore(CorrelationCoreConfig()),
-                           kStreams, /*store_capacity=*/3);
+  FeaturePipeline pipeline(AggregateConfig(), nullptr,
+                           MakeCore(CorrelationCoreConfig()), kStreams,
+                           /*store_capacity=*/3);
   EXPECT_EQ(pipeline.store().capacity(), 3u);
   // And an engine built with the EngineConfig override (instead of
   // cache-geometry derivation) must construct and run cleanly.
@@ -141,8 +137,7 @@ TEST(FeatureStoreTest, StoreCapacityOverrideTakesPrecedence) {
   econfig.num_shards = 1;
   econfig.store_capacity = 3;
   econfig.query = FullQueryConfig();
-  auto engine = std::move(IngestEngine::Create(AggregateConfig(),
-                                               FleetThresholds(),
+  auto engine = std::move(IngestEngine::Create(AggregateConfig(), {},
                                                /*num_streams=*/2, econfig))
                     .value();
   ASSERT_TRUE(engine->Post(0, 1.0).ok());
@@ -292,11 +287,6 @@ TEST(FeatureStoreTest, RestoreRejectsShapeMismatchAndCorruption) {
 class FeaturePipelineSnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto fleet = FleetAggregateMonitor::Create(AggregateConfig(),
-                                               FleetThresholds(), kStreams);
-    ASSERT_TRUE(fleet.ok());
-    fleet_ = std::move(fleet.value());
-
     registry_ = std::make_unique<QueryRegistry>(AggregateConfig(),
                                                 FullQueryConfig());
     ASSERT_TRUE(registry_->Register(QuerySpec::Aggregate(20, 100.0)).ok());
@@ -320,25 +310,23 @@ class FeaturePipelineSnapshotTest : public ::testing::Test {
   std::unique_ptr<FeaturePipeline> MakePipeline(bool with_pattern,
                                                 bool with_corr) {
     return std::make_unique<FeaturePipeline>(
-        with_pattern ? MakeCore(pattern_config_) : nullptr,
+        agg_config_, with_pattern ? MakeCore(pattern_config_) : nullptr,
         with_corr ? MakeCore(corr_config_) : nullptr, kStreams);
   }
 
-  // Drives `steps` synchronized batches through the fleet and pipeline,
-  // mirroring the shard worker's apply loop.
+  // Drives `steps` synchronized batches through the pipeline, mirroring
+  // the shard worker's apply loop.
   void Feed(FeaturePipeline* pipeline, std::uint64_t steps) {
     std::vector<StreamId> touched;
     for (StreamId s = 0; s < kStreams; ++s) touched.push_back(s);
     for (std::uint64_t t = 0; t < steps; ++t) {
       for (StreamId s = 0; s < kStreams; ++s) {
-        ASSERT_TRUE(fleet_->Append(s, ValueAt(s, t)).ok());
         ASSERT_TRUE(pipeline->Append(s, ValueAt(s, t)).ok());
       }
       pipeline->FinishBatch(touched);
     }
   }
 
-  std::unique_ptr<FleetAggregateMonitor> fleet_;
   std::unique_ptr<QueryRegistry> registry_;
   StardustConfig agg_config_;
   StardustConfig pattern_config_;
@@ -348,7 +336,7 @@ class FeaturePipelineSnapshotTest : public ::testing::Test {
 
 TEST_F(FeaturePipelineSnapshotTest, SerializeRestoreRoundTrip) {
   std::unique_ptr<FeaturePipeline> pipeline = MakePipeline(true, true);
-  pipeline->AdoptPlan(*plan_, *fleet_);
+  pipeline->AdoptPlan(*plan_);
   Feed(pipeline.get(), 40);
 
   const FeaturePipeline::Counters counters = pipeline->counters();
@@ -362,8 +350,10 @@ TEST_F(FeaturePipelineSnapshotTest, SerializeRestoreRoundTrip) {
   std::unique_ptr<FeaturePipeline> restored = MakePipeline(true, true);
   ASSERT_TRUE(restored->Restore(bytes).ok());
 
-  // The restored store serves the same views without recomputation.
+  // The restored store serves the same views without recomputation, and
+  // the restored raw tails carry every append count.
   EXPECT_EQ(restored->store().puts(), counters.store_puts);
+  EXPECT_EQ(restored->Serialize(), bytes);
   for (StreamId s = 0; s < kStreams; ++s) {
     std::uint64_t t_a = 0;
     std::uint64_t t_b = 0;
@@ -371,6 +361,7 @@ TEST_F(FeaturePipelineSnapshotTest, SerializeRestoreRoundTrip) {
     ASSERT_TRUE(restored->store().Latest(0, s, &t_b));
     EXPECT_EQ(t_a, t_b);
     EXPECT_EQ(t_a, 39u);
+    EXPECT_EQ(restored->AppendCount(s), 40u);
 
     FeatureStore::View a;
     FeatureStore::View b;
@@ -389,9 +380,9 @@ TEST_F(FeaturePipelineSnapshotTest, SerializeRestoreRoundTrip) {
   }
 
   // Trackers are deliberately not serialized: AdoptPlan on the restored
-  // pipeline rebuilds them from the fleet's raw history and must land on
+  // pipeline rebuilds them from the restored raw tails and must land on
   // the same exact aggregate the live pipeline maintains.
-  restored->AdoptPlan(*plan_, *fleet_);
+  restored->AdoptPlan(*plan_);
   ASSERT_FALSE(plan_->aggregate_windows.empty());
   for (StreamId s = 0; s < kStreams; ++s) {
     ASSERT_TRUE(pipeline->TrackerReady(s, 0));
@@ -405,7 +396,7 @@ TEST_F(FeaturePipelineSnapshotTest, SerializeRestoreRoundTrip) {
 
 TEST_F(FeaturePipelineSnapshotTest, RestoreRejectsCorruptBytes) {
   std::unique_ptr<FeaturePipeline> pipeline = MakePipeline(true, true);
-  pipeline->AdoptPlan(*plan_, *fleet_);
+  pipeline->AdoptPlan(*plan_);
   Feed(pipeline.get(), 16);
   const std::string bytes = pipeline->Serialize();
 
@@ -435,7 +426,7 @@ TEST_F(FeaturePipelineSnapshotTest, RestoreChecksCorePresence) {
   // Bytes carrying a correlation core must not restore into a pipeline
   // without one.
   std::unique_ptr<FeaturePipeline> full = MakePipeline(true, true);
-  full->AdoptPlan(*plan_, *fleet_);
+  full->AdoptPlan(*plan_);
   Feed(full.get(), 16);
   std::unique_ptr<FeaturePipeline> pattern_only = MakePipeline(true, false);
   EXPECT_FALSE(pattern_only->Restore(full->Serialize()).ok());
@@ -447,17 +438,29 @@ TEST_F(FeaturePipelineSnapshotTest, RestoreChecksCorePresence) {
   EXPECT_TRUE(target->Restore(pattern_bytes).ok());
 
   // Stream-count mismatch is structural corruption.
-  FeaturePipeline narrow(nullptr, nullptr, kStreams - 1);
-  FeaturePipeline wide(nullptr, nullptr, kStreams);
+  FeaturePipeline narrow(agg_config_, nullptr, nullptr, kStreams - 1);
+  FeaturePipeline wide(agg_config_, nullptr, nullptr, kStreams);
   EXPECT_FALSE(narrow.Restore(wide.Serialize()).ok());
+}
+
+TEST_F(FeaturePipelineSnapshotTest, RestoreRejectsATailOfAnotherHistory) {
+  std::unique_ptr<FeaturePipeline> pipeline = MakePipeline(false, false);
+  Feed(pipeline.get(), 16);
+  StardustConfig longer = agg_config_;
+  longer.history = 2 * agg_config_.history;
+  FeaturePipeline target(longer, nullptr, nullptr, kStreams);
+  const Status status = target.Restore(pipeline->Serialize());
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("raw tail capacity"), std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(FeaturePipelineSnapshotTest, RestoreRejectsRetiredVersions) {
   std::unique_ptr<FeaturePipeline> pipeline = MakePipeline(true, true);
-  pipeline->AdoptPlan(*plan_, *fleet_);
+  pipeline->AdoptPlan(*plan_);
   Feed(pipeline.get(), 16);
   const std::string bytes = pipeline->Serialize();
-  for (std::uint32_t version : {0u, 1u, 3u}) {
+  for (std::uint32_t version : {0u, 1u, 2u, 4u}) {
     std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
     const Status status = target->Restore(WithVersion(bytes, version));
     ASSERT_FALSE(status.ok()) << "version " << version;
@@ -467,14 +470,14 @@ TEST_F(FeaturePipelineSnapshotTest, RestoreRejectsRetiredVersions) {
         << status.ToString();
   }
   std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
-  EXPECT_TRUE(target->Restore(WithVersion(bytes, 2)).ok());
+  EXPECT_TRUE(target->Restore(WithVersion(bytes, 3)).ok());
 }
 
 // --- Checkpoint manifest -----------------------------------------------
 
-/// A manifest with every entry a real checkpoint carries: per shard a
-/// shard, feature and edge entry, plus the queries and placement files.
-/// The net file is optional and left out.
+/// A manifest with every entry a real checkpoint carries: per shard the
+/// progress stamps, a feature and an edge entry, plus the queries and
+/// placement files. The net file is optional and left out.
 CheckpointManifest BaseManifest() {
   CheckpointManifest manifest;
   manifest.seq = 7;
@@ -485,12 +488,7 @@ CheckpointManifest BaseManifest() {
   manifest.max_batch = 256;
   manifest.overload = 1;
   for (std::size_t i = 0; i < 2; ++i) {
-    CheckpointShardEntry entry;
-    entry.file = CheckpointShardFileName(i, 7);
-    entry.epoch = 10 + i;
-    entry.appended = 100 + i;
-    entry.checksum = 0xabcdef00 + i;
-    manifest.shards.push_back(entry);
+    manifest.shards.push_back({10 + i, 100 + i});
     manifest.features.push_back({CheckpointFeaturesFileName(i, 7), 0x9999 + i});
     manifest.edges.push_back({CheckpointEdgesFileName(i, 7), 0x7770 + i});
   }
@@ -513,10 +511,8 @@ TEST(CheckpointManifestTest, RoundTripCarriesEveryEntry) {
   EXPECT_EQ(m.max_batch, 256u);
   EXPECT_EQ(m.overload, 1u);
   ASSERT_EQ(m.shards.size(), 2u);
-  EXPECT_EQ(m.shards[1].file, CheckpointShardFileName(1, 7));
   EXPECT_EQ(m.shards[1].epoch, 11u);
   EXPECT_EQ(m.shards[1].appended, 101u);
-  EXPECT_EQ(m.shards[1].checksum, 0xabcdef01u);
   EXPECT_EQ(m.queries_file, CheckpointQueriesFileName(7));
   EXPECT_EQ(m.queries_checksum, 0x1234u);
   ASSERT_EQ(m.features.size(), 2u);
@@ -543,7 +539,7 @@ TEST(CheckpointManifestTest, RejectsEntryCountShardMismatch) {
 
 TEST(CheckpointManifestTest, RejectsEscapingFileNames) {
   CheckpointManifest manifest = BaseManifest();
-  manifest.shards[0].file = "../shard-0-ck7.snap";
+  manifest.features[0].file = "../features-0-ck7.feat";
   EXPECT_FALSE(ParseManifest(SerializeManifest(manifest)).ok());
 }
 
@@ -551,8 +547,8 @@ TEST(CheckpointManifestTest, RejectsBadVersionsAndChecksum) {
   const std::string bytes = SerializeManifest(BaseManifest());
   ASSERT_TRUE(ParseManifest(bytes).ok());
 
-  // Versions 1-5 are the retired layouts; 0 and 7+ never existed.
-  for (std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 9u}) {
+  // Versions 1-6 are the retired layouts; 0 and 8+ never existed.
+  for (std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 8u, 9u}) {
     const Result<CheckpointManifest> parsed =
         ParseManifest(WithVersion(bytes, version));
     ASSERT_FALSE(parsed.ok()) << "version " << version;
@@ -579,12 +575,10 @@ TEST(CheckpointManifestTest, RejectsBadVersionsAndChecksum) {
 // SerializeManifest. Any change to the on-disk manifest layout fails
 // here instead of silently orphaning existing checkpoints.
 constexpr const char* kManifestFixtureHex =
-    "53444d4606000000bef4f0177f627d7c07000000000000000400000000000000"
+    "53444d46070000006abd3bebdb3505d407000000000000000400000000000000"
     "0200000000000000000400000000000004000000000000000001000000000000"
-    "010200000000000000100000000000000073686172642d302d636b372e736e61"
-    "700a00000000000000640000000000000000efcdab0000000010000000000000"
-    "0073686172642d312d636b372e736e61700b0000000000000065000000000000"
-    "0001efcdab000000000f00000000000000717565726965732d636b372e717279"
+    "0102000000000000000a0000000000000064000000000000000b000000000000"
+    "0065000000000000000f00000000000000717565726965732d636b372e717279"
     "3412000000000000020000000000000013000000000000006665617475726573"
     "2d302d636b372e66656174999900000000000013000000000000006665617475"
     "7265732d312d636b372e666561749a990000000000000b000000000000006e65"
@@ -595,7 +589,7 @@ constexpr const char* kManifestFixtureHex =
 
 TEST(CheckpointManifestTest, FrozenManifestParsesAndReserializesByteEqual) {
   const std::string bytes = FromHex(kManifestFixtureHex);
-  ASSERT_EQ(bytes.size(), 410u);
+  ASSERT_EQ(bytes.size(), 346u);
   const Result<CheckpointManifest> parsed = ParseManifest(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   CheckpointManifest expected = BaseManifest();

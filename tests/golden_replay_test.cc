@@ -38,7 +38,6 @@
 #include "core/snapshot.h"
 #include "core/stardust.h"
 #include "core/summarizer.h"
-#include "engine/checkpoint.h"
 #include "engine/engine.h"
 #include "geom/mbr.h"
 #include "query/sinks.h"
@@ -220,8 +219,7 @@ TEST(GoldenReplayTest, PlanPathMatchesSeedPathForEveryQueryClass) {
   econfig.num_shards = 1;
   econfig.start_paused = true;
   econfig.query = GoldenQueryConfig();
-  auto engine = std::move(IngestEngine::Create(AggregateConfig(),
-                                               {{10, 1e9}, {20, 1e9}},
+  auto engine = std::move(IngestEngine::Create(AggregateConfig(), {},
                                                kStreams, econfig))
                     .value();
   auto ring = std::make_shared<RingSink>(1 << 16);
@@ -552,18 +550,23 @@ void RunBatchedGoldenReplay(int group, bool stream_major) {
   econfig.num_shards = 1;
   econfig.start_paused = true;
   econfig.query = GoldenQueryConfig();
-  auto engine = std::move(IngestEngine::Create(AggregateConfig(),
-                                               {{10, 1e9}, {20, 1e9}},
+  auto engine = std::move(IngestEngine::Create(AggregateConfig(), {},
                                                kStreams, econfig))
                     .value();
   auto ring = std::make_shared<RingSink>(1 << 16);
   engine->alerts().AddSink(ring);
+  // Per-tuple reference engine: max_batch 1 applies (and evaluates) every
+  // tuple on its own, and it registers the same queries at the same
+  // tuple positions, so its per-stream state is what the batched engine
+  // must reproduce byte for byte.
+  EngineConfig ref_config = econfig;
+  ref_config.start_paused = false;
+  ref_config.max_batch = 1;
+  auto reference = std::move(IngestEngine::Create(AggregateConfig(), {},
+                                                  kStreams, ref_config))
+                       .value();
 
   auto ref_pattern = std::move(Stardust::Create(PatternCoreConfig())).value();
-  auto ref_fleet = std::move(FleetAggregateMonitor::Create(
-                                 AggregateConfig(), {{10, 1e9}, {20, 1e9}},
-                                 kStreams))
-                       .value();
   for (std::size_t s = 0; s < kStreams; ++s) ref_pattern->AddStream();
 
   const double kPatternRadius = 0.05;
@@ -571,6 +574,10 @@ void RunBatchedGoldenReplay(int group, bool stream_major) {
       std::move(engine->RegisterQuery(
                     QuerySpec::Pattern(PatternShape(), kPatternRadius)))
           .value();
+  ASSERT_EQ(std::move(reference->RegisterQuery(
+                          QuerySpec::Pattern(PatternShape(), kPatternRadius)))
+                .value(),
+            pattern_id);
   const std::size_t kAggWindow = 20;
   const double kAggThreshold = 200.0;
   QueryId agg_id = 0;
@@ -590,6 +597,11 @@ void RunBatchedGoldenReplay(int group, bool stream_major) {
       agg_id = std::move(engine->RegisterQuery(
                              QuerySpec::Aggregate(kAggWindow, kAggThreshold)))
                    .value();
+      ASSERT_TRUE(reference->Flush().ok());
+      ASSERT_EQ(std::move(reference->RegisterQuery(QuerySpec::Aggregate(
+                              kAggWindow, kAggThreshold)))
+                    .value(),
+                agg_id);
     }
     // Post the whole group while paused; references see the identical
     // per-stream value sequences regardless of the posting interleaving.
@@ -597,7 +609,7 @@ void RunBatchedGoldenReplay(int group, bool stream_major) {
       const double v = ValueAt(s, t);
       ASSERT_TRUE(engine->Post(s, v).ok());
       ASSERT_TRUE(ref_pattern->Append(s, v).ok());
-      ASSERT_TRUE(ref_fleet->Append(s, v).ok());
+      ASSERT_TRUE(reference->Post(s, v).ok());
       tails[s].push_back(v);
       sums[s] += v;
       if (tails[s].size() > kAggWindow) {
@@ -644,24 +656,20 @@ void RunBatchedGoldenReplay(int group, bool stream_major) {
     }
   }
 
-  // State equivalence: checkpoint the engine and require the restored
-  // shard fleet to serialize byte-identically to the per-value reference
-  // fleet (one shard, so stream order lines up).
-  const std::string dir =
-      std::string(::testing::TempDir()) + "/golden_batched_" +
-      std::to_string(group) + (stream_major ? "_sm" : "_rr");
-  ASSERT_TRUE(engine->Checkpoint(dir).ok());
-  const CheckpointManifest manifest =
-      std::move(FindLatestValidCheckpoint(dir)).value();
-  ASSERT_EQ(manifest.shards.size(), 1u);
-  auto restored =
-      std::move(LoadFleetSnapshot(dir + "/" + manifest.shards[0].file))
-          .value();
-  const std::string engine_state = SerializeFleetSnapshot(*restored);
-  const std::string ref_state = SerializeFleetSnapshot(*ref_fleet);
-  EXPECT_EQ(Fnv1a(engine_state), Fnv1a(ref_state));
-  ASSERT_EQ(engine_state, ref_state)
-      << "group=" << group << " fleet state diverged from per-value replay";
+  // State equivalence: every stream's serialized slice (raw tail, cores,
+  // tracker, store rows, edge state) equals the per-tuple reference's.
+  ASSERT_TRUE(reference->Flush().ok());
+  for (StreamId s = 0; s < kStreams; ++s) {
+    std::string engine_state;
+    std::string ref_state;
+    ASSERT_TRUE(engine->DebugStreamState(s, &engine_state).ok());
+    ASSERT_TRUE(reference->DebugStreamState(s, &ref_state).ok());
+    EXPECT_EQ(Fnv1a(engine_state), Fnv1a(ref_state));
+    ASSERT_EQ(engine_state, ref_state)
+        << "group=" << group << " stream " << s
+        << " state diverged from per-tuple replay";
+  }
+  ASSERT_TRUE(reference->Stop().ok());
 
   ASSERT_TRUE(engine->Stop().ok());
   const std::vector<Alert> observed = ring->Snapshot();

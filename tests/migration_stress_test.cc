@@ -120,7 +120,7 @@ std::unique_ptr<IngestEngine> MakeQueryEngine() {
   // Rounds fire only through TriggerCorrelatorRound.
   econfig.query.correlator_period_ms = 3600 * 1000;
   Result<std::unique_ptr<IngestEngine>> engine = IngestEngine::Create(
-      AggregateConfig(), {{10, 1e9}, {20, 1e9}}, kStreams, econfig);
+      AggregateConfig(), {}, kStreams, econfig);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return engine.ok() ? std::move(engine).value() : nullptr;
 }
@@ -270,7 +270,7 @@ TEST(MigrationStressTest, RestoredMigratedEngineContinuesTheAlertStream) {
   econfig.query.correlation = CorrelationCoreConfig();
   econfig.query.correlator_period_ms = 3600 * 1000;
   Result<std::unique_ptr<IngestEngine>> restored_result =
-      IngestEngine::Create(AggregateConfig(), {{10, 1e9}, {20, 1e9}},
+      IngestEngine::Create(AggregateConfig(), {},
                            kStreams, econfig, dir);
   ASSERT_TRUE(restored_result.ok()) << restored_result.status().ToString();
   auto restored = std::move(restored_result).value();

@@ -42,11 +42,6 @@ StardustConfig AggregateConfig() {
   return config;
 }
 
-std::vector<WindowThreshold> FleetThresholds() {
-  // Parked out of range: alerts come from registered queries only.
-  return {{10, 1e9}, {20, 1e9}};
-}
-
 std::filesystem::path TempDir(const std::string& name) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / name;
@@ -58,8 +53,8 @@ std::filesystem::path TempDir(const std::string& name) {
 std::unique_ptr<IngestEngine> MakeEngine(std::size_t num_streams,
                                          const EngineConfig& econfig,
                                          const std::string& restore = {}) {
-  auto engine = IngestEngine::Create(AggregateConfig(), FleetThresholds(),
-                                     num_streams, econfig, restore);
+  auto engine = IngestEngine::Create(AggregateConfig(), {}, num_streams,
+                                     econfig, restore);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(engine).value();
 }

@@ -8,10 +8,15 @@
 
 #include <chrono>
 #include <filesystem>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "alert_log.h"
 #include "common/atomic_file.h"
 #include "engine/checkpoint.h"
 #include "engine/engine.h"
@@ -49,13 +54,20 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// A fresh engine registers Thresholds(2.0) as aggregate queries unless
+/// `queries` is false; a restoring one takes its queries from the
+/// checkpoint.
 std::unique_ptr<IngestEngine> MakeEngine(std::size_t streams,
                                          std::size_t shards,
-                                         const std::string& restore_dir = {}) {
+                                         const std::string& restore_dir = {},
+                                         bool queries = true) {
   EngineConfig econfig;
   econfig.num_shards = shards;
   Result<std::unique_ptr<IngestEngine>> engine = IngestEngine::Create(
-      StreamConfig(), Thresholds(2.0), streams, econfig, restore_dir);
+      StreamConfig(),
+      restore_dir.empty() && queries ? Thresholds(2.0)
+                                     : std::vector<WindowThreshold>{},
+      streams, econfig, restore_dir);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return engine.ok() ? std::move(engine).value() : nullptr;
 }
@@ -80,31 +92,40 @@ void Feed(IngestEngine* engine, std::vector<BurstySource>* sources,
 }
 
 /// Every externally observable monitoring answer of the two engines must
-/// agree exactly — including the serialized per-stream state bytes.
+/// agree exactly: append counts and which streams each aggregate query
+/// finds alarming.
 void ExpectSameAnswers(const IngestEngine& a, const IngestEngine& b) {
   ASSERT_EQ(a.num_streams(), b.num_streams());
-  ASSERT_EQ(a.num_windows(), b.num_windows());
   for (StreamId s = 0; s < a.num_streams(); ++s) {
-    const AlarmStats want = a.StreamTotal(s);
-    const AlarmStats got = b.StreamTotal(s);
-    EXPECT_EQ(got.candidates, want.candidates) << "stream " << s;
-    EXPECT_EQ(got.true_alarms, want.true_alarms) << "stream " << s;
-    EXPECT_EQ(got.checks, want.checks) << "stream " << s;
     EXPECT_EQ(b.StreamAppendCount(s), a.StreamAppendCount(s))
         << "stream " << s;
+  }
+  const auto snapshot = a.queries().snapshot();
+  ASSERT_FALSE(snapshot->aggregate.empty());
+  for (const auto& q : snapshot->aggregate) {
+    auto want = a.CurrentlyAlarming(q->id);
+    auto got = b.CurrentlyAlarming(q->id);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), want.value()) << "query " << q->id;
+  }
+}
+
+/// The serialized per-stream state bytes of the two engines agree
+/// exactly. Holds for engines that applied the same tuples under the same
+/// queries, migrated or not, and for an engine restored from the other's
+/// checkpoint when no aggregate query is registered: a restore rebuilds
+/// the trackers from the raw tails, so with aggregate queries a restored
+/// engine matches in answers, not in tracker bytes.
+void ExpectSameStreamState(const IngestEngine& a, const IngestEngine& b) {
+  ASSERT_EQ(a.num_streams(), b.num_streams());
+  for (StreamId s = 0; s < a.num_streams(); ++s) {
     std::string want_state;
     std::string got_state;
     ASSERT_TRUE(a.DebugStreamState(s, &want_state).ok()) << "stream " << s;
     ASSERT_TRUE(b.DebugStreamState(s, &got_state).ok()) << "stream " << s;
     EXPECT_EQ(got_state, want_state)
         << "serialized state diverged on stream " << s;
-  }
-  for (std::size_t w = 0; w < a.num_windows(); ++w) {
-    auto want = a.CurrentlyAlarming(w);
-    auto got = b.CurrentlyAlarming(w);
-    ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), want.value()) << "window " << w;
   }
 }
 
@@ -213,8 +234,46 @@ TEST(MigrateStreamTest, MigratedEngineMatchesUnmigratedTwin) {
   EXPECT_EQ(subject->metrics().migrations.load(), 4u);
   EXPECT_GT(subject->metrics().migrated_bytes.load(), 0u);
   ExpectSameAnswers(*golden, *subject);
+  ExpectSameStreamState(*golden, *subject);
   ASSERT_TRUE(subject->Stop().ok());
   ASSERT_TRUE(golden->Stop().ok());
+}
+
+// The migration slice carries the raw tail: an aggregate query on a new
+// window, registered after a stream moved, answers on the moved stream's
+// first batch instead of warming up for a window.
+TEST(MigrateStreamTest, QueryRegisteredAfterMigrationIsReadyOnFirstBatch) {
+  const std::size_t kStreams = 4;
+  auto engine = MakeEngine(kStreams, 2);
+  ASSERT_NE(engine, nullptr);
+  auto sources = Sources(kStreams, 1700);
+  Feed(engine.get(), &sources, 300);
+  ASSERT_TRUE(engine->MigrateStream(0, 1).ok());
+  ASSERT_TRUE(engine->MigrateStream(3, 0).ok());
+
+  AlertLog log(engine.get());
+  // Event counts are non-negative, so every full 30-value SUM alarms.
+  Result<QueryId> id = engine->RegisterQuery(QuerySpec::Aggregate(30, 0.0));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  for (StreamId s : {0u, 3u}) {
+    ASSERT_TRUE(engine->Post(s, sources[s].Next()).ok());
+  }
+  ASSERT_TRUE(engine->Flush().ok());
+  const std::vector<AlertLog::Key> alerts = log.Sorted(id.value());
+  ASSERT_EQ(alerts.size(), 2u);
+  EXPECT_EQ(std::get<1>(alerts[0]), 0u);
+  EXPECT_EQ(std::get<1>(alerts[1]), 3u);
+  auto replay = Sources(kStreams, 1700);
+  for (const AlertLog::Key& alert : alerts) {
+    const StreamId s = std::get<1>(alert);
+    EXPECT_EQ(std::get<2>(alert), 300u) << "stream " << s;
+    // The backfilled window holds the moved values, not zeros.
+    const std::vector<double> values = replay[s].Take(301);
+    EXPECT_EQ(std::get<3>(alert),
+              std::accumulate(values.end() - 30, values.end(), 0.0))
+        << "stream " << s;
+  }
+  ASSERT_TRUE(engine->Stop().ok());
 }
 
 // Migration under live concurrent producers: no tuple is lost or
@@ -297,7 +356,7 @@ TEST(PlacementCheckpointTest, ManifestRoundTripCarriesPlacement) {
   manifest.seq = 4;
   manifest.num_streams = 2;
   manifest.num_shards = 1;
-  manifest.shards = {{"shard-0-ck4.snap", 1, 1, 1}};
+  manifest.shards = {{1, 1}};
   manifest.features = {{CheckpointFeaturesFileName(0, 4), 2}};
   manifest.edges = {{CheckpointEdgesFileName(0, 4), 3}};
   manifest.queries_file = CheckpointQueriesFileName(4);
@@ -311,36 +370,69 @@ TEST(PlacementCheckpointTest, ManifestRoundTripCarriesPlacement) {
 }
 
 // Checkpoint after migrations, restore, and the restored engine both
-// keeps the migrated placement and matches the origin's answers.
+// keeps the migrated placement and matches the origin: in answers and
+// continued alerts under the threshold queries, and in every stream's
+// state bytes for a twin without queries.
 TEST(PlacementCheckpointTest, RestoreKeepsMigratedPlacement) {
   const std::string dir = FreshDir("placement_restore");
+  const std::string bare_dir = FreshDir("placement_restore_bare");
   const std::size_t kStreams = 5;
   auto origin = MakeEngine(kStreams, 2);
+  auto bare = MakeEngine(kStreams, 2, {}, /*queries=*/false);
   ASSERT_NE(origin, nullptr);
+  ASSERT_NE(bare, nullptr);
   auto sources = Sources(kStreams, 640);
+  auto bare_sources = sources;
   Feed(origin.get(), &sources, 400);
-  ASSERT_TRUE(origin->MigrateStream(0, 1).ok());
-  ASSERT_TRUE(origin->MigrateStream(3, 0).ok());
+  Feed(bare.get(), &bare_sources, 400);
+  for (IngestEngine* engine : {origin.get(), bare.get()}) {
+    ASSERT_TRUE(engine->MigrateStream(0, 1).ok());
+    ASSERT_TRUE(engine->MigrateStream(3, 0).ok());
+  }
   Feed(origin.get(), &sources, 100);
+  Feed(bare.get(), &bare_sources, 100);
   ASSERT_TRUE(origin->Checkpoint(dir).ok());
+  ASSERT_TRUE(bare->Checkpoint(bare_dir).ok());
 
   auto restored = MakeEngine(kStreams, 2, dir);
+  auto bare_restored = MakeEngine(kStreams, 2, bare_dir);
   ASSERT_NE(restored, nullptr);
+  ASSERT_NE(bare_restored, nullptr);
   EXPECT_EQ(restored->placement().epoch(), origin->placement().epoch());
   for (StreamId s = 0; s < kStreams; ++s) {
     EXPECT_EQ(restored->ShardOf(s), origin->ShardOf(s)) << "stream " << s;
   }
   ExpectSameAnswers(*origin, *restored);
+  ExpectSameStreamState(*bare, *bare_restored);
 
-  // The restored engine keeps working — including migrating the moved
-  // stream again.
+  // The restored engines keep working: the one with queries raises the
+  // alerts the origin raises (one tick per flush, so every stream is
+  // evaluated after each of its tuples on both engines) — including after
+  // migrating the moved stream again.
+  AlertLog origin_alerts(origin.get());
+  AlertLog restored_alerts(restored.get());
   auto origin_more = sources;
-  Feed(origin.get(), &sources, 100);
-  Feed(restored.get(), &origin_more, 100);
-  ASSERT_TRUE(restored->MigrateStream(0, 0).ok());
-  EXPECT_EQ(restored->StreamAppendCount(0), 600u);
-  ASSERT_TRUE(origin->Stop().ok());
-  ASSERT_TRUE(restored->Stop().ok());
+  for (int t = 0; t < 300; ++t) {
+    Feed(origin.get(), &sources, 1);
+    Feed(restored.get(), &origin_more, 1);
+  }
+  const std::vector<AlertLog::Key> want = origin_alerts.Sorted();
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(restored_alerts.Sorted(), want);
+  ExpectSameAnswers(*origin, *restored);
+  auto bare_more = bare_sources;
+  Feed(bare.get(), &bare_sources, 300);
+  Feed(bare_restored.get(), &bare_more, 300);
+  for (IngestEngine* engine : {restored.get(), bare.get(),
+                               bare_restored.get()}) {
+    ASSERT_TRUE(engine->MigrateStream(0, 0).ok());
+  }
+  EXPECT_EQ(restored->StreamAppendCount(0), 800u);
+  ExpectSameStreamState(*bare, *bare_restored);
+  for (IngestEngine* engine : {origin.get(), restored.get(), bare.get(),
+                               bare_restored.get()}) {
+    ASSERT_TRUE(engine->Stop().ok());
+  }
 }
 
 // A crash while writing the placement file must not produce a corrupt

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <thread>
 #include <vector>
 
 namespace stardust {
@@ -51,12 +53,13 @@ TEST(ProbePoolTest, ReusableAcrossGenerations) {
   EXPECT_EQ(total.load(), expected);
 }
 
-TEST(ProbePoolTest, ResolveWorkersHonorsExplicitCountAndClampsAuto) {
-  EXPECT_EQ(ProbePool::ResolveWorkers(3), 3u);
-  EXPECT_EQ(ProbePool::ResolveWorkers(1), 1u);
-  // Auto: never more than 4, and 0 on a single-hardware-thread host.
-  const std::size_t resolved = ProbePool::ResolveWorkers(0);
-  EXPECT_LE(resolved, 4u);
+TEST(ProbePoolTest, ResolveWorkersClampsToTheHardware) {
+  // One less than the hardware concurrency, never more than 4, and 0 on
+  // a single-hardware-thread host.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t expected =
+      hw <= 1 ? 0 : std::min<std::size_t>(hw - 1, 4);
+  EXPECT_EQ(ProbePool::ResolveWorkers(), expected);
 }
 
 TEST(ProbePoolTest, DestructionWithIdleWorkersIsClean) {

@@ -72,7 +72,7 @@ TEST(QueryStressTest, RegisterUnregisterRacesLiveIngestion) {
   constexpr std::uint64_t kStepsPerStream = 4000;
 
   auto engine = std::move(IngestEngine::Create(AggregateConfig(),
-                                               {{10, 1e9}}, kStreams,
+                                               {}, kStreams,
                                                StressEngineConfig()))
                     .value();
   auto ring = std::make_shared<RingSink>(1 << 16);
@@ -173,7 +173,7 @@ TEST(QueryStressTest, SinkChurnDuringDelivery) {
   econfig.num_shards = 2;
   econfig.max_batch = 16;
   auto engine = std::move(IngestEngine::Create(AggregateConfig(),
-                                               {{10, 1e9}}, 2, econfig))
+                                               {}, 2, econfig))
                     .value();
   auto permanent = std::make_shared<RingSink>(1 << 16);
   engine->alerts().AddSink(permanent);

@@ -80,12 +80,6 @@ QueryConfig FullQueryConfig() {
   return config;
 }
 
-std::vector<WindowThreshold> FleetThresholds() {
-  // High fleet thresholds: the fleet's own alarm counters stay quiet so
-  // the tests observe only the registered queries' alerts.
-  return {{10, 1e9}, {20, 1e9}};
-}
-
 std::filesystem::path TempDir(const std::string& name) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / name;
@@ -406,7 +400,7 @@ TEST(QueryEngineTest, RateLimitedQueryCapsPublishedAlerts) {
   EngineConfig econfig;
   econfig.num_shards = 1;
   auto engine = std::move(IngestEngine::Create(AggregateConfig(),
-                                               FleetThresholds(), 4, econfig))
+                                               {}, 4, econfig))
                     .value();
   auto ring = std::make_shared<RingSink>();
   engine->alerts().AddSink(ring);
@@ -459,7 +453,7 @@ TEST(QueryEngineTest, ServesAllThreeQueryClassesConcurrently) {
   econfig.max_batch = 8;
   econfig.query = FullQueryConfig();
   auto engine =
-      std::move(IngestEngine::Create(AggregateConfig(), FleetThresholds(),
+      std::move(IngestEngine::Create(AggregateConfig(), {},
                                      kStreams, econfig))
           .value();
 
@@ -578,7 +572,7 @@ TEST(QueryEngineTest, UnregisteredQueryStopsAlerting) {
   EngineConfig econfig;
   econfig.num_shards = 2;
   auto engine = std::move(IngestEngine::Create(
-                              AggregateConfig(), FleetThresholds(), 4,
+                              AggregateConfig(), {}, 4,
                               econfig))
                     .value();
   auto ring = std::make_shared<RingSink>();
@@ -612,7 +606,7 @@ TEST(QueryEngineTest, CheckpointRestoreKeepsRegistryLineage) {
   QueryId dropped_id = kInvalidQueryId;
   {
     auto engine = std::move(IngestEngine::Create(
-                                AggregateConfig(), FleetThresholds(), 4,
+                                AggregateConfig(), {}, 4,
                                 econfig))
                       .value();
     dropped_id =
@@ -633,7 +627,7 @@ TEST(QueryEngineTest, CheckpointRestoreKeepsRegistryLineage) {
   }
 
   auto restored = std::move(IngestEngine::Create(
-                                AggregateConfig(), FleetThresholds(), 4,
+                                AggregateConfig(), {}, 4,
                                 econfig, dir.string()))
                       .value();
   EXPECT_EQ(restored->queries().size(), 1u);
@@ -656,7 +650,7 @@ TEST(QueryEngineTest, RestoredEngineStillEvaluatesQueries) {
   econfig.num_shards = 2;
   {
     auto engine = std::move(IngestEngine::Create(
-                                AggregateConfig(), FleetThresholds(), 4,
+                                AggregateConfig(), {}, 4,
                                 econfig))
                       .value();
     ASSERT_TRUE(
@@ -672,7 +666,7 @@ TEST(QueryEngineTest, RestoredEngineStillEvaluatesQueries) {
   }
 
   auto restored = std::move(IngestEngine::Create(
-                                AggregateConfig(), FleetThresholds(), 4,
+                                AggregateConfig(), {}, 4,
                                 econfig, dir.string()))
                       .value();
   auto ring = std::make_shared<RingSink>();

@@ -148,7 +148,6 @@ TEST_F(SketchCheckpointTest, MeasuresSurviveRestore) {
   fleet.history = 64;
   fleet.box_capacity = 4;
   fleet.update_period = 1;
-  std::vector<WindowThreshold> thresholds = {{4, 1e18}};
   EngineConfig econfig;
   econfig.num_shards = 2;
   econfig.max_batch = 4;
@@ -163,7 +162,7 @@ TEST_F(SketchCheckpointTest, MeasuresSurviveRestore) {
   std::uint64_t appends_before = 0;
   {
     Result<std::unique_ptr<IngestEngine>> engine =
-        IngestEngine::Create(fleet, thresholds, 2, econfig);
+        IngestEngine::Create(fleet, {}, 2, econfig);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     ASSERT_TRUE(
         engine.value()->RegisterQuery(QuerySpec::Sketch(config, assess))
@@ -188,7 +187,7 @@ TEST_F(SketchCheckpointTest, MeasuresSurviveRestore) {
   // too (manifest v6), so the alarm that was already announced before
   // the checkpoint is not re-announced.
   Result<std::unique_ptr<IngestEngine>> engine = IngestEngine::Create(
-      fleet, thresholds, 2, econfig, dir_.string());
+      fleet, {}, 2, econfig, dir_.string());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   std::uint64_t appends_after = 0;
   for (const ShardMetricsSnapshot& m : engine.value()->ShardMetrics()) {
