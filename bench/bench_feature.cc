@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/serialize.h"
 #include "core/feature_store.h"
 #include "core/fleet_monitor.h"
 #include "core/stardust.h"
@@ -311,22 +312,13 @@ RunResult RunRecompute(std::size_t shards, std::size_t steps) {
 /// (one FinishBatch per `run_len` steps — the engine's ApplyBatch shape),
 /// with state updated either per value (Append) or via the columnar
 /// AppendRun kernels. Returns the maintain time plus an FNV-1a digest of
-/// the serialized pipeline state so the two modes can be asserted
-/// bit-identical.
+/// every stream's serialized slice (raw tail, correlation core, trackers,
+/// store rows) so the two modes can be asserted bit-identical.
 struct MaintainResult {
   std::uint64_t appends = 0;
   std::uint64_t maintain_ns = 0;
   std::uint64_t state_digest = 0;
 };
-
-std::uint64_t Fnv1a(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 MaintainResult RunMaintain(bool batched, std::size_t run_len,
                            std::size_t steps) {
@@ -380,7 +372,13 @@ MaintainResult RunMaintain(bool batched, std::size_t run_len,
     pipeline.FinishBatch(touched);
     result.maintain_ns += NowNanos() - t0;
   }
-  result.state_digest = Fnv1a(pipeline.Serialize());
+  Writer state;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    if (!pipeline.SaveStreamTo(static_cast<StreamId>(s), &state).ok()) {
+      std::abort();
+    }
+  }
+  result.state_digest = Fnv1a(state.buffer());
   return result;
 }
 

@@ -19,7 +19,8 @@
 //     holds a complete checkpoint) and to checkpoint into every
 //     --checkpoint-period ms (default 2000) plus once at shutdown —
 //     subscriber cursors and the alert sequence allocator ride along
-//     (manifest v4), so reconnecting subscribers resume across restarts.
+//     in the checkpoint's net file (docs/NETWORK.md), so reconnecting
+//     subscribers resume across restarts.
 //   --metrics-period prints the merged engine+net metrics JSON on stdout
 //     every s seconds (0 disables; default 10).
 //   --duration exits after s seconds; default 0 runs until SIGINT/SIGTERM.

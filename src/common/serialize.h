@@ -1,14 +1,15 @@
 // Minimal binary (de)serialization substrate for snapshots.
 //
-// Fixed-width little-endian encoding, bounds-checked reads, and an FNV-1a
-// payload checksum at the envelope level (core/snapshot.h). No exceptions:
-// every read returns Status.
+// Fixed-width little-endian encoding, bounds-checked reads, and the one
+// envelope (magic + version + FNV-1a payload checksum) every persisted
+// format is framed in. No exceptions: every read returns Status.
 #ifndef STARDUST_COMMON_SERIALIZE_H_
 #define STARDUST_COMMON_SERIALIZE_H_
 
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -100,6 +101,14 @@ class Reader {
     return Status::OK();
   }
 
+  /// Reads `size` raw bytes into `out`.
+  Status Bytes(std::uint64_t size, std::string* out) {
+    if (size > remaining()) return Truncated();
+    out->assign(buffer_, offset_, static_cast<std::size_t>(size));
+    offset_ += static_cast<std::size_t>(size);
+    return Status::OK();
+  }
+
   /// Reads a length-prefixed vector with a sanity cap against corrupt
   /// lengths blowing up memory. Allocator-generic (see Writer).
   template <typename Alloc>
@@ -132,6 +141,47 @@ inline std::uint64_t Fnv1a(const std::string& data) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+/// Size of the envelope header: 4-byte magic, u32 version, u64 checksum.
+inline constexpr std::size_t kEnvelopeHeaderBytes = 16;
+
+/// Frames `payload` in the envelope every persisted format uses: the
+/// format's magic, its version, the FNV-1a checksum of the payload, then
+/// the payload itself.
+inline std::string WrapEnvelope(const char (&magic)[4], std::uint32_t version,
+                                const std::string& payload) {
+  Writer envelope;
+  envelope.Bytes(magic, sizeof(magic));
+  envelope.U32(version);
+  envelope.U64(Fnv1a(payload));
+  envelope.Bytes(payload.data(), payload.size());
+  return std::move(envelope.TakeBuffer());
+}
+
+/// Checks a WrapEnvelope frame's size, magic and payload checksum, and
+/// extracts its version and payload; `what` names the format in the
+/// diagnostics. The caller checks the version.
+inline Status UnwrapEnvelope(const std::string& bytes,
+                             const char (&magic)[4], const char* what,
+                             std::uint32_t* version, std::string* payload) {
+  if (bytes.size() < kEnvelopeHeaderBytes) {
+    return Status::InvalidArgument(std::string(what) + " too small");
+  }
+  if (std::memcmp(bytes.data(), magic, sizeof(magic)) != 0) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " has the wrong magic");
+  }
+  const std::string header = bytes.substr(sizeof(magic), 12);
+  Reader reader(header);
+  std::uint64_t checksum = 0;
+  SD_RETURN_NOT_OK(reader.U32(version));
+  SD_RETURN_NOT_OK(reader.U64(&checksum));
+  *payload = bytes.substr(kEnvelopeHeaderBytes);
+  if (Fnv1a(*payload) != checksum) {
+    return Status::InvalidArgument(std::string(what) + " checksum mismatch");
+  }
+  return Status::OK();
 }
 
 }  // namespace stardust

@@ -233,12 +233,10 @@ Status FeatureStore::RestoreStreamFrom(StreamId stream, Reader* reader) {
   SD_CHECK(stream < num_streams_);
   std::uint64_t capacity = 0, num_slabs = 0;
   SD_RETURN_NOT_OK(reader->U64(&capacity));
-  if (capacity != capacity_) {
-    return Status::InvalidArgument("feature store slice capacity mismatch");
-  }
   SD_RETURN_NOT_OK(reader->U64(&num_slabs));
-  if (num_slabs * 24 > reader->remaining()) {
-    return Status::InvalidArgument("feature store slice slab count corrupt");
+  // Every slab starts with its spec, head and count (32 bytes).
+  if (capacity == 0 || num_slabs > reader->remaining() / 32) {
+    return Status::InvalidArgument("feature store slice corrupt");
   }
   for (std::uint64_t i = 0; i < num_slabs; ++i) {
     std::uint64_t level = 0, window = 0, dims = 0;
@@ -248,44 +246,51 @@ Status FeatureStore::RestoreStreamFrom(StreamId stream, Reader* reader) {
     SD_RETURN_NOT_OK(reader->U64(&dims));
     SD_RETURN_NOT_OK(reader->U32(&head));
     SD_RETURN_NOT_OK(reader->U32(&count));
-    if (window == 0 || dims == 0 || head >= capacity_ || count > capacity_) {
+    if (window == 0 || dims == 0 || head >= capacity || count > capacity) {
       return Status::InvalidArgument("feature store slice corrupt");
     }
-    if (capacity_ * window * 8 > reader->remaining()) {
+    // Per ring slot a slab holds a time, a mean, a norm, and its feature
+    // and window values: 8 * (3 + dims + window) bytes.
+    if (dims > reader->remaining() / 8 || window > reader->remaining() / 8 ||
+        capacity > reader->remaining() / (8 * (3 + dims + window))) {
       return Status::InvalidArgument("feature store slice truncated");
     }
+    // Rows are kept only for a slab this store monitors under the same
+    // spec and ring capacity. Any other slab — another level set, or a
+    // store sized for another host — still consumes its bytes, and the
+    // stream re-warms from its correlation core.
     Slab* slab = nullptr;
-    for (Slab& candidate : slabs_) {
-      if (candidate.spec.level == level && candidate.spec.window == window &&
-          candidate.spec.dims == dims) {
-        slab = &candidate;
-        break;
+    if (capacity == capacity_) {
+      for (Slab& candidate : slabs_) {
+        if (candidate.spec.level == level && candidate.spec.window == window &&
+            candidate.spec.dims == dims) {
+          slab = &candidate;
+          break;
+        }
       }
     }
-    // An unmatched slab (the target monitors a different level set) still
-    // consumes its bytes: the stream simply re-warms on its new shard.
     const std::size_t row = stream * capacity_;
-    for (std::size_t j = 0; j < capacity_; ++j) {
+    for (std::size_t j = 0; j < capacity; ++j) {
       std::uint64_t t = kNoTime;
       SD_RETURN_NOT_OK(reader->U64(&t));
       if (slab != nullptr) slab->times[row + j] = t;
     }
-    for (std::size_t j = 0; j < capacity_ * dims; ++j) {
+    for (std::size_t j = 0; j < capacity * dims; ++j) {
       double v = 0.0;
       SD_RETURN_NOT_OK(reader->F64(&v));
       if (slab != nullptr) slab->features[row * dims + j] = v;
     }
-    for (std::size_t j = 0; j < capacity_ * window; ++j) {
+    for (std::size_t j = 0; j < capacity * window; ++j) {
       double v = 0.0;
       SD_RETURN_NOT_OK(reader->F64(&v));
       if (slab != nullptr) slab->znormed[row * window + j] = v;
     }
-    for (std::size_t j = 0; j < capacity_; ++j) {
+    for (std::size_t j = 0; j < capacity; ++j) {
       double v = 0.0;
       SD_RETURN_NOT_OK(reader->F64(&v));
       if (slab != nullptr) slab->means[row + j] = v;
     }
-    for (std::size_t j = 0; j < capacity_; ++j) {
+    for (std::size_t j = 0; j < capacity; ++j) {
       double v = 0.0;
       SD_RETURN_NOT_OK(reader->F64(&v));
       if (slab != nullptr) slab->norms[row + j] = v;
@@ -297,96 +302,6 @@ Status FeatureStore::RestoreStreamFrom(StreamId stream, Reader* reader) {
       slab->max_put_epoch = std::max(slab->max_put_epoch, epoch_);
     }
   }
-  return Status::OK();
-}
-
-void FeatureStore::SaveTo(Writer* writer) const {
-  writer->U64(num_streams_);
-  writer->U64(capacity_);
-  writer->U64(epoch_);
-  writer->U64(puts_);
-  writer->U64(slabs_.size());
-  for (const Slab& slab : slabs_) {
-    writer->U64(slab.spec.level);
-    writer->U64(slab.spec.window);
-    writer->U64(slab.spec.dims);
-    for (std::uint64_t t : slab.times) writer->U64(t);
-    for (double v : slab.features) writer->F64(v);
-    for (double v : slab.znormed) writer->F64(v);
-    for (double v : slab.means) writer->F64(v);
-    for (double v : slab.norms) writer->F64(v);
-    for (std::uint32_t h : slab.heads) writer->U32(h);
-    for (std::uint32_t c : slab.counts) writer->U32(c);
-  }
-}
-
-Status FeatureStore::RestoreFrom(Reader* reader) {
-  std::uint64_t num_streams = 0, capacity = 0, epoch = 0, puts = 0;
-  SD_RETURN_NOT_OK(reader->U64(&num_streams));
-  SD_RETURN_NOT_OK(reader->U64(&capacity));
-  if (num_streams != num_streams_ || capacity != capacity_) {
-    return Status::InvalidArgument("feature store shape mismatch");
-  }
-  SD_RETURN_NOT_OK(reader->U64(&epoch));
-  SD_RETURN_NOT_OK(reader->U64(&puts));
-  std::uint64_t num_slabs = 0;
-  SD_RETURN_NOT_OK(reader->U64(&num_slabs));
-  // Every slab carries at least its spec plus one u64 per ring slot.
-  if (num_slabs * 24 > reader->remaining()) {
-    return Status::InvalidArgument("feature store slab count corrupt");
-  }
-  std::vector<LevelSpec> specs;
-  std::vector<Slab> slabs;
-  specs.reserve(num_slabs);
-  slabs.reserve(num_slabs);
-  for (std::uint64_t i = 0; i < num_slabs; ++i) {
-    LevelSpec spec;
-    std::uint64_t level = 0, window = 0, dims = 0;
-    SD_RETURN_NOT_OK(reader->U64(&level));
-    SD_RETURN_NOT_OK(reader->U64(&window));
-    SD_RETURN_NOT_OK(reader->U64(&dims));
-    if (window == 0 || dims == 0) {
-      return Status::InvalidArgument("feature store slab spec corrupt");
-    }
-    // The znormed column alone needs streams·capacity·window doubles.
-    if (num_streams_ * capacity_ * window * 8 > reader->remaining()) {
-      return Status::InvalidArgument("feature store slab truncated");
-    }
-    spec.level = static_cast<std::size_t>(level);
-    spec.window = static_cast<std::size_t>(window);
-    spec.dims = static_cast<std::size_t>(dims);
-    Slab slab = MakeSlab(spec);
-    for (std::uint64_t& t : slab.times) SD_RETURN_NOT_OK(reader->U64(&t));
-    for (double& v : slab.features) SD_RETURN_NOT_OK(reader->F64(&v));
-    for (double& v : slab.znormed) SD_RETURN_NOT_OK(reader->F64(&v));
-    for (double& v : slab.means) SD_RETURN_NOT_OK(reader->F64(&v));
-    for (double& v : slab.norms) SD_RETURN_NOT_OK(reader->F64(&v));
-    for (std::uint32_t& h : slab.heads) {
-      SD_RETURN_NOT_OK(reader->U32(&h));
-      if (h >= capacity_) {
-        return Status::InvalidArgument("feature store head out of range");
-      }
-    }
-    for (std::uint32_t& c : slab.counts) {
-      SD_RETURN_NOT_OK(reader->U32(&c));
-      if (c > capacity_) {
-        return Status::InvalidArgument("feature store count out of range");
-      }
-    }
-    // Dirty stamps are not serialized; mark every restored stream that
-    // holds entries as changed-at-restore so consumers re-read it.
-    for (StreamId s = 0; s < num_streams_; ++s) {
-      if (slab.counts[s] == 0) continue;
-      slab.put_epochs[s] = epoch;
-      slab.max_put_epoch = epoch;
-    }
-    specs.push_back(spec);
-    slabs.push_back(std::move(slab));
-  }
-  specs_ = std::move(specs);
-  slabs_ = std::move(slabs);
-  epoch_ = epoch;
-  puts_ = puts;
   return Status::OK();
 }
 

@@ -121,13 +121,15 @@ class FeatureStore {
   /// changed without a Put (a migration installing or removing the
   /// stream's summarizer threads).
   void TouchStream(StreamId stream);
-  /// Per-stream slice of SaveTo: one stream's ring rows across every
-  /// slab, keyed by slab spec.
+  /// One stream's ring rows across every slab, keyed by slab spec (the
+  /// store's part of a stream slice, engine/feature_pipeline.h).
   void SaveStreamTo(StreamId stream, Writer* writer) const;
   /// Installs a SaveStreamTo slice. Rows whose spec matches a current
-  /// slab are copied in; rows for levels this store no longer monitors
-  /// are consumed and dropped (the consumer recomputes on miss). The
-  /// capacity must match the serializing store's.
+  /// slab and whose ring capacity matches this store's are copied in;
+  /// rows for levels this store does not monitor, or taken under another
+  /// capacity, are consumed and dropped (the consumer recomputes on miss).
+  /// Corrupt or truncated slices are rejected before anything is
+  /// allocated.
   Status RestoreStreamFrom(StreamId stream, Reader* reader);
 
   /// Store epoch: bumped by the owning pipeline once per applied batch,
@@ -140,13 +142,6 @@ class FeatureStore {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
-  /// Snapshot support: serializes the level set, every slab, and the
-  /// epoch so a restored store serves the same views.
-  void SaveTo(Writer* writer) const;
-  /// Restores a store serialized with SaveTo; the instance must have been
-  /// constructed with the same stream count and capacity. Structurally
-  /// corrupt payloads are rejected without partial mutation of `this`.
-  Status RestoreFrom(Reader* reader);
 
  private:
   /// All columns of one level, rings laid out stream-major.
@@ -161,8 +156,9 @@ class FeatureStore {
     AlignedVector<double> norms;        // num_streams × capacity
     std::vector<std::uint32_t> heads;   // next write slot per stream
     std::vector<std::uint32_t> counts;  // cached entries per stream
-    /// Dirty tracking (not serialized — a restore stamps everything with
-    /// the restored epoch, which reads as "changed" to any consumer).
+    /// Dirty tracking (not serialized — an installed slice stamps its
+    /// rows with the current epoch, which reads as "changed" to any
+    /// consumer).
     std::vector<std::uint64_t> put_epochs;  // per stream
     std::uint64_t max_put_epoch = 0;
   };

@@ -1,6 +1,5 @@
 #include "core/snapshot.h"
 
-#include <cstring>
 #include <utility>
 
 #include "common/atomic_file.h"
@@ -73,38 +72,6 @@ Status LoadConfig(Reader* reader, StardustConfig* config) {
   return Status::OK();
 }
 
-std::string WrapEnvelope(std::uint32_t version, const std::string& payload) {
-  Writer envelope;
-  envelope.Bytes(kMagic, sizeof(kMagic));
-  envelope.U32(version);
-  envelope.U64(Fnv1a(payload));
-  envelope.Bytes(payload.data(), payload.size());
-  return std::move(envelope.TakeBuffer());
-}
-
-/// Validates magic and checksum, extracts the payload, and reports the
-/// stored version so each deserializer can reject the wrong kind with a
-/// pointed message.
-Status UnwrapEnvelope(const std::string& bytes, std::uint32_t* version,
-                      std::string* payload) {
-  if (bytes.size() < sizeof(kMagic) + 4 + 8) {
-    return Status::InvalidArgument("snapshot too small");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a Stardust snapshot (bad magic)");
-  }
-  const std::string header(bytes.substr(sizeof(kMagic), 12));
-  Reader header_reader(header);
-  std::uint64_t checksum = 0;
-  SD_RETURN_NOT_OK(header_reader.U32(version));
-  SD_RETURN_NOT_OK(header_reader.U64(&checksum));
-  *payload = bytes.substr(sizeof(kMagic) + 12);
-  if (Fnv1a(*payload) != checksum) {
-    return Status::InvalidArgument("snapshot checksum mismatch");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 std::string SerializeSnapshot(const Stardust& stardust) {
@@ -114,14 +81,15 @@ std::string SerializeSnapshot(const Stardust& stardust) {
   for (StreamId s = 0; s < stardust.num_streams(); ++s) {
     stardust.summarizer(s).SaveTo(&payload);
   }
-  return WrapEnvelope(kVersionStardust, payload.buffer());
+  return WrapEnvelope(kMagic, kVersionStardust, payload.buffer());
 }
 
 Result<std::unique_ptr<Stardust>> DeserializeSnapshot(
     const std::string& bytes) {
   std::uint32_t version = 0;
   std::string payload;
-  SD_RETURN_NOT_OK(UnwrapEnvelope(bytes, &version, &payload));
+  SD_RETURN_NOT_OK(
+      UnwrapEnvelope(bytes, kMagic, "Stardust snapshot", &version, &payload));
   if (version == kVersionFleet) {
     return Status::InvalidArgument(
         "snapshot holds a fleet monitor (v2); load it with "
@@ -165,14 +133,15 @@ std::string SerializeFleetSnapshot(const FleetAggregateMonitor& fleet) {
   }
   payload.U64(fleet.num_streams());
   fleet.SaveTo(&payload);
-  return WrapEnvelope(kVersionFleet, payload.buffer());
+  return WrapEnvelope(kMagic, kVersionFleet, payload.buffer());
 }
 
 Result<std::unique_ptr<FleetAggregateMonitor>> DeserializeFleetSnapshot(
     const std::string& bytes) {
   std::uint32_t version = 0;
   std::string payload;
-  SD_RETURN_NOT_OK(UnwrapEnvelope(bytes, &version, &payload));
+  SD_RETURN_NOT_OK(
+      UnwrapEnvelope(bytes, kMagic, "Stardust snapshot", &version, &payload));
   if (version == kVersionStardust) {
     return Status::InvalidArgument(
         "snapshot holds a bare Stardust instance (v1); load it with "

@@ -1,13 +1,14 @@
 #include "engine/checkpoint.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <utility>
 
 #include "common/atomic_file.h"
+#include "common/check.h"
 #include "common/serialize.h"
+#include "engine/placement.h"
 
 namespace stardust {
 
@@ -17,17 +18,20 @@ constexpr char kManifestMagic[4] = {'S', 'D', 'M', 'F'};
 /// The only manifest version this build reads: the layout
 /// IngestEngine::Checkpoint writes. Older versions only ever existed
 /// inside this repository and are rejected with a diagnostic.
-constexpr std::uint32_t kManifestVersion = 7;
-/// Size of one serialized shard entry (epoch + appended); bounds the
-/// declared shard count against the remaining payload so corrupt
-/// manifests cannot drive huge allocations.
-constexpr std::uint64_t kShardEntryBytes = 16;
+constexpr std::uint32_t kManifestVersion = 8;
+/// Smallest serialized shard entry (epoch, appended, file name length,
+/// checksum); bounds the declared shard count against the remaining
+/// payload so corrupt manifests cannot drive huge allocations.
+constexpr std::uint64_t kShardEntryBytes = 32;
 constexpr std::uint64_t kMaxFileNameBytes = 4096;
 
+constexpr char kShardFileMagic[4] = {'S', 'D', 'F', 'P'};
+/// The only shard file version this build reads or writes.
+constexpr std::uint32_t kShardFileVersion = 4;
+
 /// Extracts the sequence number from `manifest-<seq>.ck`,
-/// `features-<i>-ck<seq>.feat`,
-/// `edges-<i>-ck<seq>.edge`, `queries-ck<seq>.qry`, `net-ck<seq>.net`,
-/// or `placement-ck<seq>.plc`; false otherwise.
+/// `features-<i>-ck<seq>.feat`, `queries-ck<seq>.qry` or
+/// `net-ck<seq>.net`; false otherwise.
 bool ParseSeqFromName(const std::string& name, std::uint64_t* seq) {
   std::string digits;
   if (name.rfind("manifest-", 0) == 0 && name.size() > 12 &&
@@ -38,20 +42,12 @@ bool ParseSeqFromName(const std::string& name, std::uint64_t* seq) {
     const std::size_t ck = name.rfind("-ck");
     if (ck == std::string::npos) return false;
     digits = name.substr(ck + 3, name.size() - ck - 8);
-  } else if (name.rfind("edges-", 0) == 0 && name.size() > 5 &&
-             name.compare(name.size() - 5, 5, ".edge") == 0) {
-    const std::size_t ck = name.rfind("-ck");
-    if (ck == std::string::npos) return false;
-    digits = name.substr(ck + 3, name.size() - ck - 8);
   } else if (name.rfind("queries-ck", 0) == 0 && name.size() > 14 &&
              name.compare(name.size() - 4, 4, ".qry") == 0) {
     digits = name.substr(10, name.size() - 14);
   } else if (name.rfind("net-ck", 0) == 0 && name.size() > 10 &&
              name.compare(name.size() - 4, 4, ".net") == 0) {
     digits = name.substr(6, name.size() - 10);
-  } else if (name.rfind("placement-ck", 0) == 0 && name.size() > 16 &&
-             name.compare(name.size() - 4, 4, ".plc") == 0) {
-    digits = name.substr(12, name.size() - 16);
   } else {
     return false;
   }
@@ -73,40 +69,11 @@ Status ReadFileName(Reader* reader, std::string* name) {
   if (name_size > kMaxFileNameBytes || name_size > reader->remaining()) {
     return Status::InvalidArgument("manifest file name out of range");
   }
-  name->resize(name_size);
-  for (std::uint64_t i = 0; i < name_size; ++i) {
-    std::uint8_t c = 0;
-    SD_RETURN_NOT_OK(reader->U8(&c));
-    (*name)[i] = static_cast<char>(c);
-  }
+  SD_RETURN_NOT_OK(reader->Bytes(name_size, name));
   if (name->find('/') != std::string::npos ||
       name->find("..") != std::string::npos) {
     return Status::InvalidArgument(
         "manifest file name escapes checkpoint directory");
-  }
-  return Status::OK();
-}
-
-/// Reads a per-shard file list (feature or edge snapshots), which a
-/// manifest carries exactly once per shard.
-Status ReadPerShardEntries(Reader* reader, std::uint64_t num_shards,
-                           const char* what,
-                           std::vector<CheckpointFeatureEntry>* entries) {
-  std::uint64_t count = 0;
-  SD_RETURN_NOT_OK(reader->U64(&count));
-  // Each entry is at least a name length plus a checksum.
-  if (count > reader->remaining() / 16) {
-    return Status::InvalidArgument(std::string("manifest ") + what +
-                                   " entry count out of range");
-  }
-  if (count != num_shards) {
-    return Status::InvalidArgument(std::string("manifest ") + what +
-                                   " entry count disagrees with shard count");
-  }
-  entries->resize(count);
-  for (CheckpointFeatureEntry& entry : *entries) {
-    SD_RETURN_NOT_OK(ReadFileName(reader, &entry.file));
-    SD_RETURN_NOT_OK(reader->U64(&entry.checksum));
   }
   return Status::OK();
 }
@@ -119,11 +86,6 @@ std::string CheckpointFeaturesFileName(std::size_t shard,
          ".feat";
 }
 
-std::string CheckpointEdgesFileName(std::size_t shard, std::uint64_t seq) {
-  return "edges-" + std::to_string(shard) + "-ck" + std::to_string(seq) +
-         ".edge";
-}
-
 std::string CheckpointQueriesFileName(std::uint64_t seq) {
   return "queries-ck" + std::to_string(seq) + ".qry";
 }
@@ -132,89 +94,44 @@ std::string CheckpointNetFileName(std::uint64_t seq) {
   return "net-ck" + std::to_string(seq) + ".net";
 }
 
-std::string CheckpointPlacementFileName(std::uint64_t seq) {
-  return "placement-ck" + std::to_string(seq) + ".plc";
-}
-
 std::string CheckpointManifestFileName(std::uint64_t seq) {
   return "manifest-" + std::to_string(seq) + ".ck";
 }
 
 std::string SerializeManifest(const CheckpointManifest& manifest) {
+  const auto file_name = [](const std::string& name, Writer* writer) {
+    writer->U64(name.size());
+    writer->Bytes(name.data(), name.size());
+  };
   Writer payload;
   payload.U64(manifest.seq);
   payload.U64(manifest.num_streams);
   payload.U64(manifest.num_shards);
-  payload.U64(manifest.queue_capacity);
-  payload.U64(manifest.max_producers);
-  payload.U64(manifest.max_batch);
-  payload.U8(manifest.overload);
   payload.U64(manifest.shards.size());
   for (const CheckpointShardEntry& entry : manifest.shards) {
     payload.U64(entry.epoch);
     payload.U64(entry.appended);
+    file_name(entry.file, &payload);
+    payload.U64(entry.checksum);
   }
-  payload.U64(manifest.queries_file.size());
-  payload.Bytes(manifest.queries_file.data(), manifest.queries_file.size());
+  payload.U64(manifest.placement_epoch);
+  file_name(manifest.queries_file, &payload);
   payload.U64(manifest.queries_checksum);
-  payload.U64(manifest.features.size());
-  for (const CheckpointFeatureEntry& entry : manifest.features) {
-    payload.U64(entry.file.size());
-    payload.Bytes(entry.file.data(), entry.file.size());
-    payload.U64(entry.checksum);
-  }
-  payload.U64(manifest.net_file.size());
-  payload.Bytes(manifest.net_file.data(), manifest.net_file.size());
+  file_name(manifest.net_file, &payload);
   payload.U64(manifest.net_checksum);
-  payload.U64(manifest.placement_file.size());
-  payload.Bytes(manifest.placement_file.data(),
-                manifest.placement_file.size());
-  payload.U64(manifest.placement_checksum);
-  payload.U64(manifest.edges.size());
-  for (const CheckpointFeatureEntry& entry : manifest.edges) {
-    payload.U64(entry.file.size());
-    payload.Bytes(entry.file.data(), entry.file.size());
-    payload.U64(entry.checksum);
-  }
-
-  Writer envelope;
-  envelope.Bytes(kManifestMagic, sizeof(kManifestMagic));
-  envelope.U32(kManifestVersion);
-  envelope.U64(Fnv1a(payload.buffer()));
-  envelope.Bytes(payload.buffer().data(), payload.buffer().size());
-  return std::move(envelope.TakeBuffer());
+  return WrapEnvelope(kManifestMagic, kManifestVersion, payload.buffer());
 }
 
 Result<CheckpointManifest> ParseManifest(const std::string& bytes) {
-  if (bytes.size() < sizeof(kManifestMagic) + 4 + 8) {
-    return Status::InvalidArgument("checkpoint manifest too small");
-  }
-  if (std::memcmp(bytes.data(), kManifestMagic, sizeof(kManifestMagic)) !=
-      0) {
-    return Status::InvalidArgument(
-        "not a checkpoint manifest (bad magic)");
-  }
-  Reader header(bytes);
-  {
-    // Skip the magic by re-reading it; Reader has no Seek.
-    std::uint8_t b = 0;
-    for (std::size_t i = 0; i < sizeof(kManifestMagic); ++i) {
-      SD_RETURN_NOT_OK(header.U8(&b));
-    }
-  }
   std::uint32_t version = 0;
-  std::uint64_t checksum = 0;
-  SD_RETURN_NOT_OK(header.U32(&version));
-  SD_RETURN_NOT_OK(header.U64(&checksum));
+  std::string payload;
+  SD_RETURN_NOT_OK(UnwrapEnvelope(bytes, kManifestMagic,
+                                  "checkpoint manifest", &version, &payload));
   if (version != kManifestVersion) {
     return Status::InvalidArgument(
         "unsupported manifest version " + std::to_string(version) +
         " (this build reads version " + std::to_string(kManifestVersion) +
         " only)");
-  }
-  const std::string payload = bytes.substr(sizeof(kManifestMagic) + 12);
-  if (Fnv1a(payload) != checksum) {
-    return Status::InvalidArgument("checkpoint manifest checksum mismatch");
   }
 
   Reader reader(payload);
@@ -222,10 +139,6 @@ Result<CheckpointManifest> ParseManifest(const std::string& bytes) {
   SD_RETURN_NOT_OK(reader.U64(&manifest.seq));
   SD_RETURN_NOT_OK(reader.U64(&manifest.num_streams));
   SD_RETURN_NOT_OK(reader.U64(&manifest.num_shards));
-  SD_RETURN_NOT_OK(reader.U64(&manifest.queue_capacity));
-  SD_RETURN_NOT_OK(reader.U64(&manifest.max_producers));
-  SD_RETURN_NOT_OK(reader.U64(&manifest.max_batch));
-  SD_RETURN_NOT_OK(reader.U8(&manifest.overload));
   std::uint64_t num_entries = 0;
   SD_RETURN_NOT_OK(reader.U64(&num_entries));
   if (num_entries > reader.remaining() / kShardEntryBytes) {
@@ -239,27 +152,82 @@ Result<CheckpointManifest> ParseManifest(const std::string& bytes) {
   for (CheckpointShardEntry& entry : manifest.shards) {
     SD_RETURN_NOT_OK(reader.U64(&entry.epoch));
     SD_RETURN_NOT_OK(reader.U64(&entry.appended));
+    SD_RETURN_NOT_OK(ReadFileName(&reader, &entry.file));
+    SD_RETURN_NOT_OK(reader.U64(&entry.checksum));
+    if (entry.file.empty()) {
+      return Status::InvalidArgument("manifest names no file for a shard");
+    }
   }
+  SD_RETURN_NOT_OK(reader.U64(&manifest.placement_epoch));
   SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.queries_file));
   SD_RETURN_NOT_OK(reader.U64(&manifest.queries_checksum));
-  SD_RETURN_NOT_OK(ReadPerShardEntries(&reader, manifest.num_shards,
-                                       "feature", &manifest.features));
   SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.net_file));
   SD_RETURN_NOT_OK(reader.U64(&manifest.net_checksum));
-  SD_RETURN_NOT_OK(ReadFileName(&reader, &manifest.placement_file));
-  SD_RETURN_NOT_OK(reader.U64(&manifest.placement_checksum));
-  SD_RETURN_NOT_OK(ReadPerShardEntries(&reader, manifest.num_shards, "edge",
-                                       &manifest.edges));
   if (manifest.queries_file.empty()) {
     return Status::InvalidArgument("manifest names no query registry file");
-  }
-  if (manifest.placement_file.empty()) {
-    return Status::InvalidArgument("manifest names no placement file");
   }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("manifest has trailing bytes");
   }
   return manifest;
+}
+
+std::string SerializeShardFile(const CheckpointShardFile& file) {
+  SD_CHECK(file.slices.size() == file.globals.size());
+  Writer payload;
+  payload.U8(static_cast<std::uint8_t>(file.aggregate));
+  payload.U64(file.history);
+  payload.U64(file.globals.size());
+  for (std::size_t local = 0; local < file.globals.size(); ++local) {
+    payload.U32(file.globals[local]);
+    if (file.globals[local] == kNoStream) continue;
+    const std::string& slice = file.slices[local];
+    payload.U64(slice.size());
+    payload.Bytes(slice.data(), slice.size());
+  }
+  return WrapEnvelope(kShardFileMagic, kShardFileVersion, payload.buffer());
+}
+
+Result<CheckpointShardFile> ParseShardFile(const std::string& bytes) {
+  std::uint32_t version = 0;
+  std::string payload;
+  SD_RETURN_NOT_OK(UnwrapEnvelope(bytes, kShardFileMagic,
+                                  "checkpoint shard file", &version,
+                                  &payload));
+  if (version != kShardFileVersion) {
+    return Status::InvalidArgument(
+        "unsupported checkpoint shard file version " +
+        std::to_string(version) + " (this build reads version " +
+        std::to_string(kShardFileVersion) + " only)");
+  }
+  Reader reader(payload);
+  CheckpointShardFile file;
+  std::uint8_t kind = 0;
+  SD_RETURN_NOT_OK(reader.U8(&kind));
+  if (kind > static_cast<std::uint8_t>(AggregateKind::kSpread)) {
+    return Status::InvalidArgument("shard file aggregate kind out of range");
+  }
+  file.aggregate = static_cast<AggregateKind>(kind);
+  SD_RETURN_NOT_OK(reader.U64(&file.history));
+  std::uint64_t slots = 0;
+  SD_RETURN_NOT_OK(reader.U64(&slots));
+  // Every slot holds at least its 4-byte stream id.
+  if (slots == 0 || slots > reader.remaining() / 4) {
+    return Status::InvalidArgument("shard file slot count out of range");
+  }
+  file.globals.resize(slots);
+  file.slices.resize(slots);
+  for (std::uint64_t local = 0; local < slots; ++local) {
+    SD_RETURN_NOT_OK(reader.U32(&file.globals[local]));
+    if (file.globals[local] == kNoStream) continue;
+    std::uint64_t size = 0;
+    SD_RETURN_NOT_OK(reader.U64(&size));
+    SD_RETURN_NOT_OK(reader.Bytes(size, &file.slices[local]));
+  }
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("shard file has trailing bytes");
+  }
+  return file;
 }
 
 Result<CheckpointManifest> FindLatestValidCheckpoint(const std::string& dir) {
@@ -309,18 +277,12 @@ Result<CheckpointManifest> FindLatestValidCheckpoint(const std::string& dir) {
       return false;
     };
     bool complete = true;
-    for (const CheckpointFeatureEntry& entry : manifest.features) {
-      complete =
-          complete && verify(entry.file, entry.checksum, "feature file");
-    }
-    for (const CheckpointFeatureEntry& entry : manifest.edges) {
-      complete = complete && verify(entry.file, entry.checksum, "edge file");
+    for (const CheckpointShardEntry& entry : manifest.shards) {
+      complete = complete && verify(entry.file, entry.checksum, "shard file");
     }
     complete = complete &&
                verify(manifest.queries_file, manifest.queries_checksum,
                       "query registry file") &&
-               verify(manifest.placement_file, manifest.placement_checksum,
-                      "placement file") &&
                (manifest.net_file.empty() ||
                 verify(manifest.net_file, manifest.net_checksum,
                        "net state file"));

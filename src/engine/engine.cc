@@ -97,51 +97,53 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   }
 
   // Placement: a fresh engine routes by the modulo-hash default; a
-  // checkpoint carries the slot tables its shard files were laid out
-  // under, parsed and validated here.
-  std::uint64_t placement_epoch = 0;
-  std::vector<std::vector<StreamId>> restored_mappings;
+  // checkpoint's shard files carry the slot tables their slices were laid
+  // out under, validated here to name every stream exactly once.
+  std::vector<CheckpointShardFile> restored_files;
+  std::vector<std::uint32_t> shard_of(num_streams, 0);
   if (restoring) {
-    const std::filesystem::path placement_path =
-        std::filesystem::path(restore_dir) / manifest.placement_file;
-    Result<std::string> read = ReadFileToString(placement_path.string());
-    if (!read.ok()) return read.status();
-    const std::string placement_bytes = std::move(read).value();
-    Reader reader(placement_bytes);
-    std::uint64_t file_shards = 0;
-    SD_RETURN_NOT_OK(reader.U64(&placement_epoch));
-    SD_RETURN_NOT_OK(reader.U64(&file_shards));
-    if (file_shards != num_shards) {
-      return Status::InvalidArgument(
-          "checkpoint placement shard count disagrees with manifest");
-    }
-    restored_mappings.resize(num_shards);
-    std::size_t resident = 0;
+    restored_files.reserve(num_shards);
     std::vector<char> seen(num_streams, 0);
+    std::size_t resident = 0;
     for (std::size_t s = 0; s < num_shards; ++s) {
-      std::uint64_t slots = 0;
-      SD_RETURN_NOT_OK(reader.U64(&slots));
-      if (slots > reader.remaining() / 8) {
-        return Status::InvalidArgument("checkpoint placement truncated");
+      const std::filesystem::path path =
+          std::filesystem::path(restore_dir) / manifest.shards[s].file;
+      Result<std::string> bytes = ReadFileToString(path.string());
+      if (!bytes.ok()) return bytes.status();
+      Result<CheckpointShardFile> parsed = ParseShardFile(bytes.value());
+      if (!parsed.ok()) return parsed.status();
+      restored_files.push_back(std::move(parsed).value());
+      const CheckpointShardFile& file = restored_files.back();
+      if (file.aggregate != config.aggregate) {
+        return Status::InvalidArgument(
+            std::string("checkpoint aggregate kind ") +
+            AggregateKindName(file.aggregate) + " differs from the requested " +
+            AggregateKindName(config.aggregate));
       }
-      restored_mappings[s].reserve(slots);
-      for (std::uint64_t i = 0; i < slots; ++i) {
-        std::uint64_t global = 0;
-        SD_RETURN_NOT_OK(reader.U64(&global));
-        const StreamId id = static_cast<StreamId>(global);
-        if (id != kNoStream) {
-          if (global >= num_streams || seen[id] != 0) {
-            return Status::InvalidArgument(
-                "checkpoint placement names an invalid or duplicate "
-                "stream");
-          }
-          seen[id] = 1;
-          ++resident;
+      if (file.history != config.history) {
+        return Status::InvalidArgument(
+            "checkpoint history " + std::to_string(file.history) +
+            " differs from the requested history " +
+            std::to_string(config.history));
+      }
+      // A shard grows a slot only when every slot is live, so no shard
+      // holds more slots than there are streams.
+      if (file.globals.size() > num_streams) {
+        return Status::InvalidArgument(
+            "checkpoint shard file has more slots than streams");
+      }
+      for (const StreamId global : file.globals) {
+        if (global == kNoStream) continue;
+        if (global >= num_streams || seen[global] != 0) {
+          return Status::InvalidArgument(
+              "checkpoint placement names an invalid or duplicate stream");
         }
-        restored_mappings[s].push_back(id);
+        seen[global] = 1;
+        shard_of[global] = static_cast<std::uint32_t>(s);
+        ++resident;
       }
     }
-    if (!reader.AtEnd() || resident != num_streams) {
+    if (resident != num_streams) {
       return Status::InvalidArgument(
           "checkpoint placement does not cover every stream");
     }
@@ -153,15 +155,8 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   engine->placement_ =
       std::make_unique<PlacementTable>(num_streams, num_shards);
   if (restoring) {
-    std::vector<std::uint32_t> shard_of(num_streams, 0);
-    for (std::size_t s = 0; s < restored_mappings.size(); ++s) {
-      for (const StreamId global : restored_mappings[s]) {
-        if (global != kNoStream) {
-          shard_of[global] = static_cast<std::uint32_t>(s);
-        }
-      }
-    }
-    SD_RETURN_NOT_OK(engine->placement_->Reset(placement_epoch, shard_of));
+    SD_RETURN_NOT_OK(
+        engine->placement_->Reset(manifest.placement_epoch, shard_of));
   }
   engine->registry_ =
       std::make_unique<QueryRegistry>(config, engine_config.query);
@@ -187,7 +182,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     // restored placement sizes each shard by its checkpointed slot table
     // instead (tombstoned slots included).
     const std::size_t local_streams =
-        restoring ? restored_mappings[s].size()
+        restoring ? restored_files[s].globals.size()
                   : (num_streams - s + num_shards - 1) / num_shards;
     // The query cores are per-shard Stardust instances over the same
     // local streams, owned by the shard's feature pipeline together with
@@ -230,23 +225,10 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
         engine->registry_.get(), engine->alert_bus_.get(),
         engine->metrics_.get(), std::move(shard_options)));
     if (restoring) {
-      Shard* shard = engine->shards_.back().get();
-      shard->RestoreProgress(manifest.shards[s].epoch,
-                             manifest.shards[s].appended);
-      const std::filesystem::path features_path =
-          std::filesystem::path(restore_dir) / manifest.features[s].file;
-      Result<std::string> feature_bytes =
-          ReadFileToString(features_path.string());
-      if (!feature_bytes.ok()) return feature_bytes.status();
-      // The pipeline checks the per-shard stream count (the placement's
-      // slot count) and the tails' history against this engine's.
-      SD_RETURN_NOT_OK(shard->RestoreFeatures(feature_bytes.value()));
-      SD_RETURN_NOT_OK(shard->SetStreamMapping(restored_mappings[s]));
-      const std::filesystem::path edge_path =
-          std::filesystem::path(restore_dir) / manifest.edges[s].file;
-      Result<std::string> edge_bytes = ReadFileToString(edge_path.string());
-      if (!edge_bytes.ok()) return edge_bytes.status();
-      SD_RETURN_NOT_OK(shard->RestoreEdges(edge_bytes.value()));
+      SD_RETURN_NOT_OK(engine->shards_.back()->Restore(
+          restored_files[s], manifest.shards[s].epoch,
+          manifest.shards[s].appended));
+      restored_files[s] = CheckpointShardFile();
     }
   }
   SD_CHECK(!engine->shards_.empty());
@@ -726,56 +708,35 @@ Status IngestEngine::Checkpoint(const std::string& dir) {
   manifest.seq = seq;
   manifest.num_streams = num_streams_;
   manifest.num_shards = shards_.size();
-  manifest.queue_capacity = config_.queue_capacity;
-  manifest.max_producers = config_.max_producers;
-  manifest.max_batch = config_.max_batch;
-  manifest.overload = static_cast<std::uint8_t>(config_.overload);
+  // Captured under the same migration_mu_ hold as the shard files'
+  // slot tables.
+  manifest.placement_epoch = placement_->epoch();
   manifest.shards.reserve(shards_.size());
 
   // Serialize and persist shard by shard. Each SerializeState holds only
   // that shard's state mutex, so ingestion keeps flowing on every other
   // shard (and on this one, into its rings) while the checkpoint runs.
-  // The pipeline bytes, the edge bytes and the stamp come out of one
-  // mutex hold, so they describe one point in the apply sequence.
-  manifest.features.reserve(shards_.size());
-  manifest.edges.reserve(shards_.size());
-  std::vector<std::vector<StreamId>> mappings(shards_.size());
+  // The slot table, the slices and the stamp come out of one mutex hold,
+  // so they describe one point in the apply sequence.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard* shard = shards_[s].get();
     ShardStamp stamp;
-    std::string feature_bytes;
-    std::string edge_bytes;
-    shard->SerializeState(&stamp, &feature_bytes, &mappings[s], &edge_bytes);
-    manifest.shards.push_back({stamp.epoch, stamp.appended});
-
-    CheckpointFeatureEntry feature_entry;
-    feature_entry.file = CheckpointFeaturesFileName(shard->index(), seq);
-    feature_entry.checksum = Fnv1a(feature_bytes);
-    const std::filesystem::path feature_path =
-        std::filesystem::path(dir) / feature_entry.file;
-    const Status feature_written =
-        AtomicWriteFile(feature_path.string(), feature_bytes);
-    if (!feature_written.ok()) {
-      metrics_->checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
-      return feature_written;
+    CheckpointShardFile file;
+    Status status = shards_[s]->SerializeState(&stamp, &file);
+    CheckpointShardEntry entry;
+    entry.epoch = stamp.epoch;
+    entry.appended = stamp.appended;
+    entry.file = CheckpointFeaturesFileName(s, seq);
+    if (status.ok()) {
+      const std::string bytes = SerializeShardFile(file);
+      entry.checksum = Fnv1a(bytes);
+      status = AtomicWriteFile(
+          (std::filesystem::path(dir) / entry.file).string(), bytes);
     }
-    manifest.features.push_back(std::move(feature_entry));
-
-    // The rising-edge maps ride next to the feature bytes: without them a
-    // restore would re-announce every condition that was already
-    // alarming when the checkpoint was taken.
-    CheckpointFeatureEntry edge_entry;
-    edge_entry.file = CheckpointEdgesFileName(shard->index(), seq);
-    edge_entry.checksum = Fnv1a(edge_bytes);
-    const std::filesystem::path edge_path =
-        std::filesystem::path(dir) / edge_entry.file;
-    const Status edge_written =
-        AtomicWriteFile(edge_path.string(), edge_bytes);
-    if (!edge_written.ok()) {
+    if (!status.ok()) {
       metrics_->checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
-      return edge_written;
+      return status;
     }
-    manifest.edges.push_back(std::move(edge_entry));
+    manifest.shards.push_back(std::move(entry));
   }
 
   // The query registry rides every checkpoint (even when empty, so the
@@ -810,32 +771,6 @@ Status IngestEngine::Checkpoint(const std::string& dir) {
         metrics_->checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
         return written;
       }
-    }
-  }
-
-  // The stream placement rides the checkpoint: the placement epoch plus
-  // every shard's local->global slot table, captured under the same
-  // migration_mu_ hold as the shard bytes so the restore lays streams
-  // out exactly as the shard files were written.
-  {
-    Writer placement_writer;
-    placement_writer.U64(placement_->epoch());
-    placement_writer.U64(shards_.size());
-    for (const std::vector<StreamId>& mapping : mappings) {
-      placement_writer.U64(mapping.size());
-      for (const StreamId global : mapping) {
-        placement_writer.U64(global);
-      }
-    }
-    const std::string& bytes = placement_writer.buffer();
-    manifest.placement_file = CheckpointPlacementFileName(seq);
-    manifest.placement_checksum = Fnv1a(bytes);
-    const std::filesystem::path path =
-        std::filesystem::path(dir) / manifest.placement_file;
-    const Status written = AtomicWriteFile(path.string(), bytes);
-    if (!written.ok()) {
-      metrics_->checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
-      return written;
     }
   }
 

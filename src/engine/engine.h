@@ -68,13 +68,15 @@ class IngestEngine {
   /// min(engine_config.num_shards, num_streams).
   ///
   /// A non-empty `restore_dir` resumes from the newest complete
-  /// checkpoint in that directory (see Checkpoint): every shard's stream
-  /// state, epoch stamps, alert edge state, and the query registry
+  /// checkpoint in that directory (see Checkpoint): the query registry,
+  /// the placement, every shard's epoch stamps and every stream's state —
+  /// alert edge state included, byte-equal to the checkpointed slice —
   /// continue the pre-crash lineage. The queries come from the
   /// checkpoint, so `thresholds` must be empty (InvalidArgument
-  /// otherwise). The requested shape (stream count, shard count) must
-  /// match the checkpointed one. NotFound when the directory holds no
-  /// complete checkpoint.
+  /// otherwise). The requested shape (stream count, shard count,
+  /// aggregate kind, `history`) must match the checkpointed one; the
+  /// feature-store capacity need not (streams re-warm their store rows).
+  /// NotFound when the directory holds no complete checkpoint.
   static Result<std::unique_ptr<IngestEngine>> Create(
       const StardustConfig& config, std::vector<WindowThreshold> thresholds,
       std::size_t num_streams, const EngineConfig& engine_config = {},
@@ -167,13 +169,14 @@ class IngestEngine {
   /// as the commit point; a crash mid-checkpoint leaves the previous
   /// checkpoint intact. On success the directory is garbage-collected
   /// down to the current and previous checkpoints. Serialized against
-  /// itself and against the background checkpoint thread. Each shard's
-  /// feature pipeline (raw tails, query cores, feature store, sketch
-  /// measures) is checkpointed as one `features-<i>-ck<seq>.feat`, next
-  /// to its edge state, both taken under one mutex hold so they describe
-  /// one point in the apply sequence (docs/FEATURES.md, "Checkpoint
-  /// semantics"). The layout is described in engine/checkpoint.h; only
-  /// the current format restores.
+  /// itself, the background checkpoint thread and migrations. Each shard
+  /// is checkpointed as one `features-<i>-ck<seq>.feat`: its slot table
+  /// and every resident stream's slice (the DebugStreamState bytes: raw
+  /// tail, query cores, trackers, sketch measures, store rows, edge
+  /// state), taken under one mutex hold so they describe one point in
+  /// the apply sequence (docs/FEATURES.md, "Checkpointing"). The layout
+  /// is described in engine/checkpoint.h; only the current format
+  /// restores.
   Status Checkpoint(const std::string& dir);
   /// Sequence number of the last successful Checkpoint; 0 if none yet.
   std::uint64_t last_checkpoint_seq() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -16,11 +15,6 @@
 namespace stardust {
 
 namespace {
-
-constexpr char kPipelineMagic[4] = {'S', 'D', 'F', 'P'};
-/// The only version this build reads or writes; older snapshots are
-/// rejected with a diagnostic.
-constexpr std::uint32_t kPipelineVersion = 3;
 
 // One stream's raw tail: the ring capacity (so a restore can reject a
 // tail taken under another history), the append count, and the retained
@@ -401,6 +395,7 @@ Status FeaturePipeline::SaveStreamTo(StreamId stream, Writer* writer) const {
     }
     tracker->SaveTo(writer);
   }
+  const std::size_t before_sketch = writer->buffer().size();
   writer->U64(sketch_configs_.size());
   for (std::size_t slot = 0; slot < sketch_configs_.size(); ++slot) {
     sketch_configs_[slot].SaveTo(writer);
@@ -408,6 +403,7 @@ Status FeaturePipeline::SaveStreamTo(StreamId stream, Writer* writer) const {
     writer->U8(measure != nullptr ? 1 : 0);
     if (measure != nullptr) measure->SaveTo(writer);
   }
+  sketch_serialized_bytes_ += writer->buffer().size() - before_sketch;
   store_.SaveStreamTo(stream, writer);
   return Status::OK();
 }
@@ -428,9 +424,6 @@ Status FeaturePipeline::RestoreStreamFrom(StreamId stream, Reader* reader) {
     }
     SD_RETURN_NOT_OK(
         pattern_core_->mutable_summarizer(stream)->RestoreFrom(reader));
-    if (AnyLevelIndexed(*pattern_core_)) {
-      SD_RETURN_NOT_OK(pattern_core_->RebuildIndexes());
-    }
   }
   std::uint8_t has_corr = 0;
   SD_RETURN_NOT_OK(reader->U8(&has_corr));
@@ -441,24 +434,26 @@ Status FeaturePipeline::RestoreStreamFrom(StreamId stream, Reader* reader) {
     }
     SD_RETURN_NOT_OK(
         corr_core_->mutable_summarizer(stream)->RestoreFrom(reader));
-    if (AnyLevelIndexed(*corr_core_)) {
-      SD_RETURN_NOT_OK(corr_core_->RebuildIndexes());
-    }
   }
   std::uint8_t has_tracker = 0;
   SD_RETURN_NOT_OK(reader->U8(&has_tracker));
   if (has_tracker != 0) {
     std::uint64_t num_windows = 0;
     SD_RETURN_NOT_OK(reader->U64(&num_windows));
-    if (num_windows > reader->remaining() / 8) {
+    if (num_windows == 0 || num_windows > reader->remaining() / 8) {
       return Status::InvalidArgument("stream slice tracker count corrupt");
     }
     std::vector<std::size_t> windows(num_windows);
     for (std::uint64_t i = 0; i < num_windows; ++i) {
       std::uint64_t w = 0;
       SD_RETURN_NOT_OK(reader->U64(&w));
-      if (w == 0) {
-        return Status::InvalidArgument("stream slice tracker window zero");
+      // The tracker's ring holds its widest window; no plan window
+      // exceeds the retained history.
+      if (w == 0 || w > aggregate_.history) {
+        return Status::InvalidArgument(
+            "stream slice tracker window " + std::to_string(w) +
+            " outside [1, history " + std::to_string(aggregate_.history) +
+            "]");
       }
       windows[i] = static_cast<std::size_t>(w);
     }
@@ -507,6 +502,15 @@ Status FeaturePipeline::RestoreStreamFrom(StreamId stream, Reader* reader) {
   return Status::OK();
 }
 
+Status FeaturePipeline::RebuildIndexes() {
+  for (Stardust* core : {pattern_core_.get(), corr_core_.get()}) {
+    if (core != nullptr && AnyLevelIndexed(*core)) {
+      SD_RETURN_NOT_OK(core->RebuildIndexes());
+    }
+  }
+  return Status::OK();
+}
+
 FeaturePipeline::Counters FeaturePipeline::counters() const {
   Counters c;
   c.batches = batches_;
@@ -527,196 +531,6 @@ FeaturePipeline::Counters FeaturePipeline::counters() const {
   }
   c.sketch_serialized_bytes = sketch_serialized_bytes_;
   return c;
-}
-
-std::string FeaturePipeline::Serialize() const {
-  Writer payload;
-  payload.U64(num_streams_);
-  // The kind the trackers rebuilt from these tails evaluate: a restore
-  // under another kind would silently change every aggregate answer.
-  payload.U8(static_cast<std::uint8_t>(aggregate_.aggregate));
-  for (const RingBuffer<double>& tail : tails_) SaveTail(tail, &payload);
-  payload.U8(pattern_core_ != nullptr ? 1 : 0);
-  if (pattern_core_ != nullptr) {
-    payload.U64(num_streams_);
-    for (StreamId s = 0; s < num_streams_; ++s) {
-      pattern_core_->summarizer(s).SaveTo(&payload);
-    }
-  }
-  payload.U8(corr_core_ != nullptr ? 1 : 0);
-  if (corr_core_ != nullptr) {
-    payload.U64(num_streams_);
-    for (StreamId s = 0; s < num_streams_; ++s) {
-      corr_core_->summarizer(s).SaveTo(&payload);
-    }
-  }
-  store_.SaveTo(&payload);
-
-  // Sketch section: per slot, the config plus every live (stream,
-  // measure) pair, in ascending stream order.
-  const std::size_t before_sketch = payload.buffer().size();
-  payload.U64(sketch_configs_.size());
-  for (std::size_t slot = 0; slot < sketch_configs_.size(); ++slot) {
-    sketch_configs_[slot].SaveTo(&payload);
-    std::uint64_t present = 0;
-    for (const auto& measure : sketch_slots_[slot]) {
-      present += measure != nullptr ? 1 : 0;
-    }
-    payload.U64(present);
-    for (StreamId s = 0; s < num_streams_; ++s) {
-      if (sketch_slots_[slot][s] == nullptr) continue;
-      payload.U64(s);
-      sketch_slots_[slot][s]->SaveTo(&payload);
-    }
-  }
-  sketch_serialized_bytes_ += payload.buffer().size() - before_sketch;
-
-  Writer envelope;
-  envelope.Bytes(kPipelineMagic, sizeof(kPipelineMagic));
-  envelope.U32(kPipelineVersion);
-  envelope.U64(Fnv1a(payload.buffer()));
-  envelope.Bytes(payload.buffer().data(), payload.buffer().size());
-  return std::move(envelope.TakeBuffer());
-}
-
-Status FeaturePipeline::Restore(const std::string& bytes) {
-  if (bytes.size() < sizeof(kPipelineMagic) + 4 + 8) {
-    return Status::InvalidArgument("feature pipeline snapshot too small");
-  }
-  if (std::memcmp(bytes.data(), kPipelineMagic, sizeof(kPipelineMagic)) !=
-      0) {
-    return Status::InvalidArgument(
-        "not a feature pipeline snapshot (bad magic)");
-  }
-  Reader header(bytes);
-  {
-    std::uint8_t b = 0;
-    for (std::size_t i = 0; i < sizeof(kPipelineMagic); ++i) {
-      SD_RETURN_NOT_OK(header.U8(&b));
-    }
-  }
-  std::uint32_t version = 0;
-  std::uint64_t checksum = 0;
-  SD_RETURN_NOT_OK(header.U32(&version));
-  SD_RETURN_NOT_OK(header.U64(&checksum));
-  if (version != kPipelineVersion) {
-    return Status::InvalidArgument(
-        "unsupported feature pipeline version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kPipelineVersion) +
-        " only)");
-  }
-  const std::string payload = bytes.substr(sizeof(kPipelineMagic) + 12);
-  if (Fnv1a(payload) != checksum) {
-    return Status::InvalidArgument(
-        "feature pipeline snapshot checksum mismatch");
-  }
-  return RestorePayload(payload);
-}
-
-Status FeaturePipeline::RestorePayload(const std::string& payload) {
-  Reader reader(payload);
-  std::uint64_t tail_streams = 0;
-  SD_RETURN_NOT_OK(reader.U64(&tail_streams));
-  if (tail_streams != num_streams_) {
-    return Status::InvalidArgument("feature pipeline stream count mismatch");
-  }
-  std::uint8_t kind = 0;
-  SD_RETURN_NOT_OK(reader.U8(&kind));
-  if (kind != static_cast<std::uint8_t>(aggregate_.aggregate)) {
-    return Status::InvalidArgument(
-        std::string("feature pipeline snapshot aggregate kind ") +
-        AggregateKindName(static_cast<AggregateKind>(kind)) +
-        " differs from the requested " +
-        AggregateKindName(aggregate_.aggregate));
-  }
-  for (RingBuffer<double>& tail : tails_) {
-    SD_RETURN_NOT_OK(RestoreTail(&reader, &tail));
-  }
-  std::uint8_t has_pattern = 0;
-  SD_RETURN_NOT_OK(reader.U8(&has_pattern));
-  if (has_pattern != 0) {
-    if (pattern_core_ == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot carries a pattern core this engine does not run");
-    }
-    std::uint64_t streams = 0;
-    SD_RETURN_NOT_OK(reader.U64(&streams));
-    if (streams != num_streams_) {
-      return Status::InvalidArgument(
-          "feature pipeline stream count mismatch");
-    }
-    for (StreamId s = 0; s < num_streams_; ++s) {
-      SD_RETURN_NOT_OK(
-          pattern_core_->mutable_summarizer(s)->RestoreFrom(&reader));
-    }
-    SD_RETURN_NOT_OK(pattern_core_->RebuildIndexes());
-  }
-  std::uint8_t has_corr = 0;
-  SD_RETURN_NOT_OK(reader.U8(&has_corr));
-  if (has_corr != 0) {
-    if (corr_core_ == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot carries a correlation core this engine does not run");
-    }
-    std::uint64_t streams = 0;
-    SD_RETURN_NOT_OK(reader.U64(&streams));
-    if (streams != num_streams_) {
-      return Status::InvalidArgument(
-          "feature pipeline stream count mismatch");
-    }
-    for (StreamId s = 0; s < num_streams_; ++s) {
-      SD_RETURN_NOT_OK(
-          corr_core_->mutable_summarizer(s)->RestoreFrom(&reader));
-    }
-    SD_RETURN_NOT_OK(corr_core_->RebuildIndexes());
-  }
-  SD_RETURN_NOT_OK(store_.RestoreFrom(&reader));
-  std::uint64_t num_slots = 0;
-  SD_RETURN_NOT_OK(reader.U64(&num_slots));
-  // One config is 65 bytes followed by a present count.
-  if (num_slots > reader.remaining() / 73) {
-    return Status::InvalidArgument(
-        "feature pipeline sketch slot count out of range");
-  }
-  std::vector<SketchConfig> configs;
-  std::vector<std::vector<std::unique_ptr<SketchMeasure>>> slots;
-  configs.reserve(num_slots);
-  slots.reserve(num_slots);
-  for (std::uint64_t i = 0; i < num_slots; ++i) {
-    SketchConfig config;
-    SD_RETURN_NOT_OK(config.RestoreFrom(&reader));
-    SD_RETURN_NOT_OK(config.Validate());
-    std::vector<std::unique_ptr<SketchMeasure>> per_stream(num_streams_);
-    std::uint64_t present = 0;
-    SD_RETURN_NOT_OK(reader.U64(&present));
-    if (present > num_streams_) {
-      return Status::InvalidArgument(
-          "feature pipeline sketch stream count out of range");
-    }
-    std::uint64_t last_stream = 0;
-    for (std::uint64_t j = 0; j < present; ++j) {
-      std::uint64_t stream = 0;
-      SD_RETURN_NOT_OK(reader.U64(&stream));
-      // Serialize emits ascending stream ids; anything else is corrupt.
-      if (stream >= num_streams_ || (j > 0 && stream <= last_stream)) {
-        return Status::InvalidArgument(
-            "feature pipeline sketch stream id out of order");
-      }
-      last_stream = stream;
-      auto measure = CreateSketchMeasure(config);
-      SD_RETURN_NOT_OK(measure->RestoreFrom(&reader));
-      per_stream[static_cast<std::size_t>(stream)] = std::move(measure);
-    }
-    configs.push_back(config);
-    slots.push_back(std::move(per_stream));
-  }
-  sketch_configs_ = std::move(configs);
-  sketch_slots_ = std::move(slots);
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument(
-        "feature pipeline snapshot has trailing bytes");
-  }
-  return Status::OK();
 }
 
 }  // namespace stardust

@@ -10,7 +10,9 @@
 // once (Append) and closes the batch exactly once (FinishBatch); every
 // query stage then reads the shared state instead of re-deriving it,
 // which is the unified-framework claim of the paper made concrete (docs/
-// FEATURES.md).
+// FEATURES.md). One stream's share of all of it serializes as its slice
+// (SaveStreamTo), the only encoding of per-stream state: migrations,
+// checkpoints and the DebugStreamState oracle all carry it.
 //
 // Threading: all methods are called by the owning shard's worker under
 // the shard state mutex (or before the shard starts). The pipeline has no
@@ -54,7 +56,7 @@ class FeaturePipeline {
     std::uint64_t store_misses = 0;
     std::uint64_t store_epoch = 0;
     /// Summed over the live sketch measures (sketch/measure.h counters),
-    /// plus the bytes their snapshots contributed to Serialize calls.
+    /// plus the sketch bytes SaveStreamTo wrote into stream slices.
     std::uint64_t sketch_appends = 0;
     std::uint64_t sketch_merges = 0;
     std::uint64_t sketch_estimates = 0;
@@ -165,31 +167,28 @@ class FeaturePipeline {
   /// RestoreStreamFrom.
   Status ResetStream(StreamId stream);
   /// Serializes one stream's slice of every maintained structure: raw
-  /// tail, summarizers, tracker, sketch measures, and store rows.
+  /// tail, summarizers, tracker, sketch measures, and store rows. The
+  /// slice is the one encoding of a stream's state: migrations move it,
+  /// checkpoints persist it (engine/checkpoint.h), and
+  /// IngestEngine::DebugStreamState compares it.
   Status SaveStreamTo(StreamId stream, Writer* writer) const;
   /// Installs a SaveStreamTo slice into `stream`'s slot. The raw tail is
-  /// installed first; the tracker is restored bit-exactly when the
-  /// serialized window set matches this pipeline's plan, otherwise
-  /// rebuilt from that tail; sketch measures are claimed by config; store
-  /// rows for levels this shard no longer monitors are dropped
-  /// (recomputed on miss).
+  /// installed first and must have been taken under this pipeline's
+  /// `history`. The tracker is restored bit-exactly when the serialized
+  /// window set matches this pipeline's plan, otherwise rebuilt from that
+  /// tail; sketch measures are claimed by config; store rows for levels
+  /// this shard does not monitor, or of another store capacity, are
+  /// dropped (recomputed on miss). A slice carrying a core this pipeline
+  /// does not run is rejected; one without a core this pipeline runs
+  /// leaves that core's stream empty (it warms up). Every count is
+  /// bounded by the bytes left, so a hostile slice is rejected before it
+  /// allocates. The cores' level indexes are left stale: call
+  /// RebuildIndexes once the installs are done.
   Status RestoreStreamFrom(StreamId stream, Reader* reader);
-
-  /// Serializes the aggregate kind, the raw tails, the cores, the store,
-  /// and the live sketch measures under the "SDFP" v3 envelope (magic +
-  /// version + FNV-1a checksum), so a restored engine resumes every query
-  /// class instead of warming from empty. Trackers are not serialized;
-  /// AdoptPlan rebuilds them from the restored tails.
-  std::string Serialize() const;
-  /// Restores a pipeline serialized by Serialize. The bytes must have
-  /// been taken with this pipeline's aggregate kind and `history`. Core
-  /// presence must be compatible: bytes carrying a core this pipeline
-  /// does not have are rejected; a missing core in the bytes leaves this
-  /// pipeline's core empty (it warms up).
-  Status Restore(const std::string& bytes);
+  /// Rebuilds the level indexes of each core that maintains any.
+  Status RebuildIndexes();
 
  private:
-  Status RestorePayload(const std::string& payload);
   /// Feeds one value, already checked, through every structure.
   Status AppendValue(StreamId stream, double value);
   /// Caches any new aligned feature times of `stream` at store level
@@ -221,12 +220,11 @@ class FeaturePipeline {
   /// lazily created measure per local stream that appended since the slot
   /// existed (bounding memory to the streams actually seen). AdoptPlan
   /// claims existing per-stream measures whose config matches the new
-  /// plan's slot — sketch state cannot be rebuilt from raw history, and
-  /// claim-by-config is also what re-attaches checkpoint-restored
-  /// measures to the first compiled plan.
+  /// plan's slot — sketch state cannot be rebuilt from raw history.
+  /// Installed slices claim their measures by config the same way.
   std::vector<SketchConfig> sketch_configs_;
   std::vector<std::vector<std::unique_ptr<SketchMeasure>>> sketch_slots_;
-  /// Sketch snapshot bytes contributed by Serialize calls (counters()).
+  /// Sketch bytes SaveStreamTo wrote into stream slices (counters()).
   mutable std::uint64_t sketch_serialized_bytes_ = 0;
 
   std::uint64_t batches_ = 0;

@@ -122,64 +122,28 @@ Status LoadEdgeSlice(std::unordered_map<QueryId, std::vector<T>>* map,
   return Status::OK();
 }
 
-// A whole edge-state map (every query, every slot), serialized sorted by
-// query id for deterministic bytes. The full-map form rides checkpoints;
-// the per-stream slice form above rides migration blobs.
-template <typename T>
-void SaveEdgeMap(const std::unordered_map<QueryId, std::vector<T>>& map,
-                 Writer* writer) {
-  std::vector<QueryId> ids;
-  ids.reserve(map.size());
-  for (const auto& [id, values] : map) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  writer->U64(ids.size());
-  for (const QueryId id : ids) {
-    const std::vector<T>& values = map.at(id);
-    writer->U64(id);
-    writer->U64(values.size());
-    for (const T value : values) {
-      if constexpr (sizeof(T) == 1) {
-        writer->U8(static_cast<std::uint8_t>(value));
-      } else {
-        writer->U64(static_cast<std::uint64_t>(value));
-      }
-    }
+// Drops the entries of queries missing from `live` (the registry
+// snapshot's queries of the map's class).
+template <typename T, typename Queries>
+void PruneEdgeMap(const Queries& live,
+                  std::unordered_map<QueryId, std::vector<T>>* map) {
+  for (auto it = map->begin(); it != map->end();) {
+    const QueryId id = it->first;
+    const bool registered =
+        std::any_of(live.begin(), live.end(),
+                    [id](const auto& q) { return q->id == id; });
+    it = registered ? std::next(it) : map->erase(it);
   }
 }
 
+// Resets one slot of an edge-state map to the value a fresh evaluation
+// starts from (a tombstoned slot must not leak state to its next owner).
 template <typename T>
-Status LoadEdgeMap(std::unordered_map<QueryId, std::vector<T>>* map,
-                   std::size_t num_streams, Reader* reader) {
-  std::uint64_t count = 0;
-  SD_RETURN_NOT_OK(reader->U64(&count));
-  if (count > reader->remaining() / 16) {
-    return Status::InvalidArgument("edge map section truncated");
+void ClearEdgeSlot(std::unordered_map<QueryId, std::vector<T>>* map,
+                   StreamId local) {
+  for (auto& [id, values] : *map) {
+    if (local < values.size()) values[local] = T{};
   }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t id = 0;
-    SD_RETURN_NOT_OK(reader->U64(&id));
-    std::uint64_t len = 0;
-    SD_RETURN_NOT_OK(reader->U64(&len));
-    if (len > reader->remaining() / sizeof(T)) {
-      return Status::InvalidArgument("edge map entry truncated");
-    }
-    std::vector<T> values(num_streams, T{});
-    for (std::uint64_t v = 0; v < len; ++v) {
-      std::uint64_t value = 0;
-      if constexpr (sizeof(T) == 1) {
-        std::uint8_t v8 = 0;
-        SD_RETURN_NOT_OK(reader->U8(&v8));
-        value = v8;
-      } else {
-        SD_RETURN_NOT_OK(reader->U64(&value));
-      }
-      // Slots past the current slot count (a layout the checkpoint
-      // validation would have rejected anyway) are dropped, not UB.
-      if (v < num_streams) values[v] = static_cast<T>(value);
-    }
-    (*map)[id] = std::move(values);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -207,8 +171,8 @@ Shard::Shard(std::size_t index, std::size_t num_shards,
     SD_CHECK(registry_ != nullptr);
   }
   // Default slot table: the engine's historical modulo layout, local
-  // slot l holding global l * num_shards + index. SetStreamMapping
-  // replaces it when a checkpoint restores a post-migration layout.
+  // slot l holding global l * num_shards + index. Restore replaces it
+  // with a checkpoint's slot table.
   const std::size_t locals = pipeline_->num_streams();
   global_of_.resize(locals);
   for (StreamId local = 0; local < locals; ++local) {
@@ -446,53 +410,19 @@ void Shard::RefreshQuerySnapshot() {
   pending_plan_ = CompileEvalPlan(*query_snapshot_, version, ctx);
 }
 
+void Shard::CommitPendingPlanLocked() {
+  if (pending_plan_ == nullptr) return;
+  plan_ = std::move(pending_plan_);
+  pending_plan_ = nullptr;
+  PruneQueryStateLocked();
+  pipeline_->AdoptPlan(*plan_);
+}
+
 void Shard::PruneQueryStateLocked() {
-  // Prune evaluation state of queries that left the registry so the maps
-  // cannot grow without bound under register/unregister churn. Runs at
-  // plan commit with state_mu_ held: migrations serialize and install
-  // edge-state slices under the same mutex.
-  for (auto it = agg_alarming_.begin(); it != agg_alarming_.end();) {
-    bool live = false;
-    for (const auto& q : query_snapshot_->aggregate) {
-      if (q->id == it->first) {
-        live = true;
-        break;
-      }
-    }
-    it = live ? std::next(it) : agg_alarming_.erase(it);
-  }
-  for (auto it = sketch_alarming_.begin(); it != sketch_alarming_.end();) {
-    bool live = false;
-    for (const auto& q : query_snapshot_->sketch) {
-      if (q->id == it->first) {
-        live = true;
-        break;
-      }
-    }
-    it = live ? std::next(it) : sketch_alarming_.erase(it);
-  }
-  for (auto it = pattern_watermark_.begin();
-       it != pattern_watermark_.end();) {
-    bool live = false;
-    for (const auto& q : query_snapshot_->pattern) {
-      if (q->id == it->first) {
-        live = true;
-        break;
-      }
-    }
-    it = live ? std::next(it) : pattern_watermark_.erase(it);
-  }
-  for (auto it = pattern_eval_floor_.begin();
-       it != pattern_eval_floor_.end();) {
-    bool live = false;
-    for (const auto& q : query_snapshot_->pattern) {
-      if (q->id == it->first) {
-        live = true;
-        break;
-      }
-    }
-    it = live ? std::next(it) : pattern_eval_floor_.erase(it);
-  }
+  PruneEdgeMap(query_snapshot_->aggregate, &agg_alarming_);
+  PruneEdgeMap(query_snapshot_->sketch, &sketch_alarming_);
+  PruneEdgeMap(query_snapshot_->pattern, &pattern_watermark_);
+  PruneEdgeMap(query_snapshot_->pattern, &pattern_eval_floor_);
 }
 
 void Shard::GroupRuns(const std::vector<StreamValue>& batch) {
@@ -779,12 +709,7 @@ void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
   std::size_t work_size = 0;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (pending_plan_ != nullptr) {
-      plan_ = std::move(pending_plan_);
-      pending_plan_ = nullptr;
-      PruneQueryStateLocked();
-      pipeline_->AdoptPlan(*plan_);
-    }
+    CommitPendingPlanLocked();
     // A completed migration released its parked tuples: apply them
     // first, in arrival order, ahead of this batch — exactly the order
     // the ring would have delivered had the stream been resident.
@@ -913,85 +838,57 @@ std::vector<std::pair<StreamId, std::uint64_t>> Shard::StreamAppendCounts()
   return counts;
 }
 
-void Shard::SerializeState(ShardStamp* stamp, std::string* features,
-                           std::vector<StreamId>* mapping,
-                           std::string* edges) const {
+Status Shard::SerializeState(ShardStamp* stamp,
+                             CheckpointShardFile* file) const {
   std::lock_guard<std::mutex> lock(state_mu_);
   *stamp = StampLocked();
-  *features = pipeline_->Serialize();
-  *mapping = global_of_;
-  Writer writer;
-  SaveEdgeMap(agg_alarming_, &writer);
-  SaveEdgeMap(sketch_alarming_, &writer);
-  SaveEdgeMap(pattern_watermark_, &writer);
-  SaveEdgeMap(pattern_eval_floor_, &writer);
-  *edges = writer.TakeBuffer();
-}
-
-Status Shard::RestoreFeatures(const std::string& bytes) {
-  SD_CHECK(!worker_.joinable());
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return pipeline_->Restore(bytes);
-}
-
-Status Shard::RestoreEdges(const std::string& bytes) {
-  SD_CHECK(!worker_.joinable());
-  std::lock_guard<std::mutex> lock(state_mu_);
-  const std::size_t num_streams = pipeline_->num_streams();
-  Reader reader(bytes);
-  SD_RETURN_NOT_OK(LoadEdgeMap(&agg_alarming_, num_streams, &reader));
-  SD_RETURN_NOT_OK(LoadEdgeMap(&sketch_alarming_, num_streams, &reader));
-  SD_RETURN_NOT_OK(LoadEdgeMap(&pattern_watermark_, num_streams, &reader));
-  SD_RETURN_NOT_OK(
-      LoadEdgeMap(&pattern_eval_floor_, num_streams, &reader));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("edge snapshot has trailing bytes");
+  file->aggregate = pipeline_->aggregate_config().aggregate;
+  file->history = pipeline_->aggregate_config().history;
+  file->globals = global_of_;
+  file->slices.assign(global_of_.size(), std::string());
+  for (StreamId local = 0; local < global_of_.size(); ++local) {
+    if (global_of_[local] == kNoStream) continue;
+    Writer writer;
+    SD_RETURN_NOT_OK(SaveStreamLocked(local, &writer));
+    file->slices[local] = writer.TakeBuffer();
   }
   return Status::OK();
 }
 
-Status Shard::SetStreamMapping(const std::vector<StreamId>& globals) {
+Status Shard::Restore(const CheckpointShardFile& file, std::uint64_t epoch,
+                      std::uint64_t appended) {
   SD_CHECK(!worker_.joinable());
+  if (registry_ != nullptr) RefreshQuerySnapshot();
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (globals.size() != pipeline_->num_streams()) {
-    return Status::InvalidArgument(
-        "stream mapping size does not match the shard's slot count");
-  }
-  StreamId max_global = 0;
-  bool any = false;
-  for (StreamId global : globals) {
-    if (global == kNoStream) continue;
-    max_global = std::max(max_global, global);
-    any = true;
-  }
-  std::vector<StreamId> local_of(
-      any ? static_cast<std::size_t>(max_global) + 1 : 0, kNoStream);
-  std::vector<StreamId> free_slots;
-  for (StreamId local = 0; local < globals.size(); ++local) {
-    const StreamId global = globals[local];
+  const std::size_t slots = pipeline_->num_streams();
+  SD_CHECK(file.globals.size() == slots && file.slices.size() == slots);
+  CommitPendingPlanLocked();
+  global_of_.assign(slots, kNoStream);
+  local_of_.clear();
+  free_slots_.clear();
+  for (StreamId local = 0; local < slots; ++local) {
+    const StreamId global = file.globals[local];
     if (global == kNoStream) {
-      free_slots.push_back(local);
+      free_slots_.push_back(local);
       continue;
     }
-    if (local_of[global] != kNoStream) {
-      return Status::InvalidArgument(
-          "stream mapping assigns one global id to two slots");
+    SD_RETURN_NOT_OK(LoadStreamLocked(local, file.slices[local]));
+    global_of_[local] = global;
+    if (local_of_.size() <= global) {
+      local_of_.resize(static_cast<std::size_t>(global) + 1, kNoStream);
     }
-    local_of[global] = local;
+    local_of_[global] = local;
   }
-  global_of_ = globals;
-  local_of_ = std::move(local_of);
-  free_slots_ = std::move(free_slots);
   RebuildSortedLocalsLocked();
-  return Status::OK();
-}
-
-void Shard::RestoreProgress(std::uint64_t epoch, std::uint64_t appended) {
-  SD_CHECK(!worker_.joinable());
+  SD_RETURN_NOT_OK(pipeline_->RebuildIndexes());
+  // A query unregistered between the shard capture and the registry
+  // capture left edge state in the slices that no plan will prune.
+  if (query_snapshot_ != nullptr) PruneQueryStateLocked();
   epoch_.store(epoch, std::memory_order_release);
   applied_.store(appended, std::memory_order_release);
   alert_progress_.store(appended, std::memory_order_release);
   enqueued_.store(appended, std::memory_order_release);
+  return Status::OK();
 }
 
 Status Shard::worker_status() const {
@@ -1025,6 +922,24 @@ Status Shard::SaveStreamLocked(StreamId local, Writer* writer) const {
   return Status::OK();
 }
 
+Status Shard::LoadStreamLocked(StreamId local, const std::string& blob) {
+  Reader reader(blob);
+  SD_RETURN_NOT_OK(pipeline_->RestoreStreamFrom(local, &reader));
+  const std::size_t num_streams = pipeline_->num_streams();
+  SD_RETURN_NOT_OK(
+      LoadEdgeSlice(&agg_alarming_, local, num_streams, &reader));
+  SD_RETURN_NOT_OK(
+      LoadEdgeSlice(&sketch_alarming_, local, num_streams, &reader));
+  SD_RETURN_NOT_OK(
+      LoadEdgeSlice(&pattern_watermark_, local, num_streams, &reader));
+  SD_RETURN_NOT_OK(
+      LoadEdgeSlice(&pattern_eval_floor_, local, num_streams, &reader));
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("stream slice has trailing bytes");
+  }
+  return Status::OK();
+}
+
 Status Shard::ExtractStream(StreamId global_stream, std::string* blob) {
   std::lock_guard<std::mutex> lock(state_mu_);
   const StreamId local = LocalOfLocked(global_stream);
@@ -1038,18 +953,10 @@ Status Shard::ExtractStream(StreamId global_stream, std::string* blob) {
   // mark the local id reusable. The caller already re-routed the stream
   // and drained this shard's rings, so no tuple can reach the slot.
   SD_RETURN_NOT_OK(pipeline_->ResetStream(local));
-  for (auto& [id, edge] : agg_alarming_) {
-    if (local < edge.size()) edge[local] = 0;
-  }
-  for (auto& [id, edge] : sketch_alarming_) {
-    if (local < edge.size()) edge[local] = 0;
-  }
-  for (auto& [id, wm] : pattern_watermark_) {
-    if (local < wm.size()) wm[local] = 0;
-  }
-  for (auto& [id, ef] : pattern_eval_floor_) {
-    if (local < ef.size()) ef[local] = 0;
-  }
+  ClearEdgeSlot(&agg_alarming_, local);
+  ClearEdgeSlot(&sketch_alarming_, local);
+  ClearEdgeSlot(&pattern_watermark_, local);
+  ClearEdgeSlot(&pattern_eval_floor_, local);
   global_of_[local] = kNoStream;
   local_of_[global_stream] = kNoStream;
   free_slots_.push_back(local);
@@ -1076,20 +983,8 @@ Status Shard::InstallStream(StreamId global_stream,
     run_cursor_.resize(num_streams, 0);
     global_of_.resize(num_streams, kNoStream);
   }
-  Reader reader(blob);
-  SD_RETURN_NOT_OK(pipeline_->RestoreStreamFrom(local, &reader));
-  const std::size_t num_streams = pipeline_->num_streams();
-  SD_RETURN_NOT_OK(
-      LoadEdgeSlice(&agg_alarming_, local, num_streams, &reader));
-  SD_RETURN_NOT_OK(
-      LoadEdgeSlice(&sketch_alarming_, local, num_streams, &reader));
-  SD_RETURN_NOT_OK(
-      LoadEdgeSlice(&pattern_watermark_, local, num_streams, &reader));
-  SD_RETURN_NOT_OK(
-      LoadEdgeSlice(&pattern_eval_floor_, local, num_streams, &reader));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("stream slice has trailing bytes");
-  }
+  SD_RETURN_NOT_OK(LoadStreamLocked(local, blob));
+  SD_RETURN_NOT_OK(pipeline_->RebuildIndexes());
   global_of_[local] = global_stream;
   if (local_of_.size() <= global_stream) {
     local_of_.resize(static_cast<std::size_t>(global_stream) + 1,

@@ -13,7 +13,11 @@
 // it groups a batch, so re-routing a stream never needs a ring flush.
 // Tuples racing ahead of an in-flight migration are parked
 // (PrepareReceive) and applied in arrival order once the stream's state
-// is installed — no tuple is lost and no alert fires twice.
+// is installed — no tuple is lost and no alert fires twice. A stream's
+// state travels in one encoding, its slice (SerializeStream): migrations
+// move it, and a checkpoint persists the slot table with one slice per
+// live slot (SerializeState) that Restore installs through the
+// InstallStream path.
 //
 // Every piece of per-stream state the shard maintains lives in its
 // FeaturePipeline (engine/feature_pipeline.h), the shard's one
@@ -42,6 +46,7 @@
 #include "common/ring_buffer.h"
 #include "common/status.h"
 #include "core/stardust.h"
+#include "engine/checkpoint.h"
 #include "engine/engine_config.h"
 #include "engine/feature_pipeline.h"
 #include "engine/metrics.h"
@@ -197,35 +202,29 @@ class Shard {
   /// hot-loop work).
   std::vector<std::pair<StreamId, std::uint64_t>> StreamAppendCounts()
       const;
-  /// Checkpoint capture, under one state-mutex hold so every output
-  /// describes the same point in the apply sequence: `stamp` (epoch and
-  /// applied count), `features` (the feature pipeline's "SDFP"
-  /// snapshot), `mapping` (the local -> global slot table, kNoStream
-  /// tombstones included, so a checkpoint can persist the placement the
-  /// bytes were laid out under) and `edges` (the serialized rising-edge
-  /// state: alarming flags, pattern watermarks and evaluation floors, so
-  /// a restore continues the alert stream without re-announcing
-  /// conditions that were already alarming at the checkpoint). Ingestion
-  /// continues around the call; only this shard's worker waits for the
-  /// serialization.
-  void SerializeState(ShardStamp* stamp, std::string* features,
-                      std::vector<StreamId>* mapping,
-                      std::string* edges) const;
-  /// Restores the feature pipeline (raw tails, query cores, feature
-  /// store, sketch measures) from an "SDFP" snapshot. Only valid before
-  /// Start().
-  Status RestoreFeatures(const std::string& bytes);
-  /// Restores the rising-edge maps serialized by SerializeState's
-  /// `edges` output. Only valid before Start().
-  Status RestoreEdges(const std::string& bytes);
-  /// Replaces the local -> global slot table (checkpoint restore of a
-  /// post-migration layout). `globals` must have one entry per local
-  /// slot; kNoStream entries become free slots. Only valid before
-  /// Start().
-  Status SetStreamMapping(const std::vector<StreamId>& globals);
-  /// Seeds the progress counters after a restore so stamps and metrics
-  /// continue the pre-crash lineage. Only valid before Start().
-  void RestoreProgress(std::uint64_t epoch, std::uint64_t appended);
+  /// Checkpoint capture (engine/checkpoint.h), under one state-mutex
+  /// hold so `file` describes the point in the apply sequence `stamp`
+  /// (epoch and applied count) names: the pipeline's aggregate kind and
+  /// history, the local -> global slot table (kNoStream tombstones
+  /// included) and, per live slot, the stream's slice — the
+  /// SerializeStream bytes, rising-edge state included, so a restore
+  /// continues the alert stream without re-announcing conditions that
+  /// were already alarming. Ingestion continues around the call; only
+  /// this shard's worker waits for the serialization.
+  Status SerializeState(ShardStamp* stamp, CheckpointShardFile* file) const;
+  /// Restores a checkpointed shard. Only valid before Start(), on a
+  /// shard whose pipeline has one slot per entry of `file.globals`, and
+  /// with a slot table naming each stream at most once (IngestEngine::
+  /// Create checks the placement across shards). Commits the registry's
+  /// plan before installing any slot, so every slice meets the plan it
+  /// was taken under: trackers restore bit-exactly, sketch measures are
+  /// claimed by config and store rows land in the plan's levels. Then
+  /// installs each live slot through the InstallStream path, prunes edge
+  /// state of queries the registry no longer holds, and seeds the
+  /// progress counters with `epoch` and `appended` so stamps and metrics
+  /// continue the pre-crash lineage.
+  Status Restore(const CheckpointShardFile& file, std::uint64_t epoch,
+                 std::uint64_t appended);
   /// First non-OK status any append produced on the worker, if any.
   Status worker_status() const;
 
@@ -316,10 +315,13 @@ class Shard {
   /// the next batch commits it under the state mutex). Worker thread
   /// only; touches no evaluation state.
   void RefreshQuerySnapshot();
+  /// Commits the plan RefreshQuerySnapshot staged, if any: swaps it in,
+  /// prunes the edge state of queries it no longer holds, and re-points
+  /// the pipeline. Called with state_mu_ held.
+  void CommitPendingPlanLocked();
   /// Prunes evaluation state of unregistered queries so the edge maps
   /// cannot grow without bound under register/unregister churn. Called
-  /// at plan commit with state_mu_ held (migrations read the maps under
-  /// the same mutex).
+  /// with state_mu_ held (migrations read the maps under the same mutex).
   void PruneQueryStateLocked();
   /// Groups the batch into one contiguous per-stream run each (stable:
   /// per-stream value order is batch order), translating global ids to
@@ -352,10 +354,15 @@ class Shard {
   /// mutation. Called with state_mu_ held.
   void RebuildSortedLocalsLocked();
   /// One stream's full serialized slice (pipeline + edge state); shared
-  /// by ExtractStream and SerializeStream so the
-  /// destructive and the oracle path emit identical bytes. Called with
+  /// by ExtractStream, SerializeStream and SerializeState so migrations,
+  /// the oracle and checkpoints emit identical bytes. Called with
   /// state_mu_ held.
   Status SaveStreamLocked(StreamId local, Writer* writer) const;
+  /// Installs a SaveStreamLocked slice into local slot `local` (pipeline
+  /// state, then edge state), rejecting trailing bytes. Leaves the cores'
+  /// level indexes stale and the slot tables untouched. Called with
+  /// state_mu_ held.
+  Status LoadStreamLocked(StreamId local, const std::string& blob);
 
   const std::size_t index_;
   const std::size_t num_shards_;

@@ -1,7 +1,6 @@
 #include "net/alert_hub.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -182,36 +181,16 @@ std::string AlertHub::Serialize() const {
     payload.U64(entry.seq);
     SaveAlert(&payload, entry.alert);
   }
-  Writer envelope;
-  envelope.Bytes(kHubMagic, sizeof(kHubMagic));
-  envelope.U32(kHubVersion);
-  envelope.U64(Fnv1a(payload.buffer()));
-  envelope.Bytes(payload.buffer().data(), payload.buffer().size());
-  return std::move(envelope.TakeBuffer());
+  return WrapEnvelope(kHubMagic, kHubVersion, payload.buffer());
 }
 
 Status AlertHub::Restore(const std::string& bytes) {
-  if (bytes.size() < sizeof(kHubMagic) + 12) {
-    return Status::InvalidArgument("hub snapshot too small");
-  }
-  if (std::memcmp(bytes.data(), kHubMagic, sizeof(kHubMagic)) != 0) {
-    return Status::InvalidArgument("not an alert hub snapshot");
-  }
-  Reader header(bytes);
-  std::uint8_t b = 0;
-  for (std::size_t i = 0; i < sizeof(kHubMagic); ++i) {
-    SD_RETURN_NOT_OK(header.U8(&b));
-  }
   std::uint32_t version = 0;
-  std::uint64_t checksum = 0;
-  SD_RETURN_NOT_OK(header.U32(&version));
-  SD_RETURN_NOT_OK(header.U64(&checksum));
+  std::string payload;
+  SD_RETURN_NOT_OK(UnwrapEnvelope(bytes, kHubMagic, "alert hub snapshot",
+                                  &version, &payload));
   if (version != kHubVersion) {
     return Status::InvalidArgument("unsupported hub snapshot version");
-  }
-  const std::string payload = bytes.substr(sizeof(kHubMagic) + 12);
-  if (Fnv1a(payload) != checksum) {
-    return Status::InvalidArgument("hub snapshot checksum mismatch");
   }
 
   Reader reader(payload);

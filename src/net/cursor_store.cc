@@ -1,7 +1,5 @@
 #include "net/cursor_store.h"
 
-#include <cstring>
-
 #include "common/serialize.h"
 
 namespace stardust::net {
@@ -45,36 +43,17 @@ std::string CursorStore::Serialize() const {
     payload.Bytes(id.data(), id.size());
     payload.U64(seq);
   }
-  Writer envelope;
-  envelope.Bytes(kCursorMagic, sizeof(kCursorMagic));
-  envelope.U32(kCursorVersion);
-  envelope.U64(Fnv1a(payload.buffer()));
-  envelope.Bytes(payload.buffer().data(), payload.buffer().size());
-  return std::move(envelope.TakeBuffer());
+  return WrapEnvelope(kCursorMagic, kCursorVersion, payload.buffer());
 }
 
 Status CursorStore::Restore(const std::string& bytes) {
-  if (bytes.size() < sizeof(kCursorMagic) + 12) {
-    return Status::InvalidArgument("cursor store snapshot too small");
-  }
-  if (std::memcmp(bytes.data(), kCursorMagic, sizeof(kCursorMagic)) != 0) {
-    return Status::InvalidArgument("not a cursor store snapshot");
-  }
-  Reader header(bytes);
-  std::uint8_t b = 0;
-  for (std::size_t i = 0; i < sizeof(kCursorMagic); ++i) {
-    SD_RETURN_NOT_OK(header.U8(&b));
-  }
   std::uint32_t version = 0;
-  std::uint64_t checksum = 0;
-  SD_RETURN_NOT_OK(header.U32(&version));
-  SD_RETURN_NOT_OK(header.U64(&checksum));
+  std::string payload;
+  SD_RETURN_NOT_OK(UnwrapEnvelope(bytes, kCursorMagic,
+                                  "cursor store snapshot", &version,
+                                  &payload));
   if (version != kCursorVersion) {
     return Status::InvalidArgument("unsupported cursor store version");
-  }
-  const std::string payload = bytes.substr(sizeof(kCursorMagic) + 12);
-  if (Fnv1a(payload) != checksum) {
-    return Status::InvalidArgument("cursor store checksum mismatch");
   }
   Reader reader(payload);
   std::uint64_t count = 0;

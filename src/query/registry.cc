@@ -1,8 +1,9 @@
 #include "query/registry.h"
 
 #include <cmath>
-#include <cstring>
 #include <utility>
+
+#include "common/serialize.h"
 
 namespace stardust {
 
@@ -213,44 +214,20 @@ std::string QueryRegistry::Serialize() const {
     query->spec.SaveTo(&payload);
   }
 
-  Writer envelope;
-  envelope.Bytes(kRegistryMagic, sizeof(kRegistryMagic));
-  envelope.U32(kRegistryVersion);
-  envelope.U64(Fnv1a(payload.buffer()));
-  envelope.Bytes(payload.buffer().data(), payload.buffer().size());
-  return std::move(envelope.TakeBuffer());
+  return WrapEnvelope(kRegistryMagic, kRegistryVersion, payload.buffer());
 }
 
 Status QueryRegistry::Restore(const std::string& bytes) {
-  if (bytes.size() < sizeof(kRegistryMagic) + 4 + 8) {
-    return Status::InvalidArgument("query registry snapshot too small");
-  }
-  if (std::memcmp(bytes.data(), kRegistryMagic, sizeof(kRegistryMagic)) !=
-      0) {
-    return Status::InvalidArgument(
-        "not a query registry snapshot (bad magic)");
-  }
-  Reader header(bytes);
-  {
-    std::uint8_t b = 0;
-    for (std::size_t i = 0; i < sizeof(kRegistryMagic); ++i) {
-      SD_RETURN_NOT_OK(header.U8(&b));
-    }
-  }
   std::uint32_t version = 0;
-  std::uint64_t checksum = 0;
-  SD_RETURN_NOT_OK(header.U32(&version));
-  SD_RETURN_NOT_OK(header.U64(&checksum));
+  std::string payload;
+  SD_RETURN_NOT_OK(UnwrapEnvelope(bytes, kRegistryMagic,
+                                  "query registry snapshot", &version,
+                                  &payload));
   if (version != kRegistryVersion) {
     return Status::InvalidArgument(
         "unsupported query registry version " + std::to_string(version) +
         " (this build reads version " + std::to_string(kRegistryVersion) +
         " only)");
-  }
-  const std::string payload = bytes.substr(sizeof(kRegistryMagic) + 12);
-  if (Fnv1a(payload) != checksum) {
-    return Status::InvalidArgument(
-        "query registry snapshot checksum mismatch");
   }
 
   Reader reader(payload);

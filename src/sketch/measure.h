@@ -71,7 +71,7 @@ struct SketchConfig {
   Status Validate() const;
 
   /// Fixed 65-byte little-endian layout (used inside QuerySpec v3 records
-  /// and the feature-pipeline snapshot).
+  /// and stream slices).
   void SaveTo(Writer* writer) const;
   Status RestoreFrom(Reader* reader);
 };

@@ -1,11 +1,15 @@
 // Crash-safety tests of the engine checkpoint/restore path: manifest
-// format, recovery semantics, and crash injection at every phase of the
-// atomic file protocol (common/atomic_file.h).
+// format, recovery semantics (restored state byte-equal to the origin's,
+// restore under another feature-store capacity, hostile shard files), and
+// crash injection at every phase of the atomic file protocol
+// (common/atomic_file.h).
 #include "engine/checkpoint.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -17,7 +21,9 @@
 #include <vector>
 
 #include "alert_log.h"
+#include "fixture_bytes.h"
 #include "common/atomic_file.h"
+#include "common/serialize.h"
 #include "engine/engine.h"
 #include "stream/bursty_source.h"
 #include "stream/threshold.h"
@@ -117,14 +123,13 @@ void ExpectSameAnswers(const IngestEngine& a, const IngestEngine& b) {
 
 TEST(CheckpointManifestTest, FileNamesEncodeShardAndSeq) {
   EXPECT_EQ(CheckpointFeaturesFileName(0, 1), "features-0-ck1.feat");
-  EXPECT_EQ(CheckpointEdgesFileName(3, 12), "edges-3-ck12.edge");
+  EXPECT_EQ(CheckpointFeaturesFileName(3, 12), "features-3-ck12.feat");
   EXPECT_EQ(CheckpointManifestFileName(7), "manifest-7.ck");
   EXPECT_EQ(CheckpointQueriesFileName(5), "queries-ck5.qry");
 }
 
 /// A manifest with every entry a real checkpoint carries: per shard the
-/// progress stamps, a feature and an edge entry, plus the queries and
-/// placement files.
+/// progress stamps and the shard file, plus the queries file.
 CheckpointManifest CompleteManifest(std::uint64_t seq,
                                     std::size_t num_shards) {
   CheckpointManifest manifest;
@@ -132,12 +137,9 @@ CheckpointManifest CompleteManifest(std::uint64_t seq,
   manifest.num_streams = 2 * num_shards;
   manifest.num_shards = num_shards;
   for (std::size_t i = 0; i < num_shards; ++i) {
-    manifest.shards.push_back({1, 1});
-    manifest.features.push_back({CheckpointFeaturesFileName(i, seq), 2});
-    manifest.edges.push_back({CheckpointEdgesFileName(i, seq), 3});
+    manifest.shards.push_back({1, 1, CheckpointFeaturesFileName(i, seq), 2});
   }
   manifest.queries_file = CheckpointQueriesFileName(seq);
-  manifest.placement_file = CheckpointPlacementFileName(seq);
   return manifest;
 }
 
@@ -160,11 +162,12 @@ TEST(CheckpointManifestTest, RejectsEscapingQueriesFileName) {
 TEST(CheckpointManifestTest, RoundTrip) {
   CheckpointManifest manifest = CompleteManifest(42, 2);
   manifest.num_streams = 6;
-  manifest.queue_capacity = 1024;
-  manifest.max_producers = 8;
-  manifest.max_batch = 256;
-  manifest.overload = 1;
-  manifest.shards = {{10, 300}, {11, 301}};
+  manifest.shards[0].epoch = 10;
+  manifest.shards[0].appended = 300;
+  manifest.shards[1].epoch = 11;
+  manifest.shards[1].appended = 301;
+  manifest.shards[1].checksum = 0x77;
+  manifest.placement_epoch = 5;
   Result<CheckpointManifest> parsed =
       ParseManifest(SerializeManifest(manifest));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -172,15 +175,14 @@ TEST(CheckpointManifestTest, RoundTrip) {
   EXPECT_EQ(got.seq, 42u);
   EXPECT_EQ(got.num_streams, 6u);
   EXPECT_EQ(got.num_shards, 2u);
-  EXPECT_EQ(got.queue_capacity, 1024u);
-  EXPECT_EQ(got.max_producers, 8u);
-  EXPECT_EQ(got.max_batch, 256u);
-  EXPECT_EQ(got.overload, 1);
   ASSERT_EQ(got.shards.size(), 2u);
   EXPECT_EQ(got.shards[0].epoch, 10u);
   EXPECT_EQ(got.shards[0].appended, 300u);
   EXPECT_EQ(got.shards[1].epoch, 11u);
   EXPECT_EQ(got.shards[1].appended, 301u);
+  EXPECT_EQ(got.shards[1].file, "features-1-ck42.feat");
+  EXPECT_EQ(got.shards[1].checksum, 0x77u);
+  EXPECT_EQ(got.placement_epoch, 5u);
 }
 
 TEST(CheckpointManifestTest, RejectsCorruption) {
@@ -201,7 +203,7 @@ TEST(CheckpointManifestTest, RejectsCorruption) {
 
 TEST(CheckpointManifestTest, RejectsEscapingFileNames) {
   CheckpointManifest manifest = CompleteManifest(1, 1);
-  manifest.features[0].file = "../../etc/passwd";
+  manifest.shards[0].file = "../../etc/passwd";
   EXPECT_FALSE(ParseManifest(SerializeManifest(manifest)).ok());
 }
 
@@ -215,12 +217,16 @@ TEST(CheckpointRestoreTest, RoundTripPreservesEveryAnswer) {
   EXPECT_EQ(engine->metrics().checkpoints.load(), 1u);
   EXPECT_EQ(engine->last_checkpoint_seq(), 1u);
 
-  // The pipeline snapshot carries the raw tails: no per-shard fleet
-  // file is written.
+  // N shards checkpoint as N + 2 files: one shard file each (slot table
+  // and stream slices), the query registry and the manifest.
+  std::vector<std::string> files;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    EXPECT_NE(entry.path().filename().string().rfind("shard-", 0), 0u)
-        << entry.path();
+    files.push_back(entry.path().filename().string());
   }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{
+                       "features-0-ck1.feat", "features-1-ck1.feat",
+                       "manifest-1.ck", "queries-ck1.qry"}));
 
   auto restored = MakeEngine(6, 2, dir);
   ASSERT_NE(restored, nullptr);
@@ -300,6 +306,285 @@ TEST(CheckpointRestoreTest, QueryRegisteredAfterRestoreIsReadyOnFirstBatch) {
   auto alarming = restored->CurrentlyAlarming(id.value());
   ASSERT_TRUE(alarming.ok());
   EXPECT_EQ(alarming.value(), (std::vector<StreamId>{0, 1, 2, 3}));
+}
+
+/// Every stream's serialized state (the slice DebugStreamState returns)
+/// agrees byte for byte between the two engines.
+void ExpectSameStreamState(const IngestEngine& a, const IngestEngine& b) {
+  ASSERT_EQ(a.num_streams(), b.num_streams());
+  for (StreamId s = 0; s < a.num_streams(); ++s) {
+    std::string want;
+    std::string got;
+    ASSERT_TRUE(a.DebugStreamState(s, &want).ok()) << "stream " << s;
+    ASSERT_TRUE(b.DebugStreamState(s, &got).ok()) << "stream " << s;
+    EXPECT_EQ(got, want) << "serialized state diverged on stream " << s;
+  }
+}
+
+/// Posts `count` ticks, each one PostBatch of one value per stream, and
+/// waits until the workers applied them all.
+void FeedBatched(IngestEngine* engine, std::vector<BurstySource>* sources,
+                 int count) {
+  std::vector<StreamValue> tick(engine->num_streams());
+  for (int t = 0; t < count; ++t) {
+    for (StreamId s = 0; s < engine->num_streams(); ++s) {
+      tick[s] = {s, (*sources)[s].Next()};
+    }
+    ASSERT_TRUE(engine->PostBatch(tick).ok());
+  }
+  ASSERT_TRUE(engine->Flush().ok());
+}
+
+// A checkpoint writes each stream's slice and a restore installs it under
+// the restored registry's plan, so the restored state is the origin's
+// byte for byte — trackers, sketch measures, the pattern core and edge
+// state included — right after the restore and after both engines apply
+// the same further tuples.
+TEST(CheckpointRestoreTest, RestoredStateBytesMatchOrigin) {
+  const std::string dir = FreshDir("ck_state_bytes");
+  constexpr std::size_t kStreams = 6;
+  EngineConfig econfig;
+  econfig.num_shards = 2;
+  econfig.query.enable_patterns = true;
+  StardustConfig& pattern = econfig.query.pattern;
+  pattern.transform = TransformKind::kDwt;
+  pattern.normalization = Normalization::kUnitSphere;
+  pattern.coefficients = 4;
+  pattern.r_max = 8.0;
+  pattern.base_window = 8;
+  pattern.num_levels = 2;
+  pattern.history = 512;
+  pattern.box_capacity = 1;
+  pattern.update_period = 1;
+  pattern.index_features = true;
+  const auto create = [&](const std::string& restore_dir) {
+    Result<std::unique_ptr<IngestEngine>> engine = IngestEngine::Create(
+        StreamConfig(), {}, kStreams, econfig, restore_dir);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    return engine.ok() ? std::move(engine).value() : nullptr;
+  };
+  auto origin = create({});
+  ASSERT_NE(origin, nullptr);
+  for (const WindowThreshold& wt : Thresholds(2.0)) {
+    ASSERT_TRUE(origin
+                    ->RegisterQuery(
+                        QuerySpec::Aggregate(wt.window, wt.threshold))
+                    .ok());
+  }
+  SketchConfig distinct;
+  distinct.window = 32;
+  distinct.hll_precision = 6;
+  AssessRange assess;
+  assess.hi = 6.0;
+  ASSERT_TRUE(
+      origin->RegisterQuery(QuerySpec::Sketch(distinct, assess)).ok());
+  ASSERT_TRUE(origin
+                  ->RegisterQuery(QuerySpec::Pattern(
+                      {0, 1, 0, 2, 0, 1, 0, 3}, 0.2))
+                  .ok());
+  auto sources = Sources(kStreams, 5300);
+  FeedBatched(origin.get(), &sources, 300);
+  ASSERT_TRUE(origin->MigrateStream(1, 0).ok());
+  FeedBatched(origin.get(), &sources, 100);
+  ASSERT_TRUE(origin->Checkpoint(dir).ok());
+
+  auto restored = create(dir);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->ShardOf(1), 0u);
+  ExpectSameStreamState(*origin, *restored);
+
+  // One flushed tick at a time, so both engines evaluate every stream
+  // after each of its tuples: a sketch measure's slice carries its
+  // estimate-call and merge counters, which count evaluations.
+  auto restored_sources = sources;
+  for (int t = 0; t < 250; ++t) {
+    FeedBatched(origin.get(), &sources, 1);
+    FeedBatched(restored.get(), &restored_sources, 1);
+  }
+  ExpectSameStreamState(*origin, *restored);
+}
+
+// The correlation core's deterministic workload: streams 0 and 1 share a
+// wave except while stream 1 deviates on [64, 128), streams 2 and 3 share
+// a slower wave, streams 4 and 5 are pseudo-noise.
+double CorrelatedValue(StreamId s, std::uint64_t t) {
+  const double x = static_cast<double>(t);
+  switch (s) {
+    case 0:
+      return std::sin(0.37 * x);
+    case 1:
+      return std::sin(0.37 * x) +
+             ((t >= 64 && t < 128) ? 5.0 * std::sin(3.1 * x) : 0.0);
+    case 2:
+    case 3:
+      return std::sin(0.11 * x + 1.0);
+    default:
+      return std::sin((0.53 + 0.17 * static_cast<double>(s)) * x) +
+             0.3 * std::sin(1.9 * x + static_cast<double>(s));
+  }
+}
+
+// With correlation enabled and no explicit capacity the feature-store
+// ring is sized from the host's cache, so a checkpoint must restore under
+// another capacity: the restored streams drop their cached rows, re-warm
+// from the correlation core, and raise the origin's correlation alerts.
+TEST(CheckpointRestoreTest, RestoresUnderAnotherStoreCapacity) {
+  const std::string dir = FreshDir("ck_store_capacity");
+  constexpr std::size_t kStreams = 6;
+  const auto create = [&](std::size_t capacity,
+                          const std::string& restore_dir) {
+    EngineConfig econfig;
+    econfig.num_shards = 2;
+    econfig.store_capacity = capacity;
+    econfig.query.enable_correlation = true;
+    StardustConfig& corr = econfig.query.correlation;
+    corr.transform = TransformKind::kDwt;
+    corr.normalization = Normalization::kZNorm;
+    corr.coefficients = 4;
+    corr.base_window = 8;
+    corr.num_levels = 2;
+    corr.history = 1024;
+    corr.box_capacity = 1;
+    corr.update_period = 8;
+    // Rounds run only when triggered, so every engine sees the same ones.
+    econfig.query.correlator_period_ms = 3600000;
+    Result<std::unique_ptr<IngestEngine>> engine = IngestEngine::Create(
+        StreamConfig(), {}, kStreams, econfig, restore_dir);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    return engine.ok() ? std::move(engine).value() : nullptr;
+  };
+  const auto feed = [](IngestEngine* engine, std::uint64_t from,
+                       std::uint64_t to) {
+    for (std::uint64_t t = from; t < to; ++t) {
+      for (StreamId s = 0; s < kStreams; ++s) {
+        ASSERT_TRUE(engine->Post(s, CorrelatedValue(s, t)).ok());
+      }
+    }
+    ASSERT_TRUE(engine->Flush().ok());
+  };
+
+  auto origin = create(8, {});
+  ASSERT_NE(origin, nullptr);
+  ASSERT_TRUE(origin->RegisterQuery(QuerySpec::Correlation(0.3)).ok());
+  feed(origin.get(), 0, 96);
+  ASSERT_TRUE(origin->Checkpoint(dir).ok());
+
+  std::vector<std::unique_ptr<IngestEngine>> engines;
+  engines.push_back(std::move(origin));
+  for (const std::size_t capacity : {4u, 16u}) {
+    engines.push_back(create(capacity, dir));
+    ASSERT_NE(engines.back(), nullptr) << "capacity " << capacity;
+  }
+  std::vector<AlertLog> logs;
+  for (const auto& engine : engines) logs.emplace_back(engine.get());
+  for (std::uint64_t phase = 0; phase < 6; ++phase) {
+    for (const auto& engine : engines) {
+      feed(engine.get(), 96 + 32 * phase, 128 + 32 * phase);
+      engine->TriggerCorrelatorRound();
+      ASSERT_TRUE(engine->Flush().ok());
+    }
+  }
+  const std::vector<AlertLog::Key> want = logs[0].Sorted();
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(logs[1].Sorted(), want) << "restored at capacity 4";
+  EXPECT_EQ(logs[2].Sorted(), want) << "restored at capacity 16";
+}
+
+/// Byte offset of the first tracker window in a slice taken without query
+/// cores: the raw tail (capacity, total, value count, values), the
+/// absent-pattern, absent-correlation and present-tracker flags, then the
+/// window count.
+std::size_t FirstTrackerWindowOffset(const std::string& slice) {
+  Reader reader(slice);
+  std::uint64_t skip = 0;
+  std::uint64_t values = 0;
+  EXPECT_TRUE(reader.U64(&skip).ok());
+  EXPECT_TRUE(reader.U64(&skip).ok());
+  EXPECT_TRUE(reader.U64(&values).ok());
+  return 24 + 8 * values + 3 + 8;
+}
+
+// Shard files are read from disk, so every hostile slot table or slice is
+// rejected with InvalidArgument — even with valid checksums — before it
+// can abort the process or drive an unbounded allocation.
+TEST(CheckpointRestoreTest, RejectsHostileShardFiles) {
+  const std::string dir = FreshDir("ck_hostile");
+  auto engine = MakeEngine(4, 2);
+  ASSERT_NE(engine, nullptr);
+  auto sources = Sources(4, 5100);
+  Feed(engine.get(), &sources, 300);
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+  engine.reset();
+
+  const std::string manifest_path =
+      (fs::path(dir) / CheckpointManifestFileName(1)).string();
+  const std::string shard_path =
+      (fs::path(dir) / CheckpointFeaturesFileName(0, 1)).string();
+  const Result<std::string> manifest_bytes = ReadFileToString(manifest_path);
+  const Result<std::string> shard_bytes = ReadFileToString(shard_path);
+  ASSERT_TRUE(manifest_bytes.ok());
+  ASSERT_TRUE(shard_bytes.ok());
+  const Result<CheckpointShardFile> parsed =
+      ParseShardFile(shard_bytes.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  // The modulo layout: shard 0 holds streams 0 and 2.
+  const CheckpointShardFile& shard0 = parsed.value();
+  ASSERT_EQ(shard0.globals, (std::vector<StreamId>{0, 2}));
+  const std::size_t window_at = FirstTrackerWindowOffset(shard0.slices[0]);
+
+  const auto with_slot = [&](StreamId global, std::string slice) {
+    CheckpointShardFile file = shard0;
+    file.globals[1] = global;
+    file.slices[1] = std::move(slice);
+    return SerializeShardFile(file);
+  };
+  const auto with_slice = [&](std::string slice) {
+    CheckpointShardFile file = shard0;
+    file.slices[0] = std::move(slice);
+    return SerializeShardFile(file);
+  };
+  const char magic[4] = {'S', 'D', 'F', 'P'};
+  const std::string payload = shard_bytes.value().substr(16);
+  const std::string& slice = shard0.slices[0];
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"stream named twice", with_slot(0, slice)},
+      {"stream id beyond the stream count", with_slot(4, slice)},
+      {"stream missing", with_slot(kNoStream, "")},
+      {"tracker window 0", with_slice(Patched(slice, window_at, 0))},
+      {"tracker window above history",
+       with_slice(Patched(slice, window_at, 201))},
+      {"tracker window of 2^40",
+       with_slice(Patched(slice, window_at, std::uint64_t{1} << 40))},
+      {"tracker window count beyond the bytes left",
+       with_slice(Patched(slice, window_at - 8, std::uint64_t{1} << 40))},
+      {"truncated slice", with_slice(slice.substr(0, slice.size() / 2))},
+      {"slice with trailing bytes", with_slice(slice + '\0')},
+      {"truncated file",
+       WrapEnvelope(magic, 4, payload.substr(0, payload.size() - 9))},
+      {"file with trailing bytes", WrapEnvelope(magic, 4, payload + '\0')},
+  };
+  EngineConfig econfig;
+  econfig.num_shards = 2;
+  for (const auto& [name, bytes] : cases) {
+    // Re-sign the manifest so the restore gets past the file checksums.
+    Result<CheckpointManifest> manifest =
+        ParseManifest(manifest_bytes.value());
+    ASSERT_TRUE(manifest.ok());
+    CheckpointManifest resigned = manifest.value();
+    resigned.shards[0].checksum = Fnv1a(bytes);
+    ASSERT_TRUE(AtomicWriteFile(shard_path, bytes).ok());
+    ASSERT_TRUE(
+        AtomicWriteFile(manifest_path, SerializeManifest(resigned)).ok());
+    const Result<std::unique_ptr<IngestEngine>> restored =
+        IngestEngine::Create(StreamConfig(), {}, 4, econfig, dir);
+    ASSERT_FALSE(restored.ok()) << name;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << name << ": " << restored.status().ToString();
+  }
+  // The untouched checkpoint still restores.
+  ASSERT_TRUE(AtomicWriteFile(shard_path, shard_bytes.value()).ok());
+  ASSERT_TRUE(AtomicWriteFile(manifest_path, manifest_bytes.value()).ok());
+  EXPECT_TRUE(IngestEngine::Create(StreamConfig(), {}, 4, econfig, dir).ok());
 }
 
 TEST(CheckpointRestoreTest, ValidatesShape) {
@@ -464,9 +749,9 @@ TEST(CheckpointCrashTest, CorruptNewestCheckpointFallsBack) {
             f.seekp(mid);
             f.write(&c, 1);
           },
-          // Delete an edge file outright.
+          // Delete a shard file outright.
           [](const std::string& dir) {
-            fs::remove(fs::path(dir) / "edges-0-ck2.edge");
+            fs::remove(fs::path(dir) / "features-0-ck2.feat");
           },
           // Truncate the manifest itself.
           [](const std::string& dir) {
@@ -537,14 +822,13 @@ TEST(CheckpointCrashTest, CorruptQueriesFileFallsBack) {
 }
 
 // A committed manifest that lacks a file every checkpoint carries (a
-// feature entry, an edge entry, the queries file, or the placement file)
-// is rejected, and recovery falls back to the previous checkpoint.
+// shard entry, a shard's file name, or the queries file) is rejected, and
+// recovery falls back to the previous checkpoint.
 TEST(CheckpointCrashTest, IncompleteManifestFallsBackToPreviousCheckpoint) {
   const std::vector<std::function<void(CheckpointManifest*)>> strips = {
-      [](CheckpointManifest* m) { m->features.pop_back(); },
-      [](CheckpointManifest* m) { m->edges.pop_back(); },
+      [](CheckpointManifest* m) { m->shards.pop_back(); },
+      [](CheckpointManifest* m) { m->shards[0].file.clear(); },
       [](CheckpointManifest* m) { m->queries_file.clear(); },
-      [](CheckpointManifest* m) { m->placement_file.clear(); },
   };
   for (std::size_t i = 0; i < strips.size(); ++i) {
     const std::string dir = FreshDir("ck_incomplete_" + std::to_string(i));

@@ -1,9 +1,9 @@
-// Tests for the compute-once feature state introduced by the pipeline
-// refactor: FeatureStore ring/rotation semantics and byte-stable
-// serialization, FeaturePipeline "SDFP" snapshot round trips (including
-// core-presence compatibility, corruption and retired-version rejection),
-// and the checkpoint manifest with its per-shard feature and edge entries
-// (plus frozen manifest bytes that pin the on-disk format).
+// Tests for the compute-once feature state: FeatureStore ring/rotation
+// semantics, the per-stream slice every stream's state travels in
+// (FeatureStore and FeaturePipeline round trips, core presence, corrupt
+// and hostile slices, another store capacity), the checkpoint shard file
+// ("SDFP") that persists the slices, and the checkpoint manifest — with
+// frozen bytes pinning both on-disk formats.
 #include "core/feature_store.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "engine/checkpoint.h"
 #include "engine/engine.h"
 #include "engine/feature_pipeline.h"
+#include "engine/placement.h"
 #include "fixture_bytes.h"
 #include "query/eval_plan.h"
 #include "query/registry.h"
@@ -93,10 +95,26 @@ double ValueAt(std::size_t stream, std::uint64_t t) {
   return static_cast<double>((stream + 1) * (t % 7 + 1));
 }
 
-std::string SerializeStore(const FeatureStore& store) {
+std::string SaveStoreSlice(const FeatureStore& store, StreamId stream) {
   Writer writer;
-  store.SaveTo(&writer);
+  store.SaveStreamTo(stream, &writer);
   return std::move(writer.TakeBuffer());
+}
+
+std::string SaveSlice(const FeaturePipeline& pipeline, StreamId stream) {
+  Writer writer;
+  EXPECT_TRUE(pipeline.SaveStreamTo(stream, &writer).ok());
+  return std::move(writer.TakeBuffer());
+}
+
+// A distinct-count sketch small enough for frozen fixtures.
+SketchConfig SmallDistinct() {
+  SketchConfig config;
+  config.kind = SketchKind::kDistinct;
+  config.window = 4;
+  config.buckets = 1;
+  config.hll_precision = 4;
+  return config;
 }
 
 // --- Cache-geometry capacity derivation --------------------------------
@@ -215,7 +233,7 @@ TEST(FeatureStoreTest, SetLevelsKeepsUnchangedSlabsAndDropsReshaped) {
   EXPECT_FALSE(store.Latest(2, 0, &latest));
 }
 
-TEST(FeatureStoreTest, SaveRestoreRoundTripIsByteStable) {
+TEST(FeatureStoreTest, StreamSliceRoundTripIsByteStable) {
   FeatureStore store(2, 3);
   store.SetLevels({{0, 4, 2}, {1, 8, 3}});
   const double znormed[8] = {1, -1, 2, -2, 3, -3, 4, -4};
@@ -223,68 +241,87 @@ TEST(FeatureStoreTest, SaveRestoreRoundTripIsByteStable) {
     const double feature[3] = {static_cast<double>(i), -1.0, 0.25};
     store.Put(0, i % 2, 3 + 4 * i, feature, znormed,
               static_cast<double>(i), 2.0);
+    store.Put(1, i % 2, 7 + 8 * i, feature, znormed, 0.5,
+              static_cast<double>(i));
   }
-  store.BumpEpoch();
-  store.BumpEpoch();
 
-  const std::string bytes = SerializeStore(store);
   FeatureStore restored(2, 3);
-  Reader reader(bytes);
-  ASSERT_TRUE(restored.RestoreFrom(&reader).ok());
-  EXPECT_TRUE(reader.AtEnd());
-
-  EXPECT_EQ(restored.epoch(), store.epoch());
-  EXPECT_EQ(restored.puts(), store.puts());
-  FeatureStore::View a;
-  FeatureStore::View b;
-  ASSERT_TRUE(store.Find(0, 1, 15, &a));
-  ASSERT_TRUE(restored.Find(0, 1, 15, &b));
-  EXPECT_EQ(a.time, b.time);
-  EXPECT_DOUBLE_EQ(a.feature[0], b.feature[0]);
-  EXPECT_DOUBLE_EQ(a.znormed[3], b.znormed[3]);
-  EXPECT_DOUBLE_EQ(a.mean, b.mean);
-  EXPECT_DOUBLE_EQ(a.norm2, b.norm2);
-
-  // Ring heads and counts are serialized, so re-serialization is
-  // byte-identical — the checkpoint layer can rely on stable checksums.
-  EXPECT_EQ(SerializeStore(restored), bytes);
+  restored.SetLevels({{0, 4, 2}, {1, 8, 3}});
+  for (StreamId s = 0; s < 2; ++s) {
+    const std::string slice = SaveStoreSlice(store, s);
+    Reader reader(slice);
+    ASSERT_TRUE(restored.RestoreStreamFrom(s, &reader).ok());
+    EXPECT_TRUE(reader.AtEnd());
+    // Ring heads and counts ride the slice, so re-serialization is
+    // byte-identical.
+    EXPECT_EQ(SaveStoreSlice(restored, s), slice);
+  }
+  for (const auto& [level, stream, time] :
+       std::vector<std::tuple<std::size_t, StreamId, std::uint64_t>>{
+           {0, 1, 15}, {0, 0, 19}, {1, 0, 39}, {1, 1, 31}}) {
+    FeatureStore::View a;
+    FeatureStore::View b;
+    ASSERT_TRUE(store.Find(level, stream, time, &a));
+    ASSERT_TRUE(restored.Find(level, stream, time, &b));
+    ASSERT_EQ(a.dims, b.dims);
+    ASSERT_EQ(a.window, b.window);
+    for (std::size_t d = 0; d < a.dims; ++d) {
+      EXPECT_EQ(a.feature[d], b.feature[d]);
+    }
+    for (std::size_t i = 0; i < a.window; ++i) {
+      EXPECT_EQ(a.znormed[i], b.znormed[i]);
+    }
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.norm2, b.norm2);
+  }
 }
 
-TEST(FeatureStoreTest, RestoreRejectsShapeMismatchAndCorruption) {
-  FeatureStore store(2, 3);
+// Store slice layout: the ring capacity (u64 at 0) and slab count (u64 at
+// 8), then per slab its level, window and dims (u64 at 16, 24, 32), head
+// and count (u32 at 40, 44) and the ring columns.
+TEST(FeatureStoreTest, StreamSliceRejectsCorruptionAndDropsAnotherCapacity) {
+  FeatureStore store(1, 3);
   store.SetLevels({{0, 4, 2}});
   const double feature[2] = {1.0, 2.0};
   const double znormed[4] = {1, -1, 2, -2};
   store.Put(0, 0, 3, feature, znormed, 0.5, 2.0);
-  const std::string bytes = SerializeStore(store);
-
-  {
-    FeatureStore wrong_streams(3, 3);
-    Reader reader(bytes);
-    EXPECT_FALSE(wrong_streams.RestoreFrom(&reader).ok());
-  }
-  {
-    FeatureStore wrong_capacity(2, 4);
-    Reader reader(bytes);
-    EXPECT_FALSE(wrong_capacity.RestoreFrom(&reader).ok());
-  }
-  {
-    // Truncation fails and must not clobber the target's existing state.
-    FeatureStore target(2, 3);
+  const std::string slice = SaveStoreSlice(store, 0);
+  const auto restores = [](const std::string& bytes) {
+    FeatureStore target(1, 3);
     target.SetLevels({{0, 4, 2}});
-    target.Put(0, 1, 7, feature, znormed, 0.25, 8.0);
-    const std::string truncated = bytes.substr(0, bytes.size() - 5);
-    Reader reader(truncated);
-    EXPECT_FALSE(target.RestoreFrom(&reader).ok());
-    FeatureStore::View view;
-    ASSERT_TRUE(target.Find(0, 1, 7, &view));
-    EXPECT_DOUBLE_EQ(view.norm2, 8.0);
+    Reader reader(bytes);
+    return target.RestoreStreamFrom(0, &reader).ok();
+  };
+  ASSERT_TRUE(restores(slice));
+  for (std::size_t cut : {std::size_t{0}, std::size_t{8}, std::size_t{20},
+                          std::size_t{44}, slice.size() - 1}) {
+    EXPECT_FALSE(restores(slice.substr(0, cut))) << "cut at " << cut;
   }
+  EXPECT_FALSE(restores(Patched(slice, 40, 3, 4))) << "head == capacity";
+  EXPECT_FALSE(restores(Patched(slice, 44, 4, 4))) << "count > capacity";
+  EXPECT_FALSE(restores(Patched(slice, 0, 0))) << "zero capacity";
+  EXPECT_FALSE(restores(Patched(slice, 0, std::uint64_t{1} << 40)))
+      << "capacity beyond the bytes left";
+  EXPECT_FALSE(restores(Patched(slice, 8, std::uint64_t{1} << 40)))
+      << "slab count beyond the bytes left";
+  EXPECT_FALSE(restores(Patched(slice, 24, std::uint64_t{1} << 60)))
+      << "window beyond the bytes left";
+  EXPECT_FALSE(restores(Patched(slice, 24, 0))) << "zero window";
+
+  // A slice of another ring capacity (a store sized on another host) is
+  // consumed whole and keeps no rows: the stream re-warms from its core.
+  FeatureStore wider(1, 4);
+  wider.SetLevels({{0, 4, 2}});
+  Reader reader(slice);
+  ASSERT_TRUE(wider.RestoreStreamFrom(0, &reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  std::uint64_t latest = 0;
+  EXPECT_FALSE(wider.Latest(0, 0, &latest));
 }
 
-// --- FeaturePipeline snapshot round trip ------------------------------
+// --- FeaturePipeline stream slices --------------------------------------
 
-class FeaturePipelineSnapshotTest : public ::testing::Test {
+class FeaturePipelineSliceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     registry_ = std::make_unique<QueryRegistry>(AggregateConfig(),
@@ -295,6 +332,9 @@ class FeaturePipelineSnapshotTest : public ::testing::Test {
             ->Register(QuerySpec::Pattern({1, 5, 2, 8, 3, 7, 4, 6}, 0.05))
             .ok());
     ASSERT_TRUE(registry_->Register(QuerySpec::Correlation(0.5, 0)).ok());
+    ASSERT_TRUE(
+        registry_->Register(QuerySpec::Sketch(SmallDistinct(), AssessRange{}))
+            .ok());
 
     agg_config_ = AggregateConfig();
     pattern_config_ = PatternCoreConfig();
@@ -307,11 +347,15 @@ class FeaturePipelineSnapshotTest : public ::testing::Test {
     ASSERT_NE(plan_, nullptr);
   }
 
+  /// A pipeline running the fixture's plan, as a shard restoring a
+  /// checkpoint runs it before installing any slice.
   std::unique_ptr<FeaturePipeline> MakePipeline(bool with_pattern,
                                                 bool with_corr) {
-    return std::make_unique<FeaturePipeline>(
+    auto pipeline = std::make_unique<FeaturePipeline>(
         agg_config_, with_pattern ? MakeCore(pattern_config_) : nullptr,
         with_corr ? MakeCore(corr_config_) : nullptr, kStreams);
+    pipeline->AdoptPlan(*plan_);
+    return pipeline;
   }
 
   // Drives `steps` synchronized batches through the pipeline, mirroring
@@ -334,9 +378,8 @@ class FeaturePipelineSnapshotTest : public ::testing::Test {
   std::shared_ptr<const EvalPlan> plan_;
 };
 
-TEST_F(FeaturePipelineSnapshotTest, SerializeRestoreRoundTrip) {
+TEST_F(FeaturePipelineSliceTest, StreamSliceRoundTrip) {
   std::unique_ptr<FeaturePipeline> pipeline = MakePipeline(true, true);
-  pipeline->AdoptPlan(*plan_);
   Feed(pipeline.get(), 40);
 
   const FeaturePipeline::Counters counters = pipeline->counters();
@@ -346,23 +389,29 @@ TEST_F(FeaturePipelineSnapshotTest, SerializeRestoreRoundTrip) {
   // t = 7, 15, 23, 31, 39 for each stream, cached exactly once.
   EXPECT_EQ(counters.store_puts, 5u * kStreams);
 
-  const std::string bytes = pipeline->Serialize();
   std::unique_ptr<FeaturePipeline> restored = MakePipeline(true, true);
-  ASSERT_TRUE(restored->Restore(bytes).ok());
-
-  // The restored store serves the same views without recomputation, and
-  // the restored raw tails carry every append count.
-  EXPECT_EQ(restored->store().puts(), counters.store_puts);
-  EXPECT_EQ(restored->Serialize(), bytes);
   for (StreamId s = 0; s < kStreams; ++s) {
+    const std::string slice = SaveSlice(*pipeline, s);
+    Reader reader(slice);
+    ASSERT_TRUE(restored->RestoreStreamFrom(s, &reader).ok());
+    EXPECT_TRUE(reader.AtEnd());
+  }
+  ASSERT_TRUE(restored->RebuildIndexes().ok());
+  EXPECT_GT(pipeline->counters().sketch_serialized_bytes, 0u);
+
+  ASSERT_FALSE(plan_->aggregate_windows.empty());
+  for (StreamId s = 0; s < kStreams; ++s) {
+    // Byte-stable: the installed slice serializes back to itself.
+    EXPECT_EQ(SaveSlice(*restored, s), SaveSlice(*pipeline, s));
+    EXPECT_EQ(restored->AppendCount(s), 40u);
+
+    // The store serves the same views without recomputation.
     std::uint64_t t_a = 0;
     std::uint64_t t_b = 0;
     ASSERT_TRUE(pipeline->store().Latest(0, s, &t_a));
     ASSERT_TRUE(restored->store().Latest(0, s, &t_b));
-    EXPECT_EQ(t_a, t_b);
     EXPECT_EQ(t_a, 39u);
-    EXPECT_EQ(restored->AppendCount(s), 40u);
-
+    EXPECT_EQ(t_b, 39u);
     FeatureStore::View a;
     FeatureStore::View b;
     ASSERT_TRUE(pipeline->CorrelationFeature(0, s, 39, &a));
@@ -370,132 +419,237 @@ TEST_F(FeaturePipelineSnapshotTest, SerializeRestoreRoundTrip) {
     ASSERT_EQ(a.dims, b.dims);
     ASSERT_EQ(a.window, b.window);
     for (std::size_t d = 0; d < a.dims; ++d) {
-      EXPECT_DOUBLE_EQ(a.feature[d], b.feature[d]);
+      EXPECT_EQ(a.feature[d], b.feature[d]);
     }
     for (std::size_t i = 0; i < a.window; ++i) {
-      EXPECT_DOUBLE_EQ(a.znormed[i], b.znormed[i]);
+      EXPECT_EQ(a.znormed[i], b.znormed[i]);
     }
-    EXPECT_DOUBLE_EQ(a.mean, b.mean);
-    EXPECT_DOUBLE_EQ(a.norm2, b.norm2);
-  }
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.norm2, b.norm2);
 
-  // Trackers are deliberately not serialized: AdoptPlan on the restored
-  // pipeline rebuilds them from the restored raw tails and must land on
-  // the same exact aggregate the live pipeline maintains.
-  restored->AdoptPlan(*plan_);
-  ASSERT_FALSE(plan_->aggregate_windows.empty());
-  for (StreamId s = 0; s < kStreams; ++s) {
+    // The tracker and the sketch measure come back with their values.
     ASSERT_TRUE(pipeline->TrackerReady(s, 0));
     ASSERT_TRUE(restored->TrackerReady(s, 0));
     double expected = 0.0;
     for (std::uint64_t t = 20; t < 40; ++t) expected += ValueAt(s, t);
-    EXPECT_DOUBLE_EQ(pipeline->TrackerValue(s, 0), expected);
-    EXPECT_DOUBLE_EQ(restored->TrackerValue(s, 0), expected);
+    EXPECT_EQ(pipeline->TrackerValue(s, 0), expected);
+    EXPECT_EQ(restored->TrackerValue(s, 0), expected);
+    ASSERT_TRUE(pipeline->SketchReady(s, 0));
+    ASSERT_TRUE(restored->SketchReady(s, 0));
+    EXPECT_EQ(restored->SketchEstimate(s, 0), pipeline->SketchEstimate(s, 0));
   }
 }
 
-TEST_F(FeaturePipelineSnapshotTest, RestoreRejectsCorruptBytes) {
-  std::unique_ptr<FeaturePipeline> pipeline = MakePipeline(true, true);
-  pipeline->AdoptPlan(*plan_);
-  Feed(pipeline.get(), 16);
-  const std::string bytes = pipeline->Serialize();
-
-  {
-    std::string bad_magic = bytes;
-    bad_magic[0] ^= 0x5a;
-    std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
-    EXPECT_FALSE(target->Restore(bad_magic).ok());
-  }
-  {
-    std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
-    EXPECT_FALSE(target->Restore(bytes.substr(0, bytes.size() / 2)).ok());
-  }
-  {
-    std::string flipped = bytes;
-    flipped[bytes.size() / 2] ^= 0x01;  // payload bit flip → checksum fails
-    std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
-    EXPECT_FALSE(target->Restore(flipped).ok());
-  }
-  {
-    std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
-    EXPECT_FALSE(target->Restore(std::string()).ok());
-  }
-}
-
-TEST_F(FeaturePipelineSnapshotTest, RestoreChecksCorePresence) {
-  // Bytes carrying a correlation core must not restore into a pipeline
+TEST_F(FeaturePipelineSliceTest, RestoreChecksCorePresence) {
+  // A slice carrying a correlation core must not install into a pipeline
   // without one.
   std::unique_ptr<FeaturePipeline> full = MakePipeline(true, true);
-  full->AdoptPlan(*plan_);
   Feed(full.get(), 16);
   std::unique_ptr<FeaturePipeline> pattern_only = MakePipeline(true, false);
-  EXPECT_FALSE(pattern_only->Restore(full->Serialize()).ok());
+  {
+    const std::string slice = SaveSlice(*full, 0);
+    Reader reader(slice);
+    const Status status = pattern_only->RestoreStreamFrom(0, &reader);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("correlation core"), std::string::npos)
+        << status.ToString();
+  }
 
-  // The reverse is allowed: a snapshot without a correlation core leaves
-  // this pipeline's core empty (pre-v3 checkpoints warm up).
-  const std::string pattern_bytes = pattern_only->Serialize();
+  // The reverse is allowed: a slice without a correlation core leaves the
+  // target's core stream empty (it warms up).
+  std::unique_ptr<FeaturePipeline> source = MakePipeline(true, false);
+  Feed(source.get(), 16);
   std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
-  EXPECT_TRUE(target->Restore(pattern_bytes).ok());
-
-  // Stream-count mismatch is structural corruption.
-  FeaturePipeline narrow(agg_config_, nullptr, nullptr, kStreams - 1);
-  FeaturePipeline wide(agg_config_, nullptr, nullptr, kStreams);
-  EXPECT_FALSE(narrow.Restore(wide.Serialize()).ok());
+  const std::string slice = SaveSlice(*source, 0);
+  Reader reader(slice);
+  ASSERT_TRUE(target->RestoreStreamFrom(0, &reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(target->AppendCount(0), 16u);
+  EXPECT_EQ(target->pattern_core()->summarizer(0).now(), 16u);
+  EXPECT_EQ(target->corr_core()->summarizer(0).now(), 0u);
 }
 
-TEST_F(FeaturePipelineSnapshotTest, RestoreRejectsATailOfAnotherHistory) {
+TEST_F(FeaturePipelineSliceTest, RestoreRejectsATailOfAnotherHistory) {
   std::unique_ptr<FeaturePipeline> pipeline = MakePipeline(false, false);
   Feed(pipeline.get(), 16);
   StardustConfig longer = agg_config_;
   longer.history = 2 * agg_config_.history;
   FeaturePipeline target(longer, nullptr, nullptr, kStreams);
-  const Status status = target.Restore(pipeline->Serialize());
+  const std::string slice = SaveSlice(*pipeline, 0);
+  Reader reader(slice);
+  const Status status = target.RestoreStreamFrom(0, &reader);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("raw tail capacity"), std::string::npos)
       << status.ToString();
 }
 
-TEST_F(FeaturePipelineSnapshotTest, RestoreRejectsRetiredVersions) {
-  std::unique_ptr<FeaturePipeline> pipeline = MakePipeline(true, true);
-  pipeline->AdoptPlan(*plan_);
-  Feed(pipeline.get(), 16);
-  const std::string bytes = pipeline->Serialize();
-  for (std::uint32_t version : {0u, 1u, 2u, 4u}) {
-    std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
-    const Status status = target->Restore(WithVersion(bytes, version));
-    ASSERT_FALSE(status.ok()) << "version " << version;
-    EXPECT_NE(status.message().find("unsupported feature pipeline version " +
-                                    std::to_string(version)),
-              std::string::npos)
-        << status.ToString();
+// --- Checkpoint shard file ----------------------------------------------
+
+constexpr char kShardFileMagic[4] = {'S', 'D', 'F', 'P'};
+
+/// The frozen fixture's shard file: stream 3 live in slot 0 — a real
+/// slice with a SUM tracker over window 4 and a distinct-count measure,
+/// taken after six values, followed by its four (empty) edge sections as
+/// Shard::SerializeStream emits them — and a tombstone in slot 1.
+class FrozenShardFile {
+ public:
+  FrozenShardFile() {
+    config_.transform = TransformKind::kAggregate;
+    config_.aggregate = AggregateKind::kSum;
+    config_.base_window = 2;
+    config_.num_levels = 3;
+    config_.history = 16;
+    config_.box_capacity = 2;
+    config_.update_period = 1;
+    QueryRegistry registry(config_, QueryConfig{});
+    EXPECT_TRUE(registry.Register(QuerySpec::Aggregate(4, 100.0)).ok());
+    EXPECT_TRUE(
+        registry.Register(QuerySpec::Sketch(SmallDistinct(), AssessRange{}))
+            .ok());
+    PlanContext ctx;
+    ctx.fleet = &config_;
+    plan_ = CompileEvalPlan(*registry.snapshot(), registry.version(), ctx);
   }
-  std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
-  EXPECT_TRUE(target->Restore(WithVersion(bytes, 3)).ok());
+
+  std::unique_ptr<FeaturePipeline> MakePipeline() const {
+    auto pipeline =
+        std::make_unique<FeaturePipeline>(config_, nullptr, nullptr, 1);
+    pipeline->AdoptPlan(*plan_);
+    return pipeline;
+  }
+
+  CheckpointShardFile Build() const {
+    std::unique_ptr<FeaturePipeline> pipeline = MakePipeline();
+    for (double v : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}) {
+      EXPECT_TRUE(pipeline->Append(0, v).ok());
+    }
+    CheckpointShardFile file;
+    file.aggregate = AggregateKind::kSum;
+    file.history = config_.history;
+    file.globals = {3, kNoStream};
+    file.slices = {SaveSlice(*pipeline, 0) + std::string(32, '\0'), ""};
+    return file;
+  }
+
+ private:
+  StardustConfig config_;
+  std::shared_ptr<const EvalPlan> plan_;
+};
+
+TEST(ShardFileTest, RejectsCorruptBytes) {
+  const std::string bytes = SerializeShardFile(FrozenShardFile().Build());
+  ASSERT_TRUE(ParseShardFile(bytes).ok());
+
+  std::string bad_magic = bytes;
+  bad_magic[0] ^= 0x5a;
+  EXPECT_FALSE(ParseShardFile(bad_magic).ok());
+  EXPECT_FALSE(ParseShardFile(bytes.substr(0, bytes.size() / 2)).ok());
+  std::string flipped = bytes;
+  flipped[bytes.size() / 2] ^= 0x01;  // payload bit flip: checksum fails
+  EXPECT_FALSE(ParseShardFile(flipped).ok());
+  EXPECT_FALSE(ParseShardFile(std::string()).ok());
+
+  // Payload layout: aggregate kind (u8 at 0), history (u64 at 1), slot
+  // count (u64 at 9), then per slot its stream id (u32) and, for a live
+  // slot, the slice length (u64) and bytes. Re-wrapped with a valid
+  // checksum, so the payload checks are what trip.
+  const std::string payload = bytes.substr(16);
+  const auto parses = [](const std::string& body) {
+    return ParseShardFile(WrapEnvelope(kShardFileMagic, 4, body)).ok();
+  };
+  ASSERT_TRUE(parses(payload));
+  EXPECT_FALSE(parses(Patched(payload, 0, 9, 1))) << "unknown kind";
+  EXPECT_FALSE(parses(Patched(payload, 9, 0))) << "no slots";
+  EXPECT_FALSE(parses(Patched(payload, 9, std::uint64_t{1} << 40)))
+      << "slot count beyond the bytes left";
+  EXPECT_FALSE(parses(Patched(payload, 21, std::uint64_t{1} << 40)))
+      << "slice length beyond the bytes left";
+  EXPECT_FALSE(parses(payload.substr(0, payload.size() - 1)))
+      << "truncated";
+  EXPECT_FALSE(parses(payload + '\0')) << "trailing bytes";
+}
+
+TEST(ShardFileTest, RejectsRetiredVersions) {
+  const std::string bytes = SerializeShardFile(FrozenShardFile().Build());
+  // Versions 1-3 are retired layouts; 0 and 5 never existed.
+  for (std::uint32_t version : {0u, 1u, 2u, 3u, 5u}) {
+    const Result<CheckpointShardFile> parsed =
+        ParseShardFile(WithVersion(bytes, version));
+    ASSERT_FALSE(parsed.ok()) << "version " << version;
+    EXPECT_NE(parsed.status().message().find(
+                  "unsupported checkpoint shard file version " +
+                  std::to_string(version) + " (this build reads version 4 "
+                  "only)"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  EXPECT_TRUE(ParseShardFile(WithVersion(bytes, 4)).ok());
+}
+
+// Frozen bytes of FrozenShardFile().Build(), written by SerializeShardFile.
+// Any change to the shard file or the stream slice layout fails here
+// instead of silently orphaning existing checkpoints.
+constexpr const char* kShardFileFixtureHex =
+    "53444650040000003f96a4514a22102400100000000000000002000000000000"
+    "0003000000860100000000000010000000000000000600000000000000060000"
+    "0000000000000000000000f03f00000000000000400000000000000840000000"
+    "0000001040000000000000144000000000000018400000010100000000000000"
+    "0400000000000000000100000000000000040000000000000006000000000000"
+    "0000000000000032400000000000000000040000000000000000000000000014"
+    "4000000000000018400000000000000840000000000000104001000000000000"
+    "00000400000000000000010000000000000004000000000000007b14ae47e17a"
+    "843f04000000000000009a9999999999a93f2000000000000000000000000000"
+    "e03f010600000000000000010000000000000002000000000000000600000000"
+    "0000000000000000000000000000000000000004000000000000000500000000"
+    "0000020100000000000000040000000000000000000000010000000000000000"
+    "0100000800000000000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000ffffffff";
+
+TEST(ShardFileTest, FrozenShardFileParsesAndReserializesByteEqual) {
+  const FrozenShardFile fixture;
+  const std::string bytes = FromHex(kShardFileFixtureHex);
+  ASSERT_EQ(bytes.size(), 439u);
+  const Result<CheckpointShardFile> parsed = ParseShardFile(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const CheckpointShardFile& file = parsed.value();
+  EXPECT_EQ(file.aggregate, AggregateKind::kSum);
+  EXPECT_EQ(file.history, 16u);
+  EXPECT_EQ(file.globals, (std::vector<StreamId>{3, kNoStream}));
+  EXPECT_EQ(SerializeShardFile(file), bytes);
+  EXPECT_EQ(SerializeShardFile(fixture.Build()), bytes);
+
+  // The live slice installs under the same plan and serializes back to
+  // itself, ahead of its four empty edge sections.
+  std::unique_ptr<FeaturePipeline> pipeline = fixture.MakePipeline();
+  Reader reader(file.slices[0]);
+  ASSERT_TRUE(pipeline->RestoreStreamFrom(0, &reader).ok());
+  EXPECT_EQ(reader.remaining(), 32u);
+  EXPECT_EQ(SaveSlice(*pipeline, 0) + std::string(32, '\0'), file.slices[0]);
+  EXPECT_EQ(pipeline->AppendCount(0), 6u);
+  ASSERT_TRUE(pipeline->TrackerReady(0, 0));
+  EXPECT_EQ(pipeline->TrackerValue(0, 0), 3.0 + 4.0 + 5.0 + 6.0);
+  // The window's buckets still cover all six distinct values.
+  ASSERT_TRUE(pipeline->SketchReady(0, 0));
+  EXPECT_NEAR(pipeline->SketchEstimate(0, 0), 6.0, 0.5);
 }
 
 // --- Checkpoint manifest -----------------------------------------------
 
 /// A manifest with every entry a real checkpoint carries: per shard the
-/// progress stamps, a feature and an edge entry, plus the queries and
-/// placement files. The net file is optional and left out.
+/// progress stamps and the shard file, the placement epoch and the
+/// queries file. The net file is optional and left out.
 CheckpointManifest BaseManifest() {
   CheckpointManifest manifest;
   manifest.seq = 7;
   manifest.num_streams = 4;
   manifest.num_shards = 2;
-  manifest.queue_capacity = 1024;
-  manifest.max_producers = 4;
-  manifest.max_batch = 256;
-  manifest.overload = 1;
   for (std::size_t i = 0; i < 2; ++i) {
-    manifest.shards.push_back({10 + i, 100 + i});
-    manifest.features.push_back({CheckpointFeaturesFileName(i, 7), 0x9999 + i});
-    manifest.edges.push_back({CheckpointEdgesFileName(i, 7), 0x7770 + i});
+    manifest.shards.push_back(
+        {10 + i, 100 + i, CheckpointFeaturesFileName(i, 7), 0x9999 + i});
   }
+  manifest.placement_epoch = 3;
   manifest.queries_file = CheckpointQueriesFileName(7);
   manifest.queries_checksum = 0x1234;
-  manifest.placement_file = CheckpointPlacementFileName(7);
-  manifest.placement_checksum = 0xbeef;
   return manifest;
 }
 
@@ -506,40 +660,31 @@ TEST(CheckpointManifestTest, RoundTripCarriesEveryEntry) {
   EXPECT_EQ(m.seq, 7u);
   EXPECT_EQ(m.num_streams, 4u);
   EXPECT_EQ(m.num_shards, 2u);
-  EXPECT_EQ(m.queue_capacity, 1024u);
-  EXPECT_EQ(m.max_producers, 4u);
-  EXPECT_EQ(m.max_batch, 256u);
-  EXPECT_EQ(m.overload, 1u);
   ASSERT_EQ(m.shards.size(), 2u);
   EXPECT_EQ(m.shards[1].epoch, 11u);
   EXPECT_EQ(m.shards[1].appended, 101u);
+  EXPECT_EQ(m.shards[0].file, CheckpointFeaturesFileName(0, 7));
+  EXPECT_EQ(m.shards[1].checksum, 0x999au);
+  EXPECT_EQ(m.placement_epoch, 3u);
   EXPECT_EQ(m.queries_file, CheckpointQueriesFileName(7));
   EXPECT_EQ(m.queries_checksum, 0x1234u);
-  ASSERT_EQ(m.features.size(), 2u);
-  EXPECT_EQ(m.features[0].file, CheckpointFeaturesFileName(0, 7));
-  EXPECT_EQ(m.features[1].checksum, 0x999au);
-  ASSERT_EQ(m.edges.size(), 2u);
-  EXPECT_EQ(m.edges[1].file, CheckpointEdgesFileName(1, 7));
-  EXPECT_EQ(m.edges[1].checksum, 0x7771u);
-  EXPECT_EQ(m.placement_file, CheckpointPlacementFileName(7));
-  EXPECT_EQ(m.placement_checksum, 0xbeefu);
   EXPECT_TRUE(m.net_file.empty());
 }
 
 TEST(CheckpointManifestTest, RejectsEntryCountShardMismatch) {
-  // A manifest carries exactly one feature and one edge entry per shard;
-  // anything else is a torn checkpoint.
-  CheckpointManifest features = BaseManifest();
-  features.features.pop_back();
-  EXPECT_FALSE(ParseManifest(SerializeManifest(features)).ok());
-  CheckpointManifest edges = BaseManifest();
-  edges.edges.push_back(edges.edges.back());
-  EXPECT_FALSE(ParseManifest(SerializeManifest(edges)).ok());
+  // A manifest carries exactly one entry per shard; anything else is a
+  // torn checkpoint.
+  CheckpointManifest fewer = BaseManifest();
+  fewer.shards.pop_back();
+  EXPECT_FALSE(ParseManifest(SerializeManifest(fewer)).ok());
+  CheckpointManifest more = BaseManifest();
+  more.shards.push_back(more.shards.back());
+  EXPECT_FALSE(ParseManifest(SerializeManifest(more)).ok());
 }
 
 TEST(CheckpointManifestTest, RejectsEscapingFileNames) {
   CheckpointManifest manifest = BaseManifest();
-  manifest.features[0].file = "../features-0-ck7.feat";
+  manifest.shards[0].file = "../features-0-ck7.feat";
   EXPECT_FALSE(ParseManifest(SerializeManifest(manifest)).ok());
 }
 
@@ -547,8 +692,8 @@ TEST(CheckpointManifestTest, RejectsBadVersionsAndChecksum) {
   const std::string bytes = SerializeManifest(BaseManifest());
   ASSERT_TRUE(ParseManifest(bytes).ok());
 
-  // Versions 1-6 are the retired layouts; 0 and 8+ never existed.
-  for (std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 8u, 9u}) {
+  // Versions 1-7 are the retired layouts; 0 and 9+ never existed.
+  for (std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
     const Result<CheckpointManifest> parsed =
         ParseManifest(WithVersion(bytes, version));
     ASSERT_FALSE(parsed.ok()) << "version " << version;
@@ -575,21 +720,17 @@ TEST(CheckpointManifestTest, RejectsBadVersionsAndChecksum) {
 // SerializeManifest. Any change to the on-disk manifest layout fails
 // here instead of silently orphaning existing checkpoints.
 constexpr const char* kManifestFixtureHex =
-    "53444d46070000006abd3bebdb3505d407000000000000000400000000000000"
-    "0200000000000000000400000000000004000000000000000001000000000000"
-    "0102000000000000000a0000000000000064000000000000000b000000000000"
-    "0065000000000000000f00000000000000717565726965732d636b372e717279"
-    "3412000000000000020000000000000013000000000000006665617475726573"
-    "2d302d636b372e66656174999900000000000013000000000000006665617475"
-    "7265732d312d636b372e666561749a990000000000000b000000000000006e65"
-    "742d636b372e6e657455550000000000001100000000000000706c6163656d65"
-    "6e742d636b372e706c63efbe0000000000000200000000000000100000000000"
-    "000065646765732d302d636b372e656467657077000000000000100000000000"
-    "000065646765732d312d636b372e656467657177000000000000";
+    "53444d46080000008f300916b7e9b97707000000000000000400000000000000"
+    "020000000000000002000000000000000a000000000000006400000000000000"
+    "130000000000000066656174757265732d302d636b372e666561749999000000"
+    "0000000b00000000000000650000000000000013000000000000006665617475"
+    "7265732d312d636b372e666561749a9900000000000003000000000000000f00"
+    "000000000000717565726965732d636b372e71727934120000000000000b0000"
+    "00000000006e65742d636b372e6e65745555000000000000";
 
 TEST(CheckpointManifestTest, FrozenManifestParsesAndReserializesByteEqual) {
   const std::string bytes = FromHex(kManifestFixtureHex);
-  ASSERT_EQ(bytes.size(), 346u);
+  ASSERT_EQ(bytes.size(), 216u);
   const Result<CheckpointManifest> parsed = ParseManifest(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   CheckpointManifest expected = BaseManifest();

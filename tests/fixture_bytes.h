@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace stardust {
 
@@ -22,14 +23,21 @@ inline std::string FromHex(const std::string& hex) {
   return bytes;
 }
 
+/// Overwrites the `width`-byte little-endian integer at `offset` — how
+/// tests plant a hostile count or id in otherwise valid bytes.
+inline std::string Patched(std::string bytes, std::size_t offset,
+                           std::uint64_t value, int width = 8) {
+  for (int i = 0; i < width; ++i) {
+    bytes[offset + i] = static_cast<char>(value >> (8 * i));
+  }
+  return bytes;
+}
+
 /// Rewrites the version field of a 4-byte magic + u32 version + u64
 /// checksum envelope. The checksum covers only the payload, so it stays
 /// valid and the version check is what a reader trips on.
 inline std::string WithVersion(std::string bytes, std::uint32_t version) {
-  for (int i = 0; i < 4; ++i) {
-    bytes[4 + i] = static_cast<char>(version >> (8 * i));
-  }
-  return bytes;
+  return Patched(std::move(bytes), 4, version, 4);
 }
 
 }  // namespace stardust

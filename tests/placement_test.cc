@@ -1,7 +1,8 @@
 // Elastic stream placement: the PlacementTable routing map, live
 // MigrateStream correctness (state equivalence against an unmigrated
-// twin engine), the rebalancer thread, and the checkpoint placement
-// file — including crash injection on the placement file write.
+// twin engine), the rebalancer thread, and placement across checkpoints
+// (the shard files' slot tables and the manifest's placement epoch) —
+// including crash injection on a shard file write after a migration.
 #include "engine/placement.h"
 
 #include <gtest/gtest.h>
@@ -54,19 +55,16 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-/// A fresh engine registers Thresholds(2.0) as aggregate queries unless
-/// `queries` is false; a restoring one takes its queries from the
-/// checkpoint.
+/// A fresh engine registers Thresholds(2.0) as aggregate queries; a
+/// restoring one takes its queries from the checkpoint.
 std::unique_ptr<IngestEngine> MakeEngine(std::size_t streams,
                                          std::size_t shards,
-                                         const std::string& restore_dir = {},
-                                         bool queries = true) {
+                                         const std::string& restore_dir = {}) {
   EngineConfig econfig;
   econfig.num_shards = shards;
   Result<std::unique_ptr<IngestEngine>> engine = IngestEngine::Create(
       StreamConfig(),
-      restore_dir.empty() && queries ? Thresholds(2.0)
-                                     : std::vector<WindowThreshold>{},
+      restore_dir.empty() ? Thresholds(2.0) : std::vector<WindowThreshold>{},
       streams, econfig, restore_dir);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return engine.ok() ? std::move(engine).value() : nullptr;
@@ -114,9 +112,7 @@ void ExpectSameAnswers(const IngestEngine& a, const IngestEngine& b) {
 /// The serialized per-stream state bytes of the two engines agree
 /// exactly. Holds for engines that applied the same tuples under the same
 /// queries, migrated or not, and for an engine restored from the other's
-/// checkpoint when no aggregate query is registered: a restore rebuilds
-/// the trackers from the raw tails, so with aggregate queries a restored
-/// engine matches in answers, not in tracker bytes.
+/// checkpoint.
 void ExpectSameStreamState(const IngestEngine& a, const IngestEngine& b) {
   ASSERT_EQ(a.num_streams(), b.num_streams());
   for (StreamId s = 0; s < a.num_streams(); ++s) {
@@ -346,69 +342,50 @@ TEST(RebalancerTest, MovesAStreamOffTheHotShard) {
 
 // --- Checkpoint ----------------------------------------------------------
 
-TEST(PlacementCheckpointTest, FileNameEncodesSeq) {
-  EXPECT_EQ(CheckpointPlacementFileName(3), "placement-ck3.plc");
-  EXPECT_EQ(CheckpointPlacementFileName(12), "placement-ck12.plc");
-}
-
 TEST(PlacementCheckpointTest, ManifestRoundTripCarriesPlacement) {
   CheckpointManifest manifest;
   manifest.seq = 4;
   manifest.num_streams = 2;
   manifest.num_shards = 1;
-  manifest.shards = {{1, 1}};
-  manifest.features = {{CheckpointFeaturesFileName(0, 4), 2}};
-  manifest.edges = {{CheckpointEdgesFileName(0, 4), 3}};
+  manifest.shards = {{1, 1, CheckpointFeaturesFileName(0, 4), 2}};
+  manifest.placement_epoch = 9;
   manifest.queries_file = CheckpointQueriesFileName(4);
-  manifest.placement_file = "placement-ck4.plc";
-  manifest.placement_checksum = 0xbeef;
   Result<CheckpointManifest> parsed =
       ParseManifest(SerializeManifest(manifest));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().placement_file, "placement-ck4.plc");
-  EXPECT_EQ(parsed.value().placement_checksum, 0xbeefULL);
+  EXPECT_EQ(parsed.value().placement_epoch, 9u);
 }
 
 // Checkpoint after migrations, restore, and the restored engine both
-// keeps the migrated placement and matches the origin: in answers and
+// keeps the migrated placement and matches the origin: in answers, in
 // continued alerts under the threshold queries, and in every stream's
-// state bytes for a twin without queries.
+// state bytes — right after the restore, after 300 more ticks, and after
+// migrating the moved stream again.
 TEST(PlacementCheckpointTest, RestoreKeepsMigratedPlacement) {
   const std::string dir = FreshDir("placement_restore");
-  const std::string bare_dir = FreshDir("placement_restore_bare");
   const std::size_t kStreams = 5;
   auto origin = MakeEngine(kStreams, 2);
-  auto bare = MakeEngine(kStreams, 2, {}, /*queries=*/false);
   ASSERT_NE(origin, nullptr);
-  ASSERT_NE(bare, nullptr);
   auto sources = Sources(kStreams, 640);
-  auto bare_sources = sources;
   Feed(origin.get(), &sources, 400);
-  Feed(bare.get(), &bare_sources, 400);
-  for (IngestEngine* engine : {origin.get(), bare.get()}) {
-    ASSERT_TRUE(engine->MigrateStream(0, 1).ok());
-    ASSERT_TRUE(engine->MigrateStream(3, 0).ok());
-  }
+  ASSERT_TRUE(origin->MigrateStream(0, 1).ok());
+  ASSERT_TRUE(origin->MigrateStream(3, 0).ok());
   Feed(origin.get(), &sources, 100);
-  Feed(bare.get(), &bare_sources, 100);
   ASSERT_TRUE(origin->Checkpoint(dir).ok());
-  ASSERT_TRUE(bare->Checkpoint(bare_dir).ok());
 
   auto restored = MakeEngine(kStreams, 2, dir);
-  auto bare_restored = MakeEngine(kStreams, 2, bare_dir);
   ASSERT_NE(restored, nullptr);
-  ASSERT_NE(bare_restored, nullptr);
   EXPECT_EQ(restored->placement().epoch(), origin->placement().epoch());
   for (StreamId s = 0; s < kStreams; ++s) {
     EXPECT_EQ(restored->ShardOf(s), origin->ShardOf(s)) << "stream " << s;
   }
   ExpectSameAnswers(*origin, *restored);
-  ExpectSameStreamState(*bare, *bare_restored);
+  ExpectSameStreamState(*origin, *restored);
 
-  // The restored engines keep working: the one with queries raises the
-  // alerts the origin raises (one tick per flush, so every stream is
-  // evaluated after each of its tuples on both engines) — including after
-  // migrating the moved stream again.
+  // The restored engine keeps working: it raises the alerts the origin
+  // raises (one tick per flush, so every stream is evaluated after each
+  // of its tuples on both engines) — including after migrating the moved
+  // stream again.
   AlertLog origin_alerts(origin.get());
   AlertLog restored_alerts(restored.get());
   auto origin_more = sources;
@@ -420,23 +397,18 @@ TEST(PlacementCheckpointTest, RestoreKeepsMigratedPlacement) {
   EXPECT_FALSE(want.empty());
   EXPECT_EQ(restored_alerts.Sorted(), want);
   ExpectSameAnswers(*origin, *restored);
-  auto bare_more = bare_sources;
-  Feed(bare.get(), &bare_sources, 300);
-  Feed(bare_restored.get(), &bare_more, 300);
-  for (IngestEngine* engine : {restored.get(), bare.get(),
-                               bare_restored.get()}) {
-    ASSERT_TRUE(engine->MigrateStream(0, 0).ok());
-  }
+  ExpectSameStreamState(*origin, *restored);
+  ASSERT_TRUE(restored->MigrateStream(0, 0).ok());
   EXPECT_EQ(restored->StreamAppendCount(0), 800u);
-  ExpectSameStreamState(*bare, *bare_restored);
-  for (IngestEngine* engine : {origin.get(), restored.get(), bare.get(),
-                               bare_restored.get()}) {
+  ExpectSameStreamState(*origin, *restored);
+  for (IngestEngine* engine : {origin.get(), restored.get()}) {
     ASSERT_TRUE(engine->Stop().ok());
   }
 }
 
-// A crash while writing the placement file must not produce a corrupt
-// "latest" checkpoint: recovery falls back to the previous complete one.
+// The shard files carry the slot tables, so a crash while writing one
+// after a migration must not produce a corrupt "latest" checkpoint:
+// recovery falls back to the previous complete one and its layout.
 TEST(PlacementCheckpointTest, CrashOnPlacementWriteKeepsPreviousCheckpoint) {
   const std::string dir = FreshDir("placement_crash");
   const std::size_t kStreams = 4;
@@ -448,9 +420,11 @@ TEST(PlacementCheckpointTest, CrashOnPlacementWriteKeepsPreviousCheckpoint) {
 
   ASSERT_TRUE(origin->MigrateStream(1, 0).ok());
   Feed(origin.get(), &sources, 200);
+  // Shard 0's file (now holding stream 1) lands; shard 1's does not.
   SetAtomicFileHookForTest(
       [](AtomicWritePhase, const std::string& path) {
-        return path.find("placement-ck") == std::string::npos;
+        return path.find(CheckpointFeaturesFileName(1, 2)) ==
+               std::string::npos;
       });
   EXPECT_FALSE(origin->Checkpoint(dir).ok());
   SetAtomicFileHookForTest(nullptr);
