@@ -231,38 +231,6 @@ Status AggregateMonitor::RunChecksFlat(const StreamSummarizer& summarizer,
   return Status::OK();
 }
 
-void AggregateMonitor::SaveTo(Writer* writer) const {
-  stardust_->summarizer(stream_).SaveTo(writer);
-  tracker_.SaveTo(writer);
-  writer->U64(stats_.size());
-  for (const AlarmStats& s : stats_) {
-    writer->U64(s.candidates);
-    writer->U64(s.true_alarms);
-    writer->U64(s.checks);
-  }
-}
-
-Status AggregateMonitor::RestoreFrom(Reader* reader) {
-  SD_RETURN_NOT_OK(stardust_->mutable_summarizer(stream_)->RestoreFrom(reader));
-  SD_RETURN_NOT_OK(stardust_->RebuildIndexes());
-  SD_RETURN_NOT_OK(tracker_.RestoreFrom(reader));
-  if (tracker_.now() != stardust_->summarizer(stream_).now()) {
-    return Status::InvalidArgument(
-        "snapshot tracker and summary disagree on append count");
-  }
-  std::uint64_t num_stats = 0;
-  SD_RETURN_NOT_OK(reader->U64(&num_stats));
-  if (num_stats != stats_.size()) {
-    return Status::InvalidArgument("snapshot alarm counter count mismatch");
-  }
-  for (AlarmStats& s : stats_) {
-    SD_RETURN_NOT_OK(reader->U64(&s.candidates));
-    SD_RETURN_NOT_OK(reader->U64(&s.true_alarms));
-    SD_RETURN_NOT_OK(reader->U64(&s.checks));
-  }
-  return Status::OK();
-}
-
 AlarmStats AggregateMonitor::TotalStats() const {
   AlarmStats total;
   for (const AlarmStats& s : stats_) {

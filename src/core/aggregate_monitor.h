@@ -73,16 +73,8 @@ class AggregateMonitor {
   AlarmStats TotalStats() const;
 
   const Stardust& stardust() const { return *stardust_; }
-
-  /// Snapshot support (core/snapshot.cc): serializes the stream summary,
-  /// the exact tracker, and the alarm counters. The configuration and
-  /// thresholds are serialized by the owner.
-  void SaveTo(Writer* writer) const;
-  /// Restores a serialized monitor; the instance must have been created
-  /// with the same configuration and thresholds the snapshot was taken
-  /// with. On success, continued appends are bit-exact with an
-  /// uninterrupted run.
-  Status RestoreFrom(Reader* reader);
+  /// The exact sliding aggregates the alarms are verified against.
+  const SlidingAggregateTracker& tracker() const { return tracker_; }
 
  private:
   AggregateMonitor(std::unique_ptr<Stardust> stardust,

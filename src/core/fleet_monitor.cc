@@ -51,17 +51,6 @@ Status FleetAggregateMonitor::AppendAll(const std::vector<double>& values) {
   return Status::OK();
 }
 
-void FleetAggregateMonitor::SaveTo(Writer* writer) const {
-  for (const auto& monitor : monitors_) monitor->SaveTo(writer);
-}
-
-Status FleetAggregateMonitor::RestoreFrom(Reader* reader) {
-  for (auto& monitor : monitors_) {
-    SD_RETURN_NOT_OK(monitor->RestoreFrom(reader));
-  }
-  return Status::OK();
-}
-
 std::uint64_t FleetAggregateMonitor::AppendCount(StreamId stream) const {
   SD_DCHECK(stream < monitors_.size());
   return monitors_[stream]->stardust().summarizer(0).now();

@@ -68,15 +68,6 @@ class FleetAggregateMonitor {
     return monitors_[0]->stardust().config();
   }
 
-  /// Snapshot support (core/snapshot.cc): serializes every monitor's
-  /// state, in stream order. Configuration, thresholds, and the stream
-  /// count are serialized by the snapshot envelope.
-  void SaveTo(Writer* writer) const;
-  /// Restores a fleet serialized with SaveTo into this instance; it must
-  /// have been created with the same configuration, thresholds, and
-  /// stream count the snapshot was taken with.
-  Status RestoreFrom(Reader* reader);
-
   /// Values ever appended to one stream — a const snapshot accessor, so
   /// readers never need the mutable Stardust surface.
   std::uint64_t AppendCount(StreamId stream) const;

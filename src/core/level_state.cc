@@ -124,6 +124,13 @@ Status LevelThread::RestoreFrom(Reader* reader) {
   has_first_ = has_first != 0;
   std::uint64_t box_count = 0;
   SD_RETURN_NOT_OK(reader->U64(&box_count));
+  // Each box takes two length-prefixed extents plus first_time, count,
+  // seq and the seal flag; a count the bytes left cannot hold is
+  // rejected before any box is built.
+  const std::uint64_t box_bytes = 2 * (8 + 8 * dims_) + 8 + 4 + 8 + 1;
+  if (box_count > reader->remaining() / box_bytes) {
+    return Status::InvalidArgument("snapshot box count exceeds the bytes left");
+  }
   boxes_.clear();
   std::uint64_t prev_seq = 0;
   for (std::uint64_t i = 0; i < box_count; ++i) {

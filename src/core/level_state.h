@@ -145,7 +145,8 @@ class LevelThread {
   /// Invokes `fn` on every retained box, oldest first.
   void ForEachBox(const std::function<void(const FeatureBox&)>& fn) const;
 
-  /// Snapshot support (core/snapshot.cc): serializes the thread state.
+  /// Stream-slice support (engine/feature_pipeline.cc): serializes the
+  /// thread state.
   void SaveTo(Writer* writer) const;
   /// Restores a serialized thread. Validates structural invariants
   /// (ordered times/seqs, box counts within capacity, only the last box

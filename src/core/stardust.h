@@ -133,8 +133,9 @@ class Stardust {
   Result<AggregateAnswer> AggregateQuery(StreamId stream, std::size_t window,
                                          double threshold) const;
 
-  /// Snapshot support (core/snapshot.cc): mutable summarizer access and
-  /// index reconstruction from the threads' sealed boxes.
+  /// Stream-slice support (engine/feature_pipeline.cc): mutable
+  /// summarizer access and index reconstruction from the threads' sealed
+  /// boxes.
   StreamSummarizer* mutable_summarizer(StreamId stream) {
     return streams_[stream].get();
   }

@@ -144,11 +144,12 @@ class StreamSummarizer {
   /// summary's space (Theorem 4.3: Θ(Σ_j 2^j W / (c·T_j)) boxes).
   std::size_t TotalBoxCount() const;
 
-  /// Snapshot support (core/snapshot.cc): serializes the raw tail and
-  /// every level thread. The configuration is serialized by the owner.
+  /// Stream-slice support (engine/feature_pipeline.cc): serializes the
+  /// raw tail and every level thread. The configuration is serialized by
+  /// the owner.
   void SaveTo(Writer* writer) const;
   /// Restores a serialized summarizer; the instance must have been
-  /// constructed with the same configuration the snapshot was taken with.
+  /// constructed with the same configuration the slice was taken with.
   Status RestoreFrom(Reader* reader);
 
  private:

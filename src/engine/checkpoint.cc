@@ -27,7 +27,7 @@ constexpr std::uint64_t kMaxFileNameBytes = 4096;
 
 constexpr char kShardFileMagic[4] = {'S', 'D', 'F', 'P'};
 /// The only shard file version this build reads or writes.
-constexpr std::uint32_t kShardFileVersion = 4;
+constexpr std::uint32_t kShardFileVersion = 5;
 
 /// Extracts the sequence number from `manifest-<seq>.ck`,
 /// `features-<i>-ck<seq>.feat`, `queries-ck<seq>.qry` or

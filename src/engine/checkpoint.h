@@ -1,7 +1,7 @@
 // Crash-safe checkpoint layout of the ingestion engine.
 //
 // A checkpoint (manifest v8) is one file per shard
-// (`features-<i>-ck<seq>.feat`, "SDFP" v4: the shard's local->global slot
+// (`features-<i>-ck<seq>.feat`, "SDFP" v5: the shard's local->global slot
 // table and, for every live slot, that stream's slice — the bytes
 // Shard::SerializeStream, DebugStreamState and a migration carry, so a
 // stream's state has one encoding wherever it travels), the serialized
@@ -66,7 +66,7 @@ struct CheckpointManifest {
   std::uint64_t net_checksum = 0;
 };
 
-/// Contents of one shard file ("SDFP" v4).
+/// Contents of one shard file ("SDFP" v5).
 struct CheckpointShardFile {
   /// Aggregate kind and raw-tail history the slices were taken under.
   AggregateKind aggregate = AggregateKind::kSum;

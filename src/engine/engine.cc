@@ -13,7 +13,6 @@
 #include "common/serialize.h"
 #include "core/aggregate_monitor.h"
 #include "geom/mbr.h"
-#include "rtree/rtree.h"
 
 namespace stardust {
 
@@ -249,8 +248,8 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   }
   if (engine_config.query.enable_correlation) {
     // Correlator-side state, sized before any thread can observe it: the
-    // per-level eval counters and the probe pool (0 workers on a
-    // single-core host — Run stays inline).
+    // per-level eval counters and the probe pool (0 workers when this
+    // thread may use one CPU only — Run stays inline).
     const std::size_t levels = engine_config.query.correlation.num_levels;
     engine->metrics_->correlator_level_evals =
         std::make_unique<std::atomic<std::uint64_t>[]>(levels);
@@ -595,6 +594,10 @@ void IngestEngine::StopRebalanceThread() {
 void IngestEngine::RebalanceLoop() {
   const auto period =
       std::chrono::milliseconds(config_.rebalance_period_ms);
+  // A tick acts only when the hottest shard's append delta exceeds the
+  // coldest's by this factor (> 1: a balanced fleet must never oscillate
+  // streams back and forth).
+  constexpr double kRebalanceHysteresis = 1.5;
   // Ticks a migrated stream sits out before it may move again — the
   // second hysteresis stage, against ping-ponging one stream.
   constexpr std::uint64_t kCooldownTicks = 8;
@@ -658,7 +661,7 @@ void IngestEngine::RebalanceLoop() {
     if (tick < settle_until) continue;
     if (max_delta < config_.rebalance_min_delta) continue;  // trickle/idle
     if (static_cast<double>(max_delta) <=
-        config_.rebalance_hysteresis * static_cast<double>(min_delta)) {
+        kRebalanceHysteresis * static_cast<double>(min_delta)) {
       continue;  // balanced enough; never oscillate a balanced fleet
     }
     if (candidate == kNoStream || candidate_delta == 0) continue;
@@ -1000,18 +1003,15 @@ bool IngestEngine::RunCorrelatorGroup(
     }
   }
 
-  // Phase 3: sync the persistent candidate index to this round's feature
+  // Phase 3: sync the persistent candidate grid to this round's feature
   // set — upsert what is present (a no-op for points that did not move),
-  // erase what expired. The index survives to the next round; the
+  // erase what expired. The grid survives to the next round; the
   // rebuild-from-scratch tree this replaces cost O(n log n) per round
-  // even when nothing moved.
-  double cell = config_.query.correlation_grid_cell;
-  if (cell <= 0.0) {
-    cell = group.max_radius > 0.0 ? group.max_radius : 1.0;
-  }
+  // even when nothing moved. Its cell is the group's largest radius
+  // (StatStream's choice: neighbor enumeration reaches one cell out).
+  const double cell = group.max_radius > 0.0 ? group.max_radius : 1.0;
   if (state.index == nullptr || state.cell != cell) {
-    state.index = CorrelationIndex::Create(
-        config_.query.correlation_index_kind, dims, cell);
+    state.index = std::make_unique<CorrelationIndex>(dims, cell);
     state.cell = cell;
     state.slot_of.clear();
     state.stream_of.clear();

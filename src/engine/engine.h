@@ -249,7 +249,7 @@ class IngestEngine {
   struct CorrLevelState {
     std::unique_ptr<CorrelationIndex> index;
     /// Grid cell the index was created with; a plan change that moves
-    /// the derived cell rebuilds the index.
+    /// the group's largest radius rebuilds the index.
     double cell = 0.0;
     // Slot table: one dense slot per global stream ever seen live at
     // this level. Erased slots return to the free list.

@@ -68,13 +68,9 @@ struct EngineConfig {
   /// Period of the background rebalancer thread in milliseconds; 0 (the
   /// default) disables it. When enabled the engine samples per-shard and
   /// per-stream append deltas every period and migrates the hottest
-  /// stream off the hottest shard when the load skew exceeds the
-  /// hysteresis bounds below (docs/ENGINE.md, "Elastic sharding").
+  /// stream off the hottest shard when the hottest shard's delta exceeds
+  /// the coldest's by a fixed 1.5x (docs/ENGINE.md, "Elastic sharding").
   std::size_t rebalance_period_ms = 0;
-  /// A rebalance tick acts only when the hottest shard's append delta
-  /// exceeds the coldest's by this factor. Must be > 1 (hysteresis: a
-  /// balanced fleet must never oscillate streams back and forth).
-  double rebalance_hysteresis = 1.5;
   /// Minimum per-tick append delta of the hottest shard before the
   /// rebalancer considers acting; keeps idle and trickle workloads from
   /// migrating on noise.
@@ -101,10 +97,6 @@ struct EngineConfig {
     if (checkpoint_period_ms > 0 && checkpoint_dir.empty()) {
       return Status::InvalidArgument(
           "checkpoint_period_ms requires a checkpoint_dir");
-    }
-    if (rebalance_period_ms > 0 && rebalance_hysteresis <= 1.0) {
-      return Status::InvalidArgument(
-          "rebalance_hysteresis must exceed 1.0");
     }
     return Status::OK();
   }

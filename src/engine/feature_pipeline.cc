@@ -252,7 +252,10 @@ bool FeaturePipeline::SketchReady(StreamId stream, std::size_t slot) const {
 double FeaturePipeline::SketchEstimate(StreamId stream,
                                        std::size_t slot) const {
   SD_DCHECK(SketchReady(stream, slot));
-  return sketch_slots_[slot][stream]->Estimate();
+  const SketchMeasure& measure = *sketch_slots_[slot][stream];
+  ++sketch_estimates_;
+  sketch_merges_ += measure.MergesPerEstimate();
+  return measure.Estimate();
 }
 
 bool FeaturePipeline::TrackerReady(StreamId stream,
@@ -525,10 +528,10 @@ FeaturePipeline::Counters FeaturePipeline::counters() const {
     for (const auto& measure : per_stream) {
       if (measure == nullptr) continue;
       c.sketch_appends += measure->appends();
-      c.sketch_merges += measure->merges();
-      c.sketch_estimates += measure->estimate_calls();
     }
   }
+  c.sketch_merges = sketch_merges_;
+  c.sketch_estimates = sketch_estimates_;
   c.sketch_serialized_bytes = sketch_serialized_bytes_;
   return c;
 }

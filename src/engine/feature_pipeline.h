@@ -55,8 +55,9 @@ class FeaturePipeline {
     std::uint64_t store_hits = 0;
     std::uint64_t store_misses = 0;
     std::uint64_t store_epoch = 0;
-    /// Summed over the live sketch measures (sketch/measure.h counters),
-    /// plus the sketch bytes SaveStreamTo wrote into stream slices.
+    /// Values appended to the live sketch measures; the estimates this
+    /// pipeline took (SketchEstimate) and the bucket merges they cost;
+    /// and the sketch bytes SaveStreamTo wrote into stream slices.
     std::uint64_t sketch_appends = 0;
     std::uint64_t sketch_merges = 0;
     std::uint64_t sketch_estimates = 0;
@@ -224,6 +225,10 @@ class FeaturePipeline {
   /// Installed slices claim their measures by config the same way.
   std::vector<SketchConfig> sketch_configs_;
   std::vector<std::vector<std::unique_ptr<SketchMeasure>>> sketch_slots_;
+  /// Evaluation counters (counters()). They live here, not in the
+  /// measures, so no slice carries them.
+  mutable std::uint64_t sketch_estimates_ = 0;
+  mutable std::uint64_t sketch_merges_ = 0;
   /// Sketch bytes SaveStreamTo wrote into stream slices (counters()).
   mutable std::uint64_t sketch_serialized_bytes_ = 0;
 

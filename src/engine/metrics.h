@@ -98,8 +98,9 @@ struct ShardMetricsSnapshot {
   std::uint64_t store_hits = 0;
   std::uint64_t store_misses = 0;
 
-  // Sketch-measure maintenance (sketch/measure.h counters summed over
-  // the pipeline's live measures, plus checkpoint bytes they produced).
+  // Sketch-measure maintenance (FeaturePipeline::Counters: values the
+  // live measures absorbed, estimates and their bucket merges, and the
+  // sketch bytes written into stream slices).
   std::uint64_t sketch_appends = 0;
   std::uint64_t sketch_merges = 0;
   std::uint64_t sketch_estimates = 0;

@@ -21,8 +21,8 @@
 //     (transitive backpressure all the way to query evaluation).
 //
 // Serialize()/Restore() capture the sequence allocator, every cursor,
-// and the retained ring, and ride the engine checkpoint as the manifest
-// v4 net-state entry — after a restart subscribers replay from their
+// and the retained ring, and ride the engine checkpoint as the
+// checkpoint's net file — after a restart subscribers replay from their
 // acknowledged cursor with no loss and no sequence reuse.
 #ifndef STARDUST_NET_ALERT_HUB_H_
 #define STARDUST_NET_ALERT_HUB_H_
@@ -86,7 +86,7 @@ class AlertHub : public AlertSink {
   /// Unblocks a kBlock OnAlert permanently (shutdown path).
   void RequestStop();
 
-  // --- Checkpoint state (engine/checkpoint.h, manifest v4) --------------
+  // --- Checkpoint state (engine/checkpoint.h, the checkpoint's net file) -
   std::string Serialize() const;
   Status Restore(const std::string& bytes);
 

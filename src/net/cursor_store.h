@@ -1,10 +1,10 @@
 // Durable subscriber cursors: subscriber id -> highest acknowledged
 // alert sequence number. Owned by the AlertHub (net/alert_hub.h), which
 // guards it with its own mutex; this class itself is thread-compatible,
-// not thread-safe. Serialization follows the snapshot envelope
-// conventions (magic + version + FNV-1a payload checksum) so the bytes
-// ride the engine checkpoint and restore losslessly (manifest v4,
-// engine/checkpoint.h).
+// not thread-safe. Serialization uses the shared envelope
+// (common/serialize.h: magic + version + FNV-1a payload checksum) so the
+// bytes ride the engine checkpoint and restore losslessly (the
+// checkpoint's net file, engine/checkpoint.h).
 #ifndef STARDUST_NET_CURSOR_STORE_H_
 #define STARDUST_NET_CURSOR_STORE_H_
 

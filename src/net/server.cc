@@ -105,9 +105,9 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(IngestEngine* engine,
   ::epoll_ctl(server->epoll_fd_, EPOLL_CTL_ADD, server->wake_fd_, &ev);
 
   // The hub joins the delivery pipeline as one more bus sink and its
-  // state rides the engine checkpoint (manifest v4). Both the provider
-  // and the wake callback capture what they need by value, so they stay
-  // valid whatever order the server and engine wind down in.
+  // state rides the engine checkpoint (the checkpoint's net file). Both
+  // the provider and the wake callback capture what they need by value,
+  // so they stay valid whatever order the server and engine wind down in.
   server->sink_id_ = engine->alerts().AddSink(server->hub_);
   const std::shared_ptr<AlertHub> hub = server->hub_;
   engine->SetNetStateProvider([hub] { return hub->Serialize(); });

@@ -17,8 +17,8 @@
 //    order. A subscriber acknowledges its cursor with SubscriberAck and
 //    can reconnect with Hello{id, resume_after} to replay everything it
 //    has not acknowledged. Hub state (allocator, cursors, replay ring)
-//    rides the engine checkpoint (manifest v4), so replay survives a
-//    server restart.
+//    rides the engine checkpoint (the checkpoint's net file), so replay
+//    survives a server restart.
 //
 // The loop thread is the engine's single network producer (one SPSC
 // producer slot), so no locking exists anywhere on the ingest path

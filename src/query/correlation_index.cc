@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "common/check.h"
-#include "rtree/rtree.h"
 
 namespace stardust {
 
@@ -45,272 +41,111 @@ void UnpackKey(std::uint64_t key, std::size_t g, long long* coords) {
   }
 }
 
-/// StatStream-style orthogonal grid: each live slot lives in exactly one
-/// cell keyed by its quantized leading coordinates.
-class GridIndex final : public CorrelationIndex {
- public:
-  GridIndex(std::size_t dims, double cell)
-      : dims_(dims),
-        axes_(std::min(dims, kMaxGridAxes)),
-        cell_(cell),
-        inv_cell_(1.0 / cell) {
-    SD_CHECK(cell > 0.0);
-    SD_CHECK(axes_ > 0);
-  }
-
-  bool Upsert(std::size_t slot, const Point& point) override {
-    SD_DCHECK(point.size() == dims_);
-    if (slot >= slots_.size()) slots_.resize(slot + 1);
-    Slot& s = slots_[slot];
-    if (s.live && s.point == point) return false;
-    const std::uint64_t key = KeyOf(point);
-    if (s.live) {
-      if (s.key != key) {
-        RemoveFromCell(s.key, slot);
-        cells_[key].push_back(slot);
-        s.key = key;
-      }
-    } else {
-      cells_[key].push_back(slot);
-      s.key = key;
-      s.live = true;
-      ++size_;
-    }
-    s.point = point;
-    return true;
-  }
-
-  void Erase(std::size_t slot) override {
-    if (slot >= slots_.size() || !slots_[slot].live) return;
-    RemoveFromCell(slots_[slot].key, slot);
-    slots_[slot].live = false;
-    --size_;
-  }
-
-  void Candidates(const Point& q, double radius,
-                  std::vector<std::size_t>* out) const override {
-    SD_DCHECK(q.size() == dims_);
-    if (size_ == 0) return;
-    const long long reach =
-        static_cast<long long>(std::ceil(radius * inv_cell_));
-    long long lo[kMaxGridAxes];
-    long long hi[kMaxGridAxes];
-    double cell_product = 1.0;
-    for (std::size_t a = 0; a < axes_; ++a) {
-      const long long qc = QuantizeClamped(q[a], inv_cell_);
-      lo[a] = std::max(qc - reach, kCoordMin);
-      hi[a] = std::min(qc + reach, kCoordMax);
-      cell_product *= static_cast<double>(hi[a] - lo[a] + 1);
-    }
-    // Enumerating (2·reach+1)^axes neighbor keys only pays off while it
-    // beats walking the occupied cells directly; with a large radius (or
-    // tiny cell) the sweep over occupied cells is both bounded and exact.
-    if (cell_product > static_cast<double>(cells_.size())) {
-      long long coords[kMaxGridAxes];
-      for (const auto& [key, members] : cells_) {
-        if (members.empty()) continue;
-        UnpackKey(key, axes_, coords);
-        bool in_range = true;
-        for (std::size_t a = 0; a < axes_; ++a) {
-          if (coords[a] < lo[a] || coords[a] > hi[a]) {
-            in_range = false;
-            break;
-          }
-        }
-        if (in_range) out->insert(out->end(), members.begin(), members.end());
-      }
-      return;
-    }
-    long long coords[kMaxGridAxes];
-    for (std::size_t a = 0; a < axes_; ++a) coords[a] = lo[a];
-    for (;;) {
-      const auto it = cells_.find(PackKey(coords, axes_));
-      if (it != cells_.end()) {
-        out->insert(out->end(), it->second.begin(), it->second.end());
-      }
-      std::size_t a = axes_;
-      while (a > 0) {
-        --a;
-        if (++coords[a] <= hi[a]) break;
-        coords[a] = lo[a];
-        if (a == 0) return;
-      }
-    }
-  }
-
-  std::size_t size() const override { return size_; }
-  std::size_t dims() const override { return dims_; }
-  CorrelationIndexKind kind() const override {
-    return CorrelationIndexKind::kGrid;
-  }
-
- private:
-  struct Slot {
-    Point point;
-    std::uint64_t key = 0;
-    bool live = false;
-  };
-
-  std::uint64_t KeyOf(const Point& p) const {
-    long long coords[kMaxGridAxes];
-    for (std::size_t a = 0; a < axes_; ++a) {
-      coords[a] = QuantizeClamped(p[a], inv_cell_);
-    }
-    return PackKey(coords, axes_);
-  }
-
-  void RemoveFromCell(std::uint64_t key, std::size_t slot) {
-    auto it = cells_.find(key);
-    SD_DCHECK(it != cells_.end());
-    std::vector<std::size_t>& members = it->second;
-    const auto pos = std::find(members.begin(), members.end(), slot);
-    SD_DCHECK(pos != members.end());
-    *pos = members.back();
-    members.pop_back();
-    if (members.empty()) cells_.erase(it);
-  }
-
-  const std::size_t dims_;
-  const std::size_t axes_;
-  const double cell_;
-  const double inv_cell_;
-  std::vector<Slot> slots_;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> cells_;
-  std::size_t size_ = 0;
-};
-
-/// Persistent R*-tree over point boxes, maintained with the in-place
-/// Update path (a moving slot keeps its leaf; only ancestor boxes move).
-class RTreeIndex final : public CorrelationIndex {
- public:
-  explicit RTreeIndex(std::size_t dims) : dims_(dims), tree_(dims) {}
-
-  bool Upsert(std::size_t slot, const Point& point) override {
-    SD_DCHECK(point.size() == dims_);
-    if (slot >= slots_.size()) slots_.resize(slot + 1);
-    Slot& s = slots_[slot];
-    const RecordId id = static_cast<RecordId>(slot);
-    if (s.live) {
-      if (s.point == point) return false;
-      SD_CHECK(tree_
-                   .Update(Mbr::FromPoint(s.point), id, Mbr::FromPoint(point),
-                           id)
-                   .ok());
-    } else {
-      SD_CHECK(tree_.Insert(Mbr::FromPoint(point), id).ok());
-      s.live = true;
-    }
-    s.point = point;
-    return true;
-  }
-
-  void Erase(std::size_t slot) override {
-    if (slot >= slots_.size() || !slots_[slot].live) return;
-    SD_CHECK(tree_
-                 .Delete(Mbr::FromPoint(slots_[slot].point),
-                         static_cast<RecordId>(slot))
-                 .ok());
-    slots_[slot].live = false;
-  }
-
-  void Candidates(const Point& q, double radius,
-                  std::vector<std::size_t>* out) const override {
-    std::vector<RTreeEntry> hits;
-    tree_.SearchWithin(q, radius, &hits);
-    out->reserve(out->size() + hits.size());
-    for (const RTreeEntry& hit : hits) {
-      out->push_back(static_cast<std::size_t>(hit.id));
-    }
-  }
-
-  std::size_t size() const override { return tree_.size(); }
-  std::size_t dims() const override { return dims_; }
-  CorrelationIndexKind kind() const override {
-    return CorrelationIndexKind::kRTree;
-  }
-
- private:
-  struct Slot {
-    Point point;
-    bool live = false;
-  };
-
-  const std::size_t dims_;
-  RTree tree_;
-  std::vector<Slot> slots_;
-};
-
-/// Every live slot is a candidate — the all-pairs reference.
-class BruteForceIndex final : public CorrelationIndex {
- public:
-  explicit BruteForceIndex(std::size_t dims) : dims_(dims) {}
-
-  bool Upsert(std::size_t slot, const Point& point) override {
-    SD_DCHECK(point.size() == dims_);
-    if (slot >= slots_.size()) slots_.resize(slot + 1);
-    Slot& s = slots_[slot];
-    if (s.live && s.point == point) return false;
-    if (!s.live) {
-      s.live = true;
-      ++size_;
-    }
-    s.point = point;
-    return true;
-  }
-
-  void Erase(std::size_t slot) override {
-    if (slot >= slots_.size() || !slots_[slot].live) return;
-    slots_[slot].live = false;
-    --size_;
-  }
-
-  void Candidates(const Point& /*q*/, double /*radius*/,
-                  std::vector<std::size_t>* out) const override {
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-      if (slots_[slot].live) out->push_back(slot);
-    }
-  }
-
-  std::size_t size() const override { return size_; }
-  std::size_t dims() const override { return dims_; }
-  CorrelationIndexKind kind() const override {
-    return CorrelationIndexKind::kBruteForce;
-  }
-
- private:
-  struct Slot {
-    Point point;
-    bool live = false;
-  };
-
-  const std::size_t dims_;
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-};
-
 }  // namespace
 
-const char* CorrelationIndexKindName(CorrelationIndexKind kind) {
-  switch (kind) {
-    case CorrelationIndexKind::kGrid: return "grid";
-    case CorrelationIndexKind::kRTree: return "rtree";
-    case CorrelationIndexKind::kBruteForce: return "brute_force";
-  }
-  return "unknown";
+CorrelationIndex::CorrelationIndex(std::size_t dims, double cell)
+    : dims_(dims), axes_(std::min(dims, kMaxGridAxes)), inv_cell_(1.0 / cell) {
+  SD_CHECK(cell > 0.0);
+  SD_CHECK(axes_ > 0);
 }
 
-std::unique_ptr<CorrelationIndex> CorrelationIndex::Create(
-    CorrelationIndexKind kind, std::size_t dims, double cell) {
-  SD_CHECK(dims > 0);
-  switch (kind) {
-    case CorrelationIndexKind::kGrid:
-      return std::make_unique<GridIndex>(dims, cell);
-    case CorrelationIndexKind::kRTree:
-      return std::make_unique<RTreeIndex>(dims);
-    case CorrelationIndexKind::kBruteForce:
-      return std::make_unique<BruteForceIndex>(dims);
+bool CorrelationIndex::Upsert(std::size_t slot, const Point& point) {
+  SD_DCHECK(point.size() == dims_);
+  if (slot >= slots_.size()) slots_.resize(slot + 1);
+  Slot& s = slots_[slot];
+  if (s.live && s.point == point) return false;
+  const std::uint64_t key = KeyOf(point);
+  if (s.live) {
+    if (s.key != key) {
+      RemoveFromCell(s.key, slot);
+      cells_[key].push_back(slot);
+      s.key = key;
+    }
+  } else {
+    cells_[key].push_back(slot);
+    s.key = key;
+    s.live = true;
+    ++size_;
   }
-  return nullptr;
+  s.point = point;
+  return true;
+}
+
+void CorrelationIndex::Erase(std::size_t slot) {
+  if (slot >= slots_.size() || !slots_[slot].live) return;
+  RemoveFromCell(slots_[slot].key, slot);
+  slots_[slot].live = false;
+  --size_;
+}
+
+void CorrelationIndex::Candidates(const Point& q, double radius,
+                                  std::vector<std::size_t>* out) const {
+  SD_DCHECK(q.size() == dims_);
+  if (size_ == 0) return;
+  const long long reach =
+      static_cast<long long>(std::ceil(radius * inv_cell_));
+  long long lo[kMaxGridAxes];
+  long long hi[kMaxGridAxes];
+  double cell_product = 1.0;
+  for (std::size_t a = 0; a < axes_; ++a) {
+    const long long qc = QuantizeClamped(q[a], inv_cell_);
+    lo[a] = std::max(qc - reach, kCoordMin);
+    hi[a] = std::min(qc + reach, kCoordMax);
+    cell_product *= static_cast<double>(hi[a] - lo[a] + 1);
+  }
+  // Enumerating (2·reach+1)^axes neighbor keys only pays off while it
+  // beats walking the occupied cells directly; with a large radius (or
+  // tiny cell) the sweep over occupied cells is both bounded and exact.
+  if (cell_product > static_cast<double>(cells_.size())) {
+    long long coords[kMaxGridAxes];
+    for (const auto& [key, members] : cells_) {
+      if (members.empty()) continue;
+      UnpackKey(key, axes_, coords);
+      bool in_range = true;
+      for (std::size_t a = 0; a < axes_; ++a) {
+        if (coords[a] < lo[a] || coords[a] > hi[a]) {
+          in_range = false;
+          break;
+        }
+      }
+      if (in_range) out->insert(out->end(), members.begin(), members.end());
+    }
+    return;
+  }
+  long long coords[kMaxGridAxes];
+  for (std::size_t a = 0; a < axes_; ++a) coords[a] = lo[a];
+  for (;;) {
+    const auto it = cells_.find(PackKey(coords, axes_));
+    if (it != cells_.end()) {
+      out->insert(out->end(), it->second.begin(), it->second.end());
+    }
+    std::size_t a = axes_;
+    while (a > 0) {
+      --a;
+      if (++coords[a] <= hi[a]) break;
+      coords[a] = lo[a];
+      if (a == 0) return;
+    }
+  }
+}
+
+std::uint64_t CorrelationIndex::KeyOf(const Point& p) const {
+  long long coords[kMaxGridAxes];
+  for (std::size_t a = 0; a < axes_; ++a) {
+    coords[a] = QuantizeClamped(p[a], inv_cell_);
+  }
+  return PackKey(coords, axes_);
+}
+
+void CorrelationIndex::RemoveFromCell(std::uint64_t key, std::size_t slot) {
+  auto it = cells_.find(key);
+  SD_DCHECK(it != cells_.end());
+  std::vector<std::size_t>& members = it->second;
+  const auto pos = std::find(members.begin(), members.end(), slot);
+  SD_DCHECK(pos != members.end());
+  *pos = members.back();
+  members.pop_back();
+  if (members.empty()) cells_.erase(it);
 }
 
 }  // namespace stardust

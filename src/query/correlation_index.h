@@ -1,4 +1,4 @@
-// Persistent candidate-pair indexes for the cross-shard correlator.
+// Persistent candidate-pair index for the cross-shard correlator.
 //
 // Section 5.3 reports correlated pairs by range-searching the feature
 // points of every live stream at an aligned time. The engine used to
@@ -8,14 +8,14 @@
 // the correlator upserts the streams whose feature changed, erases the
 // ones that expired, and probes the survivors.
 //
-// All three implementations only promise a *superset* of the true
-// neighbor set: Candidates(q, r) returns every live slot whose feature
-// point might lie within `r` of `q` (and possibly more). The correlator
-// verifies every candidate pair exactly on the z-normalized raw windows,
-// and the DWT feature distance lower-bounds the window distance, so every
-// kind yields the identical alert set — kBruteForce (all live slots) is
-// the all-pairs reference the equivalence suite checks the others
-// against.
+// The index is a StatStream-style orthogonal grid over the leading DWT
+// coefficients: O(1) upsert/erase, neighbors enumerated cell-by-cell. It
+// only promises a *superset* of the true neighbor set: Candidates(q, r)
+// returns every live slot whose feature point might lie within `r` of
+// `q` (and possibly more). The correlator verifies every candidate pair
+// exactly on the z-normalized raw windows, and the DWT feature distance
+// lower-bounds the window distance, so the alert set equals an all-pairs
+// scan's (tests/correlator_test.cc checks it against one).
 //
 // Not thread-safe: the correlator serializes all mutation; concurrent
 // Candidates calls against an unchanging index are safe (const).
@@ -24,51 +24,51 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "geom/mbr.h"
 
 namespace stardust {
 
-enum class CorrelationIndexKind : std::uint8_t {
-  /// StatStream-style orthogonal grid over the leading DWT coefficients:
-  /// O(1) upsert/erase, neighbors enumerated cell-by-cell. The default.
-  kGrid = 0,
-  /// Persistent R*-tree (src/rtree) maintained with Update/Delete.
-  kRTree = 1,
-  /// No structure at all: every live slot is a candidate. The all-pairs
-  /// reference for equivalence tests and tiny fleets.
-  kBruteForce = 2,
-};
-
-const char* CorrelationIndexKindName(CorrelationIndexKind kind);
-
 /// A set of feature points keyed by dense slot ids (the correlator maps
 /// global stream ids to slots). Upserting an identical point is a no-op —
 /// the change detection that makes periodic workloads cheap.
 class CorrelationIndex {
  public:
-  /// `dims` is the feature dimensionality; `cell` the grid cell edge
-  /// (ignored by the other kinds; must be positive for kGrid).
-  static std::unique_ptr<CorrelationIndex> Create(CorrelationIndexKind kind,
-                                                  std::size_t dims,
-                                                  double cell);
-  virtual ~CorrelationIndex() = default;
+  /// `dims` is the feature dimensionality (positive); `cell` the grid
+  /// cell edge (positive).
+  CorrelationIndex(std::size_t dims, double cell);
 
   /// Inserts or moves `slot` to `point` (size dims()). Returns false when
   /// the slot was already live at exactly this point (nothing changed).
-  virtual bool Upsert(std::size_t slot, const Point& point) = 0;
+  bool Upsert(std::size_t slot, const Point& point);
   /// Removes `slot`; no-op when not live.
-  virtual void Erase(std::size_t slot) = 0;
+  void Erase(std::size_t slot);
   /// Appends every live slot whose point may lie within `radius` of `q`
   /// (a superset; callers verify exactly). Never appends duplicates.
-  virtual void Candidates(const Point& q, double radius,
-                          std::vector<std::size_t>* out) const = 0;
+  void Candidates(const Point& q, double radius,
+                  std::vector<std::size_t>* out) const;
   /// Live slots.
-  virtual std::size_t size() const = 0;
-  virtual std::size_t dims() const = 0;
-  virtual CorrelationIndexKind kind() const = 0;
+  std::size_t size() const { return size_; }
+  std::size_t dims() const { return dims_; }
+
+ private:
+  struct Slot {
+    Point point;
+    std::uint64_t key = 0;
+    bool live = false;
+  };
+
+  std::uint64_t KeyOf(const Point& p) const;
+  void RemoveFromCell(std::uint64_t key, std::size_t slot);
+
+  const std::size_t dims_;
+  const std::size_t axes_;
+  const double inv_cell_;
+  std::vector<Slot> slots_;
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> cells_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace stardust

@@ -76,8 +76,8 @@ struct EvalPlan {
     std::size_t window = 0;  // LevelWindow(level) of the correlation core
     /// Radius extremes over the group's queries: `max_radius` is the one
     /// probe radius serving every query of the round (per-query radii
-    /// re-filter the verified pairs), and the correlator derives the
-    /// default grid cell of its per-level CorrelationIndex from it.
+    /// re-filter the verified pairs) and the grid cell of the level's
+    /// CorrelationIndex (1.0 when it is 0).
     double min_radius = 0.0;
     double max_radius = 0.0;
     std::vector<std::shared_ptr<RegisteredQuery>> queries;

@@ -1,5 +1,7 @@
 #include "query/probe_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace stardust {
@@ -21,9 +23,16 @@ ProbePool::~ProbePool() {
 }
 
 std::size_t ProbePool::ResolveWorkers() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw <= 1) return 0;
-  return std::min<std::size_t>(hw - 1, 4);
+  // The CPUs the caller may run on: under an affinity mask (taskset, a
+  // cpuset, a pinned benchmark run) the hardware count overstates them,
+  // and workers sharing the caller's CPU only make each round wait.
+  std::size_t cpus = std::thread::hardware_concurrency();
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    cpus = static_cast<std::size_t>(CPU_COUNT(&allowed));
+  }
+  if (cpus <= 1) return 0;
+  return std::min<std::size_t>(cpus - 1, 4);
 }
 
 std::size_t ProbePool::Drain() {

@@ -6,7 +6,7 @@
 // probe set dynamically (an atomic task cursor) across its workers plus
 // the calling thread, and Run returns only when every task finished, so
 // the caller's merge step sees all results. With zero workers (a single
-// hardware thread) Run degrades to a plain inline loop — no threads, no
+// usable CPU) Run degrades to a plain inline loop — no threads, no
 // synchronization.
 #ifndef STARDUST_QUERY_PROBE_POOL_H_
 #define STARDUST_QUERY_PROBE_POOL_H_
@@ -40,10 +40,11 @@ class ProbePool {
   /// correlator serializes rounds).
   void Run(std::size_t num_tasks, const std::function<void(std::size_t)>& fn);
 
-  /// The correlator's worker count: one less than the hardware
-  /// concurrency, clamped to [0, 4] (on a single-core host the pool
+  /// The correlator's worker count: one less than the CPUs in the
+  /// calling thread's affinity mask (the hardware concurrency if that
+  /// cannot be read), clamped to [0, 4]. With one usable CPU the pool
   /// degrades to inline execution; beyond a few workers the probe phase
-  /// is memory-bound).
+  /// is memory-bound.
   static std::size_t ResolveWorkers();
 
  private:

@@ -14,7 +14,6 @@
 #include "common/overload_policy.h"
 #include "common/status.h"
 #include "core/config.h"
-#include "query/correlation_index.h"
 #include "transform/feature.h"
 
 namespace stardust {
@@ -36,17 +35,6 @@ struct QueryConfig {
   /// all shards on a common feature time and runs every registered
   /// correlation query once if that time advanced.
   std::size_t correlator_period_ms = 10;
-
-  /// Candidate structure the correlator maintains per monitored level
-  /// across rounds (query/correlation_index.h). Every kind yields the
-  /// identical alert set — candidates are verified exactly on the
-  /// z-normalized windows — so this is purely a performance knob.
-  CorrelationIndexKind correlation_index_kind = CorrelationIndexKind::kGrid;
-
-  /// Grid cell edge for kGrid. 0 (the default) derives the cell from the
-  /// largest registered radius of each level group (StatStream's choice:
-  /// cell == radius, so neighbor enumeration reaches one cell out).
-  double correlation_grid_cell = 0.0;
 
   /// Bounded alert-queue capacity and overflow policy (mirrors the
   /// ingestion rings; see common/overload_policy.h). kBlock applies
@@ -94,10 +82,6 @@ struct QueryConfig {
       if (correlator_period_ms == 0) {
         return Status::InvalidArgument(
             "correlator_period_ms must be positive");
-      }
-      if (correlation_grid_cell < 0.0) {
-        return Status::InvalidArgument(
-            "correlation_grid_cell must be non-negative");
       }
     }
     return Status::OK();

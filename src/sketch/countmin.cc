@@ -7,23 +7,35 @@
 
 namespace stardust {
 
-namespace {
-
-std::size_t CeilPow2(std::size_t n) {
-  std::size_t w = 1;
-  while (w < n) w <<= 1;
-  return w;
+double CountMin::RowWidth(double epsilon) {
+  constexpr double kE = 2.718281828459045;
+  const double n = std::ceil(kE / epsilon);
+  if (!std::isfinite(n)) return n;
+  int exp = 0;
+  // n = mantissa * 2^exp with mantissa in [0.5, 1): n is a power of two
+  // exactly when the mantissa is 0.5.
+  const double mantissa = std::frexp(n, &exp);
+  return std::ldexp(1.0, mantissa == 0.5 ? exp - 1 : exp);
 }
 
-}  // namespace
+double CountMin::MemoryBytesFor(double epsilon, std::size_t depth,
+                                std::size_t candidates) {
+  return RowWidth(epsilon) * static_cast<double>(depth) *
+             static_cast<double>(sizeof(std::uint32_t)) +
+         static_cast<double>(candidates) *
+             static_cast<double>(sizeof(Candidate));
+}
 
 CountMin::CountMin(double epsilon, std::size_t depth, std::size_t candidates)
     : epsilon_(epsilon), depth_(depth), capacity_(candidates) {
   SD_CHECK(epsilon > 0.0 && epsilon < 1.0);
   SD_CHECK(depth >= 1 && depth <= 16);
   SD_CHECK(candidates >= 1);
-  const double kE = 2.718281828459045;
-  width_ = CeilPow2(static_cast<std::size_t>(std::ceil(kE / epsilon)));
+  // Keeps the cast below defined; SketchConfig::Validate bounds measures
+  // far below this width.
+  const double width = RowWidth(epsilon);
+  SD_CHECK(width <= 0x1p32);
+  width_ = static_cast<std::size_t>(width);
   counters_.assign(width_ * depth_, 0);
   row_seeds_.resize(depth_);
   for (std::size_t r = 0; r < depth_; ++r) {

@@ -54,6 +54,12 @@ class CountMin {
   std::size_t depth() const { return depth_; }
   std::size_t MemoryBytes() const;
 
+  /// MemoryBytes() of a sketch of this shape, computed in double without
+  /// building it, so a caller can bound it before anything allocates
+  /// (SketchConfig::Validate does).
+  static double MemoryBytesFor(double epsilon, std::size_t depth,
+                               std::size_t candidates);
+
   void SaveTo(Writer* writer) const;
   /// Restores into a sketch constructed with the same shape.
   Status RestoreFrom(Reader* reader);
@@ -64,6 +70,9 @@ class CountMin {
     std::uint64_t count = 0;  // estimate when last touched
   };
 
+  /// Counters per row for `epsilon` (> 0): the smallest power of two >=
+  /// e / epsilon, as a double so no epsilon can overflow it.
+  static double RowWidth(double epsilon);
   /// Per-row counter index of a value's hash.
   std::size_t Index(std::size_t row, std::uint64_t bits) const {
     return static_cast<std::size_t>(

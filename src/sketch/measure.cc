@@ -1,6 +1,8 @@
 #include "sketch/measure.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 
 #include "common/check.h"
 
@@ -35,7 +37,6 @@ class DistinctMeasure final : public SketchMeasure {
   void Append(double value) override { AppendRun(&value, 1); }
 
   void AppendRun(const double* values, std::size_t n) override {
-    appends_ += n;
     total_ += n;
     while (n > 0) {
       const std::size_t take = static_cast<std::size_t>(
@@ -55,14 +56,14 @@ class DistinctMeasure final : public SketchMeasure {
   bool Ready() const override { return total_ >= config_.window; }
 
   double Estimate() const override {
-    ++estimate_calls_;
     scratch_.Clear();
     for (const HyperLogLog& bucket : ring_) {
       SD_CHECK(scratch_.Merge(bucket).ok());
-      ++merges_;
     }
     return scratch_.Estimate();
   }
+
+  std::size_t MergesPerEstimate() const override { return ring_.size(); }
 
   std::size_t MemoryBytes() const override {
     return (ring_.size() + 1) * scratch_.MemoryBytes();
@@ -72,9 +73,6 @@ class DistinctMeasure final : public SketchMeasure {
     writer->U64(total_);
     writer->U64(head_);
     writer->U64(fill_);
-    writer->U64(appends_);
-    writer->U64(merges_);
-    writer->U64(estimate_calls_);
     for (const HyperLogLog& bucket : ring_) bucket.SaveTo(writer);
   }
 
@@ -87,9 +85,6 @@ class DistinctMeasure final : public SketchMeasure {
       return Status::InvalidArgument("distinct sketch snapshot ring state");
     }
     head_ = static_cast<std::size_t>(head);
-    SD_RETURN_NOT_OK(reader->U64(&appends_));
-    SD_RETURN_NOT_OK(reader->U64(&merges_));
-    SD_RETURN_NOT_OK(reader->U64(&estimate_calls_));
     for (HyperLogLog& bucket : ring_) {
       SD_RETURN_NOT_OK(bucket.RestoreFrom(reader));
     }
@@ -102,7 +97,6 @@ class DistinctMeasure final : public SketchMeasure {
   std::vector<HyperLogLog> ring_;
   std::size_t head_ = 0;
   std::uint64_t fill_ = 0;
-  std::uint64_t total_ = 0;
   mutable HyperLogLog scratch_;
 };
 
@@ -124,7 +118,6 @@ class HeavyHittersMeasure final : public SketchMeasure {
   void Append(double value) override { AppendRun(&value, 1); }
 
   void AppendRun(const double* values, std::size_t n) override {
-    appends_ += n;
     total_ += n;
     while (n > 0) {
       const std::size_t take = static_cast<std::size_t>(
@@ -144,14 +137,14 @@ class HeavyHittersMeasure final : public SketchMeasure {
   bool Ready() const override { return total_ >= config_.window; }
 
   double Estimate() const override {
-    ++estimate_calls_;
     scratch_.Clear();
     for (const CountMin& bucket : ring_) {
       SD_CHECK(scratch_.Merge(bucket).ok());
-      ++merges_;
     }
     return static_cast<double>(scratch_.HeavyHitterCount(config_.phi));
   }
+
+  std::size_t MergesPerEstimate() const override { return ring_.size(); }
 
   std::size_t MemoryBytes() const override {
     return (ring_.size() + 1) * scratch_.MemoryBytes();
@@ -161,9 +154,6 @@ class HeavyHittersMeasure final : public SketchMeasure {
     writer->U64(total_);
     writer->U64(head_);
     writer->U64(fill_);
-    writer->U64(appends_);
-    writer->U64(merges_);
-    writer->U64(estimate_calls_);
     for (const CountMin& bucket : ring_) bucket.SaveTo(writer);
   }
 
@@ -177,9 +167,6 @@ class HeavyHittersMeasure final : public SketchMeasure {
           "heavy-hitter sketch snapshot ring state");
     }
     head_ = static_cast<std::size_t>(head);
-    SD_RETURN_NOT_OK(reader->U64(&appends_));
-    SD_RETURN_NOT_OK(reader->U64(&merges_));
-    SD_RETURN_NOT_OK(reader->U64(&estimate_calls_));
     for (CountMin& bucket : ring_) {
       SD_RETURN_NOT_OK(bucket.RestoreFrom(reader));
     }
@@ -192,7 +179,6 @@ class HeavyHittersMeasure final : public SketchMeasure {
   std::vector<CountMin> ring_;
   std::size_t head_ = 0;
   std::uint64_t fill_ = 0;
-  std::uint64_t total_ = 0;
   mutable CountMin scratch_;
 };
 
@@ -214,7 +200,6 @@ class QuantileMeasure final : public SketchMeasure {
   void Append(double value) override { AppendRun(&value, 1); }
 
   void AppendRun(const double* values, std::size_t n) override {
-    appends_ += n;
     total_ += n;
     while (n > 0) {
       const std::size_t take = static_cast<std::size_t>(
@@ -241,10 +226,9 @@ class QuantileMeasure final : public SketchMeasure {
 
   bool Ready() const override { return total_ >= config_.window; }
 
-  double Estimate() const override {
-    ++estimate_calls_;
-    return ring_[oldest_].Value();
-  }
+  double Estimate() const override { return ring_[oldest_].Value(); }
+
+  std::size_t MergesPerEstimate() const override { return 0; }
 
   std::size_t MemoryBytes() const override {
     return ring_.size() * sizeof(P2Quantile);
@@ -254,9 +238,6 @@ class QuantileMeasure final : public SketchMeasure {
     writer->U64(total_);
     writer->U64(oldest_);
     writer->U64(fill_);
-    writer->U64(appends_);
-    writer->U64(merges_);
-    writer->U64(estimate_calls_);
     for (const P2Quantile& est : ring_) est.SaveTo(writer);
   }
 
@@ -269,9 +250,6 @@ class QuantileMeasure final : public SketchMeasure {
       return Status::InvalidArgument("quantile sketch snapshot ring state");
     }
     oldest_ = static_cast<std::size_t>(oldest);
-    SD_RETURN_NOT_OK(reader->U64(&appends_));
-    SD_RETURN_NOT_OK(reader->U64(&merges_));
-    SD_RETURN_NOT_OK(reader->U64(&estimate_calls_));
     for (P2Quantile& est : ring_) {
       SD_RETURN_NOT_OK(est.RestoreFrom(reader));
     }
@@ -284,7 +262,6 @@ class QuantileMeasure final : public SketchMeasure {
   std::vector<P2Quantile> ring_;
   std::size_t oldest_ = 0;
   std::uint64_t fill_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace
@@ -328,7 +305,33 @@ Status SketchConfig::Validate() const {
   if (!(q > 0.0) || q >= 1.0) {
     return Status::InvalidArgument("sketch quantile q must be in (0, 1)");
   }
+  const double bytes = MeasureBytes();
+  if (!(bytes <= kMaxSketchMeasureBytes)) {
+    char msg[96];
+    std::snprintf(msg, sizeof(msg),
+                  "sketch measure needs %.3g bytes (cap %.0f)", bytes,
+                  kMaxSketchMeasureBytes);
+    return Status::InvalidArgument(msg);
+  }
   return Status::OK();
+}
+
+double SketchConfig::MeasureBytes() const {
+  // The ring holds buckets + 1 sketches; the bucket-union kinds keep one
+  // more as merge scratch (see each measure's MemoryBytes).
+  const double ring = static_cast<double>(buckets) + 1.0;
+  switch (kind) {
+    case SketchKind::kDistinct:
+      return (ring + 1.0) *
+             std::ldexp(1.0, static_cast<int>(hll_precision));
+    case SketchKind::kHeavyHitters:
+      return (ring + 1.0) *
+             CountMin::MemoryBytesFor(epsilon, static_cast<std::size_t>(depth),
+                                      static_cast<std::size_t>(candidates));
+    case SketchKind::kQuantile:
+      return ring * static_cast<double>(sizeof(P2Quantile));
+  }
+  return 0.0;
 }
 
 void SketchConfig::SaveTo(Writer* writer) const {

@@ -41,6 +41,11 @@ enum class SketchKind : std::uint8_t {
 /// Stable lowercase name for a sketch kind ("distinct", ...).
 const char* SketchKindName(SketchKind kind);
 
+/// Largest measure SketchConfig::Validate accepts, in bytes: the distinct
+/// measure at the widest fields (precision 18 and 64 buckets, so 66 HLLs
+/// of 2^18 registers counting the merge scratch; 16.5 MiB).
+inline constexpr double kMaxSketchMeasureBytes = 66.0 * (1 << 18);
+
 /// Full description of a sketch measure. Two queries whose configs
 /// compare equal share one measure instance per stream (the eval plan
 /// groups by config; FeaturePipeline claims instances across plan swaps
@@ -67,8 +72,15 @@ struct SketchConfig {
 
   bool operator==(const SketchConfig&) const = default;
 
-  /// OK when the config describes a constructible measure.
+  /// OK when the config describes a constructible measure of at most
+  /// kMaxSketchMeasureBytes. Configs arrive from DSL documents, the
+  /// checkpoint's queries file and stream slices, so the size is checked
+  /// here, before anything allocates.
   Status Validate() const;
+  /// MemoryBytes() of the measure this config describes, computed in
+  /// double without building it (no field value can overflow it). Only
+  /// meaningful for configs whose fields are in range.
+  double MeasureBytes() const;
 
   /// Fixed 65-byte little-endian layout (used inside QuerySpec v3 records
   /// and stream slices).
@@ -93,22 +105,24 @@ class SketchMeasure {
   /// Current windowed estimate. Requires Ready().
   virtual double Estimate() const = 0;
 
+  /// Bucket sketches one Estimate() unions (0 for the quantile measure,
+  /// whose estimate reads one estimator).
+  virtual std::size_t MergesPerEstimate() const = 0;
+
   virtual std::size_t MemoryBytes() const = 0;
 
+  /// Serializes the state only: how often the measure was estimated is
+  /// not part of it, so a stream's slice bytes do not depend on how its
+  /// shard batched evaluations.
   virtual void SaveTo(Writer* writer) const = 0;
   /// Restores into a measure created from the same config.
   virtual Status RestoreFrom(Reader* reader) = 0;
 
-  /// Lifetime maintenance counters, aggregated into engine metrics.
-  std::uint64_t appends() const { return appends_; }
-  std::uint64_t merges() const { return merges_; }
-  std::uint64_t estimate_calls() const { return estimate_calls_; }
+  /// Values ever appended (aggregated into engine metrics).
+  std::uint64_t appends() const { return total_; }
 
  protected:
-  std::uint64_t appends_ = 0;
-  // merges happen inside const Estimate() (bucket-union on demand).
-  mutable std::uint64_t merges_ = 0;
-  mutable std::uint64_t estimate_calls_ = 0;
+  std::uint64_t total_ = 0;
 };
 
 /// Builds the measure described by `config`; requires

@@ -41,12 +41,13 @@ class SlidingAggregateTracker {
   /// Exact aggregate over the last window(i) values. Requires Ready(i).
   double Current(std::size_t i) const;
 
-  /// Snapshot support (core/snapshot.cc): serializes the full tracker
-  /// state — counts, compensated sums, the recent-value ring, and the
-  /// monotonic deques — so a restored tracker continues bit-exactly.
+  /// Stream-slice support (engine/feature_pipeline.cc): serializes the
+  /// full tracker state — counts, compensated sums, the recent-value
+  /// ring, and the monotonic deques — so a restored tracker continues
+  /// bit-exactly.
   void SaveTo(Writer* writer) const;
   /// Restores a serialized tracker. The instance must have been
-  /// constructed with the same kind and window set the snapshot was taken
+  /// constructed with the same kind and window set the slice was taken
   /// with; anything else (or a structurally corrupt payload) is rejected.
   Status RestoreFrom(Reader* reader);
 

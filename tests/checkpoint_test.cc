@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -394,8 +395,8 @@ TEST(CheckpointRestoreTest, RestoredStateBytesMatchOrigin) {
   ExpectSameStreamState(*origin, *restored);
 
   // One flushed tick at a time, so both engines evaluate every stream
-  // after each of its tuples: a sketch measure's slice carries its
-  // estimate-call and merge counters, which count evaluations.
+  // after each of its tuples: the rising-edge state that follows each
+  // slice still depends on where batches end (ROADMAP, the edge item).
   auto restored_sources = sources;
   for (int t = 0; t < 250; ++t) {
     FeedBatched(origin.get(), &sources, 1);
@@ -582,6 +583,95 @@ TEST(CheckpointRestoreTest, RejectsHostileShardFiles) {
         << name << ": " << restored.status().ToString();
   }
   // The untouched checkpoint still restores.
+  ASSERT_TRUE(AtomicWriteFile(shard_path, shard_bytes.value()).ok());
+  ASSERT_TRUE(AtomicWriteFile(manifest_path, manifest_bytes.value()).ok());
+  EXPECT_TRUE(IngestEngine::Create(StreamConfig(), {}, 4, econfig, dir).ok());
+}
+
+// Sketch configs reach a restore from disk twice: in the queries file and
+// in every stream slice. A re-signed checkpoint whose heavy-hitter config
+// asks for epsilon 1e-9 (2^32 counters per CountMin row) is rejected
+// before any measure is built, in either place.
+TEST(CheckpointRestoreTest, RejectsOversizedSketchConfigs) {
+  const std::string dir = FreshDir("ck_sketch_size");
+  SketchConfig heavy;
+  heavy.kind = SketchKind::kHeavyHitters;
+  heavy.window = 32;
+  auto engine = MakeEngine(4, 2);
+  ASSERT_NE(engine, nullptr);
+  ASSERT_TRUE(
+      engine->RegisterQuery(QuerySpec::Sketch(heavy, AssessRange{})).ok());
+  auto sources = Sources(4, 5200);
+  Feed(engine.get(), &sources, 100);
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+  engine.reset();
+
+  // The config serializes as kind (u8), window, buckets, precision (u64
+  // each), then epsilon (f64 at offset 25).
+  Writer config_writer;
+  heavy.SaveTo(&config_writer);
+  const std::string config_bytes = config_writer.buffer();
+  const auto oversized = [&config_bytes](const std::string& bytes) {
+    const std::size_t at = bytes.find(config_bytes);
+    EXPECT_NE(at, std::string::npos);
+    return Patched(bytes, at + 25, std::bit_cast<std::uint64_t>(1e-9));
+  };
+
+  const std::string manifest_path =
+      (fs::path(dir) / CheckpointManifestFileName(1)).string();
+  const std::string queries_path =
+      (fs::path(dir) / CheckpointQueriesFileName(1)).string();
+  const std::string shard_path =
+      (fs::path(dir) / CheckpointFeaturesFileName(0, 1)).string();
+  const Result<std::string> manifest_bytes = ReadFileToString(manifest_path);
+  const Result<std::string> queries_bytes = ReadFileToString(queries_path);
+  const Result<std::string> shard_bytes = ReadFileToString(shard_path);
+  ASSERT_TRUE(manifest_bytes.ok());
+  ASSERT_TRUE(queries_bytes.ok());
+  ASSERT_TRUE(shard_bytes.ok());
+  const Result<CheckpointManifest> manifest =
+      ParseManifest(manifest_bytes.value());
+  ASSERT_TRUE(manifest.ok());
+
+  // The queries file, re-wrapped with a valid checksum.
+  const char queries_magic[4] = {'S', 'D', 'Q', 'R'};
+  std::uint32_t queries_version = 0;
+  std::string queries_payload;
+  ASSERT_TRUE(UnwrapEnvelope(queries_bytes.value(), queries_magic, "queries",
+                             &queries_version, &queries_payload)
+                  .ok());
+  const std::string hostile_queries = WrapEnvelope(
+      queries_magic, queries_version, oversized(queries_payload));
+  // Stream 0's slice inside shard 0's file.
+  Result<CheckpointShardFile> shard0 = ParseShardFile(shard_bytes.value());
+  ASSERT_TRUE(shard0.ok()) << shard0.status().ToString();
+  shard0.value().slices[0] = oversized(shard0.value().slices[0]);
+  const std::string hostile_shard = SerializeShardFile(shard0.value());
+
+  EngineConfig econfig;
+  econfig.num_shards = 2;
+  for (const bool in_slice : {false, true}) {
+    const std::string& queries =
+        in_slice ? queries_bytes.value() : hostile_queries;
+    const std::string& shard = in_slice ? hostile_shard : shard_bytes.value();
+    CheckpointManifest resigned = manifest.value();
+    resigned.queries_checksum = Fnv1a(queries);
+    resigned.shards[0].checksum = Fnv1a(shard);
+    ASSERT_TRUE(AtomicWriteFile(queries_path, queries).ok());
+    ASSERT_TRUE(AtomicWriteFile(shard_path, shard).ok());
+    ASSERT_TRUE(
+        AtomicWriteFile(manifest_path, SerializeManifest(resigned)).ok());
+    const Result<std::unique_ptr<IngestEngine>> restored =
+        IngestEngine::Create(StreamConfig(), {}, 4, econfig, dir);
+    ASSERT_FALSE(restored.ok()) << (in_slice ? "slice" : "queries file");
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << restored.status().ToString();
+    EXPECT_NE(restored.status().message().find("sketch measure needs"),
+              std::string::npos)
+        << restored.status().ToString();
+  }
+  // The untouched checkpoint still restores.
+  ASSERT_TRUE(AtomicWriteFile(queries_path, queries_bytes.value()).ok());
   ASSERT_TRUE(AtomicWriteFile(shard_path, shard_bytes.value()).ok());
   ASSERT_TRUE(AtomicWriteFile(manifest_path, manifest_bytes.value()).ok());
   EXPECT_TRUE(IngestEngine::Create(StreamConfig(), {}, 4, econfig, dir).ok());

@@ -1,10 +1,11 @@
 // Correlator regression + equivalence suite (src/engine correlator over
 // src/query/correlation_index):
-//  - golden equivalence: every index kind × shard count emits the
-//    IDENTICAL correlation alert set as the brute-force all-pairs path
-//    on a deterministic workload with rising-edge churn;
+//  - golden equivalence: at every shard count the correlator emits
+//    exactly the alerts of an independent all-pairs reference, which
+//    scans the workload's own values (ScanCorrelatedPairs) on a
+//    deterministic workload with rising-edge churn;
 //  - alert conservation under query register/unregister churn across
-//    1/2/4 shards on the indexed path;
+//    1/2/4 shards;
 //  - fault-injection: a failed level group is retried (alerts delayed,
 //    never dropped), later groups still evaluate, correlator_errors
 //    counts it;
@@ -18,6 +19,7 @@
 // same round boundaries and the alert sets are exactly comparable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -27,11 +29,16 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "baselines/linear_scan.h"
 #include "engine/engine.h"
+#include "geom/mbr.h"
 #include "query/sinks.h"
+#include "stream/dataset.h"
 #include "stream/threshold.h"
+#include "transform/feature.h"
 
 namespace stardust {
 namespace {
@@ -65,15 +72,13 @@ StardustConfig CorrelationCore(std::size_t history) {
   return config;
 }
 
-EngineConfig CorrelatorEngineConfig(std::size_t shards,
-                                    CorrelationIndexKind kind) {
+EngineConfig CorrelatorEngineConfig(std::size_t shards) {
   EngineConfig econfig;
   econfig.num_shards = shards;
   econfig.query.enable_correlation = true;
   econfig.query.correlation = CorrelationCore(1024);
   // The background thread must never race a triggered round.
   econfig.query.correlator_period_ms = 3600000;
-  econfig.query.correlation_index_kind = kind;
   return econfig;
 }
 
@@ -81,7 +86,11 @@ EngineConfig CorrelatorEngineConfig(std::size_t shards,
 //  - streams 0 and 1 share a sine wave, except stream 1 deviates hard on
 //    t in [64, 128) -> the pair alerts, drops out, and re-alerts;
 //  - streams 2 and 3 share a slower wave throughout -> one alert;
-//  - streams 4..7 are deterministic pseudo-noise at distinct frequencies.
+//  - streams 4..7 are deterministic pseudo-noise at distinct frequencies;
+//  - streams 8..15 (a sawtooth) and 16..23 (a triangle wave) are two
+//    clusters of noisy copies. Their pairs correlate without sharing a
+//    feature point, so they spread over neighbouring grid cells, and
+//    some drift in and out of the radius between rounds.
 double WorkloadValue(StreamId s, std::uint64_t t) {
   const double x = static_cast<double>(t);
   switch (s) {
@@ -94,14 +103,21 @@ double WorkloadValue(StreamId s, std::uint64_t t) {
     case 3:
       return std::sin(0.11 * x + 1.0);
     default:
+      if (s >= 8) {
+        const double k = static_cast<double>(s % 8);
+        const double base =
+            s < 16 ? static_cast<double>(t % 11) / 5.0 - 1.0
+                   : std::abs(static_cast<double>(t % 13) - 6.5) / 3.25 - 1.0;
+        return base + 0.12 * std::sin((1.3 + 0.4 * k) * x + k);
+      }
       return std::sin((0.53 + 0.17 * static_cast<double>(s)) * x) +
              0.3 * std::sin(1.9 * x + static_cast<double>(s));
   }
 }
 
 // Canonical, order-independent view of a correlation alert. `value` is
-// the exact verified window distance — identical across kinds and shard
-// counts because every path computes it from the same z-normed windows.
+// the exact verified window distance — identical across shard counts
+// because every engine computes it from the same z-normed windows.
 using AlertKey = std::tuple<QueryId, StreamId, StreamId, std::size_t,
                             std::uint64_t, std::uint64_t, std::int64_t>;
 
@@ -116,77 +132,178 @@ std::multiset<AlertKey> CorrelationAlertSet(const std::vector<Alert>& alerts) {
   return out;
 }
 
-// Runs the 6-phase workload on one engine configuration and returns its
-// correlation alert multiset. Each phase posts 32 values per stream,
-// flushes, and triggers one synchronous correlator round; a decoy query
-// is registered after phase 2 and unregistered after phase 4, so the
-// plan (and the derived grid cell) changes mid-run on every engine.
-std::multiset<AlertKey> RunGoldenWorkload(std::size_t shards,
-                                          CorrelationIndexKind kind,
-                                          bool churn_decoy) {
-  constexpr std::size_t kStreams = 8;
-  constexpr std::size_t kPhases = 6;
-  constexpr std::uint64_t kStepsPerPhase = 32;
-  auto engine = std::move(IngestEngine::Create(
-                              FleetConfig(), {}, kStreams,
-                              CorrelatorEngineConfig(shards, kind)))
+// The golden workload: 24 streams, 6 phases of 32 values per stream, one
+// synchronous correlator round after each phase.
+constexpr std::size_t kGoldenStreams = 24;
+constexpr std::size_t kGoldenPhases = 6;
+constexpr std::uint64_t kStepsPerPhase = 32;
+
+// A correlation query of the golden workload: its radius, its level (as
+// registered), and the phases whose rounds evaluate it, [from, until).
+struct GoldenQuery {
+  double radius = 0.0;
+  std::size_t level = kTopLevel;
+  std::size_t from = 0;
+  std::size_t until = kGoldenPhases;
+};
+
+// The main query at the top level for the whole run, and a decoy at
+// level 0 registered after phase 2's round and unregistered after phase
+// 4's, so the plan changes mid-run and a level group comes and goes.
+const std::vector<GoldenQuery>& GoldenQueries() {
+  static const std::vector<GoldenQuery> queries = {
+      {0.3, kTopLevel, 0, kGoldenPhases}, {0.6, 0, 3, 5}};
+  return queries;
+}
+
+// One correlation alert, with the exact part of its key apart from the
+// distance (compared within 1e-9).
+struct CorrelationHit {
+  std::tuple<QueryId, StreamId, StreamId, std::size_t, std::uint64_t,
+             std::uint64_t>
+      key;
+  double value = 0.0;
+
+  bool operator<(const CorrelationHit& other) const { return key < other.key; }
+};
+
+std::vector<CorrelationHit> SortedHits(const std::vector<Alert>& alerts) {
+  std::vector<CorrelationHit> out;
+  for (const Alert& alert : alerts) {
+    if (alert.kind != QueryKind::kCorrelation) continue;
+    out.push_back({{alert.query, alert.stream, alert.stream_b, alert.window,
+                    alert.end_time, alert.epoch},
+                   alert.value});
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Runs the golden workload on an engine with `shards` shards and returns
+// its correlation alerts, sorted, plus the ids GoldenQueries() got.
+std::vector<CorrelationHit> RunGoldenWorkload(std::size_t shards,
+                                              std::vector<QueryId>* ids) {
+  auto engine = std::move(IngestEngine::Create(FleetConfig(), {},
+                                               kGoldenStreams,
+                                               CorrelatorEngineConfig(shards)))
                     .value();
   auto ring = std::make_shared<RingSink>();
   engine->alerts().AddSink(ring);
-  EXPECT_TRUE(
-      std::move(engine->RegisterQuery(QuerySpec::Correlation(0.3))).ok());
-  QueryId decoy = kInvalidQueryId;
+  const std::vector<GoldenQuery>& queries = GoldenQueries();
+  ids->assign(queries.size(), kInvalidQueryId);
   std::uint64_t t = 0;
-  for (std::size_t phase = 0; phase < kPhases; ++phase) {
+  for (std::size_t phase = 0; phase < kGoldenPhases; ++phase) {
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      if (queries[i].from == phase) {
+        (*ids)[i] = std::move(engine->RegisterQuery(QuerySpec::Correlation(
+                                  queries[i].radius, queries[i].level)))
+                        .value();
+      }
+    }
     for (std::uint64_t step = 0; step < kStepsPerPhase; ++step, ++t) {
-      for (StreamId s = 0; s < kStreams; ++s) {
+      for (StreamId s = 0; s < kGoldenStreams; ++s) {
         EXPECT_TRUE(engine->Post(s, WorkloadValue(s, t)).ok());
       }
     }
     EXPECT_TRUE(engine->Flush().ok());
     engine->TriggerCorrelatorRound();
-    if (churn_decoy && phase == 2) {
-      decoy = std::move(engine->RegisterQuery(QuerySpec::Correlation(0.6, 0)))
-                  .value();
-    }
-    if (churn_decoy && phase == 4) {
-      EXPECT_TRUE(engine->UnregisterQuery(decoy).ok());
-      decoy = kInvalidQueryId;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      if (queries[i].until == phase + 1) {
+        EXPECT_TRUE(engine->UnregisterQuery((*ids)[i]).ok());
+      }
     }
   }
   EXPECT_TRUE(engine->Stop().ok());
   // Stop drains the bus: everything published has reached the sink.
   EXPECT_EQ(engine->alerts().published(), engine->alerts().delivered());
-  return CorrelationAlertSet(ring->Snapshot());
+  return SortedHits(ring->Snapshot());
 }
 
-// The tentpole's acceptance property: the persistent-index parallel
-// correlator emits the identical alert set as the all-pairs reference,
-// for every index kind, at every shard count, under plan churn.
-TEST(CorrelatorEquivalenceTest, GoldenAlertSetsMatchAllPairsEverywhere) {
-  const std::multiset<AlertKey> golden =
-      RunGoldenWorkload(1, CorrelationIndexKind::kBruteForce, true);
-  // The workload's rising-edge plan: pair (0,1) alerts, deviates out of
-  // the radius, and re-alerts; pair (2,3) alerts once.
-  std::multiset<std::pair<StreamId, StreamId>> pairs;
-  for (const AlertKey& key : golden) {
-    pairs.emplace(std::get<1>(key), std::get<2>(key));
-  }
-  EXPECT_GE(pairs.count({0, 1}), 2u) << "pair (0,1) never re-alerted";
-  EXPECT_GE(pairs.count({2, 3}), 1u);
-  for (const auto& pair : pairs) {
-    const bool planted = (pair.first == 0 && pair.second == 1) ||
-                         (pair.first == 2 && pair.second == 3);
-    EXPECT_TRUE(planted) << "spurious pair (" << pair.first << ", "
-                         << pair.second << ")";
-  }
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    for (const CorrelationIndexKind kind :
-         {CorrelationIndexKind::kGrid, CorrelationIndexKind::kRTree,
-          CorrelationIndexKind::kBruteForce}) {
-      EXPECT_EQ(RunGoldenWorkload(shards, kind, true), golden)
-          << CorrelationIndexKindName(kind) << " at " << shards << " shards";
+// The all-pairs reference, independent of the engine's gather, alignment
+// and feature store: it reads the workload's values directly. Every
+// phase ends on a multiple of both level windows, so each round evaluates
+// every live query at the phase's last position t, and the round counter
+// (alert epoch) counts phases from 1. Per query it scans the z-normalized
+// windows ending at t (ScanCorrelatedPairs) and alerts on rising edges
+// against that query's previous round.
+std::vector<CorrelationHit> ReferenceHits(const std::vector<QueryId>& ids) {
+  const StardustConfig core = CorrelationCore(1024);
+  const std::vector<GoldenQuery>& queries = GoldenQueries();
+  std::vector<std::set<std::pair<std::uint32_t, std::uint32_t>>> previous(
+      queries.size());
+  std::vector<CorrelationHit> out;
+  for (std::size_t phase = 0; phase < kGoldenPhases; ++phase) {
+    const std::uint64_t t = (phase + 1) * kStepsPerPhase - 1;
+    const std::uint64_t epoch = phase + 1;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const GoldenQuery& query = queries[i];
+      if (phase < query.from || phase >= query.until) continue;
+      const std::size_t window = core.LevelWindow(
+          query.level == kTopLevel ? core.num_levels - 1 : query.level);
+      Dataset windows;
+      for (StreamId s = 0; s < kGoldenStreams; ++s) {
+        std::vector<double> values;
+        for (std::uint64_t x = t + 1 - window; x <= t; ++x) {
+          values.push_back(WorkloadValue(s, x));
+        }
+        windows.streams.push_back(std::move(values));
+      }
+      std::set<std::pair<std::uint32_t, std::uint32_t>> current;
+      for (const auto& pair :
+           ScanCorrelatedPairs(windows, window, query.radius)) {
+        current.insert(pair);
+        if (previous[i].count(pair) != 0) continue;  // still correlated
+        const double value =
+            std::sqrt(Dist2(ZNormalize(windows.streams[pair.first]),
+                            ZNormalize(windows.streams[pair.second])));
+        out.push_back(
+            {{ids[i], pair.first, pair.second, window, t, epoch}, value});
+      }
+      previous[i] = std::move(current);
     }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void ExpectSameHits(const std::vector<CorrelationHit>& got,
+                    const std::vector<CorrelationHit>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "alert " << i;
+    EXPECT_NEAR(got[i].value, want[i].value, 1e-9) << "alert " << i;
+  }
+}
+
+// The correlator emits exactly the reference's alerts at every shard
+// count, under plan churn.
+TEST(CorrelatorEquivalenceTest, GoldenAlertSetsMatchAllPairsEverywhere) {
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    std::vector<QueryId> ids;
+    const std::vector<CorrelationHit> engine_hits =
+        RunGoldenWorkload(shards, &ids);
+    const std::vector<CorrelationHit> reference = ReferenceHits(ids);
+    // The workload's rising-edge plan: pair (0,1) alerts, deviates out of
+    // the radius, and re-alerts; pair (2,3) alerts once; pairs alert only
+    // inside a cluster.
+    std::multiset<std::pair<StreamId, StreamId>> pairs;
+    for (const CorrelationHit& hit : reference) {
+      pairs.emplace(std::get<1>(hit.key), std::get<2>(hit.key));
+    }
+    EXPECT_GE(pairs.count({0, 1}), 2u) << "pair (0,1) never re-alerted";
+    EXPECT_GE(pairs.count({2, 3}), 1u);
+    EXPECT_GE(pairs.count({8, 9}), 1u);
+    EXPECT_GE(pairs.count({16, 17}), 1u);
+    for (const auto& pair : pairs) {
+      const bool planted = (pair.first == 0 && pair.second == 1) ||
+                           (pair.first == 2 && pair.second == 3) ||
+                           (pair.first >= 8 && pair.second < 16) ||
+                           pair.first >= 16;
+      EXPECT_TRUE(planted) << "spurious pair (" << pair.first << ", "
+                           << pair.second << ")";
+    }
+    ExpectSameHits(engine_hits, reference);
   }
 }
 
@@ -202,8 +319,7 @@ TEST(CorrelatorStressTest, ChurnConservesAlertsAcrossShardCounts) {
   for (const std::size_t shards : {1u, 2u, 4u}) {
     auto engine = std::move(IngestEngine::Create(
                                 FleetConfig(), {}, kStreams,
-                                CorrelatorEngineConfig(
-                                    shards, CorrelationIndexKind::kGrid)))
+                                CorrelatorEngineConfig(shards)))
                       .value();
     auto ring = std::make_shared<RingSink>();
     engine->alerts().AddSink(ring);
@@ -282,7 +398,7 @@ std::vector<Alert> AwaitCorrelationAlerts(const RingSink& ring, QueryId query,
 // counted in correlator_errors.
 TEST(CorrelatorFaultTest, FailedLevelGroupRetriesWithoutLosingAlerts) {
   constexpr std::size_t kStreams = 2;
-  EngineConfig econfig = CorrelatorEngineConfig(1, CorrelationIndexKind::kGrid);
+  EngineConfig econfig = CorrelatorEngineConfig(1);
   std::atomic<bool> fail_level0{false};
   econfig.correlator_fault_hook = [&fail_level0](std::size_t level) {
     return level == 0 && fail_level0.load();
@@ -347,7 +463,7 @@ TEST(CorrelatorFaultTest, FailedLevelGroupRetriesWithoutLosingAlerts) {
 // replaces (clears) the active pair sets.
 TEST(CorrelatorExpireTest, ExpiredPairReAlertsWhenItRecorrelates) {
   constexpr std::size_t kStreams = 2;
-  EngineConfig econfig = CorrelatorEngineConfig(1, CorrelationIndexKind::kGrid);
+  EngineConfig econfig = CorrelatorEngineConfig(1);
   econfig.query.correlation = CorrelationCore(/*history=*/32);
   // Keep only the latest aligned feature per stream in the store, so a
   // stream that raced ahead cannot serve old round times from cache.
@@ -409,7 +525,7 @@ TEST(CorrelatorMetricsTest, RoundsCountOncePerInvocationAcrossLevels) {
   auto engine =
       std::move(IngestEngine::Create(
                     FleetConfig(), {}, kStreams,
-                    CorrelatorEngineConfig(1, CorrelationIndexKind::kGrid)))
+                    CorrelatorEngineConfig(1)))
           .value();
   auto ring = std::make_shared<RingSink>();
   engine->alerts().AddSink(ring);

@@ -290,5 +290,29 @@ TEST(MonitorTest, CompileLowersExactAndSketchMeasures) {
   EXPECT_NE(bad.status().message().find("dominant"), std::string::npos);
 }
 
+// A DSL document cannot size a sketch past kMaxSketchMeasureBytes: epsilon
+// 1e-9 would give each CountMin row 2^32 counters.
+TEST(MonitorTest, OversizedSketchIsRejectedAtCompile) {
+  const std::string doc =
+      "- name: flood\n"
+      "  measure: heavy_hitters\n"
+      "  window: 64\n"
+      "  assess: \">= 1\"\n"
+      "  epsilon: 1e-9\n";
+  Result<TextNode> root = ParseTextDocument(doc, "hostile");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  Result<MonitorDef> def = MonitorFromNode(root.value().items[0], "hostile");
+  ASSERT_TRUE(def.ok()) << def.status().ToString();
+  EXPECT_EQ(def.value().epsilon, 1e-9);
+  Result<QuerySpec> spec = CompileMonitor(def.value(), AggregateKind::kSum);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(spec.status().message().find("flood"), std::string::npos)
+      << spec.status().ToString();
+  EXPECT_NE(spec.status().message().find("sketch measure needs"),
+            std::string::npos)
+      << spec.status().ToString();
+}
+
 }  // namespace
 }  // namespace stardust::dsl

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "core/stardust.h"
 #include "engine/checkpoint.h"
@@ -483,6 +485,212 @@ TEST_F(FeaturePipelineSliceTest, RestoreRejectsATailOfAnotherHistory) {
       << status.ToString();
 }
 
+// A sketch measure's slice carries its state only: how often the shard
+// estimated it (which depends on batching) leaves no trace in the bytes.
+TEST_F(FeaturePipelineSliceTest, SketchSliceBytesDoNotDependOnEvaluations) {
+  std::unique_ptr<FeaturePipeline> eager = MakePipeline(false, false);
+  std::unique_ptr<FeaturePipeline> lazy = MakePipeline(false, false);
+  ASSERT_EQ(eager->num_sketch_slots(), 1u);
+  std::uint64_t estimates = 0;
+  for (std::uint64_t t = 0; t < 30; ++t) {
+    for (StreamId s = 0; s < kStreams; ++s) {
+      ASSERT_TRUE(eager->Append(s, ValueAt(s, t)).ok());
+      ASSERT_TRUE(lazy->Append(s, ValueAt(s, t)).ok());
+      if (eager->SketchReady(s, 0)) {
+        eager->SketchEstimate(s, 0);
+        ++estimates;
+      }
+    }
+  }
+  for (StreamId s = 0; s < kStreams; ++s) {
+    ASSERT_TRUE(lazy->SketchReady(s, 0));
+    EXPECT_EQ(lazy->SketchEstimate(s, 0), eager->SketchEstimate(s, 0));
+    EXPECT_EQ(SaveSlice(*eager, s), SaveSlice(*lazy, s)) << "stream " << s;
+  }
+  // The evaluation counters moved to the pipeline's metrics: one bucket
+  // union per estimate over the distinct ring's buckets + 1 sketches.
+  const std::uint64_t ring = SmallDistinct().buckets + 1;
+  EXPECT_EQ(eager->counters().sketch_estimates, estimates + kStreams);
+  EXPECT_EQ(eager->counters().sketch_merges, (estimates + kStreams) * ring);
+  EXPECT_EQ(lazy->counters().sketch_estimates, kStreams);
+  EXPECT_EQ(eager->counters().sketch_appends, 30u * kStreams);
+}
+
+// Hostile slices of a stream carrying every kind of state (raw tail,
+// pattern and correlation cores, tracker, sketch measure, store rows)
+// fail closed: every truncation is rejected, and every single-byte flip
+// either installs or is rejected, with no sanitizer report.
+TEST_F(FeaturePipelineSliceTest, EveryTruncatedPrefixIsRejected) {
+  std::unique_ptr<FeaturePipeline> source = MakePipeline(true, true);
+  Feed(source.get(), 40);
+  const std::string slice = SaveSlice(*source, 1);
+  std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
+  for (std::size_t keep = 0; keep < slice.size(); ++keep) {
+    const std::string prefix = slice.substr(0, keep);
+    Reader reader(prefix);
+    EXPECT_FALSE(target->RestoreStreamFrom(1, &reader).ok())
+        << "kept " << keep << " of " << slice.size();
+  }
+  const std::string trailing = slice + '\0';
+  Reader reader(trailing);
+  ASSERT_TRUE(target->RestoreStreamFrom(1, &reader).ok());
+  EXPECT_FALSE(reader.AtEnd()) << "a slice must consume exactly its bytes";
+}
+
+TEST_F(FeaturePipelineSliceTest, EverySingleByteFlipInstallsOrIsRejected) {
+  std::unique_ptr<FeaturePipeline> source = MakePipeline(true, true);
+  Feed(source.get(), 40);
+  const std::string slice = SaveSlice(*source, 1);
+  std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
+  std::size_t rejected = 0;
+  for (std::size_t pos = 0; pos < slice.size(); ++pos) {
+    for (const unsigned char mask : {0x01, 0xff}) {
+      std::string flipped = slice;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ mask);
+      Reader reader(flipped);
+      if (!target->RestoreStreamFrom(1, &reader).ok()) {
+        ++rejected;
+        continue;
+      }
+      // An installed slice must also survive the index rebuild every
+      // restore ends with, and serialize again.
+      EXPECT_TRUE(target->RebuildIndexes().ok()) << "pos " << pos;
+      SaveSlice(*target, 1);
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+// Counts a hostile slice declares are checked before anything is built:
+// a level-thread count must match the core's levels, and a box count
+// must fit in the bytes left.
+TEST_F(FeaturePipelineSliceTest, HugeThreadAndBoxCountsAreRejectedUpFront) {
+  std::unique_ptr<FeaturePipeline> source = MakePipeline(true, true);
+  Feed(source.get(), 40);
+  const std::string slice = SaveSlice(*source, 1);
+  std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
+  const auto restore = [&target](const std::string& bytes) {
+    Reader reader(bytes);
+    return target->RestoreStreamFrom(1, &reader);
+  };
+  ASSERT_TRUE(restore(slice).ok());
+  for (const Stardust* core : {source->pattern_core(), source->corr_core()}) {
+    // A summarizer serializes its append count (u64), its raw tail
+    // (u64 length + doubles), its level-thread count (u64), then each
+    // thread: dims, capacity and stride (u64 each), a first flag (u8),
+    // anchor time and next seq (u64 each), and the box count (u64).
+    const StreamSummarizer& summarizer = core->summarizer(1);
+    Writer writer;
+    summarizer.SaveTo(&writer);
+    const std::size_t at = slice.find(writer.buffer());
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t tail = std::min<std::uint64_t>(
+        summarizer.now(), core->config().history);
+    const std::size_t threads_at = at + 16 + 8 * tail;
+    const std::size_t boxes_at = threads_at + 8 + 8 * 3 + 1 + 8 * 2;
+    for (const std::uint64_t huge :
+         {std::uint64_t{1} << 20, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+      const Status threads = restore(Patched(slice, threads_at, huge));
+      ASSERT_FALSE(threads.ok());
+      EXPECT_NE(threads.message().find("level count mismatch"),
+                std::string::npos)
+          << threads.ToString();
+      const Status boxes = restore(Patched(slice, boxes_at, huge));
+      ASSERT_FALSE(boxes.ok());
+      EXPECT_NE(boxes.message().find("box count exceeds the bytes left"),
+                std::string::npos)
+          << boxes.ToString();
+    }
+  }
+}
+
+// Slices of randomized pattern and correlation core shapes install and
+// serialize back to themselves, and a restored pipeline continues
+// bit-exactly with the one that took them.
+TEST(FeaturePipelineSliceRandomTest, RandomizedCoreConfigsRoundTrip) {
+  Rng rng(2026);
+  const StardustConfig aggregate = AggregateConfig();
+  for (int trial = 0; trial < 8; ++trial) {
+    QueryConfig queries;
+    queries.enable_patterns = true;
+    StardustConfig& pattern = queries.pattern;
+    pattern.transform = TransformKind::kDwt;
+    pattern.normalization = Normalization::kUnitSphere;
+    pattern.base_window = std::size_t{4} << rng.NextUint64(3);
+    pattern.coefficients = std::size_t{1} << rng.NextUint64(3);
+    pattern.num_levels = 1 + rng.NextUint64(3);
+    pattern.history = pattern.LevelWindow(pattern.num_levels - 1) +
+                      rng.NextUint64(64);
+    pattern.box_capacity = 1 + rng.NextUint64(4);
+    pattern.update_period = 1;
+    pattern.index_features = true;
+    pattern.r_max = 10.0;
+    queries.enable_correlation = true;
+    StardustConfig& corr = queries.correlation;
+    corr.transform = TransformKind::kDwt;
+    corr.normalization = Normalization::kZNorm;
+    corr.base_window = std::size_t{8} << rng.NextUint64(2);
+    corr.coefficients = std::size_t{1} << rng.NextUint64(3);
+    corr.num_levels = 1 + rng.NextUint64(3);
+    corr.history = corr.LevelWindow(corr.num_levels - 1) + rng.NextUint64(64);
+    corr.box_capacity = 1;
+    corr.update_period = corr.base_window;
+    ASSERT_TRUE(queries.Validate().ok()) << "trial " << trial;
+
+    QueryRegistry registry(aggregate, queries);
+    ASSERT_TRUE(registry.Register(QuerySpec::Correlation(0.5, 0)).ok());
+    PlanContext ctx;
+    ctx.fleet = &aggregate;
+    ctx.pattern = &queries.pattern;
+    ctx.correlation = &queries.correlation;
+    const std::shared_ptr<const EvalPlan> plan =
+        CompileEvalPlan(*registry.snapshot(), registry.version(), ctx);
+    const auto make = [&]() {
+      auto pipeline = std::make_unique<FeaturePipeline>(
+          aggregate, MakeCore(pattern), MakeCore(corr), kStreams);
+      pipeline->AdoptPlan(*plan);
+      return pipeline;
+    };
+    std::unique_ptr<FeaturePipeline> original = make();
+    std::vector<StreamId> touched;
+    for (StreamId s = 0; s < kStreams; ++s) touched.push_back(s);
+    const auto feed = [&](FeaturePipeline* a, FeaturePipeline* b,
+                          std::size_t steps) {
+      for (std::size_t t = 0; t < steps; ++t) {
+        for (StreamId s = 0; s < kStreams; ++s) {
+          const double v = rng.NextDouble(-10.0, 10.0);
+          ASSERT_TRUE(a->Append(s, v).ok());
+          if (b != nullptr) {
+            ASSERT_TRUE(b->Append(s, v).ok());
+          }
+        }
+        a->FinishBatch(touched);
+        if (b != nullptr) b->FinishBatch(touched);
+      }
+    };
+    feed(original.get(), nullptr, 20 + rng.NextUint64(300));
+
+    std::unique_ptr<FeaturePipeline> restored = make();
+    for (StreamId s = 0; s < kStreams; ++s) {
+      const std::string slice = SaveSlice(*original, s);
+      Reader reader(slice);
+      ASSERT_TRUE(restored->RestoreStreamFrom(s, &reader).ok())
+          << "trial " << trial << " stream " << s;
+      EXPECT_TRUE(reader.AtEnd());
+    }
+    ASSERT_TRUE(restored->RebuildIndexes().ok());
+    for (StreamId s = 0; s < kStreams; ++s) {
+      EXPECT_EQ(SaveSlice(*restored, s), SaveSlice(*original, s))
+          << "trial " << trial << " stream " << s;
+    }
+    feed(original.get(), restored.get(), 100);
+    for (StreamId s = 0; s < kStreams; ++s) {
+      EXPECT_EQ(SaveSlice(*restored, s), SaveSlice(*original, s))
+          << "trial " << trial << " stream " << s << " after continuing";
+    }
+  }
+}
+
 // --- Checkpoint shard file ----------------------------------------------
 
 constexpr char kShardFileMagic[4] = {'S', 'D', 'F', 'P'};
@@ -555,7 +763,7 @@ TEST(ShardFileTest, RejectsCorruptBytes) {
   // checksum, so the payload checks are what trip.
   const std::string payload = bytes.substr(16);
   const auto parses = [](const std::string& body) {
-    return ParseShardFile(WrapEnvelope(kShardFileMagic, 4, body)).ok();
+    return ParseShardFile(WrapEnvelope(kShardFileMagic, 5, body)).ok();
   };
   ASSERT_TRUE(parses(payload));
   EXPECT_FALSE(parses(Patched(payload, 0, 9, 1))) << "unknown kind";
@@ -571,27 +779,28 @@ TEST(ShardFileTest, RejectsCorruptBytes) {
 
 TEST(ShardFileTest, RejectsRetiredVersions) {
   const std::string bytes = SerializeShardFile(FrozenShardFile().Build());
-  // Versions 1-3 are retired layouts; 0 and 5 never existed.
-  for (std::uint32_t version : {0u, 1u, 2u, 3u, 5u}) {
+  // Versions 1-4 are retired layouts (v4 slices carried each sketch
+  // measure's evaluation counters); 0 and 6 never existed.
+  for (std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u}) {
     const Result<CheckpointShardFile> parsed =
         ParseShardFile(WithVersion(bytes, version));
     ASSERT_FALSE(parsed.ok()) << "version " << version;
     EXPECT_NE(parsed.status().message().find(
                   "unsupported checkpoint shard file version " +
-                  std::to_string(version) + " (this build reads version 4 "
+                  std::to_string(version) + " (this build reads version 5 "
                   "only)"),
               std::string::npos)
         << parsed.status().ToString();
   }
-  EXPECT_TRUE(ParseShardFile(WithVersion(bytes, 4)).ok());
+  EXPECT_TRUE(ParseShardFile(WithVersion(bytes, 5)).ok());
 }
 
 // Frozen bytes of FrozenShardFile().Build(), written by SerializeShardFile.
 // Any change to the shard file or the stream slice layout fails here
 // instead of silently orphaning existing checkpoints.
 constexpr const char* kShardFileFixtureHex =
-    "53444650040000003f96a4514a22102400100000000000000002000000000000"
-    "0003000000860100000000000010000000000000000600000000000000060000"
+    "5344465005000000ed624079915abd1500100000000000000002000000000000"
+    "00030000006e0100000000000010000000000000000600000000000000060000"
     "0000000000000000000000f03f00000000000000400000000000000840000000"
     "0000001040000000000000144000000000000018400000010100000000000000"
     "0400000000000000000100000000000000040000000000000006000000000000"
@@ -599,16 +808,15 @@ constexpr const char* kShardFileFixtureHex =
     "4000000000000018400000000000000840000000000000104001000000000000"
     "00000400000000000000010000000000000004000000000000007b14ae47e17a"
     "843f04000000000000009a9999999999a93f2000000000000000000000000000"
-    "e03f010600000000000000010000000000000002000000000000000600000000"
-    "0000000000000000000000000000000000000004000000000000000500000000"
-    "0000020100000000000000040000000000000000000000010000000000000000"
-    "0100000800000000000000000000000000000000000000000000000000000000"
-    "00000000000000000000000000000000000000ffffffff";
+    "e03f010600000000000000010000000000000002000000000000000400000000"
+    "0000000500000000000002010000000000000004000000000000000000000001"
+    "0000000000000000010000080000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000ffffffff";
 
 TEST(ShardFileTest, FrozenShardFileParsesAndReserializesByteEqual) {
   const FrozenShardFile fixture;
   const std::string bytes = FromHex(kShardFileFixtureHex);
-  ASSERT_EQ(bytes.size(), 439u);
+  ASSERT_EQ(bytes.size(), 415u);
   const Result<CheckpointShardFile> parsed = ParseShardFile(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const CheckpointShardFile& file = parsed.value();

@@ -292,7 +292,7 @@ TEST(NetServerTest, KilledSubscriberResumesFromItsCursor) {
 
 // The flagship durability property: a full server restart in the middle
 // of a subscription. The hub's sequence allocator, the replay ring, and
-// the subscriber's cursor ride the engine checkpoint (manifest v4), so
+// the subscriber's cursor ride the engine checkpoint's net file, so
 // after restore the subscriber replays exactly its unacknowledged suffix
 // and new alerts continue the sequence with no reuse.
 TEST(NetServerTest, CheckpointRestoreConservesSequencesAndCursors) {

@@ -1,16 +1,16 @@
 // Tests for the correlator's probe worker pool (src/query/probe_pool):
 // the exactly-once task contract across worker counts (including the
 // inline zero-worker degradation), reuse across many generations, and
-// the auto worker resolution.
+// the worker count resolved from the affinity mask.
 #include "query/probe_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <thread>
 #include <vector>
 
 namespace stardust {
@@ -54,12 +54,30 @@ TEST(ProbePoolTest, ReusableAcrossGenerations) {
 }
 
 TEST(ProbePoolTest, ResolveWorkersClampsToTheHardware) {
-  // One less than the hardware concurrency, never more than 4, and 0 on
-  // a single-hardware-thread host.
-  const unsigned hw = std::thread::hardware_concurrency();
+  // One less than the CPUs this thread may run on, never more than 4,
+  // and 0 with a single usable CPU.
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  const std::size_t cpus = static_cast<std::size_t>(CPU_COUNT(&allowed));
   const std::size_t expected =
-      hw <= 1 ? 0 : std::min<std::size_t>(hw - 1, 4);
+      cpus <= 1 ? 0 : std::min<std::size_t>(cpus - 1, 4);
   EXPECT_EQ(ProbePool::ResolveWorkers(), expected);
+}
+
+// A thread pinned to one CPU gets an inline pool, however many CPUs the
+// host has: workers would only share that CPU with the caller.
+TEST(ProbePoolTest, ResolveWorkersIsZeroWhenPinnedToOneCpu) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t workers = ProbePool::ResolveWorkers();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(workers, 0u);
 }
 
 TEST(ProbePoolTest, DestructionWithIdleWorkersIsClean) {

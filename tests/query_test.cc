@@ -242,6 +242,27 @@ TEST(QueryRegistryTest, RestoreRejectsCorruptSnapshots) {
   ASSERT_TRUE(target.Restore(bytes).ok());
 }
 
+// A sketch whose measure would exceed kMaxSketchMeasureBytes never
+// registers: epsilon 1e-9 would give each CountMin row 2^32 counters.
+TEST(QueryRegistryTest, RejectsOversizedSketchMeasures) {
+  SketchConfig huge;
+  huge.kind = SketchKind::kHeavyHitters;
+  huge.window = 64;
+  huge.epsilon = 1e-9;
+  const QuerySpec spec = QuerySpec::Sketch(huge, AssessRange{});
+  QueryRegistry registry(AggregateConfig(), QueryConfig{});
+  EXPECT_EQ(registry.Register(spec).status().code(),
+            StatusCode::kInvalidArgument);
+  auto engine =
+      std::move(IngestEngine::Create(AggregateConfig(), {}, 2, EngineConfig{}))
+          .value();
+  const Result<QueryId> registered = engine->RegisterQuery(spec);
+  ASSERT_FALSE(registered.ok());
+  EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->queries().size(), 0u);
+  ASSERT_TRUE(engine->Stop().ok());
+}
+
 // --- Alert rate limiting (QuerySpec::WithAlertRate) --------------------
 
 TEST(QueryRegistryTest, ValidatesAlertRateFields) {

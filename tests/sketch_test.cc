@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -377,6 +378,62 @@ TEST(SketchConfigTest, ValidateRejectsBadKnobs) {
   config = DistinctConfig(16);
   config.q = 1.0;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+// Validate sizes the measure before anything allocates it. At epsilon
+// 1e-9 CountMin would ask for 2^32 counters per row; at 1e-300 the row
+// width does not fit a size_t at all.
+TEST(SketchConfigTest, ValidateBoundsTheMeasureSize) {
+  SketchConfig config;
+  config.kind = SketchKind::kHeavyHitters;
+  config.window = 64;
+  for (const double epsilon : {1e-9, 1e-300, 5e-324}) {
+    config.epsilon = epsilon;
+    const Status status = config.Validate();
+    ASSERT_FALSE(status.ok()) << epsilon;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("sketch measure needs"),
+              std::string::npos)
+        << status.ToString();
+  }
+  // The cap is the largest distinct measure the field ranges allow.
+  SketchConfig widest = DistinctConfig(1 << 20);
+  widest.hll_precision = 18;
+  widest.buckets = 64;
+  EXPECT_TRUE(widest.Validate().ok());
+  EXPECT_EQ(widest.MeasureBytes(), kMaxSketchMeasureBytes);
+  // A heavy-hitter ring past the cap: 66 sketches of 16 rows of 2^14
+  // counters.
+  config.epsilon = 2e-4;
+  config.depth = 16;
+  config.buckets = 64;
+  EXPECT_FALSE(config.Validate().ok());
+  config.buckets = 4;
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+// The size Validate checks is the size the measure allocates.
+TEST(SketchConfigTest, MeasureBytesMatchesTheBuiltMeasure) {
+  SketchConfig heavy;
+  heavy.kind = SketchKind::kHeavyHitters;
+  heavy.window = 64;
+  heavy.epsilon = 0.003;
+  heavy.depth = 5;
+  heavy.candidates = 40;
+  SketchConfig quantile;
+  quantile.kind = SketchKind::kQuantile;
+  quantile.window = 64;
+  quantile.buckets = 7;
+  for (const SketchConfig& config :
+       {DistinctConfig(32), heavy, quantile}) {
+    ASSERT_TRUE(config.Validate().ok());
+    EXPECT_EQ(config.MeasureBytes(),
+              static_cast<double>(CreateSketchMeasure(config)->MemoryBytes()))
+        << SketchKindName(config.kind);
+  }
+  // CountMin's width is e / epsilon rounded up to a power of two.
+  EXPECT_EQ(CountMin(0.01, 4, 8).width(), 512u);
+  EXPECT_EQ(CountMin(2.718281828459045 / 256, 1, 1).width(), 256u);
 }
 
 TEST(SketchConfigTest, SerializationRoundTrip) {
