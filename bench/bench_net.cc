@@ -14,8 +14,9 @@
 //    aggregate-threshold query above/below its threshold; the time from
 //    just before the crossing batch is sent until the subscriber reads
 //    the Alert frame covers the full path (frame decode, TryPost, shard
-//    apply, query eval, AlertBus dispatch, AlertHub sequencing, epoll
-//    push, subscriber read). Reported as p50/p90/p99/max microseconds.
+//    apply, query eval, alert-log append and sequencing, the append's
+//    eventfd wakeup, epoll push, subscriber read). Reported as
+//    p50/p90/p99/max microseconds.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>

@@ -1,5 +1,5 @@
 // Continuous-query subsystem throughput: the sharded IngestEngine with
-// live queries registered on the bus, across shard counts and query
+// live queries registered on it, across shard counts and query
 // mixes. Every stream carries a phase-shifted square wave so aggregate
 // edges fire repeatedly, the waves correlate pairwise, and the pattern
 // cores do real per-tuple summarization work. One JSON line per
@@ -11,8 +11,8 @@
 //   ...
 //
 // Reported per config: sustained appends/sec under kBlock (no data
-// loss), alert-bus published/delivered/dropped counters, and the
-// publish-to-sink delivery latency p50/p99 from the bus histogram.
+// loss), alert-log published/delivered/dropped counters, and the
+// append-to-sink delivery latency p50/p99 from the log's histogram.
 // STARDUST_FULL=1 scales the workload up ~8x.
 #include <algorithm>
 #include <atomic>
@@ -191,12 +191,12 @@ RunResult RunConfig(const Mix& mix, std::size_t shards,
   RunResult result;
   result.seconds = watch.ElapsedSeconds();
   result.appended = engine->metrics().appended.load();
-  const AlertBus& bus = engine->alerts();
-  result.published = bus.published();
-  result.delivered = bus.delivered();
-  result.dropped = bus.dropped_newest() + bus.dropped_oldest();
-  result.p50_ns = bus.delivery_latency().PercentileNanos(0.50);
-  result.p99_ns = bus.delivery_latency().PercentileNanos(0.99);
+  const AlertLog& log = engine->alerts();
+  result.published = log.published();
+  result.delivered = log.delivered();
+  result.dropped = log.dropped_newest() + log.dropped_oldest();
+  result.p50_ns = log.delivery_latency().PercentileNanos(0.50);
+  result.p99_ns = log.delivery_latency().PercentileNanos(0.99);
   result.correlator_rounds = engine->metrics().correlator_rounds.load();
   if (!engine->Stop().ok()) std::abort();
   if (sink_count.load() != result.delivered) std::abort();

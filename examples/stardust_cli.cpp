@@ -724,8 +724,8 @@ int RunSubscribe(const Args& args) {
       IngestEngine::Create(fleet, {}, num_streams, econfig);
   if (!engine.ok()) return Fail(engine.status());
 
-  // JSONL subscriber: one line per alert on stdout, delivered on the bus
-  // dispatcher thread while ingestion runs.
+  // JSONL subscriber: one line per alert on stdout, delivered on the
+  // alert log's delivery thread while ingestion runs.
   engine.value()->alerts().AddSink(
       std::make_shared<CallbackSink>([](const Alert& alert) {
         std::printf("%s\n", AlertToJson(alert).c_str());
@@ -788,13 +788,13 @@ int RunSubscribe(const Args& args) {
                  static_cast<unsigned long long>(m.hits),
                  static_cast<unsigned long long>(m.errors));
   }
-  const AlertBus& bus = engine.value()->alerts();
+  const AlertLog& log = engine.value()->alerts();
   std::fprintf(stderr,
                "  alerts: %llu published, %llu delivered, %llu dropped\n",
-               static_cast<unsigned long long>(bus.published()),
-               static_cast<unsigned long long>(bus.delivered()),
-               static_cast<unsigned long long>(bus.dropped_newest() +
-                                               bus.dropped_oldest()));
+               static_cast<unsigned long long>(log.published()),
+               static_cast<unsigned long long>(log.delivered()),
+               static_cast<unsigned long long>(log.dropped_newest() +
+                                               log.dropped_oldest()));
   return 0;
 }
 

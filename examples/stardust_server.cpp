@@ -4,8 +4,7 @@
 //                   [--base K] [--agg-window W] [--agg-threshold T]
 //                   [--overload block|drop-newest|drop-oldest]
 //                   [--queue-capacity c] [--max-connections n]
-//                   [--replay n] [--hub-overflow block|drop-newest|drop-oldest]
-//                   [--checkpoint dir] [--checkpoint-period ms]
+//                   [--replay n] [--checkpoint dir] [--checkpoint-period ms]
 //                   [--metrics-period s] [--duration s]
 //
 // Boots a sharded IngestEngine, registers an aggregate threshold query
@@ -13,14 +12,18 @@
 // (docs/NETWORK.md) on the given port: producers stream Batch frames in,
 // subscribers get every alert pushed with a durable, resumable cursor.
 //
+//   --replay sets the engine's alert-log capacity (default 65536): the
+//     alerts retained for subscribers that have not acknowledged them.
+//     A laggard past it loses the oldest and sees the gap as
+//     skipped_alerts; it never stalls ingestion.
 //   --port 0 (the default) binds an ephemeral port; the actual port is
 //     printed on stderr as "listening on <host>:<port>".
 //   --checkpoint names a directory to restore from at boot (when it
 //     holds a complete checkpoint) and to checkpoint into every
 //     --checkpoint-period ms (default 2000) plus once at shutdown —
-//     subscriber cursors and the alert sequence allocator ride along
-//     in the checkpoint's net file (docs/NETWORK.md), so reconnecting
-//     subscribers resume across restarts.
+//     subscriber cursors, the alert sequence allocator and the retained
+//     alerts ride along in the checkpoint's net file (docs/NETWORK.md),
+//     so reconnecting subscribers resume across restarts.
 //   --metrics-period prints the merged engine+net metrics JSON on stdout
 //     every s seconds (0 disables; default 10).
 //   --duration exits after s seconds; default 0 runs until SIGINT/SIGTERM.
@@ -137,6 +140,7 @@ int main(int argc, char** argv) {
   if (!ParsePolicy(args.GetString("overload", "block"), &econfig.overload)) {
     return Usage();
   }
+  econfig.query.alert_capacity = args.GetSize("replay", 1 << 16);
 
   const std::string checkpoint_dir = args.GetString("checkpoint", "");
   if (!checkpoint_dir.empty()) {
@@ -173,11 +177,6 @@ int main(int argc, char** argv) {
   options.host = args.GetString("host", "127.0.0.1");
   options.port = static_cast<std::uint16_t>(args.GetSize("port", 0));
   options.max_connections = args.GetSize("max-connections", 64);
-  options.hub.replay_capacity = args.GetSize("replay", 1 << 16);
-  if (!ParsePolicy(args.GetString("hub-overflow", "drop-oldest"),
-                   &options.hub.overflow)) {
-    return Usage();
-  }
 
   Result<std::unique_ptr<net::NetServer>> server =
       net::NetServer::Start(engine.value().get(), options);
@@ -210,7 +209,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Shutdown: close the front door first (cursors persist in the hub),
+  // Shutdown: close the front door first (cursors persist in the log),
   // take a final checkpoint so they survive the restart, then stop the
   // engine.
   Status st = server.value()->Stop();

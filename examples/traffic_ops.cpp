@@ -88,7 +88,7 @@ int main() {
   engine_config.queue_capacity = 1024;
   engine_config.max_batch = 1;
   engine_config.overload = OverloadPolicy::kBlock;
-  // Declared before the engine so the sink's counters outlive its bus.
+  // Declared before the engine so the sink's counters outlive its log.
   std::vector<std::atomic<std::uint64_t>> alerts_per_link(links);
   auto engine = std::move(IngestEngine::Create(fleet_config, thresholds,
                                                links, engine_config))
@@ -122,7 +122,7 @@ int main() {
     if (!engine->PostBatch(tick).ok()) return 1;
     if (!lag_monitor->AppendAll(values).ok()) return 1;
   }
-  // Drain the shard queues and the alert bus so the counts below cover
+  // Drain the shard queues and the alert log so the counts below cover
   // every arrival.
   if (!engine->Flush().ok()) return 1;
 

@@ -1,5 +1,5 @@
 // Overflow behavior of bounded producer/consumer queues. Shared by the
-// ingestion engine's shard rings (src/engine) and the alert bus
+// ingestion engine's shard rings (src/engine) and the alert log
 // (src/query) so both layers speak the same backpressure vocabulary.
 #ifndef STARDUST_COMMON_OVERLOAD_POLICY_H_
 #define STARDUST_COMMON_OVERLOAD_POLICY_H_

@@ -307,7 +307,7 @@ Result<ScenarioReport> RunScenario(
     ids.push_back(id.value());
   }
 
-  // Tally alerts per monitor on the bus dispatcher thread.
+  // Tally alerts per monitor on the alert log's delivery thread.
   struct Tally {
     std::mutex mu;
     std::unordered_map<QueryId, std::uint64_t> by_query;

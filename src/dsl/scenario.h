@@ -80,7 +80,7 @@ struct ScenarioReport {
 /// Replays the scenario against a fresh engine and checks the `expect`
 /// block. Returns the report on success; an expectation violation (or
 /// any engine error) returns a status naming every failed bound.
-/// `on_alert`, when set, sees every alert on the bus dispatcher thread
+/// `on_alert`, when set, sees every alert on the alert log's delivery thread
 /// (the CLI's --verbose stream; tests inspect alert payloads with it).
 Result<ScenarioReport> RunScenario(
     const ScenarioDef& def,

@@ -5,8 +5,8 @@
 // table and, for every live slot, that stream's slice — the bytes
 // Shard::SerializeStream, DebugStreamState and a migration carry, so a
 // stream's state has one encoding wherever it travels), the serialized
-// query registry (`queries-ck<seq>.qry`), optionally the network tier's
-// state (`net-ck<seq>.net`), and a checksummed manifest
+// query registry (`queries-ck<seq>.qry`), the alert log
+// (`net-ck<seq>.net`), and a checksummed manifest
 // (`manifest-<seq>.ck`) naming them next to each shard's progress stamps
 // and the placement epoch. All files are written atomically
 // (common/atomic_file.h) with the manifest last. Because the manifest is
@@ -59,9 +59,10 @@ struct CheckpointManifest {
   /// allocator's lineage survives a restore.
   std::string queries_file;
   std::uint64_t queries_checksum = 0;
-  /// Serialized network tier state (net/alert_hub.h: the alert sequence
-  /// allocator, subscriber cursors, and replay ring). The only optional
-  /// file: empty name when the engine had no network front door attached.
+  /// Serialized alert log (query/alert_log.h: the alert sequence
+  /// allocator, subscriber cursors, and retained entries). Every
+  /// checkpoint writes it; a manifest without one (written before the
+  /// log was always checkpointed) still parses and restores a fresh log.
   std::string net_file;
   std::uint64_t net_checksum = 0;
 };

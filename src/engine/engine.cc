@@ -159,7 +159,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   }
   engine->registry_ =
       std::make_unique<QueryRegistry>(config, engine_config.query);
-  engine->alert_bus_ = std::make_unique<AlertBus>(
+  engine->alert_log_ = std::make_unique<AlertLog>(
       engine_config.query.alert_capacity, engine_config.query.alert_overflow);
   if (restoring) {
     const std::filesystem::path queries_path =
@@ -167,6 +167,15 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     Result<std::string> bytes = ReadFileToString(queries_path.string());
     if (!bytes.ok()) return bytes.status();
     SD_RETURN_NOT_OK(engine->registry_->Restore(bytes.value()));
+    // A checkpoint written before the net file was always present has
+    // none; the log then starts its sequence afresh.
+    if (!manifest.net_file.empty()) {
+      const std::filesystem::path net_path =
+          std::filesystem::path(restore_dir) / manifest.net_file;
+      Result<std::string> net_bytes = ReadFileToString(net_path.string());
+      if (!net_bytes.ok()) return net_bytes.status();
+      SD_RETURN_NOT_OK(engine->alert_log_->Restore(net_bytes.value()));
+    }
   }
   // Thresholds are sugar for aggregate queries, registered before any
   // shard compiles its first plan.
@@ -176,6 +185,10 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     if (!id.ok()) return id.status();
   }
   engine->shards_.reserve(num_shards);
+  // pin_shards places shard s on the (s mod k)-th of the k CPUs this
+  // thread may use, so no pin names a CPU outside the affinity mask.
+  const std::vector<std::size_t> pin_cpus =
+      engine_config.pin_shards ? AllowedCpus() : std::vector<std::size_t>{};
   for (std::size_t s = 0; s < num_shards; ++s) {
     // Default layout: streams s, s + N, s + 2N, ... live on shard s. A
     // restored placement sizes each shard by its checkpointed slot table
@@ -211,17 +224,15 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
         store_capacity);
     ShardOptions shard_options;
     if (engine_config.pin_shards) {
-      const std::size_t cores = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
       shard_options.pin = true;
-      shard_options.pin_core = s % cores;
+      shard_options.pin_core = pin_cpus[s % pin_cpus.size()];
       shard_options.pin_hook = engine_config.pin_hook;
     }
     engine->shards_.push_back(std::make_unique<Shard>(
         s, num_shards, engine_config.max_producers,
         engine_config.queue_capacity, engine_config.overload,
         engine_config.max_batch, std::move(pipeline),
-        engine->registry_.get(), engine->alert_bus_.get(),
+        engine->registry_.get(), engine->alert_log_.get(),
         engine->metrics_.get(), std::move(shard_options)));
     if (restoring) {
       SD_RETURN_NOT_OK(engine->shards_.back()->Restore(
@@ -238,13 +249,6 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     engine->next_checkpoint_seq_ = manifest.seq + 1;
     engine->last_checkpoint_seq_.store(manifest.seq,
                                        std::memory_order_release);
-    if (!manifest.net_file.empty()) {
-      const std::filesystem::path net_path =
-          std::filesystem::path(restore_dir) / manifest.net_file;
-      Result<std::string> net_bytes = ReadFileToString(net_path.string());
-      if (!net_bytes.ok()) return net_bytes.status();
-      engine->restored_net_state_ = std::move(net_bytes).value();
-    }
   }
   if (engine_config.query.enable_correlation) {
     // Correlator-side state, sized before any thread can observe it: the
@@ -257,7 +261,6 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     engine->probe_pool_ =
         std::make_unique<ProbePool>(ProbePool::ResolveWorkers());
   }
-  engine->alert_bus_->Start();
   for (auto& shard : engine->shards_) {
     if (engine_config.start_paused) shard->set_paused(true);
     shard->Start();
@@ -399,18 +402,16 @@ Status IngestEngine::Flush() {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
-  // Alerts for a batch are published after the apply counters move; wait
-  // until every shard's publication watermark catches up with what it has
-  // applied, then drain the bus so the sinks have seen everything.
+  // Alerts for a batch are appended after the apply counters move; wait
+  // until every shard's alert watermark catches up with what it has
+  // applied, then until the sinks have seen the log up to its head.
   for (const auto& shard : shards_) {
     const std::uint64_t applied = shard->applied();
     while (shard->alert_progress() < applied) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
-  if (!stopped_.load(std::memory_order_acquire)) {
-    SD_RETURN_NOT_OK(alert_bus_->WaitDrained());
-  }
+  alert_log_->WaitDelivered(alert_log_->head());
   for (const auto& shard : shards_) {
     SD_RETURN_NOT_OK(shard->worker_status());
   }
@@ -435,13 +436,13 @@ Status IngestEngine::Stop() {
     shard->RequestStop();
   }
   for (auto& shard : shards_) shard->Join();
-  // Workers are quiet; drain every queued alert to the sinks and flush
+  // Workers are quiet; deliver the log's tail to the sinks and flush
   // them so file sinks are durable when Stop returns.
-  alert_bus_->Stop();
+  const Status flushed = alert_log_->Stop();
   for (const auto& shard : shards_) {
     SD_RETURN_NOT_OK(shard->worker_status());
   }
-  return Status::OK();
+  return flushed;
 }
 
 void IngestEngine::Pause() {
@@ -757,23 +758,21 @@ Status IngestEngine::Checkpoint(const std::string& dir) {
     }
   }
 
-  // The network tier's state (alert sequence allocator, subscriber
-  // cursors, replay ring) rides along when a provider is attached.
-  // Taken after the shard snapshots: the hub state may be
-  // slightly fresher than the shards, which errs toward retaining — a
-  // replayed alert is deduplicated by its sequence number downstream.
-  if (net_state_provider_) {
-    const std::string bytes = net_state_provider_();
-    if (!bytes.empty()) {
-      manifest.net_file = CheckpointNetFileName(seq);
-      manifest.net_checksum = Fnv1a(bytes);
-      const std::filesystem::path path =
-          std::filesystem::path(dir) / manifest.net_file;
-      const Status written = AtomicWriteFile(path.string(), bytes);
-      if (!written.ok()) {
-        metrics_->checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
-        return written;
-      }
+  // The alert log (sequence allocator, subscriber cursors, retained
+  // entries) rides every checkpoint as its net file. Taken after the
+  // shard snapshots: the log may be slightly fresher than the shards,
+  // which errs toward retaining — a replayed alert is deduplicated by its
+  // sequence number downstream.
+  {
+    const std::string bytes = alert_log_->Serialize();
+    manifest.net_file = CheckpointNetFileName(seq);
+    manifest.net_checksum = Fnv1a(bytes);
+    const std::filesystem::path path =
+        std::filesystem::path(dir) / manifest.net_file;
+    const Status written = AtomicWriteFile(path.string(), bytes);
+    if (!written.ok()) {
+      metrics_->checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
+      return written;
     }
   }
 
@@ -797,11 +796,6 @@ Status IngestEngine::Checkpoint(const std::string& dir) {
   // anything older and any .tmp leftovers of interrupted attempts.
   GarbageCollectCheckpoints(dir, prev != 0 ? prev : seq);
   return Status::OK();
-}
-
-void IngestEngine::SetNetStateProvider(std::function<std::string()> provider) {
-  std::lock_guard<std::mutex> lock(checkpoint_mu_);
-  net_state_provider_ = std::move(provider);
 }
 
 void IngestEngine::StartCheckpointThread() {
@@ -933,6 +927,12 @@ void IngestEngine::RunCorrelatorRound() {
       metrics_->correlator_errors.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  if (corr_alerts_.empty()) return;
+  if (alert_log_->Append(corr_alerts_).ok()) {
+    metrics_->alerts_published.fetch_add(corr_alerts_.size(),
+                                         std::memory_order_relaxed);
+  }
+  corr_alerts_.clear();
 }
 
 bool IngestEngine::RunCorrelatorGroup(
@@ -1178,9 +1178,7 @@ bool IngestEngine::RunCorrelatorGroup(
       // The pair still entered the current set above, so a suppressed
       // alert is not re-raised when the token bucket refills.
       if (!q->AllowAlert()) continue;
-      if (alert_bus_->Publish(alert).ok()) {
-        metrics_->alerts_published.fetch_add(1, std::memory_order_relaxed);
-      }
+      corr_alerts_.push_back(alert);
     }
     active = std::move(current);
     q->evals.fetch_add(1, std::memory_order_relaxed);

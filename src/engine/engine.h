@@ -18,7 +18,8 @@
 // evaluated while ingestion is live — aggregate, sketch and pattern
 // queries inline by the shard workers, correlation queries by a dedicated
 // correlator thread aligning per-shard feature snapshots — and every hit
-// is delivered through the alert bus (alerts()) to registered sinks.
+// is appended to the engine's alert log (alerts()), which delivers it to
+// registered sinks and serves it to TCP subscribers.
 #ifndef STARDUST_ENGINE_ENGINE_H_
 #define STARDUST_ENGINE_ENGINE_H_
 
@@ -43,7 +44,7 @@
 #include "engine/metrics.h"
 #include "engine/placement.h"
 #include "engine/shard.h"
-#include "query/alert_bus.h"
+#include "query/alert_log.h"
 #include "query/correlation_index.h"
 #include "query/eval_plan.h"
 #include "query/probe_pool.h"
@@ -69,7 +70,10 @@ class IngestEngine {
   ///
   /// A non-empty `restore_dir` resumes from the newest complete
   /// checkpoint in that directory (see Checkpoint): the query registry,
-  /// the placement, every shard's epoch stamps and every stream's state —
+  /// the alert log (allocator, subscriber cursors, retained entries;
+  /// restored before any shard starts, its delivery cursor at the
+  /// restored head), the placement, every shard's epoch stamps and every
+  /// stream's state —
   /// alert edge state included, byte-equal to the checkpointed slice —
   /// continue the pre-crash lineage. The queries come from the
   /// checkpoint, so `thresholds` must be empty (InvalidArgument
@@ -115,13 +119,17 @@ class IngestEngine {
   Result<PostOutcome> TryPost(StreamId stream, double value);
 
   /// Blocks until everything posted before the call has been applied (or
-  /// reclaimed by kDropOldest) and every alert those applies published
-  /// has been handed to the sinks. Returns the first worker error, if
-  /// any.
+  /// reclaimed by kDropOldest) and every alert those applies appended
+  /// has been handed to the sinks: the log's delivery cursor reaches the
+  /// head read once the shards' alert watermarks caught up, so alerts
+  /// appended later never extend the wait. Returns the first worker
+  /// error, if any.
   Status Flush();
   /// Stops accepting posts, drains every queue, joins the workers, and
-  /// drains + stops the alert bus. Idempotent. Producers must be
-  /// quiescent when this is called.
+  /// stops the alert log (delivers its tail and flushes the sinks).
+  /// Returns the first worker error, else the first sink flush error.
+  /// Idempotent: a later call returns OK. Producers must be quiescent
+  /// when this is called.
   Status Stop();
   /// Quiesce/resume the workers without tearing anything down. While
   /// paused, queues fill and overload policies engage.
@@ -133,9 +141,10 @@ class IngestEngine {
   /// from any thread while ingestion is live.
   QueryRegistry& queries() { return *registry_; }
   const QueryRegistry& queries() const { return *registry_; }
-  /// The alert bus delivering query hits; add sinks here.
-  AlertBus& alerts() { return *alert_bus_; }
-  const AlertBus& alerts() const { return *alert_bus_; }
+  /// The alert log numbering query hits: add sinks here; the net server
+  /// reads subscriber cursors from it.
+  AlertLog& alerts() { return *alert_log_; }
+  const AlertLog& alerts() const { return *alert_log_; }
   /// Convenience forwarders.
   Result<QueryId> RegisterQuery(QuerySpec spec) {
     return registry_->Register(std::move(spec));
@@ -161,10 +170,11 @@ class IngestEngine {
   std::string MetricsJson() const;
 
   // --- Checkpoint / restore ---------------------------------------------
-  /// Writes an epoch-stamped checkpoint of every shard plus the query
-  /// registry into `dir` (created if missing) without stopping ingestion:
-  /// each shard is serialized under its own state mutex, so producers
-  /// keep posting and other shards keep draining throughout. All files
+  /// Writes an epoch-stamped checkpoint of every shard, the query
+  /// registry and the alert log (`net-ck<seq>.net`) into `dir` (created
+  /// if missing) without stopping ingestion: each shard is serialized
+  /// under its own state mutex, so producers keep posting and other
+  /// shards keep draining throughout. All files
   /// are written atomically (tmp + fsync + rename) with the manifest last
   /// as the commit point; a crash mid-checkpoint leaves the previous
   /// checkpoint intact. On success the directory is garbage-collected
@@ -181,18 +191,6 @@ class IngestEngine {
   /// Sequence number of the last successful Checkpoint; 0 if none yet.
   std::uint64_t last_checkpoint_seq() const {
     return last_checkpoint_seq_.load(std::memory_order_acquire);
-  }
-
-  /// Attaches the network tier's state to the checkpoint cycle: every
-  /// Checkpoint() calls `provider` (on the checkpointing thread) and
-  /// persists the returned bytes as the checkpoint's net-state file
-  /// (net/alert_hub.h Serialize). An empty provider (or empty bytes)
-  /// writes no net file. Safe to call while checkpoints run.
-  void SetNetStateProvider(std::function<std::string()> provider);
-  /// Net-state bytes recovered by a restoring Create, for the server to
-  /// hand to its AlertHub; empty when the checkpoint carried none.
-  const std::string& restored_net_state() const {
-    return restored_net_state_;
   }
 
   /// Runs one correlator round synchronously on the caller's thread —
@@ -302,7 +300,7 @@ class IngestEngine {
   StardustConfig core_config_;
   std::unique_ptr<EngineMetrics> metrics_;
   std::unique_ptr<QueryRegistry> registry_;
-  std::unique_ptr<AlertBus> alert_bus_;
+  std::unique_ptr<AlertLog> alert_log_;
   /// The stream→shard routing table; set in Create before any thread
   /// starts, republished (copy-on-write) by migrations.
   std::unique_ptr<PlacementTable> placement_;
@@ -329,12 +327,9 @@ class IngestEngine {
   std::thread rebalance_thread_;
 
   /// Serializes Checkpoint() calls (manual and background) and guards the
-  /// sequence counters and the net-state provider below.
+  /// sequence counter below.
   std::mutex checkpoint_mu_;
   std::uint64_t next_checkpoint_seq_ = 1;
-  std::function<std::string()> net_state_provider_;
-  /// Set once during a restoring Create, before any thread starts.
-  std::string restored_net_state_;
   std::atomic<std::uint64_t> last_checkpoint_seq_{0};
 
   std::mutex checkpoint_cv_mu_;
@@ -368,6 +363,8 @@ class IngestEngine {
   /// query's radius; alerts fire when a pair enters the set.
   std::unordered_map<QueryId, std::set<std::pair<StreamId, StreamId>>>
       corr_active_pairs_;
+  /// The round's alerts, appended to the log in one call when it ends.
+  std::vector<Alert> corr_alerts_;
 };
 
 }  // namespace stardust

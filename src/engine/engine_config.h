@@ -35,8 +35,9 @@ struct EngineConfig {
   /// deterministic overload behavior for tests and lets deployments
   /// pre-fill before the first drain.
   bool start_paused = false;
-  /// Pin each shard worker to a core (shard s -> core s modulo the
-  /// hardware concurrency). Best-effort: a failed affinity call is
+  /// Pin each shard worker to a core: shard s goes to the (s mod k)-th of
+  /// the k CPUs in the creating thread's affinity mask (AllowedCpus,
+  /// query/probe_pool.h). Best-effort: a failed affinity call is
   /// counted once per shard in EngineMetrics::pin_failures and the
   /// worker runs unpinned — it never aborts ingestion. Linux only; other
   /// platforms always count as failed.
@@ -77,7 +78,7 @@ struct EngineConfig {
   std::uint64_t rebalance_min_delta = 4096;
   /// Continuous-query subsystem layered on the shards: pattern /
   /// correlation core configurations, correlator cadence, and the alert
-  /// bus shape (src/query, docs/QUERIES.md).
+  /// log's capacity and policy (src/query, docs/QUERIES.md).
   QueryConfig query;
 
   Status Validate() const {

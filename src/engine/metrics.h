@@ -39,8 +39,9 @@ struct EngineMetrics {
   /// before the manifest rename (engine/checkpoint.h).
   std::atomic<std::uint64_t> checkpoints{0};
   std::atomic<std::uint64_t> checkpoint_failures{0};
-  /// Alerts accepted by the bus from shard workers and the correlator
-  /// (the bus's own counters break this down by drop/delivery).
+  /// Alerts shard workers and the correlator appended to the alert log,
+  /// counted per append call that returned OK (the log's own counters
+  /// break this down by drop and delivery).
   std::atomic<std::uint64_t> alerts_published{0};
   /// Correlator rounds that evaluated at least one level group (counted
   /// once per round even when several levels evaluate; a round where no

@@ -152,7 +152,7 @@ Shard::Shard(std::size_t index, std::size_t num_shards,
              std::size_t num_producers, std::size_t queue_capacity,
              OverloadPolicy policy, std::size_t max_batch,
              std::unique_ptr<FeaturePipeline> pipeline,
-             QueryRegistry* registry, AlertBus* alerts,
+             QueryRegistry* registry, AlertLog* alerts,
              EngineMetrics* metrics, ShardOptions options)
     : index_(index),
       num_shards_(num_shards),
@@ -760,14 +760,12 @@ void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
                        std::memory_order_release);
     epoch_.fetch_add(1, std::memory_order_release);
   }
-  // Alerts are published after the state lock is released: a kBlock bus
-  // waiting on a slow sink must stall only this worker, not every reader
-  // snapshotting the shard.
-  for (const Alert& alert : alerts) {
-    const Status status = alerts_->Publish(alert);
-    if (status.ok()) {
-      metrics_->alerts_published.fetch_add(1, std::memory_order_relaxed);
-    }
+  // The batch's alerts are appended in one call after the state lock is
+  // released: a kBlock log waiting on a slow sink must stall only this
+  // worker, not every reader snapshotting the shard.
+  if (!alerts.empty() && alerts_->Append(alerts).ok()) {
+    metrics_->alerts_published.fetch_add(alerts.size(),
+                                         std::memory_order_relaxed);
   }
   alert_progress_.store(applied_.load(std::memory_order_relaxed),
                         std::memory_order_release);

@@ -28,8 +28,8 @@
 // aggregate queries, and the sketch measures. The worker feeds the
 // pipeline exactly once per applied tuple and batch, then
 // executes the compiled EvalPlan of the current registry snapshot
-// (query/eval_plan.h) against the shared state and publishes hits to the
-// alert bus (docs/QUERIES.md, docs/FEATURES.md).
+// (query/eval_plan.h) against the shared state and appends hits to the
+// alert log (docs/QUERIES.md, docs/FEATURES.md).
 #ifndef STARDUST_ENGINE_SHARD_H_
 #define STARDUST_ENGINE_SHARD_H_
 
@@ -51,7 +51,7 @@
 #include "engine/feature_pipeline.h"
 #include "engine/metrics.h"
 #include "engine/placement.h"
-#include "query/alert_bus.h"
+#include "query/alert_log.h"
 #include "query/eval_plan.h"
 #include "query/registry.h"
 
@@ -117,7 +117,7 @@ class Shard {
         std::size_t num_producers, std::size_t queue_capacity,
         OverloadPolicy policy, std::size_t max_batch,
         std::unique_ptr<FeaturePipeline> pipeline, QueryRegistry* registry,
-        AlertBus* alerts, EngineMetrics* metrics,
+        AlertLog* alerts, EngineMetrics* metrics,
         ShardOptions options = {});
   ~Shard();
 
@@ -173,9 +173,9 @@ class Shard {
   /// traffic from *other* rings while an older tuple still sits queued,
   /// which is exactly what a migration's drain barrier must rule out.
   bool RingsDrainedPast(const std::vector<std::uint64_t>& targets) const;
-  /// Applied-tuple watermark whose batch alerts have all been handed to
-  /// the alert bus; trails applied() by at most one in-flight batch.
-  /// Flush uses it to wait out alert publication, which happens after the
+  /// Applied-tuple watermark whose batch alerts have all been appended to
+  /// the alert log; trails applied() by at most one in-flight batch.
+  /// Flush uses it to wait out the append, which happens after the
   /// state lock is released.
   std::uint64_t alert_progress() const {
     return alert_progress_.load(std::memory_order_acquire);
@@ -370,7 +370,7 @@ class Shard {
   const std::size_t max_batch_;
   EngineMetrics* const metrics_;
   QueryRegistry* const registry_;
-  AlertBus* const alerts_;
+  AlertLog* const alerts_;
   const ShardOptions options_;
 
   std::atomic<bool> pinned_{false};

@@ -40,7 +40,8 @@ struct HelloMessage {
   std::string subscriber_id;
   /// Highest alert sequence number this subscriber has durably consumed;
   /// the server replays everything after max(resume_after, stored
-  /// cursor). 0 means "from the earliest retained alert".
+  /// cursor), with resume_after clamped to the last assigned sequence
+  /// number. 0 means "from the earliest retained alert".
   std::uint64_t resume_after = 0;
 };
 
@@ -75,7 +76,7 @@ struct BatchAckMessage {
   std::uint64_t dropped = 0;
 };
 
-/// One sequenced alert pushed to a subscriber. `json` is the AlertBus
+/// One sequenced alert pushed to a subscriber. `json` is the alert
 /// JSONL schema with a leading "seq" field (query/alert.h, AlertToJson).
 struct AlertFrameMessage {
   std::uint64_t seq = 0;

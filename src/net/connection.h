@@ -25,8 +25,8 @@ class Connection {
  public:
   /// Takes ownership of `fd` (closed on destruction). `max_outbound`
   /// bounds the outgoing buffer: the server stops pumping alerts into a
-  /// connection whose buffer is full and lets the AlertHub's retention
-  /// policy absorb the lag.
+  /// connection whose buffer is full and lets the alert log's retention
+  /// absorb the lag.
   Connection(int fd, std::size_t max_frame_bytes, std::size_t max_outbound);
   ~Connection();
 
@@ -83,8 +83,8 @@ class Connection {
   std::uint64_t alerts_sent = 0;
   std::uint64_t acks = 0;
   std::uint64_t protocol_errors = 0;
-  /// Alert sequence numbers this subscriber skipped over because the hub
-  /// had already evicted them (kDropOldest laggard gap).
+  /// Alert sequence numbers this subscriber skipped over because the
+  /// alert log had already evicted them (a laggard's gap).
   std::uint64_t skipped_alerts = 0;
   /// Parser damage already folded into the server totals (the parser's
   /// own counters are cumulative).

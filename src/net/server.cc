@@ -29,7 +29,7 @@ constexpr std::uint8_t kErrExpectedHello = 2;
 constexpr std::uint8_t kErrBadFrame = 3;
 constexpr std::uint8_t kErrWrongRole = 4;
 
-/// Alerts fetched from the hub per pump iteration.
+/// Alerts fetched from the alert log per pump iteration.
 constexpr std::size_t kPumpChunk = 64;
 
 void AppendF(std::string* out, const char* fmt, ...) {
@@ -56,10 +56,6 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(IngestEngine* engine,
     return Status::InvalidArgument("net server needs an engine");
   }
   std::unique_ptr<NetServer> server(new NetServer(engine, options));
-  server->hub_ = std::make_shared<AlertHub>(options.hub);
-  if (!engine->restored_net_state().empty()) {
-    SD_RETURN_NOT_OK(server->hub_->Restore(engine->restored_net_state()));
-  }
 
   server->listen_fd_ = ::socket(
       AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -104,19 +100,15 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(IngestEngine* engine,
   ev.data.fd = server->wake_fd_;
   ::epoll_ctl(server->epoll_fd_, EPOLL_CTL_ADD, server->wake_fd_, &ev);
 
-  // The hub joins the delivery pipeline as one more bus sink and its
-  // state rides the engine checkpoint (the checkpoint's net file). Both
-  // the provider and the wake callback capture what they need by value,
-  // so they stay valid whatever order the server and engine wind down in.
-  server->sink_id_ = engine->alerts().AddSink(server->hub_);
-  const std::shared_ptr<AlertHub> hub = server->hub_;
-  engine->SetNetStateProvider([hub] { return hub->Serialize(); });
+  // Every append wakes the loop to pump subscribers. Installed last, so
+  // the callback is set exactly when the loop thread runs; Stop clears it
+  // before the eventfd closes.
   const int wake_fd = server->wake_fd_;
-  server->hub_->SetWakeCallback([wake_fd] {
+  SD_RETURN_NOT_OK(engine->alerts().SetWakeCallback([wake_fd] {
     const std::uint64_t tick = 1;
     // A full eventfd counter already guarantees a pending wakeup.
     (void)!::write(wake_fd, &tick, sizeof(tick));
-  });
+  }));
 
   server->loop_ = std::thread([s = server.get()] { s->LoopThread(); });
   return server;
@@ -129,15 +121,16 @@ Status NetServer::Stop() {
   if (!stopped_.compare_exchange_strong(expected, true)) {
     return Status::OK();
   }
-  // Unblock a kBlock OnAlert, detach from the bus, and silence the wake
-  // callback before the eventfd goes away.
-  hub_->RequestStop();
-  engine_->alerts().RemoveSink(sink_id_);
-  hub_->SetWakeCallback(nullptr);
-  stop_.store(true, std::memory_order_release);
-  const std::uint64_t tick = 1;
-  (void)!::write(wake_fd_, &tick, sizeof(tick));
-  if (loop_.joinable()) loop_.join();
+  // A server whose Start failed never installed the wake callback (it
+  // may belong to another server); a running one silences it before the
+  // eventfd goes away.
+  if (loop_.joinable()) {
+    (void)engine_->alerts().SetWakeCallback(nullptr);
+    stop_.store(true, std::memory_order_release);
+    const std::uint64_t tick = 1;
+    (void)!::write(wake_fd_, &tick, sizeof(tick));
+    loop_.join();
+  }
   ::close(epoll_fd_);
   ::close(listen_fd_);
   ::close(wake_fd_);
@@ -148,7 +141,7 @@ void NetServer::LoopThread() {
   std::array<epoll_event, 64> events;
   while (!stop_.load(std::memory_order_acquire)) {
     // Parked batches are retried on a short tick; otherwise the loop
-    // sleeps until a socket or the hub wakes it.
+    // sleeps until a socket or the alert log wakes it.
     const int timeout_ms = stalled_count_ > 0 ? 1 : -1;
     const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()), timeout_ms);
@@ -280,7 +273,7 @@ bool NetServer::HandleFrame(Connection* conn, const Frame& frame) {
         SendError(conn, kErrBadFrame, "bad subscriber ack");
         return true;
       }
-      hub_->Ack(conn->subscriber_id, msg.acked_seq);
+      engine_->alerts().Ack(conn->subscriber_id, msg.acked_seq);
       ++conn->acks;
       acks_.fetch_add(1, std::memory_order_relaxed);
       return true;
@@ -303,7 +296,7 @@ bool NetServer::HandleHello(Connection* conn, const std::string& payload) {
     return true;
   }
   HelloAckMessage ack;
-  ack.next_seq = hub_->next_seq();
+  ack.next_seq = engine_->alerts().next_seq();
   if (hello.role == PeerRole::kSubscriber) {
     if (hello.subscriber_id.empty()) {
       SendError(conn, kErrBadHello, "subscriber needs an id");
@@ -311,7 +304,8 @@ bool NetServer::HandleHello(Connection* conn, const std::string& payload) {
     }
     conn->role = PeerRole::kSubscriber;
     conn->subscriber_id = hello.subscriber_id;
-    conn->pushed_seq = hub_->Attach(hello.subscriber_id, hello.resume_after);
+    conn->pushed_seq =
+        engine_->alerts().Attach(hello.subscriber_id, hello.resume_after);
     ack.resume_from = conn->pushed_seq;
     subscriber_count_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -432,11 +426,11 @@ void NetServer::PumpSubscriber(Connection* conn) {
   while (!conn->outbound_full()) {
     fetched.clear();
     std::uint64_t skipped = 0;
-    const std::size_t n =
-        hub_->FetchAfter(conn->pushed_seq, kPumpChunk, &fetched, &skipped);
+    const std::size_t n = engine_->alerts().FetchAfter(
+        conn->pushed_seq, kPumpChunk, &fetched, &skipped);
     if (skipped != 0) {
-      // The hub evicted part of this subscriber's backlog (kDropOldest
-      // laggard); jump the cursor and account the gap.
+      // The log evicted part of this subscriber's backlog (a laggard at
+      // capacity); jump the cursor and account the gap.
       conn->skipped_alerts += skipped;
       skipped_alerts_.fetch_add(skipped, std::memory_order_relaxed);
       conn->pushed_seq += skipped;
@@ -484,7 +478,7 @@ void NetServer::CloseConnection(int fd) {
   if (conn->stalled) --stalled_count_;
   if (conn->hello_done) {
     if (conn->role == PeerRole::kSubscriber) {
-      // The cursor stays in the hub: a reconnect with the same id
+      // The cursor stays in the log: a reconnect with the same id
       // resumes after the last acknowledged alert.
       subscriber_count_.fetch_sub(1, std::memory_order_relaxed);
     } else {
@@ -550,15 +544,21 @@ std::string NetServer::MetricsJson() const {
           ",\"acks\":%" PRIu64 ",\"protocol_errors\":%" PRIu64
           ",\"skipped_alerts\":%" PRIu64 ",\"admin_requests\":%" PRIu64,
           s.acks, s.protocol_errors, s.skipped_alerts, s.admin_requests);
+  // The "hub" object describes the engine's alert log (docs/NETWORK.md).
+  // dropped_newest is read before published, so `stamped` cannot wrap.
+  const AlertLog& log = engine_->alerts();
+  const std::uint64_t dropped_newest = log.dropped_newest();
+  const std::uint64_t stamped = log.published() - dropped_newest;
   AppendF(&body,
           ",\"hub\":{\"next_seq\":%" PRIu64 ",\"stamped\":%" PRIu64
-          ",\"retained\":%zu,\"replay_high_water\":%zu"
+          ",\"retained\":%zu,\"replay_high_water\":%zu",
+          log.next_seq(), stamped, log.retained(), log.high_water());
+  AppendF(&body,
           ",\"dropped_newest\":%" PRIu64 ",\"dropped_oldest\":%" PRIu64
-          ",\"block_waits\":%" PRIu64 ",\"cursors\":%zu}",
-          hub_->next_seq(), hub_->stamped(), hub_->retained(),
-          hub_->replay_high_water(), hub_->dropped_newest(),
-          hub_->dropped_oldest(), hub_->block_waits(),
-          hub_->Cursors().size());
+          ",\"evicted\":%" PRIu64 ",\"block_waits\":%" PRIu64
+          ",\"cursors\":%zu}",
+          dropped_newest, log.dropped_oldest(), log.evicted(),
+          log.block_waits(), log.Cursors().size());
   return MergeMetricsSection(engine_->MetricsJson(), "net", body);
 }
 

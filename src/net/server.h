@@ -11,14 +11,14 @@
 //    backpressure all the way to the producer), and retries until the
 //    shard drains.
 //
-//  - Subscribers receive every alert the engine's AlertBus delivers,
-//    stamped with a monotonically increasing sequence number by the
-//    server's AlertHub (net/alert_hub.h) and pushed as Alert frames in
-//    order. A subscriber acknowledges its cursor with SubscriberAck and
-//    can reconnect with Hello{id, resume_after} to replay everything it
-//    has not acknowledged. Hub state (allocator, cursors, replay ring)
-//    rides the engine checkpoint (the checkpoint's net file), so replay
-//    survives a server restart.
+//  - Subscribers read the engine's alert log (query/alert_log.h)
+//    directly: every alert carries the sequence number the log assigned
+//    on append and is pushed as an Alert frame in order. A subscriber
+//    acknowledges its cursor with SubscriberAck and can reconnect with
+//    Hello{id, resume_after} to replay everything it has not
+//    acknowledged. The engine checkpoints the log (allocator, cursors,
+//    retained entries) as the checkpoint's net file, so replay survives
+//    a server restart.
 //
 // The loop thread is the engine's single network producer (one SPSC
 // producer slot), so no locking exists anywhere on the ingest path
@@ -36,7 +36,6 @@
 
 #include "common/status.h"
 #include "engine/engine.h"
-#include "net/alert_hub.h"
 #include "net/connection.h"
 
 namespace stardust::net {
@@ -72,21 +71,21 @@ class NetServer {
     std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
     std::size_t max_connections = 64;
     /// Per-connection outbound buffer bound; a subscriber whose buffer
-    /// is full stops being pumped and lags into the hub's replay ring.
+    /// is full stops being pumped and lags into the alert log's
+    /// retained entries.
     std::size_t max_outbound_bytes = 256 * 1024;
-    AlertHub::Options hub;
   };
 
-  /// Binds, registers the AlertHub as a bus sink, attaches the hub to
-  /// the engine's checkpoint cycle (and restores it from
-  /// engine->restored_net_state() when present), and starts the loop
-  /// thread. `engine` must outlive the server.
+  /// Binds, installs the loop's wakeup as the alert log's wake callback
+  /// and starts the loop thread. One server per engine: a second Start
+  /// on the same engine returns FailedPrecondition. `engine` must outlive
+  /// the server.
   static Result<std::unique_ptr<NetServer>> Start(IngestEngine* engine);
   static Result<std::unique_ptr<NetServer>> Start(IngestEngine* engine,
                                                   Options options);
 
-  /// Stops and joins the loop, closes every connection (subscriber
-  /// cursors persist in the hub). Idempotent.
+  /// Clears the wake callback, stops and joins the loop, closes every
+  /// connection (subscriber cursors persist in the log). Idempotent.
   Status Stop();
   ~NetServer();
 
@@ -95,8 +94,6 @@ class NetServer {
 
   /// Actual listening port (after an ephemeral bind).
   std::uint16_t port() const { return port_; }
-  AlertHub& hub() { return *hub_; }
-  const AlertHub& hub() const { return *hub_; }
 
   NetMetricsSnapshot Metrics() const;
   /// Engine metrics JSON with a "net" section appended (docs/ENGINE.md,
@@ -123,7 +120,7 @@ class NetServer {
   /// Returns false when it stalled again (kWouldBlock).
   bool DrainPendingBatch(Connection* conn);
   /// Pushes retained alerts after the connection's cursor until the
-  /// outbound buffer fills or the hub runs dry.
+  /// outbound buffer fills or the log runs dry.
   void PumpSubscriber(Connection* conn);
   void PumpAllSubscribers();
   void SendError(Connection* conn, std::uint8_t code,
@@ -136,12 +133,11 @@ class NetServer {
 
   IngestEngine* const engine_;
   const Options options_;
-  std::shared_ptr<AlertHub> hub_;
-  AlertBus::SinkId sink_id_ = 0;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  /// eventfd: the hub's wake callback and Stop both signal the loop.
+  /// eventfd: the alert log's wake callback and Stop both signal the
+  /// loop.
   int wake_fd_ = -1;
   std::uint16_t port_ = 0;
 

@@ -1,9 +1,10 @@
-// Typed alert records delivered by the alert bus (src/query/alert_bus.h).
+// Typed alert records numbered and delivered by the alert log
+// (src/query/alert_log.h).
 //
 // Every hit of a registered continuous query — an aggregate threshold
 // crossing, a verified pattern match, a verified correlated pair —
 // becomes one Alert. Alerts are small value types so they can cross the
-// bounded bus queue by copy; the JSONL encoding below is the stable wire
+// bounded alert log by copy; the JSONL encoding below is the stable wire
 // schema (docs/QUERIES.md).
 #ifndef STARDUST_QUERY_ALERT_H_
 #define STARDUST_QUERY_ALERT_H_
@@ -47,8 +48,8 @@ struct Alert {
 ///    "end_time":511,"epoch":14,"value":0.0132,"threshold":0.05}
 std::string AlertToJson(const Alert& alert);
 
-/// Same schema with a leading `"seq":<n>` field — the delivery order
-/// stamped by the network fan-out tier (net/alert_hub.h): subscribers
+/// Same schema with a leading `"seq":<n>` field — the sequence number the
+/// alert log assigned on append (query/alert_log.h): subscribers
 /// deduplicate replays and detect gaps by it (docs/NETWORK.md).
 std::string AlertToJson(const Alert& alert, std::uint64_t seq);
 

@@ -22,15 +22,25 @@ ProbePool::~ProbePool() {
   for (std::thread& t : threads_) t.join();
 }
 
-std::size_t ProbePool::ResolveWorkers() {
-  // The CPUs the caller may run on: under an affinity mask (taskset, a
-  // cpuset, a pinned benchmark run) the hardware count overstates them,
-  // and workers sharing the caller's CPU only make each round wait.
-  std::size_t cpus = std::thread::hardware_concurrency();
+std::vector<std::size_t> AllowedCpus() {
+  std::vector<std::size_t> cpus;
   cpu_set_t allowed;
   if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
-    cpus = static_cast<std::size_t>(CPU_COUNT(&allowed));
+    for (std::size_t cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+    }
   }
+  if (cpus.empty()) {
+    const std::size_t count = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
+    for (std::size_t cpu = 0; cpu < count; ++cpu) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+std::size_t ProbePool::ResolveWorkers() {
+  // Workers sharing the caller's CPU only make each round wait.
+  const std::size_t cpus = AllowedCpus().size();
   if (cpus <= 1) return 0;
   return std::min<std::size_t>(cpus - 1, 4);
 }

@@ -40,11 +40,10 @@ class ProbePool {
   /// correlator serializes rounds).
   void Run(std::size_t num_tasks, const std::function<void(std::size_t)>& fn);
 
-  /// The correlator's worker count: one less than the CPUs in the
-  /// calling thread's affinity mask (the hardware concurrency if that
-  /// cannot be read), clamped to [0, 4]. With one usable CPU the pool
-  /// degrades to inline execution; beyond a few workers the probe phase
-  /// is memory-bound.
+  /// The correlator's worker count: one less than the CPUs the calling
+  /// thread may use (AllowedCpus), clamped to [0, 4]. With one usable CPU
+  /// the pool degrades to inline execution; beyond a few workers the
+  /// probe phase is memory-bound.
   static std::size_t ResolveWorkers();
 
  private:
@@ -66,6 +65,12 @@ class ProbePool {
   std::size_t acked_ = 0;             // workers done with this generation
   std::vector<std::thread> threads_;
 };
+
+/// Ids of the CPUs in the calling thread's affinity mask, ascending:
+/// under taskset, a cpuset or a pinned benchmark run the hardware count
+/// overstates them. Falls back to every id below the hardware
+/// concurrency when the mask cannot be read; never empty.
+std::vector<std::size_t> AllowedCpus();
 
 }  // namespace stardust
 

@@ -36,10 +36,12 @@ struct QueryConfig {
   /// correlation query once if that time advanced.
   std::size_t correlator_period_ms = 10;
 
-  /// Bounded alert-queue capacity and overflow policy (mirrors the
+  /// The alert log's capacity (entries retained for the sinks and the
+  /// TCP subscribers together) and the overflow policy an append applies
+  /// when the in-process sinks still need the oldest entry (mirrors the
   /// ingestion rings; see common/overload_policy.h). kBlock applies
   /// backpressure to query evaluation — and transitively to ingestion —
-  /// when sinks fall behind.
+  /// when sinks fall behind. Subscribers never block an append.
   std::size_t alert_capacity = 4096;
   OverloadPolicy alert_overflow = OverloadPolicy::kBlock;
 

@@ -1,6 +1,6 @@
-// Pluggable alert sinks for the alert bus (src/query/alert_bus.h).
+// Pluggable alert sinks for the alert log (src/query/alert_log.h).
 //
-//  - CallbackSink: invokes a user function per alert on the dispatcher
+//  - CallbackSink: invokes a user function per alert on the delivery
 //    thread (the in-process subscriber).
 //  - RingSink: keeps the most recent alerts in memory behind a mutex —
 //    the test/debug subscriber.
@@ -24,11 +24,11 @@
 #include <utility>
 #include <vector>
 
-#include "query/alert_bus.h"
+#include "query/alert_log.h"
 
 namespace stardust {
 
-/// Invokes `fn` for every delivered alert on the dispatcher thread.
+/// Invokes `fn` for every delivered alert on the delivery thread.
 class CallbackSink : public AlertSink {
  public:
   explicit CallbackSink(std::function<void(const Alert&)> fn)
@@ -74,7 +74,7 @@ class RingSink : public AlertSink {
 
 /// Appends AlertToJson(alert) + '\n' per alert. `fsync_every` > 0 makes
 /// every Nth alert durable immediately; 0 defers durability to Flush()
-/// (which AlertBus::Stop calls) — the throughput-friendly default.
+/// (which AlertLog::Stop calls) — the throughput-friendly default.
 class JsonlFileSink : public AlertSink {
  public:
   /// Opens `path` for appending (created if missing).

@@ -1,7 +1,8 @@
-// AlertLog: a test sink recording the alerts an engine's bus delivers, for
-// comparing alert multisets between engines or against a reference.
-#ifndef STARDUST_TESTS_ALERT_LOG_H_
-#define STARDUST_TESTS_ALERT_LOG_H_
+// AlertRecorder: a test sink recording the alerts an engine's alert log
+// delivers, for comparing alert multisets between engines or against a
+// reference.
+#ifndef STARDUST_TESTS_ALERT_RECORDER_H_
+#define STARDUST_TESTS_ALERT_RECORDER_H_
 
 #include <algorithm>
 #include <cstdint>
@@ -15,14 +16,14 @@
 
 namespace stardust {
 
-class AlertLog {
+class AlertRecorder {
  public:
   /// One delivered alert: (query, stream, end_time, value).
   using Key = std::tuple<QueryId, StreamId, std::uint64_t, double>;
 
   /// Records every alert `engine` delivers from now on. The sink shares
   /// the record, so either side may be destroyed first.
-  explicit AlertLog(IngestEngine* engine)
+  explicit AlertRecorder(IngestEngine* engine)
       : record_(std::make_shared<Record>()) {
     engine->alerts().AddSink(std::make_shared<CallbackSink>(
         [record = record_](const Alert& alert) {
@@ -64,4 +65,4 @@ class AlertLog {
 
 }  // namespace stardust
 
-#endif  // STARDUST_TESTS_ALERT_LOG_H_
+#endif  // STARDUST_TESTS_ALERT_RECORDER_H_

@@ -21,7 +21,7 @@
 #include <tuple>
 #include <vector>
 
-#include "alert_log.h"
+#include "alert_recorder.h"
 #include "fixture_bytes.h"
 #include "common/atomic_file.h"
 #include "common/serialize.h"
@@ -218,8 +218,9 @@ TEST(CheckpointRestoreTest, RoundTripPreservesEveryAnswer) {
   EXPECT_EQ(engine->metrics().checkpoints.load(), 1u);
   EXPECT_EQ(engine->last_checkpoint_seq(), 1u);
 
-  // N shards checkpoint as N + 2 files: one shard file each (slot table
-  // and stream slices), the query registry and the manifest.
+  // N shards checkpoint as N + 3 files: one shard file each (slot table
+  // and stream slices), the query registry, the alert log and the
+  // manifest.
   std::vector<std::string> files;
   for (const auto& entry : fs::directory_iterator(dir)) {
     files.push_back(entry.path().filename().string());
@@ -227,7 +228,7 @@ TEST(CheckpointRestoreTest, RoundTripPreservesEveryAnswer) {
   std::sort(files.begin(), files.end());
   EXPECT_EQ(files, (std::vector<std::string>{
                        "features-0-ck1.feat", "features-1-ck1.feat",
-                       "manifest-1.ck", "queries-ck1.qry"}));
+                       "manifest-1.ck", "net-ck1.net", "queries-ck1.qry"}));
 
   auto restored = MakeEngine(6, 2, dir);
   ASSERT_NE(restored, nullptr);
@@ -262,8 +263,8 @@ TEST(CheckpointRestoreTest, RestoredEngineContinuesBitExact) {
   ASSERT_NE(restored, nullptr);
   // Replay the tail into both; the tail values continue the same
   // deterministic per-stream sequences.
-  AlertLog uninterrupted_alerts(uninterrupted.get());
-  AlertLog restored_alerts(restored.get());
+  AlertRecorder uninterrupted_alerts(uninterrupted.get());
+  AlertRecorder restored_alerts(restored.get());
   auto tail_a = sources_a;
   Feed(uninterrupted.get(), &sources_a, 700);
   Feed(restored.get(), &tail_a, 700);
@@ -287,12 +288,12 @@ TEST(CheckpointRestoreTest, QueryRegisteredAfterRestoreIsReadyOnFirstBatch) {
 
   auto restored = MakeEngine(4, 2, dir);
   ASSERT_NE(restored, nullptr);
-  AlertLog log(restored.get());
+  AlertRecorder log(restored.get());
   // Event counts are non-negative, so every full 30-value SUM alarms.
   Result<QueryId> id = restored->RegisterQuery(QuerySpec::Aggregate(30, 0.0));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   Feed(restored.get(), &sources, 1);
-  const std::vector<AlertLog::Key> alerts = log.Sorted(id.value());
+  const std::vector<AlertRecorder::Key> alerts = log.Sorted(id.value());
   ASSERT_EQ(alerts.size(), 4u);
   auto replay = Sources(4, 1300);
   for (StreamId s = 0; s < 4; ++s) {
@@ -476,7 +477,7 @@ TEST(CheckpointRestoreTest, RestoresUnderAnotherStoreCapacity) {
     engines.push_back(create(capacity, dir));
     ASSERT_NE(engines.back(), nullptr) << "capacity " << capacity;
   }
-  std::vector<AlertLog> logs;
+  std::vector<AlertRecorder> logs;
   for (const auto& engine : engines) logs.emplace_back(engine.get());
   for (std::uint64_t phase = 0; phase < 6; ++phase) {
     for (const auto& engine : engines) {
@@ -485,7 +486,7 @@ TEST(CheckpointRestoreTest, RestoresUnderAnotherStoreCapacity) {
       ASSERT_TRUE(engine->Flush().ok());
     }
   }
-  const std::vector<AlertLog::Key> want = logs[0].Sorted();
+  const std::vector<AlertRecorder::Key> want = logs[0].Sorted();
   EXPECT_FALSE(want.empty());
   EXPECT_EQ(logs[1].Sorted(), want) << "restored at capacity 4";
   EXPECT_EQ(logs[2].Sorted(), want) << "restored at capacity 16";

@@ -214,7 +214,7 @@ std::vector<CorrelationHit> RunGoldenWorkload(std::size_t shards,
     }
   }
   EXPECT_TRUE(engine->Stop().ok());
-  // Stop drains the bus: everything published has reached the sink.
+  // Stop drains the alert log: everything published reached the sink.
   EXPECT_EQ(engine->alerts().published(), engine->alerts().delivered());
   return SortedHits(ring->Snapshot());
 }
@@ -372,7 +372,7 @@ TEST(CorrelatorStressTest, ChurnConservesAlertsAcrossShardCounts) {
 }
 
 // Waits until the ring holds `count` correlation alerts for `query` (the
-// bus delivers asynchronously even for synchronous rounds).
+// log delivers asynchronously even for synchronous rounds).
 std::vector<Alert> AwaitCorrelationAlerts(const RingSink& ring, QueryId query,
                                           std::size_t count) {
   const auto deadline =
@@ -431,7 +431,7 @@ TEST(CorrelatorFaultTest, FailedLevelGroupRetriesWithoutLosingAlerts) {
   ASSERT_EQ(metrics.correlator_num_levels, 2u);
   EXPECT_EQ(metrics.correlator_level_evals[0].load(), 0u);
   EXPECT_EQ(metrics.correlator_level_evals[1].load(), 1u);
-  ASSERT_TRUE(engine->alerts().WaitDrained().ok());
+  ASSERT_TRUE(engine->Flush().ok());
   const std::vector<Alert> top_hits = AwaitCorrelationAlerts(*ring, top_id, 1);
   ASSERT_EQ(top_hits.size(), 1u) << "healthy level blocked by failed one";
   EXPECT_TRUE(AwaitCorrelationAlerts(*ring, low_id, 0).empty());

@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -9,10 +10,11 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "alert_log.h"
+#include "alert_recorder.h"
 #include "core/fleet_monitor.h"
 #include "engine/feature_pipeline.h"
 #include "engine/metrics.h"
@@ -124,10 +126,10 @@ TEST(IngestEngineTest, MinimalEngineShapeAccessorsAreSafe) {
 /// the exact rolling SUM of every window, recomputed from the raw values
 /// after each arrival, alerting on each rising edge of `sum >= threshold`.
 /// The BurstySource values are event counts, so the sums are exact.
-std::vector<AlertLog::Key> RollingSumAlerts(
+std::vector<AlertRecorder::Key> RollingSumAlerts(
     const std::vector<std::vector<double>>& values,
     const std::vector<WindowThreshold>& thresholds) {
-  std::vector<AlertLog::Key> keys;
+  std::vector<AlertRecorder::Key> keys;
   for (StreamId s = 0; s < values.size(); ++s) {
     for (std::size_t w = 0; w < thresholds.size(); ++w) {
       const std::size_t window = thresholds[w].window;
@@ -184,7 +186,7 @@ std::unique_ptr<IngestEngine> ExpectMatchesDirectReplay(
   auto per_tuple = std::move(IngestEngine::Create(StreamConfig(), thresholds,
                                                   streams, econfig))
                        .value();
-  AlertLog log(per_tuple.get());
+  AlertRecorder log(per_tuple.get());
   std::vector<std::vector<double>> values(streams);
   for (int t = 0; t < ticks; ++t) {
     for (StreamId s = 0; s < streams; ++s) {
@@ -200,7 +202,8 @@ std::unique_ptr<IngestEngine> ExpectMatchesDirectReplay(
   const auto count = static_cast<std::uint64_t>(ticks);
   ExpectSameAsDirect(*batched, *direct, thresholds.size(), count);
   ExpectSameAsDirect(*per_tuple, *direct, thresholds.size(), count);
-  const std::vector<AlertLog::Key> want = RollingSumAlerts(values, thresholds);
+  const std::vector<AlertRecorder::Key> want =
+      RollingSumAlerts(values, thresholds);
   EXPECT_FALSE(want.empty());
   EXPECT_EQ(log.Sorted(), want);
   EXPECT_TRUE(per_tuple->Stop().ok());
@@ -592,6 +595,48 @@ TEST(IngestEngineTest, PinSuccessIsReportedPerShard) {
   EXPECT_NE(json.find("\"pinned\":true"), std::string::npos) << json;
   EXPECT_EQ(json.find("\"pinned\":false"), std::string::npos) << json;
   ASSERT_TRUE(engine->Stop().ok());
+}
+
+// Regression: pin_shards pinned shard s to core s modulo the hardware
+// concurrency, which under an affinity mask can be a CPU the process may
+// not use. Every shard now pins to a CPU of the creating thread's mask.
+TEST(IngestEngineTest, PinShardsStayInsideTheAffinityMask) {
+#if defined(__linux__)
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  std::size_t cpu = 0;
+  for (std::size_t c = 1; c < CPU_SETSIZE && cpu == 0; ++c) {
+    if (CPU_ISSET(c, &original)) cpu = c;
+  }
+  if (cpu == 0) GTEST_SKIP() << "needs a usable CPU other than 0";
+  // Restores this thread's mask however the test exits.
+  struct MaskGuard {
+    const cpu_set_t& mask;
+    ~MaskGuard() { sched_setaffinity(0, sizeof(mask), &mask); }
+  } guard{original};
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+  EngineConfig econfig;
+  econfig.num_shards = 3;
+  econfig.pin_shards = true;
+  std::mutex mu;
+  std::vector<std::size_t> cores;
+  econfig.pin_hook = [&mu, &cores](std::size_t core) {
+    std::lock_guard<std::mutex> lock(mu);
+    cores.push_back(core);
+    return true;
+  };
+  auto engine = std::move(IngestEngine::Create(StreamConfig(),
+                                               Thresholds(2.0), 3, econfig))
+                    .value();
+  ASSERT_TRUE(engine->Stop().ok());
+  EXPECT_EQ(cores, std::vector<std::size_t>(3, cpu));
+#else
+  GTEST_SKIP() << "thread affinity is Linux only";
+#endif
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "net/alert_hub.h"
 #include "net/client.h"
 #include "stream/threshold.h"
 
@@ -129,7 +128,7 @@ TEST(NetServerTest, ProducerBatchesFeedEngineAndSubscriberGetsAlerts) {
   std::set<std::uint64_t> seqs;
   for (const auto& alert : alerts) {
     seqs.insert(alert.seq);
-    // The JSON line carries its sequence number (AlertBus schema plus a
+    // The JSON line carries its sequence number (the alert schema plus a
     // leading "seq" field).
     EXPECT_NE(alert.json.find("\"seq\":"), std::string::npos);
     EXPECT_NE(alert.json.find("\"kind\":"), std::string::npos);
@@ -291,10 +290,11 @@ TEST(NetServerTest, KilledSubscriberResumesFromItsCursor) {
 // --- Checkpoint / restore -----------------------------------------------
 
 // The flagship durability property: a full server restart in the middle
-// of a subscription. The hub's sequence allocator, the replay ring, and
-// the subscriber's cursor ride the engine checkpoint's net file, so
-// after restore the subscriber replays exactly its unacknowledged suffix
-// and new alerts continue the sequence with no reuse.
+// of a subscription. The alert log's sequence allocator, its retained
+// entries, and the subscriber's cursor ride the engine checkpoint's net
+// file, so after restore the subscriber replays exactly its
+// unacknowledged suffix and new alerts continue the sequence with no
+// reuse.
 TEST(NetServerTest, CheckpointRestoreConservesSequencesAndCursors) {
   const auto dir = TempDir("stardust_net_ckpt_test");
   EngineConfig econfig;
@@ -333,10 +333,10 @@ TEST(NetServerTest, CheckpointRestoreConservesSequencesAndCursors) {
 
   {
     auto engine = MakeEngine(4, econfig, dir.string());
-    EXPECT_FALSE(engine->restored_net_state().empty());
+    EXPECT_EQ(engine->alerts().retained(), last_seen - acked);
     auto server = std::move(NetServer::Start(engine.get())).value();
     // Allocator continued: nothing before last_seen + 1 is ever reused.
-    EXPECT_EQ(server->hub().next_seq(), last_seen + 1);
+    EXPECT_EQ(engine->alerts().next_seq(), last_seen + 1);
 
     auto sub = std::move(SubscriberClient::Connect(
                              "127.0.0.1", server->port(), "durable"))
@@ -457,85 +457,82 @@ TEST(NetServerTest, AdminFramesDumpPlacementAndDriveMigration) {
   ASSERT_TRUE(engine->Stop().ok());
 }
 
-// --- AlertHub unit behavior ---------------------------------------------
+// --- Hostile cursors and one server per engine -------------------------
 
-TEST(AlertHubTest, SnapshotRoundTripsAndRejectsCorruption) {
-  AlertHub::Options options;
-  options.replay_capacity = 8;
-  AlertHub hub(options);
-  Alert alert;
-  alert.query = 3;
-  alert.kind = QueryKind::kAggregate;
-  alert.stream = 1;
-  alert.window = 10;
-  alert.end_time = 99;
-  alert.value = 123.5;
-  alert.threshold = 100.0;
-  for (int i = 0; i < 5; ++i) hub.OnAlert(alert);
-  // Attach the at-zero subscriber first: once both cursors are known the
-  // min-acked prune keeps every entry (b has acknowledged nothing).
-  hub.Attach("b", 0);
-  hub.Attach("a", 2);
+// Regression: Hello.resume_after reached the subscriber cursor unchecked.
+// A cursor past the last assigned sequence number silenced the
+// subscriber until the allocator caught up (forever near 2^64), and
+// 2^64 - 1 wrapped the fetch arithmetic. The cursor is clamped to the
+// last assigned number, so every subscriber still gets the next alerts.
+TEST(NetServerTest, ResumeCursorBeyondTheAllocatorIsClamped) {
+  EngineConfig econfig;
+  econfig.num_shards = 2;
+  econfig.max_batch = 8;
+  auto engine = MakeEngine(4, econfig);
+  ASSERT_TRUE(
+      engine->RegisterQuery(QuerySpec::Aggregate(10, 100.0)).ok());
+  auto server = std::move(NetServer::Start(engine.get())).value();
 
-  const std::string bytes = hub.Serialize();
-  AlertHub restored;
-  ASSERT_TRUE(restored.Restore(bytes).ok());
-  EXPECT_EQ(restored.next_seq(), 6u);
-  EXPECT_EQ(restored.retained(), 5u);
-  const auto cursors = restored.Cursors();
-  ASSERT_EQ(cursors.size(), 2u);
+  const std::uint64_t hostile[] = {5, UINT64_MAX - 1, UINT64_MAX};
+  std::vector<std::unique_ptr<SubscriberClient>> subs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    auto sub = SubscriberClient::Connect("127.0.0.1", server->port(),
+                                         "hostile-" + std::to_string(i),
+                                         hostile[i]);
+    ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+    EXPECT_EQ(sub.value()->resume_from(), 0u) << hostile[i];
+    subs.push_back(std::move(sub).value());
+  }
 
-  std::vector<SequencedAlert> fetched;
-  std::uint64_t skipped = 0;
-  EXPECT_EQ(restored.FetchAfter(2, 10, &fetched, &skipped), 3u);
-  EXPECT_EQ(skipped, 0u);
-  EXPECT_EQ(fetched.front().seq, 3u);
-  EXPECT_EQ(fetched.front().alert.value, 123.5);
+  auto producer =
+      std::move(ProducerClient::Connect("127.0.0.1", server->port()))
+          .value();
+  ASSERT_TRUE(producer->Send(UniformBatch(4, 30, 50.0)).ok());
+  ASSERT_TRUE(engine->Flush().ok());
+  for (const auto& sub : subs) {
+    const auto alerts = Collect(sub.get(), 4);
+    ASSERT_EQ(alerts.size(), 4u);
+    for (std::size_t i = 0; i < alerts.size(); ++i) {
+      EXPECT_EQ(alerts[i].seq, i + 1);
+    }
+  }
+  EXPECT_EQ(server->Metrics().skipped_alerts, 0u);
 
-  AlertHub target;
-  EXPECT_FALSE(target.Restore("").ok());
-  EXPECT_FALSE(target.Restore("garbage").ok());
-  EXPECT_FALSE(target.Restore(bytes.substr(0, bytes.size() - 2)).ok());
-  std::string flipped = bytes;
-  flipped[flipped.size() / 2] ^= 0x08;
-  EXPECT_FALSE(target.Restore(flipped).ok());
+  ASSERT_TRUE(server->Stop().ok());
+  ASSERT_TRUE(engine->Stop().ok());
 }
 
-TEST(AlertHubTest, DropOldestEvictsAndReportsTheGap) {
-  AlertHub::Options options;
-  options.replay_capacity = 4;
-  options.overflow = OverloadPolicy::kDropOldest;
-  AlertHub hub(options);
-  Alert alert;
-  alert.kind = QueryKind::kAggregate;
-  for (int i = 0; i < 10; ++i) hub.OnAlert(alert);
-  EXPECT_EQ(hub.retained(), 4u);
-  EXPECT_EQ(hub.dropped_oldest(), 6u);
+// The alert log wakes one server's loop; a second server on the same
+// engine would take over that wakeup and starve the first.
+TEST(NetServerTest, SecondServerOnOneEngineIsRefused) {
+  EngineConfig econfig;
+  econfig.num_shards = 2;
+  econfig.max_batch = 8;
+  auto engine = MakeEngine(4, econfig);
+  ASSERT_TRUE(
+      engine->RegisterQuery(QuerySpec::Aggregate(10, 100.0)).ok());
+  auto server = std::move(NetServer::Start(engine.get())).value();
+  Result<std::unique_ptr<NetServer>> second = NetServer::Start(engine.get());
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
 
-  std::vector<SequencedAlert> fetched;
-  std::uint64_t skipped = 0;
-  // A subscriber at cursor 0 lost 1..6; retention starts at 7.
-  EXPECT_EQ(hub.FetchAfter(0, 10, &fetched, &skipped), 4u);
-  EXPECT_EQ(skipped, 6u);
-  EXPECT_EQ(fetched.front().seq, 7u);
-}
+  // The refused server left the first one's wakeup in place.
+  auto sub = std::move(SubscriberClient::Connect("127.0.0.1",
+                                                 server->port(), "first"))
+                 .value();
+  auto producer =
+      std::move(ProducerClient::Connect("127.0.0.1", server->port()))
+          .value();
+  ASSERT_TRUE(producer->Send(UniformBatch(4, 30, 50.0)).ok());
+  ASSERT_TRUE(engine->Flush().ok());
+  EXPECT_EQ(Collect(sub.get(), 4).size(), 4u);
 
-TEST(AlertHubTest, DropNewestNeverCreatesSequenceGaps) {
-  AlertHub::Options options;
-  options.replay_capacity = 4;
-  options.overflow = OverloadPolicy::kDropNewest;
-  AlertHub hub(options);
-  Alert alert;
-  alert.kind = QueryKind::kAggregate;
-  for (int i = 0; i < 10; ++i) hub.OnAlert(alert);
-  EXPECT_EQ(hub.retained(), 4u);
-  EXPECT_EQ(hub.dropped_newest(), 6u);
-  EXPECT_EQ(hub.next_seq(), 5u);  // refused before stamping: 1..4 exist
-
-  std::vector<SequencedAlert> fetched;
-  std::uint64_t skipped = 0;
-  EXPECT_EQ(hub.FetchAfter(0, 10, &fetched, &skipped), 4u);
-  EXPECT_EQ(skipped, 0u);
+  // Once the first server stops, the engine takes a new one.
+  ASSERT_TRUE(server->Stop().ok());
+  auto next = NetServer::Start(engine.get());
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_TRUE(next.value()->Stop().ok());
+  ASSERT_TRUE(engine->Stop().ok());
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "alert_log.h"
+#include "alert_recorder.h"
 #include "common/atomic_file.h"
 #include "engine/checkpoint.h"
 #include "engine/engine.h"
@@ -247,7 +247,7 @@ TEST(MigrateStreamTest, QueryRegisteredAfterMigrationIsReadyOnFirstBatch) {
   ASSERT_TRUE(engine->MigrateStream(0, 1).ok());
   ASSERT_TRUE(engine->MigrateStream(3, 0).ok());
 
-  AlertLog log(engine.get());
+  AlertRecorder log(engine.get());
   // Event counts are non-negative, so every full 30-value SUM alarms.
   Result<QueryId> id = engine->RegisterQuery(QuerySpec::Aggregate(30, 0.0));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
@@ -255,12 +255,12 @@ TEST(MigrateStreamTest, QueryRegisteredAfterMigrationIsReadyOnFirstBatch) {
     ASSERT_TRUE(engine->Post(s, sources[s].Next()).ok());
   }
   ASSERT_TRUE(engine->Flush().ok());
-  const std::vector<AlertLog::Key> alerts = log.Sorted(id.value());
+  const std::vector<AlertRecorder::Key> alerts = log.Sorted(id.value());
   ASSERT_EQ(alerts.size(), 2u);
   EXPECT_EQ(std::get<1>(alerts[0]), 0u);
   EXPECT_EQ(std::get<1>(alerts[1]), 3u);
   auto replay = Sources(kStreams, 1700);
-  for (const AlertLog::Key& alert : alerts) {
+  for (const AlertRecorder::Key& alert : alerts) {
     const StreamId s = std::get<1>(alert);
     EXPECT_EQ(std::get<2>(alert), 300u) << "stream " << s;
     // The backfilled window holds the moved values, not zeros.
@@ -386,14 +386,14 @@ TEST(PlacementCheckpointTest, RestoreKeepsMigratedPlacement) {
   // raises (one tick per flush, so every stream is evaluated after each
   // of its tuples on both engines) — including after migrating the moved
   // stream again.
-  AlertLog origin_alerts(origin.get());
-  AlertLog restored_alerts(restored.get());
+  AlertRecorder origin_alerts(origin.get());
+  AlertRecorder restored_alerts(restored.get());
   auto origin_more = sources;
   for (int t = 0; t < 300; ++t) {
     Feed(origin.get(), &sources, 1);
     Feed(restored.get(), &origin_more, 1);
   }
-  const std::vector<AlertLog::Key> want = origin_alerts.Sorted();
+  const std::vector<AlertRecorder::Key> want = origin_alerts.Sorted();
   EXPECT_FALSE(want.empty());
   EXPECT_EQ(restored_alerts.Sorted(), want);
   ExpectSameAnswers(*origin, *restored);

@@ -153,19 +153,19 @@ TEST(QueryStressTest, RegisterUnregisterRacesLiveIngestion) {
   ASSERT_TRUE(engine->Stop().ok());
 
   // Alert accounting is conserved under all the churn.
-  const AlertBus& bus = engine->alerts();
-  EXPECT_EQ(bus.published(),
-            bus.delivered() + bus.dropped_newest() + bus.dropped_oldest());
-  EXPECT_EQ(ring->total(), bus.delivered());
+  const AlertLog& log = engine->alerts();
+  EXPECT_EQ(log.published(),
+            log.delivered() + log.dropped_newest() + log.dropped_oldest());
+  EXPECT_EQ(ring->total(), log.delivered());
   // The square wave crosses the churned thresholds: the subsystem really
   // evaluated and alerted while being reconfigured.
-  EXPECT_GT(bus.delivered(), 0u);
+  EXPECT_GT(log.delivered(), 0u);
   for (const auto& m : engine->queries().Metrics()) {
     EXPECT_NE(m.id, kInvalidQueryId);
   }
 }
 
-// Sinks added and removed while alerts flow: no lost dispatcher, no
+// Sinks added and removed while alerts flow: no lost delivery, no
 // crash, and the permanent sink sees every delivered alert.
 TEST(QueryStressTest, SinkChurnDuringDelivery) {
   constexpr std::uint64_t kSteps = 3000;
@@ -183,7 +183,7 @@ TEST(QueryStressTest, SinkChurnDuringDelivery) {
   std::thread churner([&engine, &stop_churn] {
     while (!stop_churn.load()) {
       auto transient = std::make_shared<RingSink>();
-      const AlertBus::SinkId id = engine->alerts().AddSink(transient);
+      const AlertLog::SinkId id = engine->alerts().AddSink(transient);
       std::this_thread::yield();
       ASSERT_TRUE(engine->alerts().RemoveSink(id));
     }

@@ -3,7 +3,7 @@
 // trips, and the
 // flagship integration property — one IngestEngine serving all three
 // query classes of the paper concurrently against live multi-producer
-// ingestion, with the hits arriving through the alert bus.
+// ingestion, with the hits arriving through the alert log.
 #include "query/registry.h"
 
 #include <gtest/gtest.h>
@@ -453,7 +453,7 @@ TEST(QueryEngineTest, RateLimitedQueryCapsPublishedAlerts) {
 // The subsystem's acceptance property: ONE engine concurrently serves an
 // aggregate burst query, a pattern query, and a correlation query against
 // live multi-producer ingestion, and each class delivers exactly the
-// planted hits through the alert bus.
+// planted hits through the alert log.
 //
 // Data plan (6 streams, 2 shards, 400 steps):
 //  - streams 0 and 1 (different shards) carry an identical sine wave
