@@ -165,17 +165,18 @@ void NetServer::LoopThread() {
       const auto it = connections_.find(fd);
       if (it == connections_.end()) continue;  // closed earlier this round
       Connection* conn = it->second.get();
-      bool ok = (ev & (EPOLLHUP | EPOLLERR)) == 0;
+      // Read first, even on a hang-up or error: a peer may flush its final
+      // acks and close — or reset, when it closes with alerts unread —
+      // right after, and those acks must still advance its cursor. On a
+      // hang-up or error the read ends the connection.
+      bool ok = true;
+      if ((ev & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
+        const bool still_open = conn->OnReadable();
+        ok = HandleFrames(conn) && still_open;
+      }
       if (ok && (ev & EPOLLOUT) != 0) {
         ok = conn->OnWritable();
         if (ok) PumpSubscriber(conn);
-      }
-      if (ok && (ev & EPOLLIN) != 0) {
-        // Handle buffered frames even when the read also saw EOF: a peer
-        // may flush its final acks and close in the same segment, and
-        // those acks must still advance its cursor.
-        const bool still_open = conn->OnReadable();
-        ok = HandleFrames(conn) && still_open;
       }
       if (!ok) {
         CloseConnection(fd);
@@ -449,16 +450,13 @@ void NetServer::PumpSubscriber(Connection* conn) {
 }
 
 void NetServer::PumpAllSubscribers() {
-  std::vector<int> dead;
   for (auto& [fd, conn] : connections_) {
     PumpSubscriber(conn.get());
-    if (!conn->OnWritable()) {
-      dead.push_back(fd);
-      continue;
-    }
-    UpdateInterest(conn.get());
+    // A failed write leaves the socket in error, which epoll reports on
+    // the next round; the loop then reads the peer's final acks before it
+    // closes the connection.
+    if (conn->OnWritable()) UpdateInterest(conn.get());
   }
-  for (int fd : dead) CloseConnection(fd);
 }
 
 void NetServer::SendError(Connection* conn, std::uint8_t code,
