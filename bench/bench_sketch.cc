@@ -15,7 +15,10 @@
 // Each stream sees the same values in the same order in both modes, and
 // AppendRun is state-identical to n scalar Appends, so both modes end in
 // identical sketch state — the estimate digest printed per line proves
-// it. One JSON line per (kind, run length) on stdout with ns/append,
+// it. After each mode the digest takes one Estimate() per stream, and
+// that loop is timed: estimate_ns is the mean wall time of one estimate
+// over both modes (the windowed union for the bucket-ring kinds). One
+// JSON line per (kind, run length) on stdout with ns/append, estimate ns,
 // bytes/stream, and the batched speedup; prose to stderr:
 //
 //   $ ./build/bench/bench_sketch > BENCH_SKETCH.json
@@ -54,6 +57,7 @@ SketchConfig ConfigFor(SketchKind kind) {
 
 struct ModeResult {
   double ns_per_append = 0.0;
+  double estimate_ns = 0.0;
   double estimate_digest = 0.0;
   std::size_t bytes_per_stream = 0;
 };
@@ -109,10 +113,16 @@ ModeResult RunMode(SketchKind kind, std::size_t steps, std::size_t run,
   ModeResult result;
   result.ns_per_append =
       seconds * 1e9 / static_cast<double>(appends == 0 ? 1 : appends);
+  const auto estimate_start = std::chrono::steady_clock::now();
   for (auto& measure : measures) {
     result.estimate_digest += measure->Estimate();
-    result.bytes_per_stream = measure->MemoryBytes();
   }
+  result.estimate_ns =
+      std::chrono::duration<double, std::nano>(
+          std::chrono::steady_clock::now() - estimate_start)
+          .count() /
+      static_cast<double>(kStreams);
+  result.bytes_per_stream = measures.front()->MemoryBytes();
   return result;
 }
 
@@ -140,6 +150,8 @@ int main() {
           batched.ns_per_append == 0.0
               ? 0.0
               : scalar.ns_per_append / batched.ns_per_append;
+      const double estimate_ns =
+          (scalar.estimate_ns + batched.estimate_ns) / 2.0;
       if (scalar.estimate_digest != batched.estimate_digest) {
         std::fprintf(stderr,
                      "DIGEST MISMATCH kind=%s run=%zu %.6f != %.6f\n",
@@ -152,16 +164,16 @@ int main() {
           "\"streams\":%zu,\"steps\":%zu,"
           "\"scalar_ns_per_append\":%.1f,"
           "\"batched_ns_per_append\":%.1f,"
-          "\"speedup\":%.2f,\"bytes_per_stream\":%zu,"
-          "\"estimate_digest\":%.3f}\n",
+          "\"speedup\":%.2f,\"estimate_ns\":%.1f,"
+          "\"bytes_per_stream\":%zu,\"estimate_digest\":%.3f}\n",
           SketchKindName(kind), run, kStreams, steps,
-          scalar.ns_per_append, batched.ns_per_append, speedup,
+          scalar.ns_per_append, batched.ns_per_append, speedup, estimate_ns,
           batched.bytes_per_stream, batched.estimate_digest);
       std::fprintf(stderr,
                    "  %-13s run %3zu: scalar %7.1f ns  batched %7.1f ns  "
-                   "(%.2fx)\n",
+                   "(%.2fx)  estimate %8.1f ns\n",
                    SketchKindName(kind), run, scalar.ns_per_append,
-                   batched.ns_per_append, speedup);
+                   batched.ns_per_append, speedup, estimate_ns);
       geomean[ri] *= speedup;
     }
   }

@@ -1,5 +1,8 @@
 #include "core/level_state.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/check.h"
 
 namespace stardust {
@@ -15,20 +18,7 @@ LevelThread::LevelThread(std::size_t dims, std::size_t capacity,
 const FeatureBox* LevelThread::Append(std::uint64_t t, const Mbr& feature) {
   SD_DCHECK(feature.dims() == dims_);
   SD_DCHECK(!feature.empty());
-  if (!has_first_) {
-    has_first_ = true;
-    anchor_time_ = t;
-  } else {
-    SD_DCHECK(t == last_time() + stride_);
-  }
-  if (boxes_.empty() || boxes_.back().sealed) {
-    FeatureBox box;
-    box.extent = TakeRecycledExtent();
-    box.first_time = t;
-    box.seq = next_seq_++;
-    boxes_.push_back(std::move(box));
-  }
-  FeatureBox& box = boxes_.back();
+  FeatureBox& box = BoxFor(t);
   box.extent.Expand(feature);
   ++box.count;
   if (box.count == capacity_) {
@@ -38,8 +28,22 @@ const FeatureBox* LevelThread::Append(std::uint64_t t, const Mbr& feature) {
   return nullptr;
 }
 
+void LevelThread::Grow() {
+  SD_DCHECK(size_ == ring_.size());
+  const std::size_t grown_size =
+      ring_.size() + std::max<std::size_t>(1, ring_.size() / 8);
+  std::vector<FeatureBox> grown;
+  grown.reserve(grown_size);
+  for (std::size_t i = 0; i < size_; ++i) {
+    grown.push_back(std::move(ring_[Slot(i)]));
+  }
+  grown.resize(grown_size);
+  ring_ = std::move(grown);
+  head_ = 0;
+}
+
 const FeatureBox* LevelThread::Find(std::uint64_t t) const {
-  if (!has_first_ || boxes_.empty()) return nullptr;
+  if (!has_first_ || size_ == 0) return nullptr;
   if (t < anchor_time_ || t > last_time()) return nullptr;
   const std::uint64_t offset = t - anchor_time_;
   if (offset % stride_ != 0) return nullptr;
@@ -49,45 +53,36 @@ const FeatureBox* LevelThread::Find(std::uint64_t t) const {
 }
 
 const FeatureBox* LevelThread::FindBySeq(std::uint64_t seq) const {
-  if (boxes_.empty()) return nullptr;
-  const std::uint64_t front_seq = boxes_.front().seq;
+  if (size_ == 0) return nullptr;
+  const std::uint64_t front_seq = ring_[head_].seq;
   if (seq < front_seq) return nullptr;
   const std::uint64_t idx = seq - front_seq;
-  if (idx >= boxes_.size()) return nullptr;
-  const FeatureBox& box = boxes_[idx];
+  if (idx >= size_) return nullptr;
   // The box exists, but the requested feature may not have been appended
   // yet when the box is still filling; callers check via count/first_time
   // if they need per-feature granularity. Returning the box is correct for
   // extent-based computation (the extent only covers appended features).
-  return &box;
+  return &ring_[Slot(static_cast<std::size_t>(idx))];
 }
 
 void LevelThread::ExpireBefore(
     std::uint64_t min_time,
     const std::function<void(const FeatureBox&)>& on_remove) {
-  while (!boxes_.empty()) {
-    FeatureBox& front = boxes_.front();
-    if (!front.sealed) break;  // never drop the box still filling
-    const std::uint64_t last_feature_time =
-        front.first_time + static_cast<std::uint64_t>(front.count - 1) *
-                               stride_;
-    if (last_feature_time >= min_time) break;
-    if (on_remove) on_remove(front);
-    RecycleExtent(&front.extent);
-    boxes_.pop_front();
-  }
+  ExpireBeforeFast(min_time, [&](const FeatureBox& box) {
+    if (on_remove) on_remove(box);
+  });
 }
 
 std::uint64_t LevelThread::last_time() const {
-  SD_CHECK(!boxes_.empty());
-  const FeatureBox& back = boxes_.back();
-  return back.first_time +
-         static_cast<std::uint64_t>(back.count - 1) * stride_;
+  SD_CHECK(size_ > 0);
+  const FeatureBox& last = back();
+  return last.first_time +
+         static_cast<std::uint64_t>(last.count - 1) * stride_;
 }
 
 void LevelThread::ForEachBox(
     const std::function<void(const FeatureBox&)>& fn) const {
-  for (const FeatureBox& box : boxes_) fn(box);
+  for (std::size_t i = 0; i < size_; ++i) fn(ring_[Slot(i)]);
 }
 
 void LevelThread::SaveTo(Writer* writer) const {
@@ -97,8 +92,9 @@ void LevelThread::SaveTo(Writer* writer) const {
   writer->U8(has_first_ ? 1 : 0);
   writer->U64(anchor_time_);
   writer->U64(next_seq_);
-  writer->U64(boxes_.size());
-  for (const FeatureBox& box : boxes_) {
+  writer->U64(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const FeatureBox& box = ring_[Slot(i)];
     writer->DoubleVector(box.extent.lo());
     writer->DoubleVector(box.extent.hi());
     writer->U64(box.first_time);
@@ -131,11 +127,14 @@ Status LevelThread::RestoreFrom(Reader* reader) {
   if (box_count > reader->remaining() / box_bytes) {
     return Status::InvalidArgument("snapshot box count exceeds the bytes left");
   }
-  boxes_.clear();
+  // Restored boxes fill the ring from slot 0, keeping every slot's
+  // storage; the ring grows only to hold box_count.
+  head_ = 0;
+  size_ = 0;
+  if (ring_.size() < box_count) ring_.resize(box_count);
+  Point lo, hi;
   std::uint64_t prev_seq = 0;
   for (std::uint64_t i = 0; i < box_count; ++i) {
-    FeatureBox box;
-    Point lo, hi;
     SD_RETURN_NOT_OK(reader->DoubleVector(&lo, dims_));
     SD_RETURN_NOT_OK(reader->DoubleVector(&hi, dims_));
     if (lo.size() != dims_ || hi.size() != dims_) {
@@ -146,7 +145,9 @@ Status LevelThread::RestoreFrom(Reader* reader) {
         return Status::InvalidArgument("snapshot box has inverted extents");
       }
     }
-    box.extent = Mbr(std::move(lo), std::move(hi));
+    FeatureBox& box = ring_[i];
+    box.extent.mutable_lo().assign(lo.begin(), lo.end());
+    box.extent.mutable_hi().assign(hi.begin(), hi.end());
     SD_RETURN_NOT_OK(reader->U64(&box.first_time));
     SD_RETURN_NOT_OK(reader->U32(&box.count));
     SD_RETURN_NOT_OK(reader->U64(&box.seq));
@@ -167,10 +168,10 @@ Status LevelThread::RestoreFrom(Reader* reader) {
       return Status::InvalidArgument("snapshot box sequence gap");
     }
     prev_seq = box.seq;
-    boxes_.push_back(std::move(box));
+    ++size_;
   }
   // next_seq_ always points one past the most recent box.
-  if (!boxes_.empty() && boxes_.back().seq + 1 != next_seq_) {
+  if (size_ > 0 && back().seq + 1 != next_seq_) {
     return Status::InvalidArgument("snapshot next_seq inconsistent");
   }
   return Status::OK();

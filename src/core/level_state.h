@@ -2,16 +2,21 @@
 //
 // At every resolution level the features of one stream are grouped, c at a
 // time and in arrival order, into MBRs. The MBRs of a stream are threaded
-// together (here: a deque) "to provide sequential access to the summary
-// information about the stream ... resulting in a constant retrieval time
-// of the MBRs" (Section 4). Retrieval by feature end-time is O(1) index
-// arithmetic because feature times are evenly spaced by the update period.
+// together (here: a ring of box slots) "to provide sequential access to the
+// summary information about the stream ... resulting in a constant
+// retrieval time of the MBRs" (Section 4). Retrieval by feature end-time is
+// O(1) index arithmetic because feature times are evenly spaced by the
+// update period.
+//
+// A slot keeps its extent storage for the life of the thread: opening a
+// box resets a retired slot in place and expiring one advances the head,
+// so steady-state maintenance never touches the allocator.
 #ifndef STARDUST_CORE_LEVEL_STATE_H_
 #define STARDUST_CORE_LEVEL_STATE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "common/serialize.h"
 #include "common/status.h"
@@ -36,6 +41,13 @@ struct FeatureBox {
 };
 
 /// The thread of feature boxes of one stream at one level.
+///
+/// Pointer lifetime: a FeatureBox pointer from Append, AppendSpans, Find,
+/// FindBySeq or filling_box stays valid only until the next Append or
+/// AppendSpans to the same thread (the ring may grow, or reuse the slot
+/// of an expired box), or until a RestoreFrom; a box that ExpireBefore
+/// removed must not be read at all. Reading level j - 1 while appending
+/// to level j is fine.
 class LevelThread {
  public:
   /// `dims`: feature dimensionality; `capacity`: box capacity c;
@@ -44,7 +56,8 @@ class LevelThread {
 
   /// Appends the feature extent for feature end-time `t`. Times must be
   /// appended in increasing order, spaced exactly by the stride. Returns
-  /// the box sealed by this append, or nullptr.
+  /// the box sealed by this append, or nullptr; the pointer is valid
+  /// until the next append to this thread.
   const FeatureBox* Append(std::uint64_t t, const Mbr& feature);
 
   /// Append for the level-major batched path (StreamSummarizer's flat
@@ -56,20 +69,7 @@ class LevelThread {
   const FeatureBox* AppendSpans(std::uint64_t t, const double* lo,
                                 const double* hi, double* snap_lo,
                                 double* snap_hi) {
-    if (!has_first_) {
-      has_first_ = true;
-      anchor_time_ = t;
-    } else {
-      SD_DCHECK(t == last_time() + stride_);
-    }
-    if (boxes_.empty() || boxes_.back().sealed) {
-      FeatureBox box;
-      box.extent = TakeRecycledExtent();
-      box.first_time = t;
-      box.seq = next_seq_++;
-      boxes_.push_back(std::move(box));
-    }
-    FeatureBox& box = boxes_.back();
+    FeatureBox& box = BoxFor(t);
     box.extent.ExpandSpans(lo, hi);
     ++box.count;
     const Point& blo = box.extent.lo();
@@ -86,7 +86,8 @@ class LevelThread {
   }
 
   /// The box covering feature end-time `t` (sealed or still filling), or
-  /// nullptr if `t` is misaligned, expired, or not yet produced.
+  /// nullptr if `t` is misaligned, expired, or not yet produced. Valid
+  /// until the next append to this thread.
   const FeatureBox* Find(std::uint64_t t) const;
 
   /// End-time of the very first feature of the thread. Requires at least
@@ -98,6 +99,7 @@ class LevelThread {
   }
 
   /// Box with the given sequence number, or nullptr if expired / unknown.
+  /// Valid until the next append to this thread.
   const FeatureBox* FindBySeq(std::uint64_t seq) const;
 
   /// Removes boxes whose last feature time is < `min_time`; calls
@@ -111,32 +113,33 @@ class LevelThread {
   /// per call. Semantics are identical to ExpireBefore.
   template <typename Fn>
   void ExpireBeforeFast(std::uint64_t min_time, Fn&& on_remove) {
-    while (!boxes_.empty()) {
-      FeatureBox& front = boxes_.front();
+    while (size_ > 0) {
+      const FeatureBox& front = ring_[head_];
       if (!front.sealed) break;  // never drop the box still filling
       const std::uint64_t last_feature_time =
           front.first_time +
           static_cast<std::uint64_t>(front.count - 1) * stride_;
       if (last_feature_time >= min_time) break;
       on_remove(front);
-      RecycleExtent(&front.extent);
-      boxes_.pop_front();
+      head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+      --size_;
     }
   }
 
   /// The still-filling box (not yet in any level index), or nullptr when
   /// the most recent box is sealed. Range queries must consult it in
-  /// addition to the index to see the freshest features.
+  /// addition to the index to see the freshest features. Valid until the
+  /// next append to this thread.
   const FeatureBox* filling_box() const {
-    if (boxes_.empty() || boxes_.back().sealed) return nullptr;
-    return &boxes_.back();
+    if (size_ == 0 || back().sealed) return nullptr;
+    return &back();
   }
 
   /// Number of boxes currently retained (sealed + filling).
-  std::size_t box_count() const { return boxes_.size(); }
+  std::size_t box_count() const { return size_; }
   std::size_t capacity() const { return capacity_; }
   std::size_t stride() const { return stride_; }
-  bool empty() const { return boxes_.empty(); }
+  bool empty() const { return size_ == 0; }
 
   /// Feature end-time of the most recently appended feature. Requires
   /// !empty().
@@ -155,29 +158,50 @@ class LevelThread {
   Status RestoreFrom(Reader* reader);
 
  private:
-  /// Expired boxes donate their extent storage to a small free list so
-  /// steady-state appends never allocate: boxes expire at the same rate
-  /// new ones open, so the list holds at most a couple of entries. Runtime
-  /// only — never serialized, empty after RestoreFrom.
-  Mbr TakeRecycledExtent() {
-    if (extent_pool_.empty()) return Mbr(dims_);
-    Mbr extent = std::move(extent_pool_.back());
-    extent_pool_.pop_back();
-    extent.ResetEmpty(dims_);
-    return extent;
+  /// Ring slot of the i-th retained box, oldest first (i < ring_.size()).
+  std::size_t Slot(std::size_t i) const {
+    const std::size_t slot = head_ + i;
+    return slot < ring_.size() ? slot : slot - ring_.size();
   }
-  void RecycleExtent(Mbr* extent) {
-    // Unbounded on purpose: the pool never exceeds the boxes churned by
-    // one batched run at this level (at most run length / capacity + 1),
-    // itself bounded by the retention the deque already pays for.
-    extent_pool_.push_back(std::move(*extent));
+  const FeatureBox& back() const { return ring_[Slot(size_ - 1)]; }
+
+  /// The box feature end-time `t` goes into: the filling box, or a new
+  /// one opened in the slot after it.
+  FeatureBox& BoxFor(std::uint64_t t) {
+    if (!has_first_) {
+      has_first_ = true;
+      anchor_time_ = t;
+    } else {
+      SD_DCHECK(t == last_time() + stride_);
+    }
+    if (size_ > 0) {
+      FeatureBox& last = ring_[Slot(size_ - 1)];
+      if (!last.sealed) return last;
+    }
+    if (size_ == ring_.size()) Grow();
+    FeatureBox& box = ring_[Slot(size_)];
+    box.extent.ResetEmpty(dims_);
+    box.first_time = t;
+    box.count = 0;
+    box.seq = next_seq_++;
+    box.sealed = false;
+    ++size_;
+    return box;
   }
+
+  /// Grows a full ring by an eighth (at least one slot). Expiry waits for
+  /// the end of a run, so a ring peaks at one history plus one run of
+  /// boxes; doubling would round that peak up by as much again.
+  void Grow();
 
   std::size_t dims_;
   std::size_t capacity_;
   std::size_t stride_;
-  std::deque<FeatureBox> boxes_;
-  std::vector<Mbr> extent_pool_;
+  /// Box slots; the retained boxes are the size_ slots from head_ on,
+  /// oldest first, wrapping at the end.
+  std::vector<FeatureBox> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   bool has_first_ = false;
   /// End-time of the very first feature at this level (alignment anchor).
   std::uint64_t anchor_time_ = 0;

@@ -20,7 +20,7 @@ StreamSummarizer::StreamSummarizer(const StardustConfig& config)
   }
   // See FlatRunEligible(): the capacity bound c <= base window guarantees
   // left-merge inputs are final by their merge's arrival time, which is
-  // what lets RunLevelPass read them from the post-pass deque.
+  // what lets RunLevelPass read them from the post-pass level thread.
   flat_eligible_ = config_.transform == TransformKind::kAggregate &&
                    !config_.exact_levels &&
                    config_.box_capacity <= config_.base_window;
@@ -309,10 +309,10 @@ void StreamSummarizer::RunLevelPass(std::vector<BoxRef>* sealed) {
     }
     // Incremental levels: left input is the level-(j-1) box covering
     // t - w/2 — final by arrival t (see FlatRunEligible), so the
-    // post-pass deque extent is exactly what the arrival-major merge
+    // post-pass thread's extent is exactly what the arrival-major merge
     // read. Right input is level-(j-1)'s as-of snapshot for position i.
     // The left box advances every `capacity` arrivals; a countdown
-    // cursor avoids re-running Find's deque arithmetic per arrival.
+    // cursor avoids re-running Find's index arithmetic per arrival.
     const std::size_t half = w / 2;
     const LevelThread& prev = threads_[j - 1];
     const double* prev_lo = run_ring_lo_[j - 1].data();

@@ -86,8 +86,9 @@ class StreamSummarizer {
   /// every level-(j-1) box feeding the left half of a level-j merge fully
   /// populated by that merge's arrival time (its last feature time is at
   /// most t - w/2 + c - 1 <= t), so the left input can be read from the
-  /// post-pass deque while the right input comes from the per-arrival
-  /// as-of ring — bit-identical to the arrival-major merge order.
+  /// post-pass level thread while the right input comes from the
+  /// per-arrival as-of ring — bit-identical to the arrival-major merge
+  /// order.
   bool FlatRunEligible() const { return flat_eligible_; }
 
   /// Level-major maintenance of the whole open run (BeginRun .. EndRun;

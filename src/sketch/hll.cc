@@ -1,14 +1,36 @@
 #include "sketch/hll.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "common/check.h"
 
 namespace stardust {
 
 namespace {
+
+/// Registers per block of UnionEstimate's pass. Full blocks give the byte
+/// max a constant trip count, which is what lets -O2 vectorize it.
+constexpr std::size_t kBlock = 256;
+
+/// 2^-r for every byte value r: the estimator reads one entry per
+/// register instead of calling std::ldexp. The powers are exact (halving
+/// 1.0 stays in the normal range), so the sum is bit-identical to the
+/// ldexp one, and all 256 entries exist, so no register can index past
+/// the table.
+constexpr std::array<double, 256> kInversePowersOfTwo = [] {
+  std::array<double, 256> table{};
+  double power = 1.0;
+  for (double& entry : table) {
+    entry = power;
+    power *= 0.5;
+  }
+  return table;
+}();
 
 /// Bias-correction constant alpha_m of the raw HLL estimator.
 double AlphaM(std::size_t m) {
@@ -18,6 +40,42 @@ double AlphaM(std::size_t m) {
     case 64: return 0.709;
     default:
       return 0.7213 / (1.0 + 1.079 / static_cast<double>(m));
+  }
+}
+
+/// Adds 2^-r of registers[0..n) to `*sum` in register order (the order
+/// fixes the rounding, so it must not change) and counts the empty ones.
+void SumRegisters(const std::uint8_t* registers, std::size_t n, double* sum,
+                  std::size_t* zeros) {
+  double s = *sum;
+  std::size_t z = *zeros;
+  for (std::size_t i = 0; i < n; ++i) {
+    s += kInversePowersOfTwo[registers[i]];
+    z += registers[i] == 0 ? 1 : 0;
+  }
+  *sum = s;
+  *zeros = z;
+}
+
+/// The estimate from m registers whose 2^-r terms sum to `sum`.
+double EstimateFromSum(std::size_t m, double sum, std::size_t zeros) {
+  const double md = static_cast<double>(m);
+  const double raw = AlphaM(m) * md * md / sum;
+  // Small-range correction: linear counting over the empty registers is
+  // far more accurate than the raw estimator below ~2.5m.
+  if (raw <= 2.5 * md && zeros > 0) {
+    return md * std::log(md / static_cast<double>(zeros));
+  }
+  return raw;
+}
+
+/// out[i] = max(out[i], in[i]) over one block of `n` registers.
+void MaxInto(std::uint8_t* __restrict out, const std::uint8_t* __restrict in,
+             std::size_t n) {
+  if (n == kBlock) {
+    for (std::size_t i = 0; i < kBlock; ++i) out[i] = std::max(out[i], in[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) out[i] = std::max(out[i], in[i]);
   }
 }
 
@@ -60,21 +118,32 @@ void HyperLogLog::AddSpan(const double* values, std::size_t n) {
 }
 
 double HyperLogLog::Estimate() const {
-  const std::size_t m = registers_.size();
   double sum = 0.0;
   std::size_t zeros = 0;
-  for (std::uint8_t r : registers_) {
-    sum += std::ldexp(1.0, -static_cast<int>(r));
-    zeros += r == 0 ? 1 : 0;
+  SumRegisters(registers_.data(), registers_.size(), &sum, &zeros);
+  return EstimateFromSum(registers_.size(), sum, zeros);
+}
+
+double HyperLogLog::UnionEstimate(std::span<const HyperLogLog> sketches) {
+  for (const HyperLogLog& sketch : sketches) {
+    SD_CHECK(sketch.precision_ == precision_);
+    SD_DCHECK(&sketch != this);
   }
-  const double md = static_cast<double>(m);
-  const double raw = AlphaM(m) * md * md / sum;
-  // Small-range correction: linear counting over the empty registers is
-  // far more accurate than the raw estimator below ~2.5m.
-  if (raw <= 2.5 * md && zeros > 0) {
-    return md * std::log(md / static_cast<double>(zeros));
+  const std::size_t m = registers_.size();
+  const std::size_t width = std::min(m, kBlock);
+  double sum = 0.0;
+  std::size_t zeros = 0;
+  // Block by block: the union's registers are summed while they are still
+  // in L1, so the pass reads each bucket once and the union once.
+  for (std::size_t base = 0; base < m; base += width) {
+    std::uint8_t* block = registers_.data() + base;
+    std::memset(block, 0, width);
+    for (const HyperLogLog& sketch : sketches) {
+      MaxInto(block, sketch.registers_.data() + base, width);
+    }
+    SumRegisters(block, width, &sum, &zeros);
   }
-  return raw;
+  return EstimateFromSum(m, sum, zeros);
 }
 
 Status HyperLogLog::Merge(const HyperLogLog& other) {
@@ -104,8 +173,17 @@ Status HyperLogLog::RestoreFrom(Reader* reader) {
   if (precision != precision_) {
     return Status::InvalidArgument("HLL snapshot precision mismatch");
   }
-  for (std::uint8_t& r : registers_) {
-    SD_RETURN_NOT_OK(reader->U8(&r));
+  // AddHash writes ranks 1 .. 65 - precision; a larger register cannot
+  // come from any sequence of appends.
+  const std::size_t max_rank = 65 - precision_;
+  for (std::size_t i = 0; i < registers_.size(); ++i) {
+    SD_RETURN_NOT_OK(reader->U8(&registers_[i]));
+    if (registers_[i] > max_rank) {
+      return Status::InvalidArgument(
+          "HLL register " + std::to_string(i) + " holds rank " +
+          std::to_string(registers_[i]) + ", above the largest possible " +
+          std::to_string(max_rank));
+    }
   }
   return Status::OK();
 }

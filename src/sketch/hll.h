@@ -5,11 +5,14 @@
 // (~0.8% at precision 14); the small-cardinality regime uses linear
 // counting over the empty registers, which keeps low distinct counts
 // near-exact. Registers merge by element-wise max, which is what the
-// windowed bucket ring in sketch/measure.h relies on.
+// windowed bucket ring in sketch/measure.h relies on: its estimate is
+// UnionEstimate over the live buckets, one blocked pass that takes the
+// register max and sums 2^-rank from a table, with no libm call.
 #ifndef STARDUST_SKETCH_HLL_H_
 #define STARDUST_SKETCH_HLL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/serialize.h"
@@ -46,8 +49,16 @@ class HyperLogLog {
   /// order-independent), with the hash chain unrolled for ILP.
   void AddSpan(const double* values, std::size_t n);
 
-  /// Approximate number of distinct values added.
+  /// Approximate number of distinct values added: the one-sketch case
+  /// of UnionEstimate.
   double Estimate() const;
+
+  /// Overwrites this sketch with the register-wise max of `sketches` and
+  /// returns Estimate() of the result, in one pass over 256-register
+  /// blocks. Bit-identical to Clear(), Merge() of each, then Estimate():
+  /// the 2^-rank terms are summed in register order. Every sketch must
+  /// share this precision (checked), and none may be this one.
+  double UnionEstimate(std::span<const HyperLogLog> sketches);
 
   /// Element-wise register max; `other` must share this precision.
   Status Merge(const HyperLogLog& other);
@@ -58,7 +69,9 @@ class HyperLogLog {
   std::size_t MemoryBytes() const { return registers_.size(); }
 
   void SaveTo(Writer* writer) const;
-  /// Restores into a sketch constructed with the same precision.
+  /// Restores into a sketch constructed with the same precision. A
+  /// register above 65 - precision, the largest rank AddHash writes, is
+  /// corrupt and rejected.
   Status RestoreFrom(Reader* reader);
 
  private:

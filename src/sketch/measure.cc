@@ -21,7 +21,8 @@ std::uint64_t BucketWidth(const SketchConfig& config) {
 /// Windowed distinct count: ring of buckets+1 HLLs; the newest bucket
 /// absorbs arrivals, a full bucket rotates the ring onto the oldest, and
 /// the estimate is the union (register max) of every live bucket, so
-/// coverage stays in [window, window + bucket_width).
+/// coverage stays in [window, window + bucket_width). The union is built
+/// in scratch_ and estimated in the same pass (HyperLogLog::UnionEstimate).
 class DistinctMeasure final : public SketchMeasure {
  public:
   explicit DistinctMeasure(const SketchConfig& config)
@@ -55,13 +56,7 @@ class DistinctMeasure final : public SketchMeasure {
 
   bool Ready() const override { return total_ >= config_.window; }
 
-  double Estimate() const override {
-    scratch_.Clear();
-    for (const HyperLogLog& bucket : ring_) {
-      SD_CHECK(scratch_.Merge(bucket).ok());
-    }
-    return scratch_.Estimate();
-  }
+  double Estimate() const override { return scratch_.UnionEstimate(ring_); }
 
   std::size_t MergesPerEstimate() const override { return ring_.size(); }
 

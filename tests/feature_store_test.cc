@@ -604,6 +604,36 @@ TEST_F(FeaturePipelineSliceTest, HugeThreadAndBoxCountsAreRejectedUpFront) {
   }
 }
 
+// A distinct sketch's HLL register above 65 - precision, the largest rank
+// an append can write, marks a corrupt slice.
+TEST_F(FeaturePipelineSliceTest, ImpossibleSketchRegisterIsRejected) {
+  std::unique_ptr<FeaturePipeline> source = MakePipeline(false, false);
+  Feed(source.get(), 40);
+  const std::string slice = SaveSlice(*source, 1);
+  // The slice carries the measure's own bytes: total, head and fill
+  // (u64 each), then each bucket's precision (u64) and registers.
+  std::unique_ptr<SketchMeasure> twin = CreateSketchMeasure(SmallDistinct());
+  for (std::uint64_t t = 0; t < 40; ++t) twin->Append(ValueAt(1, t));
+  Writer writer;
+  twin->SaveTo(&writer);
+  const std::size_t at = slice.find(writer.buffer());
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t register5 = at + 3 * 8 + 8 + 5;
+  std::unique_ptr<FeaturePipeline> target = MakePipeline(false, false);
+  const auto restore = [&target](const std::string& bytes) {
+    Reader reader(bytes);
+    return target->RestoreStreamFrom(1, &reader);
+  };
+  const std::uint64_t max_rank = 65 - SmallDistinct().hll_precision;
+  EXPECT_TRUE(restore(Patched(slice, register5, max_rank, 1)).ok());
+  for (const std::uint64_t rank : {max_rank + 1, std::uint64_t{255}}) {
+    const Status status = restore(Patched(slice, register5, rank, 1));
+    ASSERT_FALSE(status.ok()) << "rank " << rank;
+    EXPECT_NE(status.message().find("HLL register 5"), std::string::npos)
+        << status.ToString();
+  }
+}
+
 // Slices of randomized pattern and correlation core shapes install and
 // serialize back to themselves, and a restored pipeline continues
 // bit-exactly with the one that took them.

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/serialize.h"
+
 namespace stardust {
 namespace {
 
@@ -108,6 +117,248 @@ TEST(LevelThreadTest, ExtentCoversAllAppendedFeatures) {
   EXPECT_EQ(box->extent.hi(0), 3.0);
   EXPECT_EQ(box->extent.lo(1), -1.0);
   EXPECT_EQ(box->extent.hi(1), 2.0);
+}
+
+// --- The ring against a plain vector of boxes ----------------------------
+
+// The thread as a vector of boxes, oldest first: what LevelThread's ring
+// must be indistinguishable from.
+class ReferenceThread {
+ public:
+  ReferenceThread(std::size_t dims, std::size_t capacity, std::size_t stride)
+      : dims_(dims), capacity_(capacity), stride_(stride) {}
+
+  void Append(std::uint64_t t, const Mbr& feature) {
+    if (!has_first_) {
+      has_first_ = true;
+      anchor_ = t;
+    }
+    if (boxes_.empty() || boxes_.back().sealed) {
+      FeatureBox box;
+      box.extent = Mbr(dims_);
+      box.first_time = t;
+      box.seq = next_seq_++;
+      boxes_.push_back(box);
+    }
+    FeatureBox& box = boxes_.back();
+    box.extent.Expand(feature);
+    box.sealed = ++box.count == capacity_;
+  }
+
+  std::vector<std::uint64_t> ExpireBefore(std::uint64_t min_time) {
+    std::vector<std::uint64_t> removed;
+    while (!boxes_.empty() && boxes_.front().sealed &&
+           LastTimeOf(boxes_.front()) < min_time) {
+      removed.push_back(boxes_.front().seq);
+      boxes_.erase(boxes_.begin());
+    }
+    return removed;
+  }
+
+  const FeatureBox* FindBySeq(std::uint64_t seq) const {
+    for (const FeatureBox& box : boxes_) {
+      if (box.seq == seq) return &box;
+    }
+    return nullptr;
+  }
+
+  const FeatureBox* Find(std::uint64_t t) const {
+    if (boxes_.empty() || t < anchor_ || t > LastTimeOf(boxes_.back())) {
+      return nullptr;
+    }
+    if ((t - anchor_) % stride_ != 0) return nullptr;
+    return FindBySeq((t - anchor_) / stride_ / capacity_);
+  }
+
+  const FeatureBox* filling_box() const {
+    return boxes_.empty() || boxes_.back().sealed ? nullptr : &boxes_.back();
+  }
+
+  std::string Save() const {
+    Writer writer;
+    writer.U64(dims_);
+    writer.U64(capacity_);
+    writer.U64(stride_);
+    writer.U8(has_first_ ? 1 : 0);
+    writer.U64(anchor_);
+    writer.U64(next_seq_);
+    writer.U64(boxes_.size());
+    for (const FeatureBox& box : boxes_) {
+      writer.DoubleVector(box.extent.lo());
+      writer.DoubleVector(box.extent.hi());
+      writer.U64(box.first_time);
+      writer.U32(box.count);
+      writer.U64(box.seq);
+      writer.U8(box.sealed ? 1 : 0);
+    }
+    return writer.buffer();
+  }
+
+  std::uint64_t LastTimeOf(const FeatureBox& box) const {
+    return box.first_time + (box.count - 1) * stride_;
+  }
+
+  const std::vector<FeatureBox>& boxes() const { return boxes_; }
+  std::uint64_t next_seq() const { return next_seq_; }
+
+ private:
+  std::size_t dims_;
+  std::size_t capacity_;
+  std::size_t stride_;
+  std::vector<FeatureBox> boxes_;
+  bool has_first_ = false;
+  std::uint64_t anchor_ = 0;
+  std::uint64_t next_seq_ = 0;
+};
+
+bool SameBox(const FeatureBox* a, const FeatureBox* b) {
+  if (a == nullptr || b == nullptr) return a == b;
+  return a->extent == b->extent && a->first_time == b->first_time &&
+         a->count == b->count && a->seq == b->seq && a->sealed == b->sealed;
+}
+
+std::string Saved(const LevelThread& thread) {
+  Writer writer;
+  thread.SaveTo(&writer);
+  return writer.buffer();
+}
+
+// Every observable of the thread equals the reference's.
+void ExpectSame(const LevelThread& thread, const ReferenceThread& ref,
+                std::size_t stride) {
+  const std::vector<FeatureBox>& boxes = ref.boxes();
+  ASSERT_EQ(thread.box_count(), boxes.size());
+  ASSERT_EQ(thread.empty(), boxes.empty());
+  ASSERT_TRUE(SameBox(thread.filling_box(), ref.filling_box()));
+  std::size_t visited = 0;
+  thread.ForEachBox([&](const FeatureBox& box) {
+    ASSERT_LT(visited, boxes.size());
+    EXPECT_TRUE(SameBox(&box, &boxes[visited])) << "box " << visited;
+    ++visited;
+  });
+  ASSERT_EQ(visited, boxes.size());
+  ASSERT_EQ(Saved(thread), ref.Save());
+  if (boxes.empty()) return;
+  const std::uint64_t first = boxes.front().seq;
+  for (std::uint64_t seq = first > 2 ? first - 2 : 0;
+       seq <= ref.next_seq() + 2; ++seq) {
+    ASSERT_TRUE(SameBox(thread.FindBySeq(seq), ref.FindBySeq(seq)))
+        << "seq " << seq;
+  }
+  ASSERT_EQ(thread.last_time(), ref.LastTimeOf(boxes.back()));
+  const std::uint64_t lo = boxes.front().first_time;
+  const std::uint64_t hi = thread.last_time() + 2 * stride;
+  for (std::uint64_t t = lo > stride ? lo - stride : 0; t <= hi; ++t) {
+    ASSERT_TRUE(SameBox(thread.Find(t), ref.Find(t))) << "t " << t;
+  }
+}
+
+Mbr RandomFeature(Rng* rng) {
+  const double x = std::floor(rng->NextDouble(-50.0, 50.0));
+  const double y = std::floor(rng->NextDouble(-50.0, 50.0));
+  if (rng->NextUint64(4) == 0) return Mbr({x, y}, {x + 1.5, y + 3.0});
+  return Mbr::FromPoint({x, y});
+}
+
+// Appends `n` features to both, through Append or AppendSpans, checking
+// the sealed box each append reports and AppendSpans' as-of snapshot.
+void AppendBoth(LevelThread* thread, ReferenceThread* ref, std::uint64_t* t,
+                std::size_t n, std::size_t stride, Rng* rng) {
+  for (std::size_t i = 0; i < n; ++i, *t += stride) {
+    const Mbr feature = RandomFeature(rng);
+    ref->Append(*t, feature);
+    const FeatureBox* sealed = nullptr;
+    if (rng->NextUint64(2) == 0) {
+      sealed = thread->Append(*t, feature);
+    } else {
+      double snap_lo[2];
+      double snap_hi[2];
+      sealed = thread->AppendSpans(*t, feature.lo().data(),
+                                   feature.hi().data(), snap_lo, snap_hi);
+      const Mbr& extent = ref->boxes().back().extent;
+      ASSERT_EQ(Mbr({snap_lo[0], snap_lo[1]}, {snap_hi[0], snap_hi[1]}),
+                extent);
+    }
+    const FeatureBox& back = ref->boxes().back();
+    ASSERT_TRUE(SameBox(sealed, back.sealed ? &back : nullptr));
+  }
+}
+
+TEST(LevelThreadTest, RingMatchesAVectorOfBoxesThroughWrapsAndGrowth) {
+  for (const std::size_t capacity : {1u, 3u, 8u}) {
+    for (const std::size_t stride : {1u, 16u}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " stride " +
+                   std::to_string(stride));
+      Rng rng(capacity * 100 + stride);
+      LevelThread thread(2, capacity, stride);
+      ReferenceThread ref(2, capacity, stride);
+      std::uint64_t t = 7 * stride + 3;
+      std::size_t retain = 1;   // features kept by the next expiry
+      std::size_t peak = 0;     // most boxes retained at once
+      for (int step = 0; step < 1500; ++step) {
+        // The retained span wanders, so the ring grows, wraps while
+        // shrinking and grows again; expiry sometimes lags several
+        // appends behind, as it does across one run.
+        if (step % 60 == 0) retain = 1 + rng.NextUint64(40 * capacity);
+        AppendBoth(&thread, &ref, &t, 1 + rng.NextUint64(12), stride, &rng);
+        if (rng.NextUint64(3) != 0) {
+          const std::uint64_t last = ref.LastTimeOf(ref.boxes().back());
+          const std::uint64_t span = (retain - 1) * stride;
+          const std::uint64_t min_time = last > span ? last - span : 0;
+          std::vector<std::uint64_t> removed;
+          thread.ExpireBefore(min_time, [&](const FeatureBox& box) {
+            removed.push_back(box.seq);
+          });
+          ASSERT_EQ(removed, ref.ExpireBefore(min_time));
+        }
+        peak = std::max(peak, thread.box_count());
+        ExpectSame(thread, ref, stride);
+        if (HasFatalFailure()) return;
+      }
+      // From empty, the ring grows one slot at a time up to 16 slots, so
+      // a peak of 16 boxes took at least 16 growths; opening more than
+      // 12x the largest ring's slots wrapped it at least 10 times.
+      EXPECT_GE(peak, 16u);
+      EXPECT_GT(ref.next_seq(), 12 * (peak + peak / 8 + 1));
+
+      // Restore into a thread whose ring has wrapped (a bigger one than
+      // the slice needs) and into a fresh one; both continue like the
+      // reference.
+      LevelThread wrapped(2, capacity, stride);
+      ReferenceThread wrapped_ref(2, capacity, stride);
+      std::uint64_t wt = stride;
+      for (int step = 0; step < 200; ++step) {
+        AppendBoth(&wrapped, &wrapped_ref, &wt, 1 + rng.NextUint64(30),
+                   stride, &rng);
+        const std::uint64_t last = wrapped.last_time();
+        const std::uint64_t keep = (step % 50 < 25 ? 300 : 5) * stride;
+        wrapped.ExpireBefore(last > keep ? last - keep : 0, nullptr);
+      }
+      LevelThread fresh(2, capacity, stride);
+      for (LevelThread* target : {&wrapped, &fresh}) {
+        const std::string bytes = Saved(thread);
+        Reader reader(bytes);
+        ASSERT_TRUE(target->RestoreFrom(&reader).ok());
+        EXPECT_TRUE(reader.AtEnd());
+        ReferenceThread continued = ref;
+        std::uint64_t ct = t;
+        Rng tail_rng(stride + capacity);
+        ExpectSame(*target, continued, stride);
+        for (int step = 0; step < 100; ++step) {
+          AppendBoth(target, &continued, &ct, 1 + tail_rng.NextUint64(20),
+                     stride, &tail_rng);
+          const std::uint64_t last = target->last_time();
+          const std::uint64_t min_time = last > 100 * stride
+                                             ? last - 100 * stride
+                                             : 0;
+          target->ExpireBefore(min_time, nullptr);
+          continued.ExpireBefore(min_time);
+          ExpectSame(*target, continued, stride);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

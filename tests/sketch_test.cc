@@ -3,9 +3,11 @@
 #include "sketch/measure.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,6 +106,162 @@ TEST(HyperLogLogTest, ZeroFoldsToPositiveZero) {
   a.Add(0.0);
   b.Add(-0.0);
   EXPECT_DOUBLE_EQ(a.Estimate(), b.Estimate());
+}
+
+// A sketch holding exactly `registers` (restored from their bytes).
+HyperLogLog FromRegisters(std::size_t precision,
+                          const std::vector<std::uint8_t>& registers) {
+  Writer writer;
+  writer.U64(precision);
+  writer.Bytes(registers.data(), registers.size());
+  HyperLogLog hll(precision);
+  Reader reader(writer.buffer());
+  EXPECT_TRUE(hll.RestoreFrom(&reader).ok());
+  return hll;
+}
+
+std::vector<std::uint8_t> RegistersOf(const HyperLogLog& hll) {
+  Writer writer;
+  hll.SaveTo(&writer);
+  const std::string& bytes = writer.buffer();
+  return std::vector<std::uint8_t>(bytes.begin() + 8, bytes.end());
+}
+
+TEST(HyperLogLogTest, RestoreRejectsImpossibleRanks) {
+  for (const std::size_t p : {4u, 10u, 18u}) {
+    const std::size_t m = std::size_t{1} << p;
+    const std::uint8_t max_rank = static_cast<std::uint8_t>(65 - p);
+    // The largest rank AddHash writes (an all-zero hash suffix) restores.
+    HyperLogLog top(p);
+    top.AddHash(0);
+    EXPECT_EQ(RegistersOf(top)[0], max_rank);
+    std::vector<std::uint8_t> registers(m, max_rank);
+    Writer ok_bytes;
+    ok_bytes.U64(p);
+    ok_bytes.Bytes(registers.data(), m);
+    HyperLogLog restored(p);
+    Reader ok_reader(ok_bytes.buffer());
+    EXPECT_TRUE(restored.RestoreFrom(&ok_reader).ok()) << "p " << p;
+    // One past it, or any larger byte, is corrupt, and the error names
+    // the register.
+    for (const int rank : {max_rank + 1, 255}) {
+      registers[m / 2 + 1] = static_cast<std::uint8_t>(rank);
+      Writer writer;
+      writer.U64(p);
+      writer.Bytes(registers.data(), m);
+      HyperLogLog victim(p);
+      Reader reader(writer.buffer());
+      const Status status = victim.RestoreFrom(&reader);
+      ASSERT_FALSE(status.ok()) << "p " << p << " rank " << rank;
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.message().find("register " +
+                                      std::to_string(m / 2 + 1)),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
+}
+
+// The estimator as the merge-then-Estimate() path computed it before the
+// one-pass union: register max, then one std::ldexp per register summed
+// in register order, alpha_m and the linear-counting switch.
+double LdexpEstimate(const std::vector<std::uint8_t>& registers) {
+  const std::size_t m = registers.size();
+  double sum = 0.0;
+  std::size_t zeros = 0;
+  for (std::uint8_t r : registers) {
+    sum += std::ldexp(1.0, -static_cast<int>(r));
+    zeros += r == 0 ? 1 : 0;
+  }
+  const double md = static_cast<double>(m);
+  double alpha = 0.7213 / (1.0 + 1.079 / md);
+  if (m == 16) alpha = 0.673;
+  if (m == 32) alpha = 0.697;
+  if (m == 64) alpha = 0.709;
+  const double raw = alpha * md * md / sum;
+  if (raw <= 2.5 * md && zeros > 0) {
+    return md * std::log(md / static_cast<double>(zeros));
+  }
+  return raw;
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// Random register states of every shape the union can meet: real
+// appends (the small-range and raw regimes), uniform ranks up to the
+// largest, sparse states, and states at the largest rank 65 - p.
+std::vector<HyperLogLog> RandomStates(std::size_t p, std::size_t count,
+                                      Rng* rng) {
+  const std::size_t m = std::size_t{1} << p;
+  const std::uint64_t max_rank = 65 - p;
+  std::vector<HyperLogLog> states;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<std::uint8_t> registers(m, 0);
+    switch (rng->NextUint64(5)) {
+      case 0: {
+        HyperLogLog added(p);
+        const std::uint64_t n = rng->NextUint64(std::min<std::size_t>(
+            3 * m, 1 << 15));
+        for (std::uint64_t k = 0; k < n; ++k) added.AddHash(rng->Next());
+        registers = RegistersOf(added);
+        break;
+      }
+      case 1:
+        for (std::uint8_t& r : registers) {
+          r = static_cast<std::uint8_t>(rng->NextUint64(max_rank + 1));
+        }
+        break;
+      case 2:
+        for (std::size_t k = rng->NextUint64(16); k > 0; --k) {
+          registers[rng->NextUint64(m)] =
+              static_cast<std::uint8_t>(rng->NextUint64(max_rank + 1));
+        }
+        break;
+      case 3:
+        for (std::uint8_t& r : registers) {
+          r = rng->NextUint64(8) == 0 ? static_cast<std::uint8_t>(max_rank)
+                                      : static_cast<std::uint8_t>(
+                                            1 + rng->NextUint64(3));
+        }
+        break;
+      default:
+        std::fill(registers.begin(), registers.end(),
+                  static_cast<std::uint8_t>(max_rank));
+        break;
+    }
+    states.push_back(FromRegisters(p, registers));
+  }
+  return states;
+}
+
+TEST(HyperLogLogTest, UnionEstimateIsBitIdenticalToMergeThenEstimate) {
+  Rng rng(2024);
+  for (std::size_t p = 4; p <= 18; ++p) {
+    const std::size_t ring = 65;
+    const std::vector<HyperLogLog> states = RandomStates(p, ring, &rng);
+    HyperLogLog scratch(p);
+    scratch.AddHash(rng.Next());  // stale contents are overwritten
+    HyperLogLog merged(p);
+    for (std::size_t k = 1; k <= ring; ++k) {
+      // merged is Clear() + Merge() of the first k states, kept
+      // incrementally.
+      ASSERT_TRUE(merged.Merge(states[k - 1]).ok());
+      const double expected = merged.Estimate();
+      const double got =
+          scratch.UnionEstimate(std::span(states.data(), k));
+      ASSERT_EQ(Bits(got), Bits(expected)) << "p " << p << " k " << k;
+      const std::vector<std::uint8_t> registers = RegistersOf(merged);
+      ASSERT_EQ(RegistersOf(scratch), registers) << "p " << p << " k " << k;
+      ASSERT_EQ(Bits(got), Bits(LdexpEstimate(registers)))
+          << "p " << p << " k " << k;
+    }
+    // The one-sketch estimate equals the one-sketch union.
+    for (const HyperLogLog& state : states) {
+      ASSERT_EQ(Bits(state.Estimate()),
+                Bits(LdexpEstimate(RegistersOf(state))))
+          << "p " << p;
+    }
+  }
 }
 
 // --- CountMin -----------------------------------------------------------
