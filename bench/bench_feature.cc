@@ -84,6 +84,23 @@ StardustConfig CorrelationCoreConfig() {
   return config;
 }
 
+/// The engine's standing-pattern core as the mixed_runs benchmark
+/// configures it: online unit-sphere DWT, T = 1, c = 1.
+StardustConfig PatternCoreConfig() {
+  StardustConfig config;
+  config.transform = TransformKind::kDwt;
+  config.normalization = Normalization::kUnitSphere;
+  config.coefficients = 4;
+  config.r_max = 64.0;
+  config.base_window = 8;
+  config.num_levels = 2;
+  config.history = 256;
+  config.box_capacity = 1;
+  config.update_period = 1;
+  config.index_features = true;
+  return config;
+}
+
 const std::vector<std::size_t>& AggregateWindows() {
   static const std::vector<std::size_t> windows{16, 64, 256};
   return windows;
@@ -284,7 +301,8 @@ RunResult RunRecompute(std::size_t shards, std::size_t steps) {
         for (std::size_t s = 0; s < parts[i].count; ++s) {
           const StreamSummarizer& summarizer =
               corr_cores[i]->summarizer(static_cast<StreamId>(s));
-          const FeatureBox* box = summarizer.thread(0).Find(t);
+          const LevelThread& thread = summarizer.thread(0);
+          const FeatureBox* box = thread.Find(t);
           if (box == nullptr) continue;
           const std::size_t window = corr_config.LevelWindow(0);
           if (!summarizer.GetWindow(t, window, &window_scratch).ok()) {
@@ -296,7 +314,7 @@ RunResult RunRecompute(std::size_t shards, std::size_t steps) {
           ZNormalizeTo(window_scratch.data(), window, znorm_scratch.data(),
                        &mean, &norm2);
           ++result.znorm_computes;
-          result.checksum += znorm_scratch[0] + box->extent.lo()[0];
+          result.checksum += znorm_scratch[0] + thread.Lo(*box)[0];
           ++result.features_served;
         }
       }
@@ -382,6 +400,54 @@ MaintainResult RunMaintain(bool batched, std::size_t run_len,
   return result;
 }
 
+/// The same scalar-vs-batched comparison for the pattern core alone, as
+/// the feature pipeline runs it (no level index: standing pattern queries
+/// walk the box threads). The square wave plus a deterministic ripple
+/// keeps every DWT coefficient moving. The digest covers every stream's
+/// summarizer bytes (raw tail and both level threads).
+MaintainResult RunPatternMaintain(bool batched, std::size_t run_len,
+                                  std::size_t steps) {
+  const StardustConfig config = PatternCoreConfig();
+  auto created = Stardust::Create(config);
+  if (!created.ok()) std::abort();
+  std::unique_ptr<Stardust> core = std::move(created).value();
+  for (std::size_t s = 0; s < kStreams; ++s) core->AddStream();
+  if (!core->SetIndexedLevels(std::vector<bool>(config.num_levels, false))
+           .ok()) {
+    std::abort();
+  }
+  MaintainResult result;
+  std::vector<double> run(run_len);
+  for (std::size_t t = 0; t < steps; t += run_len) {
+    const std::size_t len = std::min(run_len, steps - t);
+    const std::uint64_t t0 = NowNanos();
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      for (std::size_t k = 0; k < len; ++k) {
+        const std::size_t step = t + k;
+        run[k] = ValueAt(s, step) +
+                 static_cast<double>((step * 2654435761u + s * 97u) % 1000) /
+                     500.0;
+      }
+      const StreamId stream = static_cast<StreamId>(s);
+      if (batched) {
+        if (!core->AppendRun(stream, run.data(), len).ok()) std::abort();
+      } else {
+        for (std::size_t k = 0; k < len; ++k) {
+          if (!core->Append(stream, run[k]).ok()) std::abort();
+        }
+      }
+      result.appends += len;
+    }
+    result.maintain_ns += NowNanos() - t0;
+  }
+  Writer state;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    core->summarizer(static_cast<StreamId>(s)).SaveTo(&state);
+  }
+  result.state_digest = Fnv1a(state.buffer());
+  return result;
+}
+
 void EmitLine(const char* mode, std::size_t shards, std::size_t steps,
               const RunResult& r) {
   const double seconds =
@@ -423,10 +489,12 @@ int main() {
   // keeps the fastest of 5 runs so scheduler noise on loaded hosts
   // does not masquerade as a kernel-speed difference.
   constexpr int kReps = 5;
-  const auto best_of = [steps](bool batched_mode, std::size_t run_len) {
-    MaintainResult best = RunMaintain(batched_mode, run_len, steps);
+  using MaintainFn = MaintainResult (*)(bool, std::size_t, std::size_t);
+  const auto best_of = [steps](MaintainFn maintain, bool batched_mode,
+                               std::size_t run_len) {
+    MaintainResult best = maintain(batched_mode, run_len, steps);
     for (int rep = 1; rep < kReps; ++rep) {
-      MaintainResult r = RunMaintain(batched_mode, run_len, steps);
+      MaintainResult r = maintain(batched_mode, run_len, steps);
       if (r.state_digest != best.state_digest) {
         std::fprintf(stderr, "FATAL: digest unstable across reps\n");
         std::exit(1);
@@ -435,15 +503,16 @@ int main() {
     }
     return best;
   };
-  for (std::size_t run_len : {std::size_t{1}, std::size_t{8},
-                              std::size_t{64}, std::size_t{256}}) {
-    const MaintainResult scalar = best_of(false, run_len);
-    const MaintainResult batched = best_of(true, run_len);
+  // One JSON line per (maintained state, run length); exits nonzero when
+  // the batched digest differs from the scalar one.
+  const auto compare = [&](const char* bench_name, MaintainFn maintain,
+                           std::size_t run_len) {
+    const MaintainResult scalar = best_of(maintain, false, run_len);
+    const MaintainResult batched = best_of(maintain, true, run_len);
     if (scalar.state_digest != batched.state_digest) {
-      std::fprintf(stderr,
-                   "FATAL: batched state digest diverged at run=%zu\n",
-                   run_len);
-      return 1;
+      std::fprintf(stderr, "FATAL: %s batched state digest diverged at "
+                   "run=%zu\n", bench_name, run_len);
+      std::exit(1);
     }
     const auto per_append = [](const MaintainResult& r) {
       return static_cast<double>(r.maintain_ns) /
@@ -453,15 +522,23 @@ int main() {
                                ? per_append(scalar) / per_append(batched)
                                : 0.0;
     std::printf(
-        "{\"bench\":\"feature_maintain\",\"run\":%zu,\"streams\":%zu,"
+        "{\"bench\":\"%s\",\"run\":%zu,\"streams\":%zu,"
         "\"steps\":%zu,\"scalar_maintain_ns_per_append\":%.1f,"
         "\"batched_maintain_ns_per_append\":%.1f,"
         "\"maintain_speedup\":%.2f,\"state_digest\":%" PRIu64 "}\n",
-        run_len, kStreams, steps, per_append(scalar), per_append(batched),
-        speedup, batched.state_digest);
-    std::fprintf(stderr, "run=%zu maintain %.1f -> %.1f ns/append (%.2fx)\n",
-                 run_len, per_append(scalar), per_append(batched), speedup);
+        bench_name, run_len, kStreams, steps, per_append(scalar),
+        per_append(batched), speedup, batched.state_digest);
+    std::fprintf(stderr, "%s run=%zu maintain %.1f -> %.1f ns/append "
+                 "(%.2fx)\n", bench_name, run_len, per_append(scalar),
+                 per_append(batched), speedup);
+  };
+  for (std::size_t run_len : {std::size_t{1}, std::size_t{8},
+                              std::size_t{64}, std::size_t{256}}) {
+    compare("feature_maintain", RunMaintain, run_len);
   }
+  // The pattern core at mixed_runs' run length: its own bench name, so
+  // readers keyed on feature_maintain's run lengths are unaffected.
+  compare("pattern_maintain", RunPatternMaintain, 64);
 
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                              std::size_t{8}}) {

@@ -96,15 +96,13 @@ class RingBuffer {
     std::copy(data_.begin(), data_.begin() + (count - head), out + head);
   }
 
-  /// Copies the window [first, first + count) into `out` (resized).
-  /// Requires the whole window to be buffered.
+  /// Copies the window [first, first + count) into `out` (resized), in
+  /// at most two contiguous segments. Requires the whole window to be
+  /// buffered.
   void CopyWindow(std::uint64_t first, std::size_t count,
                   std::vector<T>* out) const {
-    SD_DCHECK(count == 0 || (Contains(first) && Contains(first + count - 1)));
     out->resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      (*out)[i] = data_[(first + i) % capacity_];
-    }
+    CopySpanTo(first, count, out->data());
   }
 
   /// Rebuilds the buffer to the state where `total_count` values were

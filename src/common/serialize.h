@@ -43,8 +43,12 @@ class Writer {
   /// serialize identically to plain vectors.
   template <typename Alloc>
   void DoubleVector(const std::vector<double, Alloc>& values) {
-    U64(values.size());
-    for (double v : values) F64(v);
+    DoubleSpan(values.data(), values.size());
+  }
+  /// The DoubleVector encoding of `count` values read from `values`.
+  void DoubleSpan(const double* values, std::size_t count) {
+    U64(count);
+    for (std::size_t i = 0; i < count; ++i) F64(values[i]);
   }
 
   const std::string& buffer() const { return buffer_; }

@@ -191,14 +191,14 @@ Status AggregateMonitor::RunChecksFlat(const StreamSummarizer& summarizer,
           }
           first = false;
         } else {
-          const FeatureBox* box = summarizer.thread(j).Find(tj);
+          const LevelThread& thread = summarizer.thread(j);
+          const FeatureBox* box = thread.Find(tj);
           if (box == nullptr) {
             composed = false;
             break;
           }
-          AggregateMergeExtentSpans(kind, box->extent.lo().data(),
-                                    box->extent.hi().data(), acc_lo, acc_hi,
-                                    acc_lo, acc_hi);
+          AggregateMergeExtentSpans(kind, thread.Lo(*box), thread.Hi(*box),
+                                    acc_lo, acc_hi, acc_lo, acc_hi);
         }
         tj -= config.LevelWindow(j);
       }

@@ -98,10 +98,11 @@ Status CorrelationMonitor::Detect(std::uint64_t t) {
     if (t + 1 < w) continue;  // this level's window is not full yet
     // Refresh the current-feature index: replace each stream's point.
     for (StreamId i = 0; i < m; ++i) {
-      const FeatureBox* box =
-          core_->summarizer(i).thread(state.level).Find(t);
+      const LevelThread& thread = core_->summarizer(i).thread(state.level);
+      const FeatureBox* box = thread.Find(t);
       SD_CHECK(box != nullptr);
-      const Point& feature = box->extent.lo();  // c == 1: a point
+      const double* lo = thread.Lo(*box);  // c == 1: a point
+      const Point feature(lo, lo + thread.dims());
       if (!state.previous[i].empty()) {
         SD_RETURN_NOT_OK(
             state.features.Delete(Mbr::FromPoint(state.previous[i]), i));

@@ -86,9 +86,11 @@ Status LagCorrelationMonitor::Detect(std::uint64_t t) {
     live_.pop_front();
   }
   for (StreamId i = 0; i < m; ++i) {
-    const FeatureBox* box = core_->summarizer(i).thread(top_level_).Find(t);
+    const LevelThread& thread = core_->summarizer(i).thread(top_level_);
+    const FeatureBox* box = thread.Find(t);
     SD_CHECK(box != nullptr);
-    const Point& feature = box->extent.lo();  // c == 1: a point
+    const double* lo = thread.Lo(*box);  // c == 1: a point
+    const Point feature(lo, lo + thread.dims());
     SD_RETURN_NOT_OK(features_.Insert(
         Mbr::FromPoint(feature),
         MakeRecordId(i, round_ % (num_lags + 2))));

@@ -1,6 +1,7 @@
 #include "core/level_state.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -19,7 +20,14 @@ const FeatureBox* LevelThread::Append(std::uint64_t t, const Mbr& feature) {
   SD_DCHECK(feature.dims() == dims_);
   SD_DCHECK(!feature.empty());
   FeatureBox& box = BoxFor(t);
-  box.extent.Expand(feature);
+  double* lo = MutableLo(box);
+  double* hi = lo + dims_;
+  const double* flo = feature.lo().data();
+  const double* fhi = feature.hi().data();
+  for (std::size_t d = 0; d < dims_; ++d) {
+    lo[d] = std::min(lo[d], flo[d]);
+    hi[d] = std::max(hi[d], fhi[d]);
+  }
   ++box.count;
   if (box.count == capacity_) {
     box.sealed = true;
@@ -29,16 +37,20 @@ const FeatureBox* LevelThread::Append(std::uint64_t t, const Mbr& feature) {
 }
 
 void LevelThread::Grow() {
-  SD_DCHECK(size_ == ring_.size());
+  SD_DCHECK(size_ <= ring_.size());
   const std::size_t grown_size =
       ring_.size() + std::max<std::size_t>(1, ring_.size() / 8);
-  std::vector<FeatureBox> grown;
-  grown.reserve(grown_size);
+  const std::size_t slot_doubles = 2 * dims_;
+  std::vector<FeatureBox> grown(grown_size);
+  std::vector<double> grown_extents(grown_size * slot_doubles);
   for (std::size_t i = 0; i < size_; ++i) {
-    grown.push_back(std::move(ring_[Slot(i)]));
+    const std::size_t slot = Slot(i);
+    grown[i] = ring_[slot];
+    std::copy_n(extents_.data() + slot * slot_doubles, slot_doubles,
+                grown_extents.data() + i * slot_doubles);
   }
-  grown.resize(grown_size);
   ring_ = std::move(grown);
+  extents_ = std::move(grown_extents);
   head_ = 0;
 }
 
@@ -50,6 +62,20 @@ const FeatureBox* LevelThread::Find(std::uint64_t t) const {
   const std::uint64_t feature_index = offset / stride_;
   const std::uint64_t seq = feature_index / capacity_;
   return FindBySeq(seq);
+}
+
+bool LevelThread::CursorAt(std::uint64_t t, Cursor* cursor) const {
+  const FeatureBox* box = Find(t);
+  if (box == nullptr) return false;
+  const std::size_t done =
+      static_cast<std::size_t>((t - box->first_time) / stride_);
+  cursor->lo_ = Lo(*box);
+  cursor->begin_ = extents_.data();
+  cursor->end_ = extents_.data() + extents_.size();
+  cursor->dims_ = dims_;
+  cursor->capacity_ = capacity_;
+  cursor->left_ = capacity_ - done;
+  return true;
 }
 
 const FeatureBox* LevelThread::FindBySeq(std::uint64_t seq) const {
@@ -95,8 +121,8 @@ void LevelThread::SaveTo(Writer* writer) const {
   writer->U64(size_);
   for (std::size_t i = 0; i < size_; ++i) {
     const FeatureBox& box = ring_[Slot(i)];
-    writer->DoubleVector(box.extent.lo());
-    writer->DoubleVector(box.extent.hi());
+    writer->DoubleSpan(Lo(box), dims_);
+    writer->DoubleSpan(Hi(box), dims_);
     writer->U64(box.first_time);
     writer->U32(box.count);
     writer->U64(box.seq);
@@ -120,6 +146,10 @@ Status LevelThread::RestoreFrom(Reader* reader) {
   has_first_ = has_first != 0;
   std::uint64_t box_count = 0;
   SD_RETURN_NOT_OK(reader->U64(&box_count));
+  if (!has_first_ && (anchor_time_ != 0 || next_seq_ != 0 || box_count != 0)) {
+    return Status::InvalidArgument(
+        "snapshot thread has boxes but no first feature");
+  }
   // Each box takes two length-prefixed extents plus first_time, count,
   // seq and the seal flag; a count the bytes left cannot hold is
   // rejected before any box is built.
@@ -131,7 +161,14 @@ Status LevelThread::RestoreFrom(Reader* reader) {
   // storage; the ring grows only to hold box_count.
   head_ = 0;
   size_ = 0;
-  if (ring_.size() < box_count) ring_.resize(box_count);
+  if (ring_.size() < box_count) {
+    ring_.resize(box_count);
+    extents_.resize(ring_.size() * 2 * dims_);
+  }
+  // Box seq opens at feature index seq·c, so its first time is fixed by
+  // the anchor; a box anywhere else would break Find and expiry.
+  const std::uint64_t box_span = capacity_ * stride_;
+  const std::uint64_t max_time = std::numeric_limits<std::uint64_t>::max();
   Point lo, hi;
   std::uint64_t prev_seq = 0;
   for (std::uint64_t i = 0; i < box_count; ++i) {
@@ -146,8 +183,9 @@ Status LevelThread::RestoreFrom(Reader* reader) {
       }
     }
     FeatureBox& box = ring_[i];
-    box.extent.mutable_lo().assign(lo.begin(), lo.end());
-    box.extent.mutable_hi().assign(hi.begin(), hi.end());
+    double* extent = MutableLo(box);
+    std::copy(lo.begin(), lo.end(), extent);
+    std::copy(hi.begin(), hi.end(), extent + dims_);
     SD_RETURN_NOT_OK(reader->U64(&box.first_time));
     SD_RETURN_NOT_OK(reader->U32(&box.count));
     SD_RETURN_NOT_OK(reader->U64(&box.seq));
@@ -166,6 +204,13 @@ Status LevelThread::RestoreFrom(Reader* reader) {
     }
     if (i > 0 && box.seq != prev_seq + 1) {
       return Status::InvalidArgument("snapshot box sequence gap");
+    }
+    const std::uint64_t last_offset = (box.count - 1) * stride_;
+    if ((box.seq != 0 && box_span > (max_time - anchor_time_) / box.seq) ||
+        box.first_time != anchor_time_ + box.seq * box_span ||
+        box.first_time > max_time - last_offset) {
+      return Status::InvalidArgument(
+          "snapshot box time does not match its anchor and sequence");
     }
     prev_seq = box.seq;
     ++size_;

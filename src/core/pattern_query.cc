@@ -141,7 +141,8 @@ Result<PatternResult> PatternQueryEngine::QueryCompiled(
 
   std::vector<Candidate> candidates;
   candidates.reserve(entries.size());
-  auto seed_candidate = [&](StreamId stream, const FeatureBox& box) {
+  auto seed_candidate = [&](StreamId stream, const LevelThread& thread,
+                            const FeatureBox& box) {
     std::uint64_t end_lo = box.first_time;
     const std::uint64_t end_hi = box.first_time + box.count - 1;
     if (min_end != nullptr && min_end[stream] > end_lo) {
@@ -151,7 +152,8 @@ Result<PatternResult> PatternQueryEngine::QueryCompiled(
       if (min_end[stream] > end_hi) return;
       end_lo = min_end[stream];
     }
-    const double cost = box.extent.MinDist2(first.feature) * first.scale;
+    const double cost =
+        thread.Extent(box).MinDist2(first.feature) * first.scale;
     if (cost > total_budget) return;
     Candidate cand;
     cand.stream = stream;
@@ -162,18 +164,17 @@ Result<PatternResult> PatternQueryEngine::QueryCompiled(
   };
   for (const RTreeEntry& entry : entries) {
     const StreamId stream = RecordStream(entry.id);
-    const FeatureBox* box =
-        core_.summarizer(stream).thread(first.level).FindBySeq(
-            RecordSeq(entry.id));
+    const LevelThread& thread = core_.summarizer(stream).thread(first.level);
+    const FeatureBox* box = thread.FindBySeq(RecordSeq(entry.id));
     SD_CHECK(box != nullptr);
-    seed_candidate(stream, *box);
+    seed_candidate(stream, thread, *box);
   }
   // The index only holds sealed boxes; the freshest features live in each
   // stream's still-filling box, which must be probed directly.
   for (StreamId stream = 0; stream < core_.num_streams(); ++stream) {
-    const FeatureBox* filling =
-        core_.summarizer(stream).thread(first.level).filling_box();
-    if (filling != nullptr) seed_candidate(stream, *filling);
+    const LevelThread& thread = core_.summarizer(stream).thread(first.level);
+    const FeatureBox* filling = thread.filling_box();
+    if (filling != nullptr) seed_candidate(stream, thread, *filling);
   }
 
   // Hierarchical radius refinement over the remaining pieces, following
@@ -201,7 +202,7 @@ Result<PatternResult> PatternQueryEngine::QueryCompiled(
         const FeatureBox* box = thread.FindBySeq(seq);
         if (box == nullptr) continue;  // expired or not yet produced
         const double cost =
-            box->extent.MinDist2(piece.feature) * piece.scale;
+            thread.Extent(*box).MinDist2(piece.feature) * piece.scale;
         if (cost > cand.budget) continue;
         // Map the box's feature times back to match-end positions and
         // intersect with the candidate's range.
@@ -247,60 +248,75 @@ Result<PatternResult> PatternQueryEngine::QueryCompiledIncremental(
   }
   using Piece = CompiledPatternQuery::Piece;
   const std::vector<Piece>& pieces = compiled.pieces;
+  const std::size_t dims = config.FeatureDims();
+  const std::size_t length = compiled.query_norm.size();
+  const double r2 = compiled.radius * compiled.radius;
 
-  std::vector<std::pair<StreamId, std::uint64_t>> positions;
-  std::vector<const LevelThread*> threads(pieces.size());
+  PatternResult result;
+  std::vector<LevelThread::Cursor> cursors(pieces.size());
+  std::vector<double> window;
   for (StreamId stream = 0; stream < core_.num_streams(); ++stream) {
-    // Newest position whose every piece feature has been produced; its
-    // match result is final (see header). Positions beyond it are left
-    // for the batch that completes them.
+    const StreamSummarizer& summarizer = core_.summarizer(stream);
+    // t_max: the newest position whose every piece feature has been
+    // produced; its match result is final (see header). Positions beyond
+    // it are left for the batch that completes them. t_live: the oldest
+    // position every piece still has a retained box for; older ones fail
+    // exactly where a Find() of their piece feature would return null
+    // (pre-anchor or expired), so they are decided without a look.
     std::uint64_t t_max = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t t_live = 0;
     bool have_all = true;
-    for (std::size_t pi = 0; pi < pieces.size(); ++pi) {
-      const LevelThread& thread =
-          core_.summarizer(stream).thread(pieces[pi].level);
+    for (const Piece& piece : pieces) {
+      const LevelThread& thread = summarizer.thread(piece.level);
       if (thread.empty()) {
         have_all = false;
         break;
       }
-      threads[pi] = &thread;
-      t_max = std::min(t_max, thread.last_time() + pieces[pi].offset);
+      t_max = std::min(t_max, thread.last_time() + piece.offset);
+      t_live = std::max(t_live, thread.front_time() + piece.offset);
     }
-    if (!have_all) continue;
-    std::uint64_t t = eval_floor[stream];
-    for (; t <= t_max; ++t) {
-      // The same d_min budget chain as the full search, probing each
-      // piece's box directly by time instead of via a range query:
-      // Find() returning null (expired / pre-anchor) drops the position
-      // exactly like the index search and FindBySeq refinement would.
+    if (!have_all || eval_floor[stream] > t_max) continue;
+    const std::uint64_t t_first = std::max(eval_floor[stream], t_live);
+    eval_floor[stream] = t_max + 1;
+    if (t_first > t_max) continue;
+    // One cursor per piece steps that piece's box thread one feature time
+    // per position: the same d_min budget chain as the full search, with
+    // no Find per position.
+    for (std::size_t pi = 0; pi < pieces.size(); ++pi) {
+      SD_CHECK(summarizer.thread(pieces[pi].level)
+                   .CursorAt(t_first - pieces[pi].offset, &cursors[pi]));
+    }
+    for (std::uint64_t t = t_first;; ++t) {
       double budget = compiled.total_budget;
       bool alive = true;
       for (std::size_t pi = 0; pi < pieces.size(); ++pi) {
         const Piece& piece = pieces[pi];
-        if (t < piece.offset) {
-          alive = false;
-          break;
-        }
-        const FeatureBox* box = threads[pi]->Find(t - piece.offset);
-        if (box == nullptr) {
-          alive = false;
-          break;
-        }
-        const double cost =
-            box->extent.MinDist2(piece.feature) * piece.scale;
+        const double cost = MinDist2Spans(cursors[pi].lo(), cursors[pi].hi(),
+                                          piece.feature.data(), dims) *
+                            piece.scale;
         if (cost > budget) {
           alive = false;
           break;
         }
         budget -= cost;
       }
-      if (alive) positions.emplace_back(stream, t);
+      if (alive) {
+        // Verify in generation order (stream, then end time: the order
+        // VerifyPositions sorts into) from the raw ring, with its
+        // arithmetic.
+        if (summarizer.GetWindow(t, length, &window).ok()) {
+          ++result.candidates;
+          NormalizeWindowInPlace(&window, config.normalization, config.r_max);
+          const double d2 = Dist2(compiled.query_norm, window);
+          if (d2 <= r2) result.matches.push_back({stream, t, std::sqrt(d2)});
+        } else {
+          ++result.unverifiable;
+        }
+      }
+      if (t == t_max) break;
+      for (LevelThread::Cursor& cursor : cursors) cursor.Next();
     }
-    eval_floor[stream] = t;
   }
-
-  PatternResult result;
-  VerifyPositions(compiled.query_norm, compiled.radius, &positions, &result);
   return result;
 }
 
@@ -461,7 +477,9 @@ Result<PatternResult> PatternQueryEngine::QueryBatch(
       const std::uint64_t seq = (t0 + o) / W;
       const FeatureBox* box = thread.FindBySeq(seq);
       if (box == nullptr) continue;  // expired: no contribution
-      used += Dist2(box->extent.lo(), *piece_at[o]) * piece_scale;
+      used += Dist2Spans(thread.Lo(*box), piece_at[o]->data(),
+                         piece_at[o]->size()) *
+              piece_scale;
       if (used > total_budget) {
         pruned = true;
         break;

@@ -119,6 +119,10 @@ class PatternQueryEngine {
   /// range-searching the whole level index every batch. `eval_floor`
   /// points at one cursor per stream — the first end position not yet
   /// evaluated — which the call advances past every position it decides.
+  /// Each piece's boxes are read through a LevelThread::Cursor stepped
+  /// one feature time per position, and a surviving position is verified
+  /// at once from the raw ring with VerifyPositions' arithmetic; matches
+  /// come out ordered by (stream, end time) without a sort.
   ///
   /// Soundness of evaluate-once: stream windows and DWT features are
   /// immutable once appended, box extents only grow (so the d_min budget

@@ -16,6 +16,7 @@ Result<std::unique_ptr<Stardust>> Stardust::Create(
 
 Stardust::Stardust(const StardustConfig& config)
     : config_(config),
+      run_scratch_(std::make_unique<RunScratch>()),
       indexed_levels_(config.num_levels, true),
       any_indexed_(config.index_features) {
   if (config_.index_features) {
@@ -28,7 +29,8 @@ Stardust::Stardust(const StardustConfig& config)
 }
 
 StreamId Stardust::AddStream() {
-  streams_.push_back(std::make_unique<StreamSummarizer>(config_));
+  streams_.push_back(
+      std::make_unique<StreamSummarizer>(config_, run_scratch_.get()));
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
@@ -36,7 +38,8 @@ Status Stardust::ResetStream(StreamId stream) {
   if (stream >= streams_.size()) {
     return Status::InvalidArgument("unknown stream");
   }
-  streams_[stream] = std::make_unique<StreamSummarizer>(config_);
+  streams_[stream] =
+      std::make_unique<StreamSummarizer>(config_, run_scratch_.get());
   if (any_indexed_) return RebuildIndexes();
   return Status::OK();
 }
@@ -144,10 +147,11 @@ Status Stardust::RebuildLevelIndex(std::size_t level) {
       std::make_unique<RTree>(config_.FeatureDims(), RTreeOptions{});
   Status status = Status::OK();
   for (StreamId s = 0; s < streams_.size(); ++s) {
-    streams_[s]->thread(level).ForEachBox([&](const FeatureBox& box) {
+    const LevelThread& thread = streams_[s]->thread(level);
+    thread.ForEachBox([&](const FeatureBox& box) {
       if (!box.sealed || !status.ok()) return;
-      const Status st =
-          indexes_[level]->Insert(box.extent, MakeRecordId(s, box.seq));
+      const Status st = indexes_[level]->Insert(thread.Extent(box).ToMbr(),
+                                                MakeRecordId(s, box.seq));
       if (!st.ok()) status = st;
     });
   }
@@ -236,17 +240,24 @@ Result<ScalarInterval> Stardust::AggregateIntervalAt(
   bool first = true;
   for (std::size_t j = 0; j < config_.num_levels; ++j) {
     if (((b >> j) & 1) == 0) continue;
-    const FeatureBox* box = summarizer.thread(j).Find(t);
+    const LevelThread& thread = summarizer.thread(j);
+    const FeatureBox* box = thread.Find(t);
     if (box == nullptr) {
       return Status::OutOfRange("sub-aggregate not available at level " +
                                 std::to_string(j));
     }
+    const double* lo = thread.Lo(*box);
+    const double* hi = thread.Hi(*box);
     if (first) {
-      extent = box->extent;
+      const std::size_t dims = config_.FeatureDims();
+      extent.mutable_lo().assign(lo, lo + dims);
+      extent.mutable_hi().assign(hi, hi + dims);
       first = false;
     } else {
-      AggregateMergeExtentsInto(config_.aggregate, box->extent, extent,
-                                &extent);
+      Point& acc_lo = extent.mutable_lo();
+      Point& acc_hi = extent.mutable_hi();
+      AggregateMergeExtentSpans(config_.aggregate, lo, hi, acc_lo.data(),
+                                acc_hi.data(), acc_lo.data(), acc_hi.data());
     }
     t -= config_.LevelWindow(j);
   }

@@ -148,6 +148,9 @@ class Stardust {
   Status RebuildLevelIndex(std::size_t level);
 
   StardustConfig config_;
+  /// Run scratch every stream's summarizer shares: a core applies one run
+  /// at a time.
+  std::unique_ptr<RunScratch> run_scratch_;
   std::vector<std::unique_ptr<StreamSummarizer>> streams_;
   std::vector<std::unique_ptr<RTree>> indexes_;
   /// Per-level maintenance switch; all-true until SetIndexedLevels.

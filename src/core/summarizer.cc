@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "dwt/haar.h"
@@ -10,9 +11,14 @@
 
 namespace stardust {
 
-StreamSummarizer::StreamSummarizer(const StardustConfig& config)
-    : config_(config), raw_(config.history) {
+StreamSummarizer::StreamSummarizer(const StardustConfig& config,
+                                   RunScratch* scratch)
+    : config_(config), raw_(config.history), run_(scratch) {
   SD_CHECK(config_.Validate().ok());
+  if (run_ == nullptr) {
+    own_run_ = std::make_unique<RunScratch>();
+    run_ = own_run_.get();
+  }
   threads_.reserve(config_.num_levels);
   for (std::size_t j = 0; j < config_.num_levels; ++j) {
     threads_.emplace_back(config_.FeatureDims(), config_.box_capacity,
@@ -21,8 +27,7 @@ StreamSummarizer::StreamSummarizer(const StardustConfig& config)
   // See FlatRunEligible(): the capacity bound c <= base window guarantees
   // left-merge inputs are final by their merge's arrival time, which is
   // what lets RunLevelPass read them from the post-pass level thread.
-  flat_eligible_ = config_.transform == TransformKind::kAggregate &&
-                   !config_.exact_levels &&
+  flat_eligible_ = !config_.exact_levels &&
                    config_.box_capacity <= config_.base_window;
   for (std::size_t j = 0; flat_eligible_ && j < config_.num_levels; ++j) {
     if (config_.LevelPeriod(j) != 1) flat_eligible_ = false;
@@ -112,8 +117,30 @@ Status StreamSummarizer::RestoreFrom(Reader* reader) {
   if (thread_count != threads_.size()) {
     return Status::InvalidArgument("snapshot level count mismatch");
   }
-  for (LevelThread& thread : threads_) {
+  for (std::size_t j = 0; j < threads_.size(); ++j) {
+    LevelThread& thread = threads_[j];
     SD_RETURN_NOT_OK(thread.RestoreFrom(reader));
+    // Level j fires at t = w - 1, w - 1 + T_j, ...: `total` values imply
+    // its feature count, hence its anchor, its number of opened boxes and
+    // its last feature time. A thread that disagrees would make the next
+    // append look up boxes that are not there, or never expire.
+    const std::uint64_t w = config_.LevelWindow(j);
+    const std::uint64_t period = config_.LevelPeriod(j);
+    const std::uint64_t features = total < w ? 0 : (total - w) / period + 1;
+    const std::uint64_t c = config_.box_capacity;
+    const std::uint64_t boxes = features / c + (features % c != 0 ? 1 : 0);
+    const bool consistent =
+        features == 0
+            ? !thread.has_first()
+            : thread.has_first() && thread.anchor_time() == w - 1 &&
+                  thread.next_seq() == boxes &&
+                  (thread.empty() ||
+                   thread.last_time() == w - 1 + (features - 1) * period);
+    if (!consistent) {
+      return Status::InvalidArgument(
+          "snapshot level " + std::to_string(j) +
+          " does not match the raw tail's count");
+    }
   }
   return Status::OK();
 }
@@ -129,26 +156,13 @@ Mbr StreamSummarizer::ComputeFeature(std::size_t level, std::uint64_t t) {
   const bool exact = level == 0 || config_.exact_levels ||
                      config_.LevelPeriod(level) > 1;
   if (exact) {
-    const Status st = GetWindow(t, w, &scratch_);
+    const Status st = GetWindow(t, w, &run_->window);
     SD_CHECK(st.ok());
-    return Mbr::FromPoint(ExactFeatureFromRaw(&scratch_));
+    return Mbr::FromPoint(ExactFeatureFromRaw(&run_->window));
   }
-  // Incremental path: merge the level-(j-1) boxes holding the features of
-  // the two halves (Algorithm 1, else-branch).
-  const std::size_t half = w / 2;
-  const FeatureBox* left = threads_[level - 1].Find(t - half);
-  const FeatureBox* right = threads_[level - 1].Find(t);
-  SD_CHECK(left != nullptr && right != nullptr);
-  if (config_.transform == TransformKind::kAggregate) {
-    return AggregateMergeExtents(config_.aggregate, left->extent,
-                                 right->extent);
-  }
-  // Unit-sphere normalization divides by √w·R_max; the doubled window
-  // needs an extra 1/√2 relative to its halves.
-  const double rescale = config_.normalization == Normalization::kUnitSphere
-                             ? 1.0 / std::sqrt(2.0)
-                             : 1.0;
-  return MergeMbrHalvesHaar(left->extent, right->extent, rescale);
+  Mbr feature;
+  MergeHalvesInto(level, t, &feature);
+  return feature;
 }
 
 void StreamSummarizer::ComputeFeatureInto(std::size_t level, std::uint64_t t,
@@ -156,49 +170,99 @@ void StreamSummarizer::ComputeFeatureInto(std::size_t level, std::uint64_t t,
   const std::size_t w = config_.LevelWindow(level);
   const bool exact = level == 0 || config_.exact_levels ||
                      config_.LevelPeriod(level) > 1;
-  if (exact) {
-    const std::uint64_t start = t + 1 - w;
-    SD_DCHECK(start >= linear_base_);
-    SD_DCHECK(start - linear_base_ + w <= linear_.size());
-    ExactFeatureIntoFromSpan(
-        linear_.data() + static_cast<std::size_t>(start - linear_base_), w,
-        out);
+  if (!exact) {
+    MergeHalvesInto(level, t, out);
     return;
   }
-  const std::size_t half = w / 2;
-  const FeatureBox* left = threads_[level - 1].Find(t - half);
-  const FeatureBox* right = threads_[level - 1].Find(t);
+  const std::uint64_t start = t + 1 - w;
+  SD_DCHECK(start >= linear_base_);
+  SD_DCHECK(start - linear_base_ + w <= run_->linear.size());
+  const std::size_t dims = config_.FeatureDims();
+  out->mutable_lo().resize(dims);
+  out->mutable_hi().resize(dims);
+  ExactFeatures(
+      run_->linear.data() + static_cast<std::size_t>(start - linear_base_), w,
+      1, out->mutable_lo().data(), out->mutable_hi().data());
+}
+
+void StreamSummarizer::MergeHalvesInto(std::size_t level, std::uint64_t t,
+                                       Mbr* out) const {
+  // Incremental path: merge the level-(j-1) boxes holding the features of
+  // the two halves (Algorithm 1, else-branch).
+  const std::size_t half = config_.LevelWindow(level) / 2;
+  const LevelThread& prev = threads_[level - 1];
+  const FeatureBox* left = prev.Find(t - half);
+  const FeatureBox* right = prev.Find(t);
   SD_CHECK(left != nullptr && right != nullptr);
+  const std::size_t dims = config_.FeatureDims();
+  out->mutable_lo().resize(dims);
+  out->mutable_hi().resize(dims);
+  MergeHalvesSpans(prev.Lo(*left), prev.Hi(*left), prev.Lo(*right),
+                   prev.Hi(*right), out->mutable_lo().data(),
+                   out->mutable_hi().data());
+}
+
+void StreamSummarizer::MergeHalvesSpans(const double* left_lo,
+                                        const double* left_hi,
+                                        const double* right_lo,
+                                        const double* right_hi,
+                                        double* out_lo, double* out_hi) const {
   if (config_.transform == TransformKind::kAggregate) {
-    AggregateMergeExtentsInto(config_.aggregate, left->extent, right->extent,
-                              out);
+    AggregateMergeExtentSpans(config_.aggregate, left_lo, left_hi, right_lo,
+                              right_hi, out_lo, out_hi);
     return;
   }
+  // Unit-sphere normalization divides by √w·R_max; the doubled window
+  // needs an extra 1/√2 relative to its halves.
   const double rescale = config_.normalization == Normalization::kUnitSphere
                              ? 1.0 / std::sqrt(2.0)
                              : 1.0;
-  MergeMbrHalvesHaarInto(left->extent, right->extent, rescale, out);
+  MergeHalvesHaarSpans(left_lo, left_hi, right_lo, right_hi,
+                       config_.coefficients, rescale, out_lo, out_hi);
 }
 
-void StreamSummarizer::ExactFeatureIntoFromSpan(const double* window,
-                                                std::size_t w, Mbr* out) {
+void StreamSummarizer::ExactFeatures(const double* window, std::size_t w,
+                                     std::size_t count, double* lo,
+                                     double* hi) {
+  const std::size_t dims = config_.FeatureDims();
   if (config_.transform == TransformKind::kAggregate) {
-    AggregateExactFeatureInto(config_.aggregate, window, w, out);
+    for (std::size_t k = 0; k < count; ++k) {
+      AggregateExactFeatureSpans(config_.aggregate, window + k, w,
+                                 lo + k * dims, hi + k * dims);
+    }
     return;
   }
-  scratch_.assign(window, window + w);
-  NormalizeWindowInPlace(&scratch_, config_.normalization, config_.r_max);
+  std::vector<double>& x = run_->window;
+  const std::size_t f = config_.coefficients;
   if (config_.normalization == Normalization::kZNorm) {
-    // Same coefficient selection as ExactFeatureFromRaw (skip the zero DC
-    // term), via the allocation-free DWT.
-    const std::size_t f = config_.coefficients;
-    HaarApproxInPlace(&scratch_, 2 * f);
-    HaarDwtInto(scratch_, &dwt_out_, &dwt_scratch_);
-    out->AssignPoint(dwt_out_.data() + 1, f);
+    for (std::size_t k = 0; k < count; ++k) {
+      // Same coefficient selection as ExactFeatureFromRaw (skip the zero
+      // DC term), via the allocation-free DWT.
+      x.assign(window + k, window + k + w);
+      NormalizeWindowInPlace(&x, config_.normalization, config_.r_max);
+      HaarApproxInPlace(&x, 2 * f);
+      HaarDwtInto(x, &run_->dwt_out, &run_->dwt_scratch);
+      std::copy_n(run_->dwt_out.data() + 1, f, lo + k * dims);
+      std::copy_n(run_->dwt_out.data() + 1, f, hi + k * dims);
+    }
     return;
   }
-  HaarApproxInPlace(&scratch_, config_.coefficients);
-  out->AssignPoint(scratch_.data(), config_.coefficients);
+  // Unit-sphere normalization multiplies every value by one factor per
+  // window length (NormalizeWindowInPlace's), so it is computed once;
+  // without normalization the factor is 1, which multiplies exactly. The
+  // Haar halving then runs in place on the scaled copy.
+  const double scale = config_.normalization == Normalization::kUnitSphere
+                           ? UnitSphereScale(w, config_.r_max)
+                           : 1.0;
+  x.resize(w);
+  double* scaled = x.data();
+  for (std::size_t k = 0; k < count; ++k) {
+    const double* in = window + k;
+    for (std::size_t i = 0; i < w; ++i) scaled[i] = in[i] * scale;
+    HaarApproxSpan(scaled, w, f);
+    std::copy_n(scaled, f, lo + k * dims);
+    std::copy_n(scaled, f, hi + k * dims);
+  }
 }
 
 void StreamSummarizer::BeginRun(const double* values, std::size_t n) {
@@ -213,10 +277,11 @@ void StreamSummarizer::BeginRun(const double* values, std::size_t n) {
   if (t_begin >= max_w) tail_lo = t_begin - (max_w - 1);
   if (tail_lo < raw_.first_position()) tail_lo = raw_.first_position();
   const std::size_t tail_n = static_cast<std::size_t>(t_begin - tail_lo);
-  linear_.resize(tail_n + n);
+  AlignedVector<double>& linear = run_->linear;
+  linear.resize(tail_n + n);
   // Two-segment ring copy — no per-element modulo.
-  raw_.CopySpanTo(tail_lo, tail_n, linear_.data());
-  std::copy(values, values + n, linear_.begin() + tail_n);
+  raw_.CopySpanTo(tail_lo, tail_n, linear.data());
+  std::copy(values, values + n, linear.begin() + tail_n);
   // The ring only feeds the linear buffer (already copied) during the run,
   // so the whole run can be committed to it up front in two segments.
   raw_.PushSpan(values, n);
@@ -235,10 +300,11 @@ void StreamSummarizer::AppendRunStep(std::size_t i,
     const std::size_t w = config_.LevelWindow(j);
     if (t + 1 < w) break;  // higher levels have even larger windows
     if ((t + 1 - w) % config_.LevelPeriod(j) != 0) continue;
-    ComputeFeatureInto(j, t, &feature_scratch_);
-    const FeatureBox* sealed_box = threads_[j].Append(t, feature_scratch_);
+    ComputeFeatureInto(j, t, &run_->feature);
+    const FeatureBox* sealed_box = threads_[j].Append(t, run_->feature);
     if (sealed_box != nullptr && sealed != nullptr) {
-      sealed->push_back({j, sealed_box->extent, sealed_box->seq});
+      sealed->push_back(
+          {j, threads_[j].Extent(*sealed_box).ToMbr(), sealed_box->seq});
     }
   }
 }
@@ -253,9 +319,10 @@ void StreamSummarizer::EndRun(std::vector<BoxRef>* expired) {
   if (end > config_.history) {
     const std::uint64_t min_time = end - config_.history;
     for (std::size_t j = 0; j < config_.num_levels; ++j) {
-      threads_[j].ExpireBeforeFast(min_time, [&](const FeatureBox& box) {
+      LevelThread& thread = threads_[j];
+      thread.ExpireBeforeFast(min_time, [&](const FeatureBox& box) {
         if (expired != nullptr) {
-          expired->push_back({j, box.extent, box.seq});
+          expired->push_back({j, thread.Extent(box).ToMbr(), box.seq});
         }
       });
     }
@@ -266,13 +333,13 @@ void StreamSummarizer::EndRun(std::vector<BoxRef>* expired) {
 void StreamSummarizer::RunLevelPass(std::vector<BoxRef>* sealed) {
   SD_DCHECK(run_n_ > 0);
   SD_DCHECK(flat_eligible_);
+  RunScratch& run = *run_;
   const std::size_t dims = config_.FeatureDims();
   const std::size_t n = run_n_;
-  if (run_ring_lo_.size() != config_.num_levels) {
-    run_ring_lo_.resize(config_.num_levels);
-    run_ring_hi_.resize(config_.num_levels);
+  if (run.ring_lo.size() < config_.num_levels) {
+    run.ring_lo.resize(config_.num_levels);
+    run.ring_hi.resize(config_.num_levels);
   }
-  const AggregateKind kind = config_.aggregate;
   for (std::size_t j = 0; j < config_.num_levels; ++j) {
     const std::size_t w = config_.LevelWindow(j);
     // First run position whose arrival time satisfies t + 1 >= w; under
@@ -283,62 +350,47 @@ void StreamSummarizer::RunLevelPass(std::vector<BoxRef>* sealed) {
       if (skip >= n) break;  // higher levels have even larger windows
       i0 = static_cast<std::size_t>(skip);
     }
-    run_ring_lo_[j].resize(n * dims);
-    run_ring_hi_[j].resize(n * dims);
-    double* ring_lo = run_ring_lo_[j].data();
-    double* ring_hi = run_ring_hi_[j].data();
-    LevelThread& thread = threads_[j];
-    double flo[2], fhi[2];
+    run.ring_lo[j].resize(n * dims);
+    run.ring_hi[j].resize(n * dims);
+    double* ring_lo = run.ring_lo[j].data();
+    double* ring_hi = run.ring_hi[j].data();
+    // The level's features go into its ring first; the append below then
+    // turns each into the as-of extent of its box.
     if (j == 0) {
-      // Exact features: each window is a contiguous span of linear_,
-      // sliding one value per arrival.
+      // Exact features: each window is a contiguous span of the staged
+      // run, sliding one value per arrival.
       const double* span =
-          linear_.data() +
+          run.linear.data() +
           static_cast<std::size_t>(run_first_t_ + i0 + 1 - w - linear_base_);
-      for (std::size_t i = i0; i < n; ++i, ++span) {
-        const std::uint64_t t = run_first_t_ + i;
-        AggregateExactFeatureSpans(kind, span, w, flo, fhi);
-        const FeatureBox* sealed_box =
-            thread.AppendSpans(t, flo, fhi, ring_lo + i * dims,
-                               ring_hi + i * dims);
-        if (sealed_box != nullptr && sealed != nullptr) {
-          sealed->push_back({j, sealed_box->extent, sealed_box->seq});
-        }
-      }
-      continue;
-    }
-    // Incremental levels: left input is the level-(j-1) box covering
-    // t - w/2 — final by arrival t (see FlatRunEligible), so the
-    // post-pass thread's extent is exactly what the arrival-major merge
-    // read. Right input is level-(j-1)'s as-of snapshot for position i.
-    // The left box advances every `capacity` arrivals; a countdown
-    // cursor avoids re-running Find's index arithmetic per arrival.
-    const std::size_t half = w / 2;
-    const LevelThread& prev = threads_[j - 1];
-    const double* prev_lo = run_ring_lo_[j - 1].data();
-    const double* prev_hi = run_ring_hi_[j - 1].data();
-    const std::size_t cap = prev.capacity();
-    const std::uint64_t anchor = prev.anchor_time();
-    const FeatureBox* left = nullptr;
-    std::size_t left_remaining = 0;
-    for (std::size_t i = i0; i < n; ++i) {
-      const std::uint64_t t = run_first_t_ + i;
-      if (left_remaining == 0) {
-        const std::uint64_t tl = t - half;
-        left = prev.Find(tl);
-        SD_CHECK(left != nullptr);
-        left_remaining = cap - static_cast<std::size_t>((tl - anchor) % cap);
-      }
-      --left_remaining;
-      AggregateMergeExtentSpans(kind, left->extent.lo().data(),
-                                left->extent.hi().data(), prev_lo + i * dims,
-                                prev_hi + i * dims, flo, fhi);
-      const FeatureBox* sealed_box = thread.AppendSpans(
-          t, flo, fhi, ring_lo + i * dims, ring_hi + i * dims);
-      if (sealed_box != nullptr && sealed != nullptr) {
-        sealed->push_back({j, sealed_box->extent, sealed_box->seq});
+      ExactFeatures(span, w, n - i0, ring_lo + i0 * dims,
+                    ring_hi + i0 * dims);
+    } else {
+      // Incremental levels: left input is the level-(j-1) box covering
+      // t - w/2 — final by arrival t (see FlatRunEligible), so the
+      // post-pass thread's extent is exactly what the arrival-major merge
+      // read; a cursor steps it one feature time per arrival. Right input
+      // is level-(j-1)'s as-of snapshot for position i.
+      const std::size_t half = w / 2;
+      const double* prev_lo = run.ring_lo[j - 1].data();
+      const double* prev_hi = run.ring_hi[j - 1].data();
+      LevelThread::Cursor left;
+      SD_CHECK(threads_[j - 1].CursorAt(run_first_t_ + i0 - half, &left));
+      for (std::size_t i = i0; i < n; ++i) {
+        MergeHalvesSpans(left.lo(), left.hi(), prev_lo + i * dims,
+                         prev_hi + i * dims, ring_lo + i * dims,
+                         ring_hi + i * dims);
+        // Feature time t - half + 1 <= t is in the post-pass thread.
+        left.Next();
       }
     }
+    LevelThread& thread = threads_[j];
+    thread.AppendRunInPlace(
+        run_first_t_ + i0, n - i0, ring_lo + i0 * dims, ring_hi + i0 * dims,
+        [&](const FeatureBox& box) {
+          if (sealed != nullptr) {
+            sealed->push_back({j, thread.Extent(box).ToMbr(), box.seq});
+          }
+        });
   }
 }
 
@@ -368,12 +420,11 @@ void StreamSummarizer::RunExactLevelPass(std::vector<BoxRef>* sealed) {
     LevelThread& thread = threads_[j];
     for (; i < n; i += period) {
       const std::uint64_t t = run_first_t_ + i;
-      ExactFeatureIntoFromSpan(
-          linear_.data() + static_cast<std::size_t>(t + 1 - w - linear_base_),
-          w, &feature_scratch_);
-      const FeatureBox* sealed_box = thread.Append(t, feature_scratch_);
+      ComputeFeatureInto(j, t, &run_->feature);
+      const FeatureBox* sealed_box = thread.Append(t, run_->feature);
       if (sealed_box != nullptr && sealed != nullptr) {
-        sealed->push_back({j, sealed_box->extent, sealed_box->seq});
+        sealed->push_back(
+            {j, thread.Extent(*sealed_box).ToMbr(), sealed_box->seq});
       }
     }
   }
@@ -402,16 +453,18 @@ void StreamSummarizer::Append(double value, std::vector<BoxRef>* sealed,
     const std::size_t w = config_.LevelWindow(j);
     if (t + 1 < w) break;  // higher levels have even larger windows
     if ((t + 1 - w) % config_.LevelPeriod(j) != 0) continue;
+    LevelThread& thread = threads_[j];
     const Mbr feature = ComputeFeature(j, t);
-    const FeatureBox* sealed_box = threads_[j].Append(t, feature);
+    const FeatureBox* sealed_box = thread.Append(t, feature);
     if (sealed_box != nullptr && sealed != nullptr) {
-      sealed->push_back({j, sealed_box->extent, sealed_box->seq});
+      sealed->push_back(
+          {j, thread.Extent(*sealed_box).ToMbr(), sealed_box->seq});
     }
     if (t + 1 > config_.history) {
       const std::uint64_t min_time = t + 1 - config_.history;
-      threads_[j].ExpireBeforeFast(min_time, [&](const FeatureBox& box) {
+      thread.ExpireBeforeFast(min_time, [&](const FeatureBox& box) {
         if (expired != nullptr) {
-          expired->push_back({j, box.extent, box.seq});
+          expired->push_back({j, thread.Extent(box).ToMbr(), box.seq});
         }
       });
     }

@@ -79,9 +79,11 @@ Status SurpriseMonitor::Check(StreamId stream, std::size_t level,
   ++stats_.checks;
   const std::size_t w = core_->config().LevelWindow(level);
   const StreamSummarizer& summarizer = core_->summarizer(stream);
-  const FeatureBox* box = summarizer.thread(level).Find(t);
+  const LevelThread& thread = summarizer.thread(level);
+  const FeatureBox* box = thread.Find(t);
   SD_CHECK(box != nullptr);
-  const Point& feature = box->extent.lo();  // c == 1: a point
+  const double* lo = thread.Lo(*box);  // c == 1: a point
+  const Point feature(lo, lo + thread.dims());
 
   // Range query over the level index (all streams' features). Verify the
   // closest features first: the nearest candidate almost always disproves

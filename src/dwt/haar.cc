@@ -140,15 +140,19 @@ void HaarApproxInPlace(std::vector<double>* x, std::size_t out_len) {
   SD_CHECK(IsPowerOfTwo(x->size()));
   SD_CHECK(IsPowerOfTwo(out_len));
   SD_CHECK(out_len <= x->size());
-  std::size_t len = x->size();
-  double* data = x->data();
+  HaarApproxSpan(x->data(), x->size(), out_len);
+  x->resize(out_len);
+}
+
+void HaarApproxSpan(double* x, std::size_t n, std::size_t out_len) {
+  SD_DCHECK(IsPowerOfTwo(n) && IsPowerOfTwo(out_len) && out_len <= n);
   // In-place halving through the haar_down kernel (common/kernels.h).
+  std::size_t len = n;
   while (len > out_len) {
     const std::size_t half = len / 2;
-    kernels::HaarDown(data, half, kInvSqrt2, data);
+    kernels::HaarDown(x, half, kInvSqrt2, x);
     len = half;
   }
-  x->resize(out_len);
 }
 
 }  // namespace stardust

@@ -51,6 +51,11 @@ void HaarDwtInto(const std::vector<double>& x, std::vector<double>* out,
 /// of batch feature maintenance (Theorem 4.3's per-item cost).
 void HaarApproxInPlace(std::vector<double>* x, std::size_t out_len);
 
+/// HaarApproxInPlace on a raw span: halves x[0..n) in place until out_len
+/// values remain (the first out_len of the span). Same preconditions,
+/// same kernel, same bits.
+void HaarApproxSpan(double* x, std::size_t n, std::size_t out_len);
+
 /// Fraction of total signal energy captured by the length-f approximation
 /// vector, averaged over the sample windows (each a power-of-two length
 /// >= f). Windows with zero energy are skipped; returns 1.0 when every

@@ -104,21 +104,11 @@ Mbr MergeMbrHalvesHaar(const Mbr& left, const Mbr& right, double rescale) {
   return Mbr(std::move(out_lo), std::move(out_hi));
 }
 
-void MergeMbrHalvesHaarInto(const Mbr& left, const Mbr& right, double rescale,
-                            Mbr* out) {
-  SD_DCHECK(!left.empty() && !right.empty());
-  SD_DCHECK(left.dims() == right.dims());
+void MergeHalvesHaarSpans(const double* llo, const double* lhi,
+                          const double* rlo, const double* rhi, std::size_t f,
+                          double rescale, double* out_lo, double* out_hi) {
   SD_DCHECK(rescale > 0.0);
-  const std::size_t f = left.dims();
   const double scale = rescale / std::sqrt(2.0);
-  Point& out_lo = out->mutable_lo();
-  Point& out_hi = out->mutable_hi();
-  out_lo.resize(f);
-  out_hi.resize(f);
-  const double* llo = left.lo().data();
-  const double* lhi = left.hi().data();
-  const double* rlo = right.lo().data();
-  const double* rhi = right.hi().data();
   // Output k reads concatenated inputs 2k and 2k+1: the first ⌊f/2⌋
   // outputs pair within `left`, the last ⌊f/2⌋ pair within `right`, and an
   // odd f leaves one output straddling the seam. Each contiguous segment
@@ -126,14 +116,14 @@ void MergeMbrHalvesHaarInto(const Mbr& left, const Mbr& right, double rescale,
   // fused per-index loop of MergeMbrHalvesHaar.
   const std::size_t half = f / 2;
   const std::size_t seam = f % 2;
-  kernels::HaarDown(llo, half, scale, out_lo.data());
-  kernels::HaarDown(lhi, half, scale, out_hi.data());
+  kernels::HaarDown(llo, half, scale, out_lo);
+  kernels::HaarDown(lhi, half, scale, out_hi);
   if (seam != 0) {
     out_lo[half] = (llo[f - 1] + rlo[0]) * scale;
     out_hi[half] = (lhi[f - 1] + rhi[0]) * scale;
   }
-  kernels::HaarDown(rlo + seam, half, scale, out_lo.data() + half + seam);
-  kernels::HaarDown(rhi + seam, half, scale, out_hi.data() + half + seam);
+  kernels::HaarDown(rlo + seam, half, scale, out_lo + half + seam);
+  kernels::HaarDown(rhi + seam, half, scale, out_hi + half + seam);
 }
 
 }  // namespace stardust

@@ -46,13 +46,17 @@ Mbr TransformMbrInterval(const Mbr& box, const WaveletFilter& filter,
 Mbr MergeMbrHalvesHaar(const Mbr& left, const Mbr& right,
                        double rescale = 1.0);
 
-/// Allocation-free form of MergeMbrHalvesHaar for the batched maintenance
-/// path: reuses `out`'s storage and restructures the inner loop into
-/// contiguous per-half passes with no index branch, so the compiler can
-/// vectorize it. Results are bit-identical to MergeMbrHalvesHaar. `out`
-/// must not alias `left` or `right`.
-void MergeMbrHalvesHaarInto(const Mbr& left, const Mbr& right, double rescale,
-                            Mbr* out);
+/// Allocation-free span form of MergeMbrHalvesHaar for the batched
+/// maintenance path (core/summarizer, on flat level-thread extents): the
+/// halves arrive as lo/hi spans of f values each and the merged extent
+/// lands in out_lo/out_hi (f values each, not aliasing any input). The
+/// inner loop is restructured into contiguous per-half passes with no
+/// index branch, so the compiler can vectorize it; results are
+/// bit-identical to MergeMbrHalvesHaar.
+void MergeHalvesHaarSpans(const double* left_lo, const double* left_hi,
+                          const double* right_lo, const double* right_hi,
+                          std::size_t f, double rescale, double* out_lo,
+                          double* out_hi);
 
 }  // namespace stardust
 

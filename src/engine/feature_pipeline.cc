@@ -235,9 +235,8 @@ void FeaturePipeline::CacheStreamFeatures(const FeatureStore::LevelSpec& spec,
     ZNormalizeTo(window_scratch_.data(), spec.window, znorm_scratch_.data(),
                  &mean, &norm2);
     ++znorm_computes_;
-    const Point& feature = box->extent.lo();
-    SD_DCHECK(feature.size() == spec.dims);
-    store_.Put(spec.level, stream, feature_time, feature.data(),
+    SD_DCHECK(thread.dims() == spec.dims);
+    store_.Put(spec.level, stream, feature_time, thread.Lo(*box),
                znorm_scratch_.data(), mean, norm2);
   }
 }
@@ -280,7 +279,8 @@ bool FeaturePipeline::CorrelationFeature(std::size_t level, StreamId stream,
   const StardustConfig& cfg = corr_core_->config();
   if (level >= cfg.num_levels || stream >= num_streams_) return false;
   const StreamSummarizer& summarizer = corr_core_->summarizer(stream);
-  const FeatureBox* box = summarizer.thread(level).Find(t);
+  const LevelThread& thread = summarizer.thread(level);
+  const FeatureBox* box = thread.Find(t);
   if (box == nullptr) return false;
   const std::size_t window = cfg.LevelWindow(level);
   if (!summarizer.GetWindow(t, window, &window_scratch_).ok()) return false;
@@ -293,8 +293,8 @@ bool FeaturePipeline::CorrelationFeature(std::size_t level, StreamId stream,
   ZNormalizeTo(window_scratch_.data(), window, znorm_scratch_.data(), &mean,
                &norm2);
   ++znorm_computes_;
-  const Point& feature = box->extent.lo();
-  feature_scratch_.assign(feature.begin(), feature.end());
+  const double* feature = thread.Lo(*box);
+  feature_scratch_.assign(feature, feature + thread.dims());
   out->time = t;
   out->feature = feature_scratch_.data();
   out->znormed = znorm_scratch_.data();

@@ -20,6 +20,24 @@ namespace stardust {
 /// A point in f-dimensional feature space.
 using Point = std::vector<double>;
 
+/// Minimum squared L2 distance from point `p` to the box with extents
+/// lo[0..dims) / hi[0..dims) (0 if p is inside): d_min^2 of the paper's
+/// Section 5.2. Mbr::MinDist2 and ExtentView::MinDist2 both run this loop.
+inline double MinDist2Spans(const double* lo, const double* hi,
+                            const double* p, std::size_t dims) {
+  double sum = 0.0;
+  for (std::size_t d = 0; d < dims; ++d) {
+    double diff = 0.0;
+    if (p[d] < lo[d]) {
+      diff = lo[d] - p[d];
+    } else if (p[d] > hi[d]) {
+      diff = p[d] - hi[d];
+    }
+    sum += diff * diff;
+  }
+  return sum;
+}
+
 /// Axis-aligned box with `dims()` dimensions. An empty MBR (containing no
 /// points) has inverted extents and reports empty() == true.
 class Mbr {
@@ -46,29 +64,12 @@ class Mbr {
   const Point& lo() const { return lo_; }
   const Point& hi() const { return hi_; }
 
-  /// Direct extent access for allocation-free kernels (transform/aggregate,
-  /// dwt/mbr_transform). Callers must keep lo[d] <= hi[d] per dimension and
-  /// both vectors equal-sized, or leave the box in the inverted-empty form.
+  /// Direct extent access for allocation-free kernels writing into a
+  /// reused box (core/summarizer, core/stardust, rtree). Callers must keep
+  /// lo[d] <= hi[d] per dimension and both vectors equal-sized, or leave
+  /// the box in the inverted-empty form.
   Point& mutable_lo() { return lo_; }
   Point& mutable_hi() { return hi_; }
-
-  /// Resizes to `dims` dimensions and sets lo = hi = p, reusing existing
-  /// storage. Allocation-free equivalent of `*this = Mbr::FromPoint(...)`
-  /// once the vectors have reached their steady-state size.
-  void AssignPoint(const double* p, std::size_t dims) {
-    lo_.resize(dims);
-    hi_.resize(dims);
-    std::copy_n(p, dims, lo_.data());
-    std::copy_n(p, dims, hi_.data());
-  }
-
-  /// Resizes to `dims` dimensions and resets to the inverted-empty form,
-  /// reusing existing storage. Allocation-free equivalent of
-  /// `*this = Mbr(dims)` once the vectors have reached steady-state size.
-  void ResetEmpty(std::size_t dims) {
-    lo_.assign(dims, std::numeric_limits<double>::infinity());
-    hi_.assign(dims, -std::numeric_limits<double>::infinity());
-  }
 
   /// Center of the box (midpoint per dimension). Requires !empty().
   Point Center() const;
@@ -89,14 +90,6 @@ class Mbr {
     for (std::size_t d = 0; d < dims(); ++d) {
       lo_[d] = std::min(lo_[d], other.lo_[d]);
       hi_[d] = std::max(hi_[d], other.hi_[d]);
-    }
-  }
-  /// Expand by a non-empty box given as raw lo/hi spans of dims() values.
-  /// Bit-identical to Expand(Mbr(lo, hi)) without materializing the box.
-  void ExpandSpans(const double* lo, const double* hi) {
-    for (std::size_t d = 0; d < dims(); ++d) {
-      lo_[d] = std::min(lo_[d], lo[d]);
-      hi_[d] = std::max(hi_[d], hi[d]);
     }
   }
 
@@ -185,17 +178,7 @@ class Mbr {
   double MinDist2(const Point& p) const {
     SD_DCHECK(p.size() == dims());
     SD_DCHECK(!empty());
-    double sum = 0.0;
-    for (std::size_t d = 0; d < dims(); ++d) {
-      double diff = 0.0;
-      if (p[d] < lo_[d]) {
-        diff = lo_[d] - p[d];
-      } else if (p[d] > hi_[d]) {
-        diff = p[d] - hi_[d];
-      }
-      sum += diff * diff;
-    }
-    return sum;
+    return MinDist2Spans(lo_.data(), hi_.data(), p.data(), dims());
   }
 
   /// Minimum squared L2 distance between two boxes (0 if they intersect).
@@ -229,15 +212,36 @@ class Mbr {
   Point hi_;
 };
 
-/// Squared L2 distance between equal-dimension points.
-inline double Dist2(const Point& a, const Point& b) {
-  SD_DCHECK(a.size() == b.size());
+/// Read-only extents of a box stored outside an Mbr (a level thread's
+/// flat extent array, core/level_state.h): `dims` lower bounds at `lo`,
+/// `dims` upper bounds at `hi`.
+struct ExtentView {
+  const double* lo = nullptr;
+  const double* hi = nullptr;
+  std::size_t dims = 0;
+
+  double MinDist2(const Point& p) const {
+    SD_DCHECK(p.size() == dims);
+    return MinDist2Spans(lo, hi, p.data(), dims);
+  }
+  /// The extents as an Mbr, for cold paths (index inserts, BoxRef).
+  Mbr ToMbr() const { return Mbr(Point(lo, lo + dims), Point(hi, hi + dims)); }
+};
+
+/// Squared L2 distance between the points a[0..dims) and b[0..dims).
+inline double Dist2Spans(const double* a, const double* b, std::size_t dims) {
   double sum = 0.0;
-  for (std::size_t d = 0; d < a.size(); ++d) {
+  for (std::size_t d = 0; d < dims; ++d) {
     const double diff = a[d] - b[d];
     sum += diff * diff;
   }
   return sum;
+}
+
+/// Squared L2 distance between equal-dimension points.
+inline double Dist2(const Point& a, const Point& b) {
+  SD_DCHECK(a.size() == b.size());
+  return Dist2Spans(a.data(), b.data(), a.size());
 }
 
 }  // namespace stardust

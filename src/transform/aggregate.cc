@@ -46,45 +46,14 @@ Point AggregateExactFeature(AggregateKind kind,
   return {};
 }
 
-void AggregateExactFeatureInto(AggregateKind kind, const double* values,
-                               std::size_t count, Mbr* out) {
-  SD_CHECK(count > 0);
+void AggregateExactFeatureSpans(AggregateKind kind, const double* values,
+                                std::size_t count, double* lo, double* hi) {
+  SD_DCHECK(count > 0);
   // Each branch mirrors AggregateExactFeature exactly: the reduction
   // kernels (common/kernels.h) reproduce the tie handling of max_element
   // (first maximum), min_element (first minimum), and minmax_element
   // (first minimum, last maximum), so results are bit-identical even for
   // signed-zero ties, and kSum is the same left-to-right loop.
-  switch (kind) {
-    case AggregateKind::kSum: {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < count; ++i) sum += values[i];
-      out->AssignPoint(&sum, 1);
-      return;
-    }
-    case AggregateKind::kMax: {
-      const double mx = kernels::ReduceMax(values, count);
-      out->AssignPoint(&mx, 1);
-      return;
-    }
-    case AggregateKind::kMin: {
-      const double mn = kernels::ReduceMin(values, count);
-      out->AssignPoint(&mn, 1);
-      return;
-    }
-    case AggregateKind::kSpread: {
-      double feature[2];
-      kernels::ReduceSpread(values, count, &feature[0], &feature[1]);
-      out->AssignPoint(feature, 2);
-      return;
-    }
-  }
-}
-
-void AggregateExactFeatureSpans(AggregateKind kind, const double* values,
-                                std::size_t count, double* lo, double* hi) {
-  SD_DCHECK(count > 0);
-  // Same kernel calls (and therefore the same bits) as
-  // AggregateExactFeatureInto, minus the Mbr bookkeeping.
   switch (kind) {
     case AggregateKind::kSum: {
       double sum = 0.0;
@@ -112,9 +81,9 @@ void AggregateMergeExtentSpans(AggregateKind kind, const double* left_lo,
                                const double* left_hi, const double* right_lo,
                                const double* right_hi, double* out_lo,
                                double* out_hi) {
-  // Same reads-before-writes discipline and operand order as
-  // AggregateMergeExtentsInto, so outputs are bit-identical and aliasing
-  // is safe.
+  // Same operand order as AggregateMergeExtents, so outputs are
+  // bit-identical; every input is read before any output is written, so
+  // aliasing is safe.
   const double llo0 = left_lo[0], lhi0 = left_hi[0];
   const double rlo0 = right_lo[0], rhi0 = right_hi[0];
   switch (kind) {
@@ -140,44 +109,6 @@ void AggregateMergeExtentSpans(AggregateKind kind, const double* left_lo,
       return;
     }
   }
-}
-
-void AggregateMergeExtentsInto(AggregateKind kind, const Mbr& left,
-                               const Mbr& right, Mbr* out) {
-  SD_DCHECK(!left.empty() && !right.empty());
-  SD_DCHECK(left.dims() == AggregateFeatureDims(kind));
-  SD_DCHECK(right.dims() == AggregateFeatureDims(kind));
-  // Read everything before writing so `out` may alias either input.
-  const double llo0 = left.lo(0), lhi0 = left.hi(0);
-  const double rlo0 = right.lo(0), rhi0 = right.hi(0);
-  if (kind == AggregateKind::kSpread) {
-    const double llo1 = left.lo(1), lhi1 = left.hi(1);
-    const double rlo1 = right.lo(1), rhi1 = right.hi(1);
-    const double lo[2] = {std::max(llo0, rlo0), std::min(llo1, rlo1)};
-    const double hi[2] = {std::max(lhi0, rhi0), std::min(lhi1, rhi1)};
-    out->mutable_lo().assign(lo, lo + 2);
-    out->mutable_hi().assign(hi, hi + 2);
-    return;
-  }
-  double lo = 0.0, hi = 0.0;
-  switch (kind) {
-    case AggregateKind::kSum:
-      lo = llo0 + rlo0;
-      hi = lhi0 + rhi0;
-      break;
-    case AggregateKind::kMax:
-      lo = std::max(llo0, rlo0);
-      hi = std::max(lhi0, rhi0);
-      break;
-    case AggregateKind::kMin:
-      lo = std::min(llo0, rlo0);
-      hi = std::min(lhi0, rhi0);
-      break;
-    case AggregateKind::kSpread:
-      break;  // handled above
-  }
-  out->mutable_lo().assign(1, lo);
-  out->mutable_hi().assign(1, hi);
 }
 
 Point AggregateMergeFeatures(AggregateKind kind, const Point& left,

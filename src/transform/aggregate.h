@@ -52,33 +52,22 @@ Mbr AggregateMergeExtents(AggregateKind kind, const Mbr& left,
                           const Mbr& right);
 
 /// Allocation-free span form of AggregateExactFeature for the batched
-/// maintenance path: writes the degenerate extent of the exact feature of
-/// window [values, values + count) into `out`, reusing its storage.
-/// Evaluation order (and hence every rounding and tie-break) matches
-/// AggregateExactFeature bit-for-bit.
-void AggregateExactFeatureInto(AggregateKind kind, const double* values,
-                               std::size_t count, Mbr* out);
-
-/// Raw-span form of AggregateExactFeatureInto for the level-major run
-/// path: the degenerate extent is written into lo/hi spans of
-/// AggregateFeatureDims(kind) values (lo == hi). Same reduction kernels,
-/// bit-identical values.
+/// maintenance path: the degenerate extent of the exact feature of window
+/// [values, values + count) is written into lo/hi spans of
+/// AggregateFeatureDims(kind) values (lo == hi). Evaluation order (and
+/// hence every rounding and tie-break) matches AggregateExactFeature
+/// bit-for-bit.
 void AggregateExactFeatureSpans(AggregateKind kind, const double* values,
                                 std::size_t count, double* lo, double* hi);
 
-/// Raw-span form of AggregateMergeExtentsInto for the level-major run
+/// Raw-span form of AggregateMergeExtents for the batched maintenance
 /// path: merges the extents given as lo/hi spans (dims values each) into
 /// out_lo/out_hi, which may alias the inputs. Bit-identical to
-/// AggregateMergeExtentsInto on the materialized boxes.
+/// AggregateMergeExtents on the materialized boxes.
 void AggregateMergeExtentSpans(AggregateKind kind, const double* left_lo,
                                const double* left_hi, const double* right_lo,
                                const double* right_hi, double* out_lo,
                                double* out_hi);
-
-/// Allocation-free form of AggregateMergeExtents. `out` may alias `left`
-/// or `right`; results are bit-identical to AggregateMergeExtents.
-void AggregateMergeExtentsInto(AggregateKind kind, const Mbr& left,
-                               const Mbr& right, Mbr* out);
 
 /// The scalar monitored quantity of a feature: the value itself for
 /// SUM/MAX/MIN, max − min for SPREAD.

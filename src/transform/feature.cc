@@ -8,12 +8,15 @@
 
 namespace stardust {
 
+double UnitSphereScale(std::size_t n, double r_max) {
+  SD_CHECK(n > 0);
+  SD_CHECK(r_max > 0.0);
+  return 1.0 / (std::sqrt(static_cast<double>(n)) * r_max);
+}
+
 std::vector<double> NormalizeUnitSphere(const std::vector<double>& window,
                                         double r_max) {
-  SD_CHECK(!window.empty());
-  SD_CHECK(r_max > 0.0);
-  const double scale =
-      1.0 / (std::sqrt(static_cast<double>(window.size())) * r_max);
+  const double scale = UnitSphereScale(window.size(), r_max);
   std::vector<double> out(window.size());
   for (std::size_t i = 0; i < window.size(); ++i) out[i] = window[i] * scale;
   return out;
@@ -63,10 +66,7 @@ std::vector<double> NormalizeWindow(const std::vector<double>& window,
 }
 
 void NormalizeUnitSphereInPlace(std::vector<double>* window, double r_max) {
-  SD_CHECK(!window->empty());
-  SD_CHECK(r_max > 0.0);
-  const double scale =
-      1.0 / (std::sqrt(static_cast<double>(window->size())) * r_max);
+  const double scale = UnitSphereScale(window->size(), r_max);
   for (double& v : *window) v *= scale;
 }
 

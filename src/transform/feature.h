@@ -24,6 +24,10 @@ enum class Normalization {
   kZNorm,       // Equation 3 (correlation queries)
 };
 
+/// Equation 2's factor for a window of n values: 1 / (√n · R_max). Every
+/// unit-sphere normalization in src/ multiplies by exactly this value.
+double UnitSphereScale(std::size_t n, double r_max);
+
 /// Equation 2. Requires r_max > 0 and a non-empty window.
 std::vector<double> NormalizeUnitSphere(const std::vector<double>& window,
                                         double r_max);

@@ -542,6 +542,8 @@ TEST_F(FeaturePipelineSliceTest, EverySingleByteFlipInstallsOrIsRejected) {
   Feed(source.get(), 40);
   const std::string slice = SaveSlice(*source, 1);
   std::unique_ptr<FeaturePipeline> target = MakePipeline(true, true);
+  std::vector<double> run(64);
+  for (std::size_t i = 0; i < run.size(); ++i) run[i] = ValueAt(1, 40 + i);
   std::size_t rejected = 0;
   for (std::size_t pos = 0; pos < slice.size(); ++pos) {
     for (const unsigned char mask : {0x01, 0xff}) {
@@ -553,12 +555,105 @@ TEST_F(FeaturePipelineSliceTest, EverySingleByteFlipInstallsOrIsRejected) {
         continue;
       }
       // An installed slice must also survive the index rebuild every
-      // restore ends with, and serialize again.
+      // restore ends with, keep taking appends (a run through the
+      // batched path, then one value through the scalar one), and
+      // serialize again.
       EXPECT_TRUE(target->RebuildIndexes().ok()) << "pos " << pos;
+      EXPECT_TRUE(target->AppendRun(1, run.data(), run.size()).ok())
+          << "pos " << pos;
+      EXPECT_TRUE(target->Append(1, 3.0).ok()) << "pos " << pos;
       SaveSlice(*target, 1);
     }
   }
   EXPECT_GT(rejected, 0u);
+}
+
+// A slice whose level threads contradict its own clock is rejected: each
+// level's anchor, box count and last feature time follow from the raw
+// tail's append count, and each box's first time from its sequence
+// number. Without those checks each case below installs and then breaks
+// the stream: the first two abort the next append, the third stops the
+// level from ever expiring a box.
+class SliceClockTest : public FeaturePipelineSliceTest {
+ protected:
+  void SetUp() override {
+    FeaturePipelineSliceTest::SetUp();
+    source_ = MakePipeline(true, false);
+    // Past the pattern core's history, so the raw tail is full and its
+    // length no longer follows the append count.
+    Feed(source_.get(), pattern_config_.history + 40);
+    slice_ = SaveSlice(*source_, 1);
+    Writer writer;
+    source_->pattern_core()->summarizer(1).SaveTo(&writer);
+    at_ = slice_.find(writer.buffer());
+    ASSERT_NE(at_, std::string::npos);
+    // Append count (u64), raw tail (u64 length + doubles), thread count
+    // (u64); then level 0: dims, capacity, stride (u64 each), the first
+    // flag (u8), anchor time and next seq (u64 each), the box count (u64)
+    // and the oldest box: lo and hi (u64 length + dims doubles each),
+    // then its first time.
+    const std::size_t tail = pattern_config_.history;
+    const std::size_t level0 = at_ + 8 + 8 + 8 * tail + 8;
+    has_first_at_ = level0 + 3 * 8;
+    const std::size_t dims = pattern_config_.FeatureDims();
+    first_time_at_ = has_first_at_ + 1 + 2 * 8 + 8 + 2 * (8 + 8 * dims);
+    target_ = MakePipeline(true, false);
+    ASSERT_TRUE(Restore(slice_).ok());
+  }
+
+  Status Restore(const std::string& bytes) {
+    Reader reader(bytes);
+    return target_->RestoreStreamFrom(1, &reader);
+  }
+
+  std::uint64_t U64At(std::size_t offset) const {
+    std::uint64_t value = 0;
+    for (int i = 0; i < 8; ++i) {
+      value |= static_cast<std::uint64_t>(
+                   static_cast<unsigned char>(slice_[offset + i]))
+               << (8 * i);
+    }
+    return value;
+  }
+
+  std::unique_ptr<FeaturePipeline> source_;
+  std::unique_ptr<FeaturePipeline> target_;
+  std::string slice_;
+  std::size_t at_ = 0;
+  std::size_t has_first_at_ = 0;
+  std::size_t first_time_at_ = 0;
+};
+
+TEST_F(SliceClockTest, RawTailCountAheadOfTheLevelsIsRejected) {
+  const std::uint64_t total = U64At(at_);
+  ASSERT_EQ(total, pattern_config_.history + 40);
+  const Status status = Restore(Patched(slice_, at_, total + 5));
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("does not match the raw tail's count"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(SliceClockTest, LevelWithBoxesButNoFirstFeatureIsRejected) {
+  ASSERT_EQ(slice_[has_first_at_], 1);
+  const Status status = Restore(Patched(slice_, has_first_at_, 0, 1));
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("has boxes but no first feature"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(SliceClockTest, BoxTimeOffItsSequenceIsRejected) {
+  const std::uint64_t first_time = U64At(first_time_at_);
+  // The oldest retained level-0 box of a full history.
+  ASSERT_EQ(first_time,
+            pattern_config_.history + 40 - pattern_config_.history);
+  const Status status = Restore(
+      Patched(slice_, first_time_at_, first_time + (std::uint64_t{1} << 60)));
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("box time does not match"),
+            std::string::npos)
+      << status.ToString();
 }
 
 // Counts a hostile slice declares are checked before anything is built:

@@ -176,11 +176,10 @@ TEST(IndexChurnFuzz, LongRunWithTightHistory) {
         // Every indexed box is still reachable through its thread.
         core->index(j).ForEach([&](const RTreeEntry& entry) {
           const StreamId stream = RecordStream(entry.id);
-          const FeatureBox* box =
-              core->summarizer(stream).thread(j).FindBySeq(
-                  RecordSeq(entry.id));
+          const LevelThread& thread = core->summarizer(stream).thread(j);
+          const FeatureBox* box = thread.FindBySeq(RecordSeq(entry.id));
           ASSERT_NE(box, nullptr);
-          ASSERT_TRUE(box->extent == entry.box);
+          ASSERT_TRUE(thread.Extent(*box).ToMbr() == entry.box);
         });
       }
     }

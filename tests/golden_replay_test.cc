@@ -408,26 +408,55 @@ std::string SerializeSummarizers(const Stardust& core) {
   return writer.TakeBuffer();
 }
 
+struct BatchedCoreConfig {
+  std::string name;
+  StardustConfig config;
+  bool flat;  // takes the level-major flat pass (FlatRunEligible)
+};
+
 // Core configurations spanning every summarizer code path the batched
 // kernels replaced: incremental aggregate with box merging (c > 1),
-// indexed online unit-sphere DWT (half-merge, Lemma A.1), batch
-// z-normalized DWT (T == W), and the exact-levels ablation.
-std::vector<std::pair<std::string, StardustConfig>> BatchedCoreConfigs() {
-  std::vector<std::pair<std::string, StardustConfig>> configs;
-  configs.emplace_back("aggregate_c2", AggregateConfig());
-  configs.emplace_back("unit_sphere_indexed", PatternCoreConfig());
-  configs.emplace_back("znorm_batch", CorrelationCoreConfig());
+// indexed online unit-sphere DWT (half-merge, Lemma A.1) at c = 1, 2, 3
+// and W — the flat pass's as-of right input and post-pass left input,
+// with boxes shared across arrivals — an unnormalized DWT at c = 4, a DWT
+// with c > W (left inputs may still be filling, so the per-arrival loop),
+// batch z-normalized DWT (T == W), and the exact-levels ablation. When c
+// divides W, every level-j box covers whole level-(j-1) boxes and the
+// half-merge is monotone, so the union over a box is the same with final
+// right inputs; c = 3 straddles those boxes, so only the as-of extent
+// gives the arrival-major bytes.
+std::vector<BatchedCoreConfig> BatchedCoreConfigs() {
+  std::vector<BatchedCoreConfig> configs;
+  configs.push_back({"aggregate_c2", AggregateConfig(), true});
+  configs.push_back({"unit_sphere_indexed", PatternCoreConfig(), true});
+  StardustConfig unit_c2 = PatternCoreConfig();
+  unit_c2.box_capacity = 2;
+  configs.push_back({"unit_sphere_c2", unit_c2, true});
+  StardustConfig unit_c3 = PatternCoreConfig();
+  unit_c3.box_capacity = 3;
+  configs.push_back({"unit_sphere_c3", unit_c3, true});
+  StardustConfig unit_cw = PatternCoreConfig();
+  unit_cw.box_capacity = unit_cw.base_window;
+  configs.push_back({"unit_sphere_cW", unit_cw, true});
+  StardustConfig plain_c4 = PatternCoreConfig();
+  plain_c4.normalization = Normalization::kNone;
+  plain_c4.box_capacity = 4;
+  configs.push_back({"unnormalized_c4", plain_c4, true});
+  StardustConfig unit_wide = PatternCoreConfig();
+  unit_wide.box_capacity = 2 * unit_wide.base_window;
+  configs.push_back({"unit_sphere_c2W", unit_wide, false});
+  configs.push_back({"znorm_batch", CorrelationCoreConfig(), false});
   StardustConfig exact = PatternCoreConfig();
   exact.exact_levels = true;
   exact.index_features = false;
-  configs.emplace_back("exact_levels", exact);
+  configs.push_back({"exact_levels", exact, false});
   return configs;
 }
 
 TEST(BatchedMaintenanceTest, StardustAppendRunMatchesAppendBitExactly) {
   constexpr std::size_t kCoreStreams = 3;
   constexpr int kCoreSteps = 400;
-  for (const auto& [name, config] : BatchedCoreConfigs()) {
+  for (const auto& [name, config, flat] : BatchedCoreConfigs()) {
     for (const std::vector<std::size_t>& schedule : RunSchedules()) {
       auto scalar = std::move(Stardust::Create(config)).value();
       auto batched = std::move(Stardust::Create(config)).value();
@@ -435,20 +464,30 @@ TEST(BatchedMaintenanceTest, StardustAppendRunMatchesAppendBitExactly) {
         scalar->AddStream();
         batched->AddStream();
       }
-      std::vector<double> values(kCoreSteps);
+      EXPECT_EQ(batched->summarizer(0).FlatRunEligible(), flat) << name;
+      std::vector<std::vector<double>> values(
+          kCoreStreams, std::vector<double>(kCoreSteps));
       for (StreamId s = 0; s < kCoreStreams; ++s) {
         for (int t = 0; t < kCoreSteps; ++t) {
-          values[t] = ValueAt(s % kStreams, t);
-          ASSERT_TRUE(scalar->Append(s, values[t]).ok());
+          values[s][t] = ValueAt(s % kStreams, t);
+          ASSERT_TRUE(scalar->Append(s, values[s][t]).ok());
         }
-        std::size_t offset = 0;
-        std::size_t turn = 0;
-        while (offset < values.size()) {
-          const std::size_t len = std::min(
-              schedule[turn++ % schedule.size()], values.size() - offset);
+      }
+      // Streams take turns run by run, so consecutive runs of the core
+      // share its staging buffer and as-of rings across streams.
+      std::vector<std::size_t> offset(kCoreStreams, 0);
+      std::size_t turn = 0;
+      for (bool more = true; more;) {
+        more = false;
+        for (StreamId s = 0; s < kCoreStreams; ++s) {
+          if (offset[s] == values[s].size()) continue;
+          more = true;
+          const std::size_t len =
+              std::min(schedule[turn++ % schedule.size()],
+                       values[s].size() - offset[s]);
           ASSERT_TRUE(
-              batched->AppendRun(s, values.data() + offset, len).ok());
-          offset += len;
+              batched->AppendRun(s, values[s].data() + offset[s], len).ok());
+          offset[s] += len;
         }
       }
       const std::string scalar_state = SerializeSummarizers(*scalar);

@@ -26,8 +26,8 @@ TEST(LevelThreadTest, BoxesSealAtCapacity) {
   EXPECT_EQ(sealed->count, 3u);
   EXPECT_EQ(sealed->first_time, 0u);
   EXPECT_EQ(sealed->seq, 0u);
-  EXPECT_EQ(sealed->extent.lo(0), 1.0);
-  EXPECT_EQ(sealed->extent.hi(0), 3.0);
+  EXPECT_EQ(thread.Lo(*sealed)[0], 1.0);
+  EXPECT_EQ(thread.Hi(*sealed)[0], 3.0);
 }
 
 TEST(LevelThreadTest, NextBoxStartsAfterSeal) {
@@ -65,7 +65,7 @@ TEST(LevelThreadTest, StridedFeatureTimes) {
   EXPECT_NE(thread.Find(7), nullptr);
   EXPECT_NE(thread.Find(11), nullptr);
   EXPECT_EQ(thread.Find(9), nullptr);  // misaligned
-  EXPECT_EQ(thread.Find(11)->extent.lo(0), 2.0);
+  EXPECT_EQ(thread.Lo(*thread.Find(11))[0], 2.0);
 }
 
 TEST(LevelThreadTest, ExpireDropsOnlySealedOldBoxes) {
@@ -99,7 +99,7 @@ TEST(LevelThreadTest, FindBySeqAfterExpiry) {
   thread.ExpireBefore(5, nullptr);
   EXPECT_EQ(thread.FindBySeq(3), nullptr);
   ASSERT_NE(thread.FindBySeq(7), nullptr);
-  EXPECT_EQ(thread.FindBySeq(7)->extent.lo(0), 7.0);
+  EXPECT_EQ(thread.Lo(*thread.FindBySeq(7))[0], 7.0);
   EXPECT_EQ(thread.FindBySeq(42), nullptr);
 }
 
@@ -113,13 +113,19 @@ TEST(LevelThreadTest, ExtentCoversAllAppendedFeatures) {
   thread.Append(2, c);
   const FeatureBox* box = thread.Find(0);
   ASSERT_NE(box, nullptr);
-  EXPECT_EQ(box->extent.lo(0), 0.0);
-  EXPECT_EQ(box->extent.hi(0), 3.0);
-  EXPECT_EQ(box->extent.lo(1), -1.0);
-  EXPECT_EQ(box->extent.hi(1), 2.0);
+  EXPECT_EQ(thread.Lo(*box)[0], 0.0);
+  EXPECT_EQ(thread.Hi(*box)[0], 3.0);
+  EXPECT_EQ(thread.Lo(*box)[1], -1.0);
+  EXPECT_EQ(thread.Hi(*box)[1], 2.0);
 }
 
 // --- The ring against a plain vector of boxes ----------------------------
+
+// A box with its own extent: the reference keeps what the thread's flat
+// extent array holds per slot inside each box.
+struct RefBox : FeatureBox {
+  Mbr extent;
+};
 
 // The thread as a vector of boxes, oldest first: what LevelThread's ring
 // must be indistinguishable from.
@@ -134,13 +140,13 @@ class ReferenceThread {
       anchor_ = t;
     }
     if (boxes_.empty() || boxes_.back().sealed) {
-      FeatureBox box;
+      RefBox box;
       box.extent = Mbr(dims_);
       box.first_time = t;
       box.seq = next_seq_++;
       boxes_.push_back(box);
     }
-    FeatureBox& box = boxes_.back();
+    RefBox& box = boxes_.back();
     box.extent.Expand(feature);
     box.sealed = ++box.count == capacity_;
   }
@@ -155,14 +161,14 @@ class ReferenceThread {
     return removed;
   }
 
-  const FeatureBox* FindBySeq(std::uint64_t seq) const {
-    for (const FeatureBox& box : boxes_) {
+  const RefBox* FindBySeq(std::uint64_t seq) const {
+    for (const RefBox& box : boxes_) {
       if (box.seq == seq) return &box;
     }
     return nullptr;
   }
 
-  const FeatureBox* Find(std::uint64_t t) const {
+  const RefBox* Find(std::uint64_t t) const {
     if (boxes_.empty() || t < anchor_ || t > LastTimeOf(boxes_.back())) {
       return nullptr;
     }
@@ -170,7 +176,7 @@ class ReferenceThread {
     return FindBySeq((t - anchor_) / stride_ / capacity_);
   }
 
-  const FeatureBox* filling_box() const {
+  const RefBox* filling_box() const {
     return boxes_.empty() || boxes_.back().sealed ? nullptr : &boxes_.back();
   }
 
@@ -183,7 +189,7 @@ class ReferenceThread {
     writer.U64(anchor_);
     writer.U64(next_seq_);
     writer.U64(boxes_.size());
-    for (const FeatureBox& box : boxes_) {
+    for (const RefBox& box : boxes_) {
       writer.DoubleVector(box.extent.lo());
       writer.DoubleVector(box.extent.hi());
       writer.U64(box.first_time);
@@ -198,23 +204,28 @@ class ReferenceThread {
     return box.first_time + (box.count - 1) * stride_;
   }
 
-  const std::vector<FeatureBox>& boxes() const { return boxes_; }
+  const std::vector<RefBox>& boxes() const { return boxes_; }
   std::uint64_t next_seq() const { return next_seq_; }
 
  private:
   std::size_t dims_;
   std::size_t capacity_;
   std::size_t stride_;
-  std::vector<FeatureBox> boxes_;
+  std::vector<RefBox> boxes_;
   bool has_first_ = false;
   std::uint64_t anchor_ = 0;
   std::uint64_t next_seq_ = 0;
 };
 
-bool SameBox(const FeatureBox* a, const FeatureBox* b) {
-  if (a == nullptr || b == nullptr) return a == b;
-  return a->extent == b->extent && a->first_time == b->first_time &&
-         a->count == b->count && a->seq == b->seq && a->sealed == b->sealed;
+// Box `a` of `thread` (metadata and flat extent) equals reference box `b`.
+bool SameBox(const LevelThread& thread, const FeatureBox* a,
+             const RefBox* b) {
+  if (a == nullptr || b == nullptr) {
+    return a == nullptr && b == nullptr;
+  }
+  return thread.Extent(*a).ToMbr() == b->extent &&
+         a->first_time == b->first_time && a->count == b->count &&
+         a->seq == b->seq && a->sealed == b->sealed;
 }
 
 std::string Saved(const LevelThread& thread) {
@@ -226,14 +237,14 @@ std::string Saved(const LevelThread& thread) {
 // Every observable of the thread equals the reference's.
 void ExpectSame(const LevelThread& thread, const ReferenceThread& ref,
                 std::size_t stride) {
-  const std::vector<FeatureBox>& boxes = ref.boxes();
+  const std::vector<RefBox>& boxes = ref.boxes();
   ASSERT_EQ(thread.box_count(), boxes.size());
   ASSERT_EQ(thread.empty(), boxes.empty());
-  ASSERT_TRUE(SameBox(thread.filling_box(), ref.filling_box()));
+  ASSERT_TRUE(SameBox(thread, thread.filling_box(), ref.filling_box()));
   std::size_t visited = 0;
   thread.ForEachBox([&](const FeatureBox& box) {
     ASSERT_LT(visited, boxes.size());
-    EXPECT_TRUE(SameBox(&box, &boxes[visited])) << "box " << visited;
+    EXPECT_TRUE(SameBox(thread, &box, &boxes[visited])) << "box " << visited;
     ++visited;
   });
   ASSERT_EQ(visited, boxes.size());
@@ -242,14 +253,14 @@ void ExpectSame(const LevelThread& thread, const ReferenceThread& ref,
   const std::uint64_t first = boxes.front().seq;
   for (std::uint64_t seq = first > 2 ? first - 2 : 0;
        seq <= ref.next_seq() + 2; ++seq) {
-    ASSERT_TRUE(SameBox(thread.FindBySeq(seq), ref.FindBySeq(seq)))
+    ASSERT_TRUE(SameBox(thread, thread.FindBySeq(seq), ref.FindBySeq(seq)))
         << "seq " << seq;
   }
   ASSERT_EQ(thread.last_time(), ref.LastTimeOf(boxes.back()));
   const std::uint64_t lo = boxes.front().first_time;
   const std::uint64_t hi = thread.last_time() + 2 * stride;
   for (std::uint64_t t = lo > stride ? lo - stride : 0; t <= hi; ++t) {
-    ASSERT_TRUE(SameBox(thread.Find(t), ref.Find(t))) << "t " << t;
+    ASSERT_TRUE(SameBox(thread, thread.Find(t), ref.Find(t))) << "t " << t;
   }
 }
 
@@ -260,28 +271,48 @@ Mbr RandomFeature(Rng* rng) {
   return Mbr::FromPoint({x, y});
 }
 
-// Appends `n` features to both, through Append or AppendSpans, checking
-// the sealed box each append reports and AppendSpans' as-of snapshot.
+// Appends `n` features to both, one by one through Append or as one run
+// through AppendRunInPlace, checking every box sealed and, for the run,
+// each feature's as-of extent against the reference's box right after
+// that feature.
 void AppendBoth(LevelThread* thread, ReferenceThread* ref, std::uint64_t* t,
                 std::size_t n, std::size_t stride, Rng* rng) {
-  for (std::size_t i = 0; i < n; ++i, *t += stride) {
-    const Mbr feature = RandomFeature(rng);
-    ref->Append(*t, feature);
-    const FeatureBox* sealed = nullptr;
-    if (rng->NextUint64(2) == 0) {
-      sealed = thread->Append(*t, feature);
-    } else {
-      double snap_lo[2];
-      double snap_hi[2];
-      sealed = thread->AppendSpans(*t, feature.lo().data(),
-                                   feature.hi().data(), snap_lo, snap_hi);
-      const Mbr& extent = ref->boxes().back().extent;
-      ASSERT_EQ(Mbr({snap_lo[0], snap_lo[1]}, {snap_hi[0], snap_hi[1]}),
-                extent);
+  if (rng->NextUint64(2) == 0) {
+    for (std::size_t i = 0; i < n; ++i, *t += stride) {
+      const Mbr feature = RandomFeature(rng);
+      ref->Append(*t, feature);
+      const FeatureBox* sealed = thread->Append(*t, feature);
+      const RefBox& back = ref->boxes().back();
+      ASSERT_TRUE(SameBox(*thread, sealed, back.sealed ? &back : nullptr));
     }
-    const FeatureBox& back = ref->boxes().back();
-    ASSERT_TRUE(SameBox(sealed, back.sealed ? &back : nullptr));
+    return;
   }
+  std::vector<double> lo(2 * n);
+  std::vector<double> hi(2 * n);
+  std::vector<Mbr> as_of;
+  std::vector<RefBox> ref_sealed;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Mbr feature = RandomFeature(rng);
+    std::copy(feature.lo().begin(), feature.lo().end(), lo.begin() + 2 * i);
+    std::copy(feature.hi().begin(), feature.hi().end(), hi.begin() + 2 * i);
+    ref->Append(*t + i * stride, feature);
+    as_of.push_back(ref->boxes().back().extent);
+    if (ref->boxes().back().sealed) ref_sealed.push_back(ref->boxes().back());
+  }
+  std::size_t seals = 0;
+  thread->AppendRunInPlace(
+      *t, n, lo.data(), hi.data(), [&](const FeatureBox& box) {
+        ASSERT_LT(seals, ref_sealed.size());
+        EXPECT_TRUE(SameBox(*thread, &box, &ref_sealed[seals]));
+        ++seals;
+      });
+  EXPECT_EQ(seals, ref_sealed.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(Mbr({lo[2 * i], lo[2 * i + 1]}, {hi[2 * i], hi[2 * i + 1]}),
+              as_of[i])
+        << "feature " << i;
+  }
+  *t += n * stride;
 }
 
 TEST(LevelThreadTest, RingMatchesAVectorOfBoxesThroughWrapsAndGrowth) {

@@ -1,11 +1,15 @@
 #include "core/pattern_query.h"
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "baselines/linear_scan.h"
+#include "common/rng.h"
 #include "stream/dataset.h"
 
 namespace stardust {
@@ -192,6 +196,106 @@ TEST_F(PatternQueryTest, BoxCapacityTradesPrecisionNotRecall) {
   EXPECT_EQ(match_sets[0], match_sets[2]);
   EXPECT_LE(candidate_counts[0], candidate_counts[1]);
   EXPECT_LE(candidate_counts[1], candidate_counts[2]);
+}
+
+// Oracle test for the standing-query walk: streams fed in runs of random
+// length, QueryCompiledIncremental after every run, and the union of its
+// matches must equal the linear scan of the whole input — same stream,
+// end time and distance bits, each match reported exactly once, every
+// position decided by the end. The history covers the whole input, so
+// every candidate stays verifiable.
+TEST(PatternIncrementalOracleTest, RunFedWalkEqualsLinearScan) {
+  const Dataset dataset = MakeRandomWalkDataset(4, 512, 4242);
+  for (const std::size_t c : {1u, 2u, 4u}) {
+    const StardustConfig config = PatternConfig(c, 1, dataset.r_max);
+    const std::size_t w = config.base_window;
+    for (const std::size_t length : {w, 2 * w, 3 * w}) {
+      SCOPED_TRACE("c " + std::to_string(c) + " length " +
+                   std::to_string(length));
+      Rng rng(c * 1000 + length);
+      // A query cut from the data (it matches itself at distance 0) and
+      // two random-walk queries at a wider radius.
+      const std::size_t planted_stream = rng.NextUint64(4);
+      const std::size_t planted_start = 50 + rng.NextUint64(300);
+      std::vector<std::pair<std::vector<double>, double>> queries;
+      queries.emplace_back(
+          std::vector<double>(
+              dataset.streams[planted_stream].begin() + planted_start,
+              dataset.streams[planted_stream].begin() + planted_start +
+                  length),
+          0.03);
+      for (const auto& q : MakeQueryWorkload(2, {length}, c + length)) {
+        queries.emplace_back(q, 0.06);
+      }
+      std::vector<CompiledPatternQuery> compiled;
+      for (const auto& [query, radius] : queries) {
+        Result<CompiledPatternQuery> q =
+            CompilePatternQuery(config, query, radius);
+        ASSERT_TRUE(q.ok()) << q.status().ToString();
+        compiled.push_back(std::move(q).value());
+      }
+      if (length == 3 * w) {
+        ASSERT_EQ(compiled[0].pieces.size(), 2u);
+      }
+
+      auto core = std::move(Stardust::Create(config)).value();
+      for (std::size_t s = 0; s < dataset.num_streams(); ++s) {
+        core->AddStream();
+      }
+      const PatternQueryEngine engine(*core);
+      std::vector<std::vector<std::uint64_t>> floors(
+          compiled.size(), std::vector<std::uint64_t>(dataset.num_streams()));
+      // Per query: (stream, end) -> distance bits, inserted once.
+      std::vector<std::map<std::pair<StreamId, std::uint64_t>, std::uint64_t>>
+          found(compiled.size());
+      std::vector<std::size_t> fed(dataset.num_streams(), 0);
+      for (bool more = true; more;) {
+        more = false;
+        for (StreamId s = 0; s < dataset.num_streams(); ++s) {
+          const std::vector<double>& values = dataset.streams[s];
+          if (fed[s] == values.size()) continue;
+          more = true;
+          const std::size_t n = std::min<std::size_t>(
+              1 + rng.NextUint64(70), values.size() - fed[s]);
+          ASSERT_TRUE(core->AppendRun(s, values.data() + fed[s], n).ok());
+          fed[s] += n;
+          for (std::size_t qi = 0; qi < compiled.size(); ++qi) {
+            Result<PatternResult> result = engine.QueryCompiledIncremental(
+                compiled[qi], floors[qi].data());
+            ASSERT_TRUE(result.ok()) << result.status().ToString();
+            EXPECT_EQ(result.value().unverifiable, 0u);
+            for (const PatternMatch& m : result.value().matches) {
+              std::uint64_t bits = 0;
+              std::memcpy(&bits, &m.distance, sizeof(bits));
+              EXPECT_TRUE(found[qi].emplace(std::pair(m.stream, m.end_time),
+                                            bits)
+                              .second)
+                  << "reported twice: stream " << m.stream << " end "
+                  << m.end_time;
+            }
+          }
+        }
+      }
+      for (std::size_t qi = 0; qi < compiled.size(); ++qi) {
+        std::map<std::pair<StreamId, std::uint64_t>, std::uint64_t> expected;
+        for (const PatternMatch& m : ScanPatternMatches(
+                 dataset, queries[qi].first, queries[qi].second,
+                 config.normalization, config.r_max)) {
+          std::uint64_t bits = 0;
+          std::memcpy(&bits, &m.distance, sizeof(bits));
+          expected.emplace(std::pair(m.stream, m.end_time), bits);
+        }
+        EXPECT_EQ(found[qi], expected) << "query " << qi;
+        for (StreamId s = 0; s < dataset.num_streams(); ++s) {
+          EXPECT_EQ(floors[qi][s], dataset.streams[s].size())
+              << "query " << qi << " stream " << s;
+        }
+      }
+      EXPECT_EQ(found[0].count({static_cast<StreamId>(planted_stream),
+                                planted_start + length - 1}),
+                1u);
+    }
+  }
 }
 
 }  // namespace

@@ -80,8 +80,8 @@ TEST(ScheduleTest, DyadicFeaturesAreExact) {
       Result<Point> exact = summarizer.ExactFeature(t, w);
       // Old windows may have partially left the raw buffer.
       if (!exact.ok()) continue;
-      EXPECT_NEAR(box->extent.lo(0), exact.value()[0], 1e-9);
-      EXPECT_NEAR(box->extent.hi(0), exact.value()[0], 1e-9);
+      EXPECT_NEAR(summarizer.thread(j).Lo(*box)[0], exact.value()[0], 1e-9);
+      EXPECT_NEAR(summarizer.thread(j).Hi(*box)[0], exact.value()[0], 1e-9);
     }
   }
 }
@@ -131,7 +131,8 @@ TEST(ScheduleTest, DwtDyadicAlsoSupported) {
       config.LevelWindow(config.num_levels - 1));
   ASSERT_TRUE(exact.ok());
   for (std::size_t d = 0; d < exact.value().size(); ++d) {
-    EXPECT_NEAR(top->extent.lo(d), exact.value()[d], 1e-9);
+    EXPECT_NEAR(summarizer.thread(config.num_levels - 1).Lo(*top)[d],
+                exact.value()[d], 1e-9);
   }
 }
 

@@ -49,8 +49,8 @@ TEST(SummarizerTest, IncrementalDwtFeaturesAreExactWithUnitBoxes) {
       Result<Point> exact = summarizer.ExactFeature(t, w);
       ASSERT_TRUE(exact.ok());
       for (std::size_t d = 0; d < exact.value().size(); ++d) {
-        EXPECT_NEAR(box->extent.lo(d), exact.value()[d], 1e-9);
-        EXPECT_NEAR(box->extent.hi(d), exact.value()[d], 1e-9);
+        EXPECT_NEAR(summarizer.thread(j).Lo(*box)[d], exact.value()[d], 1e-9);
+        EXPECT_NEAR(summarizer.thread(j).Hi(*box)[d], exact.value()[d], 1e-9);
       }
     }
   }
@@ -72,7 +72,8 @@ TEST(SummarizerTest, IncrementalAggregatesAreExactWithUnitBoxes) {
         Result<Point> exact = summarizer.ExactFeature(t, w);
         ASSERT_TRUE(exact.ok());
         for (std::size_t d = 0; d < exact.value().size(); ++d) {
-          EXPECT_NEAR(box->extent.lo(d), exact.value()[d], 1e-9);
+          EXPECT_NEAR(summarizer.thread(j).Lo(*box)[d], exact.value()[d],
+                      1e-9);
         }
       }
     }
@@ -98,9 +99,9 @@ TEST_P(SummarizerContainment, DwtExtentsContainExactFeatures) {
       Result<Point> exact = summarizer.ExactFeature(t, w);
       ASSERT_TRUE(exact.ok());
       for (std::size_t d = 0; d < exact.value().size(); ++d) {
-        EXPECT_GE(exact.value()[d], box->extent.lo(d) - 1e-9)
+        EXPECT_GE(exact.value()[d], summarizer.thread(j).Lo(*box)[d] - 1e-9)
             << "level " << j << " t " << t << " c " << GetParam();
-        EXPECT_LE(exact.value()[d], box->extent.hi(d) + 1e-9);
+        EXPECT_LE(exact.value()[d], summarizer.thread(j).Hi(*box)[d] + 1e-9);
       }
     }
   }
@@ -120,8 +121,8 @@ TEST_P(SummarizerContainment, AggregateExtentsContainExactFeatures) {
       Result<Point> exact = summarizer.ExactFeature(t, w);
       ASSERT_TRUE(exact.ok());
       for (std::size_t d = 0; d < exact.value().size(); ++d) {
-        EXPECT_GE(exact.value()[d], box->extent.lo(d) - 1e-9);
-        EXPECT_LE(exact.value()[d], box->extent.hi(d) + 1e-9);
+        EXPECT_GE(exact.value()[d], summarizer.thread(j).Lo(*box)[d] - 1e-9);
+        EXPECT_LE(exact.value()[d], summarizer.thread(j).Hi(*box)[d] + 1e-9);
       }
     }
   }
@@ -150,7 +151,7 @@ TEST(SummarizerTest, BatchModeComputesExactFeaturesEveryWArrivals) {
       Result<Point> exact = summarizer.ExactFeature(t, w);
       ASSERT_TRUE(exact.ok());
       for (std::size_t d = 0; d < exact.value().size(); ++d) {
-        EXPECT_NEAR(box->extent.lo(d), exact.value()[d], 1e-9);
+        EXPECT_NEAR(summarizer.thread(j).Lo(*box)[d], exact.value()[d], 1e-9);
       }
     }
     EXPECT_EQ(found, (200 - w) / config.base_window + 1);
@@ -174,9 +175,9 @@ TEST(SummarizerTest, ExactLevelsModeMatchesIncrementalWithUnitBoxes) {
       const FeatureBox* bb = b.thread(j).Find(t);
       ASSERT_EQ(ba == nullptr, bb == nullptr);
       if (ba == nullptr) continue;
-      for (std::size_t d = 0; d < ba->extent.dims(); ++d) {
-        EXPECT_NEAR(ba->extent.lo(d), bb->extent.lo(d), 1e-9);
-        EXPECT_NEAR(ba->extent.hi(d), bb->extent.hi(d), 1e-9);
+      for (std::size_t d = 0; d < a.thread(j).dims(); ++d) {
+        EXPECT_NEAR(a.thread(j).Lo(*ba)[d], b.thread(j).Lo(*bb)[d], 1e-9);
+        EXPECT_NEAR(a.thread(j).Hi(*ba)[d], b.thread(j).Hi(*bb)[d], 1e-9);
       }
     }
   }
