@@ -36,7 +36,6 @@ FeatureStore::Slab FeatureStore::MakeSlab(const LevelSpec& spec) const {
   slab.norms.assign(num_streams_ * capacity_, 0.0);
   slab.heads.assign(num_streams_, 0);
   slab.counts.assign(num_streams_, 0);
-  slab.put_epochs.assign(num_streams_, 0);
   return slab;
 }
 
@@ -69,10 +68,6 @@ const FeatureStore::Slab* FeatureStore::FindSlab(std::size_t level) const {
   return nullptr;
 }
 
-bool FeatureStore::has_level(std::size_t level) const {
-  return FindSlab(level) != nullptr;
-}
-
 void FeatureStore::Put(std::size_t level, StreamId stream,
                        std::uint64_t time, const double* feature,
                        const double* znormed, double mean, double norm2) {
@@ -97,12 +92,6 @@ void FeatureStore::Put(std::size_t level, StreamId stream,
       static_cast<std::uint32_t>((slab->heads[stream] + 1) % capacity_);
   slab->counts[stream] = static_cast<std::uint32_t>(
       std::min<std::size_t>(slab->counts[stream] + 1, capacity_));
-  // Stamp with the epoch this write is visible at. The owning pipeline
-  // bumps the store epoch at the top of FinishBatch, before its puts, so
-  // `epoch_` already names the batch that produced this entry; a reader
-  // that later records epoch() sees these stamps as <= its record.
-  slab->put_epochs[stream] = epoch_;
-  slab->max_put_epoch = epoch_;
   ++puts_;
 }
 
@@ -136,18 +125,6 @@ bool FeatureStore::Find(std::size_t level, StreamId stream,
   return false;
 }
 
-std::uint64_t FeatureStore::LevelPutEpoch(std::size_t level) const {
-  const Slab* slab = FindSlab(level);
-  return slab == nullptr ? 0 : slab->max_put_epoch;
-}
-
-std::uint64_t FeatureStore::StreamPutEpoch(std::size_t level,
-                                           StreamId stream) const {
-  const Slab* slab = FindSlab(level);
-  if (slab == nullptr || stream >= num_streams_) return 0;
-  return slab->put_epochs[stream];
-}
-
 bool FeatureStore::Latest(std::size_t level, StreamId stream,
                           std::uint64_t* time) const {
   const Slab* slab = FindSlab(level);
@@ -177,7 +154,6 @@ void FeatureStore::Grow(std::size_t new_num_streams) {
     slab.norms.resize(new_num_streams * capacity_, 0.0);
     slab.heads.resize(new_num_streams, 0);
     slab.counts.resize(new_num_streams, 0);
-    slab.put_epochs.resize(new_num_streams, 0);
   }
   num_streams_ = new_num_streams;
 }
@@ -189,14 +165,6 @@ void FeatureStore::ClearStream(StreamId stream) {
               slab.times.begin() + (stream + 1) * capacity_, kNoTime);
     slab.heads[stream] = 0;
     slab.counts[stream] = 0;
-  }
-}
-
-void FeatureStore::TouchStream(StreamId stream) {
-  SD_CHECK(stream < num_streams_);
-  for (Slab& slab : slabs_) {
-    slab.put_epochs[stream] = epoch_;
-    slab.max_put_epoch = std::max(slab.max_put_epoch, epoch_);
   }
 }
 
@@ -298,8 +266,6 @@ Status FeatureStore::RestoreStreamFrom(StreamId stream, Reader* reader) {
     if (slab != nullptr) {
       slab->heads[stream] = head;
       slab->counts[stream] = count;
-      slab->put_epochs[stream] = epoch_;
-      slab->max_put_epoch = std::max(slab->max_put_epoch, epoch_);
     }
   }
   return Status::OK();

@@ -65,7 +65,6 @@ class FeatureStore {
   std::size_t num_streams() const { return num_streams_; }
   std::size_t capacity() const { return capacity_; }
   const std::vector<LevelSpec>& levels() const { return specs_; }
-  bool has_level(std::size_t level) const;
 
   /// Caches the entry of (`level`, `stream`) at aligned `time`. Times
   /// must be strictly increasing per (level, stream); once `capacity`
@@ -86,22 +85,6 @@ class FeatureStore {
   bool Latest(std::size_t level, StreamId stream,
               std::uint64_t* time) const;
 
-  // --- Change tracking (correlator dirty epochs) -----------------------
-  // Every Put stamps the entry's (level, stream) — and the level as a
-  // whole — with the current epoch (the pipeline bumps the epoch at the
-  // top of FinishBatch, before the batch's puts, so the stamp names the
-  // batch that produced the entry). A consumer that recorded epoch() at
-  // its last read can then skip a level (or stream) whose stamp has not
-  // moved past that record: no put since the read means no new aligned
-  // feature time, so nothing the consumer derived from the level changed.
-
-  /// Epoch stamp of the newest put on `level`; 0 when the level is
-  /// unmonitored or never written.
-  std::uint64_t LevelPutEpoch(std::size_t level) const;
-  /// Epoch stamp of the newest put on (`level`, `stream`); 0 when never
-  /// written.
-  std::uint64_t StreamPutEpoch(std::size_t level, StreamId stream) const;
-
   /// Drops every cached entry (level set and counters are kept).
   void Clear();
 
@@ -116,11 +99,6 @@ class FeatureStore {
   /// Drops every cached entry of one stream across all slabs (the
   /// tombstone half of a migration).
   void ClearStream(StreamId stream);
-  /// Stamps one stream — and every slab — dirty at the current epoch,
-  /// so consumers using the put-epoch short-circuit re-read state that
-  /// changed without a Put (a migration installing or removing the
-  /// stream's summarizer threads).
-  void TouchStream(StreamId stream);
   /// One stream's ring rows across every slab, keyed by slab spec (the
   /// store's part of a stream slice, engine/feature_pipeline.h).
   void SaveStreamTo(StreamId stream, Writer* writer) const;
@@ -132,16 +110,10 @@ class FeatureStore {
   /// allocated.
   Status RestoreStreamFrom(StreamId stream, Reader* reader);
 
-  /// Store epoch: bumped by the owning pipeline once per applied batch,
-  /// so consumers can tell whether two reads observed the same state.
-  std::uint64_t epoch() const { return epoch_; }
-  void BumpEpoch() { ++epoch_; }
-
   // --- Counters (exactly-once accounting, surfaced in metrics) ---------
   std::uint64_t puts() const { return puts_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-
 
  private:
   /// All columns of one level, rings laid out stream-major.
@@ -156,11 +128,6 @@ class FeatureStore {
     AlignedVector<double> norms;        // num_streams × capacity
     std::vector<std::uint32_t> heads;   // next write slot per stream
     std::vector<std::uint32_t> counts;  // cached entries per stream
-    /// Dirty tracking (not serialized — an installed slice stamps its
-    /// rows with the current epoch, which reads as "changed" to any
-    /// consumer).
-    std::vector<std::uint64_t> put_epochs;  // per stream
-    std::uint64_t max_put_epoch = 0;
   };
 
   const Slab* FindSlab(std::size_t level) const;
@@ -170,7 +137,6 @@ class FeatureStore {
   std::size_t capacity_ = 0;
   std::vector<LevelSpec> specs_;
   std::vector<Slab> slabs_;
-  std::uint64_t epoch_ = 0;
   std::uint64_t puts_ = 0;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;

@@ -57,9 +57,9 @@ void PatternQueryEngine::VerifyPositions(
 Result<CompiledPatternQuery> CompilePatternQuery(
     const StardustConfig& config, const std::vector<double>& query,
     double radius) {
-  if (config.transform != TransformKind::kDwt || !config.index_features) {
+  if (config.transform != TransformKind::kDwt) {
     return Status::FailedPrecondition(
-        "pattern queries require an indexed DWT configuration");
+        "pattern queries require a DWT configuration");
   }
   if (config.update_period != 1 ||
       config.update_schedule != UpdateSchedule::kUniform) {
@@ -108,6 +108,10 @@ Result<CompiledPatternQuery> CompilePatternQuery(
 
 Result<PatternResult> PatternQueryEngine::QueryOnline(
     const std::vector<double>& query, double radius) const {
+  if (!core_.config().index_features) {
+    return Status::FailedPrecondition(
+        "pattern queries require an indexed DWT configuration");
+  }
   Result<CompiledPatternQuery> compiled =
       CompilePatternQuery(core_.config(), query, radius);
   if (!compiled.ok()) return compiled.status();
@@ -234,7 +238,7 @@ Result<PatternResult> PatternQueryEngine::QueryCompiled(
 Result<PatternResult> PatternQueryEngine::QueryCompiledIncremental(
     const CompiledPatternQuery& compiled, std::uint64_t* eval_floor) const {
   const StardustConfig& config = core_.config();
-  if (config.transform != TransformKind::kDwt || !config.index_features ||
+  if (config.transform != TransformKind::kDwt ||
       config.update_period != 1 ||
       config.update_schedule != UpdateSchedule::kUniform) {
     return Status::FailedPrecondition(

@@ -81,16 +81,19 @@ struct CompiledPatternQuery {
   std::vector<Piece> pieces;  // most recent piece first
 };
 
-/// Validates and preprocesses an online pattern query against `config`
-/// (same preconditions and error messages as QueryOnline): requires a
-/// uniform T == 1 indexed DWT configuration, radius >= 0, and |query| a
-/// positive multiple of W with |Q|/W < 2^num_levels.
+/// Validates and preprocesses an online pattern query against `config`:
+/// requires a uniform T == 1 DWT configuration, radius >= 0, and |query|
+/// a positive multiple of W with |Q|/W < 2^num_levels. The level index
+/// is not required here: QueryCompiledIncremental walks the box threads;
+/// QueryCompiled, QueryOnline and TopKOnline, which read the index, check
+/// index_features themselves.
 Result<CompiledPatternQuery> CompilePatternQuery(
     const StardustConfig& config, const std::vector<double>& query,
     double radius);
 
 /// Pattern search over a Stardust instance (configured with the DWT
-/// transform, unit-sphere normalization and index_features).
+/// transform and unit-sphere normalization; the index-probing queries
+/// also need index_features).
 class PatternQueryEngine {
  public:
   explicit PatternQueryEngine(const Stardust& core) : core_(core) {}

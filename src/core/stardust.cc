@@ -106,18 +106,42 @@ Status Stardust::ApplyRunIndexDeltas(StreamId stream,
   // Steady state seals one box per expired box per level, so pair the
   // k-th expired box with the k-th sealed box of the same level and
   // replace the record in place: the tree keeps its shape and none of
-  // the Delete condense / Insert overflow churn happens. Pair k's old
-  // record is always present when processed — it either predates the run
-  // or was itself pair (k - retained)'s replacement. Leftovers (warm-up
-  // seals before anything expires, shrink-only runs) fall back to plain
-  // Insert/Delete.
+  // the Delete condense / Insert overflow churn happens. Leftovers
+  // (warm-up seals before anything expires, shrink-only runs) fall back
+  // to plain Insert/Delete.
   for (std::size_t level = 0; level < config_.num_levels; ++level) {
     if (!indexed_levels_[level]) continue;
+    // A level's sealed and expired boxes each come in ascending seq. A
+    // run longer than `history` can seal a box and expire it again; such
+    // a box (seq >= the run's first seal, <= its last expiry) never
+    // entered the index, so it is dropped from both lists. Every expired
+    // box left predates the run, and with it its record.
+    std::uint64_t first_sealed = std::numeric_limits<std::uint64_t>::max();
+    for (const BoxRef& box : sealed) {
+      if (box.level == level) {
+        first_sealed = box.seq;
+        break;
+      }
+    }
+    bool any_expired = false;
+    std::uint64_t last_expired = 0;
+    for (const BoxRef& box : expired) {
+      if (box.level != level) continue;
+      any_expired = true;
+      last_expired = box.seq;
+    }
+    const auto skip_sealed = [&](const BoxRef& box) {
+      return box.level != level ||
+             (any_expired && box.seq <= last_expired);
+    };
+    const auto skip_expired = [&](const BoxRef& box) {
+      return box.level != level || box.seq >= first_sealed;
+    };
     std::size_t si = 0;
     std::size_t ei = 0;
     for (;;) {
-      while (si < sealed.size() && sealed[si].level != level) ++si;
-      while (ei < expired.size() && expired[ei].level != level) ++ei;
+      while (si < sealed.size() && skip_sealed(sealed[si])) ++si;
+      while (ei < expired.size() && skip_expired(expired[ei])) ++ei;
       const bool have_sealed = si < sealed.size();
       const bool have_expired = ei < expired.size();
       if (have_sealed && have_expired) {

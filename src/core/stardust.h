@@ -133,16 +133,19 @@ class Stardust {
   Result<AggregateAnswer> AggregateQuery(StreamId stream, std::size_t window,
                                          double threshold) const;
 
-  /// Stream-slice support (engine/feature_pipeline.cc): mutable
-  /// summarizer access and index reconstruction from the threads' sealed
-  /// boxes.
+  /// Mutable summarizer access for owners that install or drive one
+  /// stream's summarizer directly: stream-slice installs
+  /// (engine/feature_pipeline.cc) and the aggregate monitor's runs.
   StreamSummarizer* mutable_summarizer(StreamId stream) {
     return streams_[stream].get();
   }
-  Status RebuildIndexes();
 
  private:
   explicit Stardust(const StardustConfig& config);
+
+  /// Rebuilds every maintained level index from the streams' live sealed
+  /// boxes (ResetStream).
+  Status RebuildIndexes();
 
   /// Rebuilds one level's index from the streams' live sealed boxes.
   Status RebuildLevelIndex(std::size_t level);

@@ -166,6 +166,9 @@ Result<CheckpointManifest> ParseManifest(const std::string& bytes) {
   if (manifest.queries_file.empty()) {
     return Status::InvalidArgument("manifest names no query registry file");
   }
+  if (manifest.net_file.empty()) {
+    return Status::InvalidArgument("manifest names no alert log file");
+  }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("manifest has trailing bytes");
   }
@@ -283,9 +286,8 @@ Result<CheckpointManifest> FindLatestValidCheckpoint(const std::string& dir) {
     complete = complete &&
                verify(manifest.queries_file, manifest.queries_checksum,
                       "query registry file") &&
-               (manifest.net_file.empty() ||
-                verify(manifest.net_file, manifest.net_checksum,
-                       "net state file"));
+               verify(manifest.net_file, manifest.net_checksum,
+                      "net state file");
     if (complete) return manifest;
   }
   return last_error;

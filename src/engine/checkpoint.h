@@ -60,9 +60,8 @@ struct CheckpointManifest {
   std::string queries_file;
   std::uint64_t queries_checksum = 0;
   /// Serialized alert log (query/alert_log.h: the alert sequence
-  /// allocator, subscriber cursors, and retained entries). Every
-  /// checkpoint writes it; a manifest without one (written before the
-  /// log was always checkpointed) still parses and restores a fresh log.
+  /// allocator, subscriber cursors, and retained entries). Required,
+  /// like the queries file: every checkpoint writes it.
   std::string net_file;
   std::uint64_t net_checksum = 0;
 };
@@ -88,7 +87,7 @@ std::string CheckpointManifestFileName(std::uint64_t seq);
 /// Manifest (de)serialization behind the common envelope
 /// (common/serialize.h). ParseManifest accepts only the version
 /// SerializeManifest writes and rejects a manifest that lacks a named
-/// file per shard or the queries file.
+/// file per shard, the queries file or the alert log file.
 std::string SerializeManifest(const CheckpointManifest& manifest);
 Result<CheckpointManifest> ParseManifest(const std::string& bytes);
 

@@ -12,7 +12,6 @@
 #include "common/check.h"
 #include "common/serialize.h"
 #include "core/aggregate_monitor.h"
-#include "geom/mbr.h"
 
 namespace stardust {
 
@@ -71,9 +70,10 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   // Feature-store ring capacity: explicit override, or derived from the
   // cache geometry so one shard's hot store set (every local stream at
   // every monitored correlation level) fits in roughly half the L2. When
-  // shards outnumber cores they share an L2, so the budget shrinks by the
-  // sharing factor. Unknown cache or no correlation core falls back to
-  // the pipeline's fixed default inside DeriveStoreCapacity.
+  // shards outnumber the CPUs this process may use (its affinity mask)
+  // they share an L2, so the budget shrinks by the sharing factor.
+  // Unknown cache or no correlation core falls back to the pipeline's
+  // fixed default inside DeriveStoreCapacity.
   std::size_t store_capacity = engine_config.store_capacity;
   if (store_capacity == 0 && engine_config.query.enable_correlation) {
     const StardustConfig& corr = engine_config.query.correlation;
@@ -84,9 +84,8 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     }
     const std::size_t max_local_streams =
         (num_streams + num_shards - 1) / num_shards;
-    const std::size_t cores = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
-    const std::size_t sharing = (num_shards + cores - 1) / cores;
+    const std::size_t cpus = AllowedCpus().size();
+    const std::size_t sharing = (num_shards + cpus - 1) / cpus;
     const std::size_t cache_bytes =
         ProbedL2CacheBytes() / std::max<std::size_t>(1, sharing);
     store_capacity =
@@ -167,15 +166,11 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     Result<std::string> bytes = ReadFileToString(queries_path.string());
     if (!bytes.ok()) return bytes.status();
     SD_RETURN_NOT_OK(engine->registry_->Restore(bytes.value()));
-    // A checkpoint written before the net file was always present has
-    // none; the log then starts its sequence afresh.
-    if (!manifest.net_file.empty()) {
-      const std::filesystem::path net_path =
-          std::filesystem::path(restore_dir) / manifest.net_file;
-      Result<std::string> net_bytes = ReadFileToString(net_path.string());
-      if (!net_bytes.ok()) return net_bytes.status();
-      SD_RETURN_NOT_OK(engine->alert_log_->Restore(net_bytes.value()));
-    }
+    const std::filesystem::path net_path =
+        std::filesystem::path(restore_dir) / manifest.net_file;
+    Result<std::string> net_bytes = ReadFileToString(net_path.string());
+    if (!net_bytes.ok()) return net_bytes.status();
+    SD_RETURN_NOT_OK(engine->alert_log_->Restore(net_bytes.value()));
   }
   // Thresholds are sugar for aggregate queries, registered before any
   // shard compiles its first plan.
@@ -252,12 +247,14 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
   }
   if (engine_config.query.enable_correlation) {
     // Correlator-side state, sized before any thread can observe it: the
-    // per-level eval counters and the probe pool (0 workers when this
-    // thread may use one CPU only — Run stays inline).
+    // per-level eval counters, the round buffers and the probe pool (0
+    // workers when this thread may use one CPU only — Run stays inline).
     const std::size_t levels = engine_config.query.correlation.num_levels;
     engine->metrics_->correlator_level_evals =
         std::make_unique<std::atomic<std::uint64_t>[]>(levels);
     engine->metrics_->correlator_num_levels = levels;
+    engine->corr_round_ = std::make_unique<CorrRound>(
+        num_shards, engine_config.query.correlation.coefficients);
     engine->probe_pool_ =
         std::make_unique<ProbePool>(ProbePool::ResolveWorkers());
   }
@@ -897,20 +894,6 @@ void IngestEngine::RunCorrelatorRound() {
       }
       it = live ? std::next(it) : corr_active_pairs_.erase(it);
     }
-    // Prune the persistent per-level indexes of levels the new plan no
-    // longer monitors, so state cannot grow without bound as queries on
-    // exotic levels come and go.
-    for (auto it = corr_levels_.begin(); it != corr_levels_.end();) {
-      bool monitored = false;
-      for (const EvalPlan::CorrelationGroup& group :
-           corr_plan_->correlation) {
-        if (group.level == it->first) {
-          monitored = true;
-          break;
-        }
-      }
-      it = monitored ? std::next(it) : corr_levels_.erase(it);
-    }
   }
   if (corr_plan_->correlation.empty()) return;
 
@@ -940,34 +923,20 @@ bool IngestEngine::RunCorrelatorGroup(
     std::uint64_t* round) {
   using Clock = std::chrono::steady_clock;
   const std::size_t level = group.level;
-  CorrLevelState& state = corr_levels_[level];
-  if (state.clock_epochs.size() != shards_.size()) {
-    state.clock_epochs.assign(shards_.size(), 0);
-    state.clocks.assign(shards_.size(), Shard::ClockSummary{});
-    state.gathers.resize(shards_.size());
-  }
 
   // Phase 1: the round time is the slowest started stream's latest
   // feature time at this level — the most recent time every started
   // stream can still serve. Streams whose window has not filled yet do
-  // not hold the round back; they simply contribute nothing. Per-shard
-  // summaries are cached and refreshed only when the shard's feature
-  // store saw a put since the last look (dirty epochs), so idle rounds
-  // cost one flag read per shard instead of a full clock scan.
+  // not hold the round back; they simply contribute nothing.
   std::uint64_t t_round = 0;
   bool any = false;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = *shards_[i];
-    if (!shard.has_correlation_core()) continue;
-    Shard::ClockSummary summary;
-    if (shard.CorrelationClockMinSince(level, state.clock_epochs[i],
-                                       &summary)) {
-      state.clocks[i] = summary;
-      state.clock_epochs[i] = summary.store_epoch;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::uint64_t t = 0;
+    if (!shard->has_correlation_core() ||
+        !shard->CorrelationClockMin(level, &t)) {
+      continue;
     }
-    const Shard::ClockSummary& cached = state.clocks[i];
-    if (!cached.any) continue;
-    t_round = any ? std::min(t_round, cached.min_time) : cached.min_time;
+    t_round = any ? std::min(t_round, t) : t;
     any = true;
   }
   if (!any) return true;
@@ -984,12 +953,15 @@ bool IngestEngine::RunCorrelatorGroup(
   // Phase 2: gather every shard's feature points and exact z-normed
   // windows at the aligned time into flat reusable buffers. Per-shard
   // mutex-coherent; streams whose data already expired at t_round are
-  // skipped.
+  // skipped. A migration holds the round lock across its extract and
+  // install, so no stream is gathered twice.
   const StardustConfig& cfg = config_.query.correlation;
   const std::size_t dims = cfg.coefficients;
   const std::size_t window = group.window;
+  CorrRound& round_buffers = *corr_round_;
+  std::vector<Shard::CorrelationGather>& gathers = round_buffers.gathers;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard::CorrelationGather& gather = state.gathers[i];
+    Shard::CorrelationGather& gather = gathers[i];
     if (!shards_[i]->has_correlation_core()) {
       gather.streams.clear();
       continue;
@@ -1003,77 +975,21 @@ bool IngestEngine::RunCorrelatorGroup(
     }
   }
 
-  // Phase 3: sync the persistent candidate grid to this round's feature
-  // set — upsert what is present (a no-op for points that did not move),
-  // erase what expired. The grid survives to the next round; the
-  // rebuild-from-scratch tree this replaces cost O(n log n) per round
-  // even when nothing moved. Its cell is the group's largest radius
-  // (StatStream's choice: neighbor enumeration reaches one cell out).
-  const double cell = group.max_radius > 0.0 ? group.max_radius : 1.0;
-  if (state.index == nullptr || state.cell != cell) {
-    state.index = std::make_unique<CorrelationIndex>(dims, cell);
-    state.cell = cell;
-    state.slot_of.clear();
-    state.stream_of.clear();
-    state.live.clear();
-    state.seen_round.clear();
-    state.free_slots.clear();
-    state.features.clear();
-    state.znormed.clear();
-  }
-  ++state.round_serial;
-  state.present.clear();
-  Point point(dims);
-  for (const Shard::CorrelationGather& gather : state.gathers) {
-    for (std::size_t k = 0; k < gather.streams.size(); ++k) {
-      const StreamId global = gather.streams[k];
-      std::size_t slot;
-      const auto it = state.slot_of.find(global);
-      if (it != state.slot_of.end()) {
-        slot = it->second;
-      } else {
-        if (!state.free_slots.empty()) {
-          slot = state.free_slots.back();
-          state.free_slots.pop_back();
-        } else {
-          slot = state.stream_of.size();
-          state.stream_of.push_back(0);
-          state.live.push_back(0);
-          state.seen_round.push_back(0);
-          state.features.resize((slot + 1) * dims);
-          state.znormed.resize((slot + 1) * window);
-        }
-        state.stream_of[slot] = global;
-        state.slot_of.emplace(global, slot);
-      }
-      const double* feature = &gather.features[k * dims];
-      std::copy(feature, feature + dims, point.begin());
-      state.index->Upsert(slot, point);
-      std::copy(feature, feature + dims,
-                state.features.begin() + slot * dims);
-      const double* znormed = &gather.znormed[k * window];
-      std::copy(znormed, znormed + window,
-                state.znormed.begin() + slot * window);
-      state.live[slot] = 1;
-      state.seen_round[slot] = state.round_serial;
-      state.present.push_back(slot);
+  // Phase 3: one candidate grid over the round's points, each under its
+  // (shard, row) id. Its cell is the group's largest radius (StatStream's
+  // choice: neighbor enumeration reaches one cell out).
+  CorrelationIndex& grid = round_buffers.grid;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>& rows =
+      round_buffers.rows;
+  grid.Reset(group.max_radius > 0.0 ? group.max_radius : 1.0);
+  rows.clear();
+  for (std::uint32_t i = 0; i < gathers.size(); ++i) {
+    const Shard::CorrelationGather& gather = gathers[i];
+    for (std::uint32_t k = 0; k < gather.streams.size(); ++k) {
+      grid.Insert(rows.size(), &gather.features[k * dims]);
+      rows.emplace_back(i, k);
     }
   }
-  for (std::size_t slot = 0; slot < state.stream_of.size(); ++slot) {
-    if (!state.live[slot] || state.seen_round[slot] == state.round_serial) {
-      continue;
-    }
-    state.index->Erase(slot);
-    state.live[slot] = 0;
-    state.slot_of.erase(state.stream_of[slot]);
-    state.free_slots.push_back(slot);
-  }
-  // Canonical probe order (ascending global id) so the merged pair sets
-  // and alert order are identical however the probe tasks interleave.
-  std::sort(state.present.begin(), state.present.end(),
-            [&state](std::size_t a, std::size_t b) {
-              return state.stream_of[a] < state.stream_of[b];
-            });
 
   // This level produced an evaluable round: account it. Rounds count
   // once per RunCorrelatorRound invocation however many levels evaluate
@@ -1091,34 +1007,35 @@ bool IngestEngine::RunCorrelatorGroup(
   }
   corr_plan_->correlation_evals.fetch_add(1, std::memory_order_relaxed);
 
-  // Phase 4: probe every present slot against the index, partitioned
-  // across the probe pool (the pool is read-only over the synced index).
-  // One probe at the group's widest radius serves every query; the exact
-  // window distance is computed once per candidate pair and re-filtered
-  // per query below. Each unordered pair is emitted by exactly one task
-  // (the smaller global id probes, the larger is the candidate), so the
-  // per-task outputs are disjoint and their concatenation deterministic.
+  // Phase 4: probe every gathered point against the grid, partitioned
+  // across the probe pool (the pool only reads the grid and the
+  // gathers). One probe at the group's widest radius serves every query;
+  // the exact window distance is computed once per candidate pair and
+  // re-filtered per query below. Each unordered pair is emitted by
+  // exactly one task (the smaller global id probes, the larger is the
+  // candidate), so the per-task outputs are disjoint.
   struct PairHit {
     StreamId a = 0;
     StreamId b = 0;
     double d2 = 0.0;
   };
-  std::vector<std::vector<PairHit>> task_hits(state.present.size());
+  std::vector<std::vector<PairHit>> task_hits(rows.size());
   const double max_r = group.max_radius;
   const double max_r2 = max_r * max_r;
   const auto probe = [&](std::size_t task) {
-    const std::size_t slot = state.present[task];
-    const StreamId g_i = state.stream_of[slot];
-    const Point q(state.features.begin() + slot * dims,
-                  state.features.begin() + (slot + 1) * dims);
+    const Shard::CorrelationGather& gi = gathers[rows[task].first];
+    const std::size_t ki = rows[task].second;
+    const StreamId g_i = gi.streams[ki];
     std::vector<std::size_t> candidates;
-    state.index->Candidates(q, max_r, &candidates);
+    grid.Candidates(&gi.features[ki * dims], max_r, &candidates);
     std::vector<PairHit>& out = task_hits[task];
-    const double* zi = &state.znormed[slot * window];
+    const double* zi = &gi.znormed[ki * window];
     for (const std::size_t cand : candidates) {
-      const StreamId g_j = state.stream_of[cand];
+      const Shard::CorrelationGather& gj = gathers[rows[cand].first];
+      const std::size_t kj = rows[cand].second;
+      const StreamId g_j = gj.streams[kj];
       if (g_j <= g_i) continue;  // count each pair once
-      const double* zj = &state.znormed[cand * window];
+      const double* zj = &gj.znormed[kj * window];
       double d2 = 0.0;
       for (std::size_t x = 0; x < window; ++x) {
         const double d = zi[x] - zj[x];
@@ -1129,11 +1046,9 @@ bool IngestEngine::RunCorrelatorGroup(
     }
   };
   if (probe_pool_ != nullptr) {
-    probe_pool_->Run(state.present.size(), probe);
+    probe_pool_->Run(rows.size(), probe);
   } else {
-    for (std::size_t task = 0; task < state.present.size(); ++task) {
-      probe(task);
-    }
+    for (std::size_t task = 0; task < rows.size(); ++task) probe(task);
   }
 
   // Phase 5: serial per-query merge and rising-edge publication, in

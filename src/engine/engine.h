@@ -240,34 +240,17 @@ class IngestEngine {
   void StartCorrelatorThread();
   void StopCorrelatorThread();
 
-  /// Persistent per-level correlator state (see RunCorrelatorRound): the
-  /// incremental candidate index over the level's feature points, the
-  /// global-stream -> slot mapping behind it, per-round scratch, and the
-  /// cached per-shard clock summaries the dirty-epoch skip path reuses.
-  struct CorrLevelState {
-    std::unique_ptr<CorrelationIndex> index;
-    /// Grid cell the index was created with; a plan change that moves
-    /// the group's largest radius rebuilds the index.
-    double cell = 0.0;
-    // Slot table: one dense slot per global stream ever seen live at
-    // this level. Erased slots return to the free list.
-    std::unordered_map<StreamId, std::size_t> slot_of;
-    std::vector<StreamId> stream_of;        // slot -> global id
-    std::vector<char> live;                 // slot currently indexed
-    std::vector<std::uint64_t> seen_round;  // round serial last present
-    std::vector<std::size_t> free_slots;
-    std::uint64_t round_serial = 0;
-    // Slot-indexed columns of the current round (features is slot × dims,
-    // znormed slot × window).
-    std::vector<double> features;
-    std::vector<double> znormed;
-    std::vector<std::size_t> present;  // this round's slots, by global id
-    // Per-shard gather state: cached clock summaries (refreshed only
-    // when the shard's store saw a put since `clock_epochs[i]`) and the
-    // reusable flat gather buffers.
-    std::vector<std::uint64_t> clock_epochs;
-    std::vector<Shard::ClockSummary> clocks;
+  /// Buffers of one correlator level group (RunCorrelatorGroup), reused
+  /// by every group and round: every shard's gather at the round time,
+  /// the candidate grid built from the gathered points, and the
+  /// (shard, row) of each point in grid-id order. Nothing in it outlives
+  /// the group that filled it.
+  struct CorrRound {
+    CorrRound(std::size_t num_shards, std::size_t dims)
+        : gathers(num_shards), grid(dims, 1.0) {}
     std::vector<Shard::CorrelationGather> gathers;
+    CorrelationIndex grid;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> rows;
   };
   /// Evaluates one level group of the compiled plan; returns false on a
   /// gather failure (the caller counts it and moves to the next group
@@ -353,9 +336,8 @@ class IngestEngine {
   /// it did not advance are skipped. Committed only after a level group
   /// evaluated successfully, so a failed gather retries the same round.
   std::unordered_map<std::size_t, std::uint64_t> corr_last_time_;
-  /// Persistent per-level indexes and scratch; pruned when a plan change
-  /// drops a level.
-  std::unordered_map<std::size_t, CorrLevelState> corr_levels_;
+  /// Round buffers (created only when correlation is enabled).
+  std::unique_ptr<CorrRound> corr_round_;
   /// Probe-phase worker pool (created only when correlation is enabled;
   /// zero workers on single-core hosts — Run degrades to inline).
   std::unique_ptr<ProbePool> probe_pool_;

@@ -67,6 +67,14 @@ FeaturePipeline::FeaturePipeline(const StardustConfig& aggregate,
            pattern_core_->num_streams() == num_streams_);
   SD_CHECK(corr_core_ == nullptr ||
            corr_core_->num_streams() == num_streams_);
+  // Standing pattern queries walk the box threads and never read a level
+  // index, so a core built with index_features maintains none here.
+  for (Stardust* core : {pattern_core_.get(), corr_core_.get()}) {
+    if (core == nullptr || !core->config().index_features) continue;
+    const Status masked = core->SetIndexedLevels(
+        std::vector<bool>(core->config().num_levels, false));
+    SD_CHECK(masked.ok());
+  }
 }
 
 void FeaturePipeline::AdoptPlan(const EvalPlan& plan) {
@@ -111,16 +119,6 @@ void FeaturePipeline::AdoptPlan(const EvalPlan& plan) {
                        cfg.coefficients});
     }
     store_.SetLevels(specs);
-  }
-  if (pattern_core_ != nullptr && pattern_core_->config().index_features) {
-    // Standing pattern queries evaluate incrementally against the box
-    // threads (QueryCompiledIncremental) and never range-search the level
-    // indexes, so no per-tuple index maintenance is needed at all. The
-    // mask stays all-false rather than dropping index_features so ad-hoc
-    // probes (TopKOnline, full QueryCompiled) can be re-enabled per level
-    // via SetIndexedLevels, which rebuilds from the live threads.
-    const std::vector<bool> mask(pattern_core_->config().num_levels, false);
-    (void)pattern_core_->SetIndexedLevels(mask);
   }
 }
 
@@ -191,7 +189,6 @@ Status FeaturePipeline::AppendRun(StreamId stream, const double* values,
 
 void FeaturePipeline::FinishBatch(const std::vector<StreamId>& touched) {
   ++batches_;
-  store_.BumpEpoch();
   if (corr_core_ == nullptr) return;
   for (const FeatureStore::LevelSpec& spec : store_.levels()) {
     for (StreamId stream : touched) {
@@ -320,13 +317,6 @@ std::unique_ptr<SlidingAggregateTracker> FeaturePipeline::BackfillTracker(
   return tracker;
 }
 
-bool FeaturePipeline::AnyLevelIndexed(const Stardust& core) {
-  for (std::size_t level = 0; level < core.config().num_levels; ++level) {
-    if (core.level_indexed(level)) return true;
-  }
-  return false;
-}
-
 StreamId FeaturePipeline::GrowStream() {
   const StreamId local = static_cast<StreamId>(num_streams_);
   ++num_streams_;
@@ -371,7 +361,6 @@ Status FeaturePipeline::ResetStream(StreamId stream) {
   }
   for (auto& per_stream : sketch_slots_) per_stream[stream] = nullptr;
   store_.ClearStream(stream);
-  store_.TouchStream(stream);
   return Status::OK();
 }
 
@@ -500,18 +489,7 @@ Status FeaturePipeline::RestoreStreamFrom(StreamId stream, Reader* reader) {
       }
     }
   }
-  SD_RETURN_NOT_OK(store_.RestoreStreamFrom(stream, reader));
-  store_.TouchStream(stream);
-  return Status::OK();
-}
-
-Status FeaturePipeline::RebuildIndexes() {
-  for (Stardust* core : {pattern_core_.get(), corr_core_.get()}) {
-    if (core != nullptr && AnyLevelIndexed(*core)) {
-      SD_RETURN_NOT_OK(core->RebuildIndexes());
-    }
-  }
-  return Status::OK();
+  return store_.RestoreStreamFrom(stream, reader);
 }
 
 FeaturePipeline::Counters FeaturePipeline::counters() const {
@@ -523,7 +501,6 @@ FeaturePipeline::Counters FeaturePipeline::counters() const {
   c.store_puts = store_.puts();
   c.store_hits = store_.hits();
   c.store_misses = store_.misses();
-  c.store_epoch = store_.epoch();
   for (const auto& per_stream : sketch_slots_) {
     for (const auto& measure : per_stream) {
       if (measure == nullptr) continue;

@@ -54,7 +54,6 @@ class FeaturePipeline {
     std::uint64_t store_puts = 0;
     std::uint64_t store_hits = 0;
     std::uint64_t store_misses = 0;
-    std::uint64_t store_epoch = 0;
     /// Values appended to the live sketch measures; the estimates this
     /// pipeline took (SketchEstimate) and the bucket merges they cost;
     /// and the sketch bytes SaveStreamTo wrote into stream slices.
@@ -68,7 +67,11 @@ class FeaturePipeline {
   /// aggregate kind drives the sliding trackers and its `history` is the
   /// capacity of every stream's raw tail. Either core may be null (query
   /// kind disabled). Non-null cores must have exactly `num_streams`
-  /// streams registered.
+  /// streams registered. A core built with index_features has every
+  /// level index switched off here: standing pattern queries walk the
+  /// box threads (PatternQueryEngine::QueryCompiledIncremental) and
+  /// never read an index, so none is maintained per tuple or rebuilt
+  /// after an install.
   FeaturePipeline(const StardustConfig& aggregate,
                   std::unique_ptr<Stardust> pattern_core,
                   std::unique_ptr<Stardust> corr_core,
@@ -122,9 +125,9 @@ class FeaturePipeline {
   /// structure is touched (the shard splits runs around such values).
   Status AppendRun(StreamId stream, const double* values, std::size_t n);
 
-  /// Closes one applied batch: bumps the store epoch and caches the new
-  /// aligned correlation features of the touched streams (deduplicated
-  /// shard-local ids) so correlator rounds are store hits.
+  /// Closes one applied batch: caches the new aligned correlation
+  /// features of the touched streams (deduplicated shard-local ids) so
+  /// correlator rounds are store hits.
   void FinishBatch(const std::vector<StreamId>& touched);
 
   // --- Sketch stage (plan measure slots) -------------------------------
@@ -183,11 +186,8 @@ class FeaturePipeline {
   /// does not run is rejected; one without a core this pipeline runs
   /// leaves that core's stream empty (it warms up). Every count is
   /// bounded by the bytes left, so a hostile slice is rejected before it
-  /// allocates. The cores' level indexes are left stale: call
-  /// RebuildIndexes once the installs are done.
+  /// allocates.
   Status RestoreStreamFrom(StreamId stream, Reader* reader);
-  /// Rebuilds the level indexes of each core that maintains any.
-  Status RebuildIndexes();
 
  private:
   /// Feeds one value, already checked, through every structure.
@@ -200,8 +200,6 @@ class FeaturePipeline {
   /// Builds one tracker over the plan's window set and backfills it from
   /// the stream's raw tail (AdoptPlan and migration installs).
   std::unique_ptr<SlidingAggregateTracker> BackfillTracker(StreamId stream);
-  /// True when any level of `core` currently maintains an R*-tree.
-  static bool AnyLevelIndexed(const Stardust& core);
 
   std::size_t num_streams_;
   const StardustConfig aggregate_;

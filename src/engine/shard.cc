@@ -878,7 +878,6 @@ Status Shard::Restore(const CheckpointShardFile& file, std::uint64_t epoch,
     local_of_[global] = local;
   }
   RebuildSortedLocalsLocked();
-  SD_RETURN_NOT_OK(pipeline_->RebuildIndexes());
   // A query unregistered between the shard capture and the registry
   // capture left edge state in the slices that no plan will prune.
   if (query_snapshot_ != nullptr) PruneQueryStateLocked();
@@ -982,7 +981,6 @@ Status Shard::InstallStream(StreamId global_stream,
     global_of_.resize(num_streams, kNoStream);
   }
   SD_RETURN_NOT_OK(LoadStreamLocked(local, blob));
-  SD_RETURN_NOT_OK(pipeline_->RebuildIndexes());
   global_of_[local] = global_stream;
   if (local_of_.size() <= global_stream) {
     local_of_.resize(static_cast<std::size_t>(global_stream) + 1,
@@ -1068,35 +1066,18 @@ ShardMetricsSnapshot Shard::MetricsSnapshot() const {
   return snapshot;
 }
 
-bool Shard::CorrelationClockMinSince(std::size_t level,
-                                     std::uint64_t since_epoch,
-                                     ClockSummary* out) const {
+bool Shard::CorrelationClockMin(std::size_t level, std::uint64_t* t) const {
   const Stardust* corr_core = pipeline_->corr_core();
   SD_CHECK(corr_core != nullptr);
   std::lock_guard<std::mutex> lock(state_mu_);
-  const FeatureStore& store = pipeline_->store();
-  // Dirty short-circuit: a monitored level with no put since the caller's
-  // recorded epoch cannot have moved any stream's clock — every clock
-  // advance of a store-monitored level writes an entry in the same batch
-  // (FeaturePipeline::FinishBatch), and migrations installing or
-  // clearing a stream stamp it dirty (FeatureStore::TouchStream).
-  // Levels the store does not monitor (plan adoption still in flight)
-  // always take the scan.
-  if (since_epoch != 0 && store.has_level(level) &&
-      store.LevelPutEpoch(level) <= since_epoch) {
-    return false;
-  }
-  out->store_epoch = store.epoch();
-  out->any = false;
-  out->min_time = 0;
+  bool any = false;
   for (StreamId s = 0; s < corr_core->num_streams(); ++s) {
     const LevelThread& thread = corr_core->summarizer(s).thread(level);
     if (thread.empty()) continue;
-    const std::uint64_t t = thread.last_time();
-    out->min_time = out->any ? std::min(out->min_time, t) : t;
-    out->any = true;
+    *t = any ? std::min(*t, thread.last_time()) : thread.last_time();
+    any = true;
   }
-  return true;
+  return any;
 }
 
 Status Shard::CorrelationGatherAt(std::size_t level, std::uint64_t t,

@@ -259,20 +259,10 @@ class Shard {
   // --- Correlator support (requires a correlation core) ----------------
   /// Phase 1 of a correlator round: the minimum latest aligned feature
   /// time at `level` of the correlation core over this shard's started
-  /// streams (a stream starts once its first window filled), plus the
-  /// feature store epoch the summary was taken at. The correlator caches
-  /// one per (level, shard) and passes the cached `store_epoch` back as
-  /// `since_epoch`; when the level saw no store put since then the call
-  /// returns false without scanning a single stream (`out` untouched) —
-  /// no put means no stream's aligned feature time moved, so the cached
-  /// summary still holds. Pass 0 to force a scan.
-  struct ClockSummary {
-    std::uint64_t store_epoch = 0;
-    bool any = false;
-    std::uint64_t min_time = 0;
-  };
-  bool CorrelationClockMinSince(std::size_t level, std::uint64_t since_epoch,
-                                ClockSummary* out) const;
+  /// streams (a stream starts once its first window filled) into `t`.
+  /// False, `t` untouched, when no stream has started. One state-mutex
+  /// hold.
+  bool CorrelationClockMin(std::size_t level, std::uint64_t* t) const;
   /// Phase 2: for every local stream that still has its feature and raw
   /// window at aligned time `t`, the feature point and the exact
   /// z-normalized window. Streams whose data already expired (or never
@@ -359,9 +349,8 @@ class Shard {
   /// state_mu_ held.
   Status SaveStreamLocked(StreamId local, Writer* writer) const;
   /// Installs a SaveStreamLocked slice into local slot `local` (pipeline
-  /// state, then edge state), rejecting trailing bytes. Leaves the cores'
-  /// level indexes stale and the slot tables untouched. Called with
-  /// state_mu_ held.
+  /// state, then edge state), rejecting trailing bytes. Leaves the slot
+  /// tables untouched. Called with state_mu_ held.
   Status LoadStreamLocked(StreamId local, const std::string& blob);
 
   const std::size_t index_;

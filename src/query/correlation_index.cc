@@ -44,43 +44,25 @@ void UnpackKey(std::uint64_t key, std::size_t g, long long* coords) {
 }  // namespace
 
 CorrelationIndex::CorrelationIndex(std::size_t dims, double cell)
-    : dims_(dims), axes_(std::min(dims, kMaxGridAxes)), inv_cell_(1.0 / cell) {
-  SD_CHECK(cell > 0.0);
+    : dims_(dims), axes_(std::min(dims, kMaxGridAxes)) {
   SD_CHECK(axes_ > 0);
+  Reset(cell);
 }
 
-bool CorrelationIndex::Upsert(std::size_t slot, const Point& point) {
-  SD_DCHECK(point.size() == dims_);
-  if (slot >= slots_.size()) slots_.resize(slot + 1);
-  Slot& s = slots_[slot];
-  if (s.live && s.point == point) return false;
-  const std::uint64_t key = KeyOf(point);
-  if (s.live) {
-    if (s.key != key) {
-      RemoveFromCell(s.key, slot);
-      cells_[key].push_back(slot);
-      s.key = key;
-    }
-  } else {
-    cells_[key].push_back(slot);
-    s.key = key;
-    s.live = true;
-    ++size_;
-  }
-  s.point = point;
-  return true;
+void CorrelationIndex::Reset(double cell) {
+  SD_CHECK(cell > 0.0);
+  inv_cell_ = 1.0 / cell;
+  cells_.clear();
+  size_ = 0;
 }
 
-void CorrelationIndex::Erase(std::size_t slot) {
-  if (slot >= slots_.size() || !slots_[slot].live) return;
-  RemoveFromCell(slots_[slot].key, slot);
-  slots_[slot].live = false;
-  --size_;
+void CorrelationIndex::Insert(std::size_t id, const double* point) {
+  cells_[KeyOf(point)].push_back(id);
+  ++size_;
 }
 
-void CorrelationIndex::Candidates(const Point& q, double radius,
+void CorrelationIndex::Candidates(const double* q, double radius,
                                   std::vector<std::size_t>* out) const {
-  SD_DCHECK(q.size() == dims_);
   if (size_ == 0) return;
   const long long reach =
       static_cast<long long>(std::ceil(radius * inv_cell_));
@@ -99,7 +81,6 @@ void CorrelationIndex::Candidates(const Point& q, double radius,
   if (cell_product > static_cast<double>(cells_.size())) {
     long long coords[kMaxGridAxes];
     for (const auto& [key, members] : cells_) {
-      if (members.empty()) continue;
       UnpackKey(key, axes_, coords);
       bool in_range = true;
       for (std::size_t a = 0; a < axes_; ++a) {
@@ -129,23 +110,12 @@ void CorrelationIndex::Candidates(const Point& q, double radius,
   }
 }
 
-std::uint64_t CorrelationIndex::KeyOf(const Point& p) const {
+std::uint64_t CorrelationIndex::KeyOf(const double* p) const {
   long long coords[kMaxGridAxes];
   for (std::size_t a = 0; a < axes_; ++a) {
     coords[a] = QuantizeClamped(p[a], inv_cell_);
   }
   return PackKey(coords, axes_);
-}
-
-void CorrelationIndex::RemoveFromCell(std::uint64_t key, std::size_t slot) {
-  auto it = cells_.find(key);
-  SD_DCHECK(it != cells_.end());
-  std::vector<std::size_t>& members = it->second;
-  const auto pos = std::find(members.begin(), members.end(), slot);
-  SD_DCHECK(pos != members.end());
-  *pos = members.back();
-  members.pop_back();
-  if (members.empty()) cells_.erase(it);
 }
 
 }  // namespace stardust

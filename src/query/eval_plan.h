@@ -76,7 +76,7 @@ struct EvalPlan {
     std::size_t window = 0;  // LevelWindow(level) of the correlation core
     /// Radius extremes over the group's queries: `max_radius` is the one
     /// probe radius serving every query of the round (per-query radii
-    /// re-filter the verified pairs) and the grid cell of the level's
+    /// re-filter the verified pairs) and the grid cell of the round's
     /// CorrelationIndex (1.0 when it is 0).
     double min_radius = 0.0;
     double max_radius = 0.0;

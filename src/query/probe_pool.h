@@ -1,8 +1,8 @@
 // Small persistent worker pool for the correlator's probe phase.
 //
-// A correlator round probes every present stream's feature point against
-// the level's CorrelationIndex — independent read-only lookups over an
-// index that does not change during the phase. The pool partitions the
+// A correlator round probes every gathered feature point against the
+// round's CorrelationIndex — independent read-only lookups over a grid
+// that does not change during the phase. The pool partitions the
 // probe set dynamically (an atomic task cursor) across its workers plus
 // the calling thread, and Run returns only when every task finished, so
 // the caller's merge step sees all results. With zero workers (a single

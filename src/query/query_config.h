@@ -20,8 +20,10 @@ namespace stardust {
 
 struct QueryConfig {
   /// Maintain one online unit-sphere DWT core per shard (update_period
-  /// 1, index_features) so pattern queries can be evaluated inline
-  /// (Algorithm 3). `pattern` must be such a configuration.
+  /// 1) so pattern queries can be evaluated inline (Algorithm 3).
+  /// `pattern` must be such a configuration. Standing queries walk the
+  /// core's box threads, so the shard keeps no level index of it even
+  /// when `pattern.index_features` is set.
   bool enable_patterns = false;
   StardustConfig pattern;
 
@@ -61,10 +63,6 @@ struct QueryConfig {
         return Status::InvalidArgument(
             "pattern queries require the online algorithm "
             "(uniform update_period == 1)");
-      }
-      if (!pattern.index_features) {
-        return Status::InvalidArgument(
-            "pattern queries require index_features");
       }
     }
     if (enable_correlation) {

@@ -130,7 +130,7 @@ TEST(CheckpointManifestTest, FileNamesEncodeShardAndSeq) {
 }
 
 /// A manifest with every entry a real checkpoint carries: per shard the
-/// progress stamps and the shard file, plus the queries file.
+/// progress stamps and the shard file, plus the queries and net files.
 CheckpointManifest CompleteManifest(std::uint64_t seq,
                                     std::size_t num_shards) {
   CheckpointManifest manifest;
@@ -141,6 +141,7 @@ CheckpointManifest CompleteManifest(std::uint64_t seq,
     manifest.shards.push_back({1, 1, CheckpointFeaturesFileName(i, seq), 2});
   }
   manifest.queries_file = CheckpointQueriesFileName(seq);
+  manifest.net_file = CheckpointNetFileName(seq);
   return manifest;
 }
 
@@ -913,13 +914,14 @@ TEST(CheckpointCrashTest, CorruptQueriesFileFallsBack) {
 }
 
 // A committed manifest that lacks a file every checkpoint carries (a
-// shard entry, a shard's file name, or the queries file) is rejected, and
-// recovery falls back to the previous checkpoint.
+// shard entry, a shard's file name, the queries file or the net file) is
+// rejected, and recovery falls back to the previous checkpoint.
 TEST(CheckpointCrashTest, IncompleteManifestFallsBackToPreviousCheckpoint) {
   const std::vector<std::function<void(CheckpointManifest*)>> strips = {
       [](CheckpointManifest* m) { m->shards.pop_back(); },
       [](CheckpointManifest* m) { m->shards[0].file.clear(); },
       [](CheckpointManifest* m) { m->queries_file.clear(); },
+      [](CheckpointManifest* m) { m->net_file.clear(); },
   };
   for (std::size_t i = 0; i < strips.size(); ++i) {
     const std::string dir = FreshDir("ck_incomplete_" + std::to_string(i));

@@ -1,7 +1,6 @@
-// Tests for the correlator's persistent candidate grid
+// Tests for the correlator's per-round candidate grid
 // (src/query/correlation_index): the superset contract against an exact
-// scan, upsert change detection, erase/reuse, and the grid's clamping and
-// neighbor-enumeration fallback paths.
+// scan, Reset, and the grid's clamping and occupied-cell sweep paths.
 #include "query/correlation_index.h"
 
 #include <gtest/gtest.h>
@@ -40,7 +39,7 @@ std::set<std::size_t> VerifiedNeighbors(const CorrelationIndex& index,
                                         const std::vector<Point>& points,
                                         const Point& q, double radius) {
   std::vector<std::size_t> candidates;
-  index.Candidates(q, radius, &candidates);
+  index.Candidates(q.data(), radius, &candidates);
   // The superset contract also forbids duplicates.
   std::vector<std::size_t> sorted = candidates;
   std::sort(sorted.begin(), sorted.end());
@@ -68,7 +67,7 @@ TEST(CorrelationIndexTest, CandidatesCoverTheExactNeighbors) {
     CorrelationIndex index(kDims, cell);
     EXPECT_EQ(index.dims(), kDims);
     for (std::size_t i = 0; i < kPoints; ++i) {
-      EXPECT_TRUE(index.Upsert(i, points[i]));
+      index.Insert(i, points[i].data());
     }
     EXPECT_EQ(index.size(), kPoints);
     for (std::size_t trial = 0; trial < 50; ++trial) {
@@ -82,47 +81,33 @@ TEST(CorrelationIndexTest, CandidatesCoverTheExactNeighbors) {
   }
 }
 
-TEST(CorrelationIndexTest, UpsertDetectsUnchangedPoints) {
-  CorrelationIndex index(2, 0.5);
-  const Point a{1.0, 2.0};
-  const Point b{1.0, 2.5};
-  EXPECT_TRUE(index.Upsert(3, a));
-  // Identical re-put: no change, the cheap path for periodic data.
-  EXPECT_FALSE(index.Upsert(3, a));
-  EXPECT_TRUE(index.Upsert(3, b));
-  EXPECT_EQ(index.size(), 1u);
-  // The index serves the slot at its new position, not the old one.
-  std::vector<std::size_t> candidates;
-  index.Candidates(b, 0.1, &candidates);
-  EXPECT_EQ(candidates, std::vector<std::size_t>{3});
-  candidates.clear();
-  index.Candidates(a, 0.1, &candidates);
-  for (const std::size_t slot : candidates) {
-    EXPECT_GT(Dist2(b, a), 0.0);  // superset may still include it...
-    EXPECT_EQ(slot, 3u);          // ...but never anything else
-  }
-}
-
-TEST(CorrelationIndexTest, EraseFreesSlotsAndIgnoresDeadOnes) {
-  CorrelationIndex index(2, 1.0);
+// A reset empties the grid and changes its cell: the next round's
+// points are the only candidates, bucketed by the new cell.
+TEST(CorrelationIndexTest, ResetEmptiesTheGridAndChangesItsCell) {
+  CorrelationIndex index(2, /*cell=*/100.0);
   const Point a{0.0, 0.0};
-  const Point b{0.25, 0.25};
-  ASSERT_TRUE(index.Upsert(0, a));
-  ASSERT_TRUE(index.Upsert(1, b));
-  index.Erase(0);
-  EXPECT_EQ(index.size(), 1u);
+  const Point b{3.0, 0.0};
+  index.Insert(0, a.data());
+  index.Insert(1, b.data());
   std::vector<std::size_t> candidates;
-  index.Candidates(a, 10.0, &candidates);
-  EXPECT_EQ(candidates, std::vector<std::size_t>{1});
-  index.Erase(0);  // already dead: no-op
-  index.Erase(7);  // never lived: no-op
-  EXPECT_EQ(index.size(), 1u);
-  // A freed slot id can be reused.
-  EXPECT_TRUE(index.Upsert(0, b));
-  candidates.clear();
-  index.Candidates(b, 0.01, &candidates);
+  // One 100-wide cell holds both points: a tiny radius still reaches b.
+  index.Candidates(a.data(), 0.1, &candidates);
   std::sort(candidates.begin(), candidates.end());
   EXPECT_EQ(candidates, (std::vector<std::size_t>{0, 1}));
+
+  index.Reset(/*cell=*/1.0);
+  EXPECT_EQ(index.size(), 0u);
+  candidates.clear();
+  index.Candidates(a.data(), 1000.0, &candidates);
+  EXPECT_TRUE(candidates.empty());
+
+  index.Insert(5, a.data());
+  index.Insert(6, b.data());
+  EXPECT_EQ(index.size(), 2u);
+  // With unit cells, b lies three cells away from a radius-0.1 probe.
+  candidates.clear();
+  index.Candidates(a.data(), 0.1, &candidates);
+  EXPECT_EQ(candidates, std::vector<std::size_t>{5});
 }
 
 // A radius spanning vastly more cells than are occupied must take the
@@ -135,10 +120,11 @@ TEST(CorrelationIndexTest, GridWideRadiusSweepsOccupiedCells) {
   std::vector<Point> points;
   for (std::size_t i = 0; i < 64; ++i) {
     points.push_back(RandomPoint(&rng, kDims, 100.0));
-    ASSERT_TRUE(index.Upsert(i, points.back()));
+    index.Insert(i, points.back().data());
   }
   std::vector<std::size_t> candidates;
-  index.Candidates(Point(kDims, 0.0), /*radius=*/1000.0, &candidates);
+  const Point origin(kDims, 0.0);
+  index.Candidates(origin.data(), /*radius=*/1000.0, &candidates);
   EXPECT_EQ(candidates.size(), points.size());
 }
 
@@ -149,10 +135,11 @@ TEST(CorrelationIndexTest, GridClampsExtremeCoordinatesSoundly) {
   CorrelationIndex index(2, /*cell=*/1.0);
   const Point far_out{1e12, -1e12};
   const Point near_origin{0.0, 0.0};
-  ASSERT_TRUE(index.Upsert(0, far_out));
-  ASSERT_TRUE(index.Upsert(1, near_origin));
+  index.Insert(0, far_out.data());
+  index.Insert(1, near_origin.data());
   std::vector<std::size_t> candidates;
-  index.Candidates(Point{9e11, -9e11}, /*radius=*/2.0, &candidates);
+  const Point q{9e11, -9e11};
+  index.Candidates(q.data(), /*radius=*/2.0, &candidates);
   // Exact verification happens downstream; here the far-out point MUST
   // appear (both clamp to the boundary cell) even though the true
   // distance exceeds the radius.

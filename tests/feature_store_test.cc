@@ -170,8 +170,8 @@ TEST(FeatureStoreTest, StoreCapacityOverrideTakesPrecedence) {
 TEST(FeatureStoreTest, PutFindLatestAndRotation) {
   FeatureStore store(2, /*capacity=*/3);
   store.SetLevels({{/*level=*/0, /*window=*/4, /*dims=*/2}});
-  ASSERT_TRUE(store.has_level(0));
-  EXPECT_FALSE(store.has_level(1));
+  ASSERT_EQ(store.levels().size(), 1u);
+  EXPECT_EQ(store.levels()[0].level, 0u);
 
   std::uint64_t latest = 0;
   EXPECT_FALSE(store.Latest(0, 0, &latest));
@@ -214,7 +214,11 @@ TEST(FeatureStoreTest, PutFindLatestAndRotation) {
 
   store.Clear();
   EXPECT_FALSE(store.Find(0, 0, 15, &view));
-  EXPECT_TRUE(store.has_level(0));  // level set survives Clear
+  // The level set survives Clear: the level still takes puts.
+  const double feature[2] = {1.0, 2.0};
+  const double znormed[4] = {0.5, -0.5, 1.5, -1.5};
+  store.Put(0, 0, 19, feature, znormed, /*mean=*/0.0, /*norm2=*/4.0);
+  EXPECT_TRUE(store.Find(0, 0, 19, &view));
 }
 
 TEST(FeatureStoreTest, SetLevelsKeepsUnchangedSlabsAndDropsReshaped) {
@@ -398,7 +402,6 @@ TEST_F(FeaturePipelineSliceTest, StreamSliceRoundTrip) {
     ASSERT_TRUE(restored->RestoreStreamFrom(s, &reader).ok());
     EXPECT_TRUE(reader.AtEnd());
   }
-  ASSERT_TRUE(restored->RebuildIndexes().ok());
   EXPECT_GT(pipeline->counters().sketch_serialized_bytes, 0u);
 
   ASSERT_FALSE(plan_->aggregate_windows.empty());
@@ -469,6 +472,35 @@ TEST_F(FeaturePipelineSliceTest, RestoreChecksCorePresence) {
   EXPECT_EQ(target->AppendCount(0), 16u);
   EXPECT_EQ(target->pattern_core()->summarizer(0).now(), 16u);
   EXPECT_EQ(target->corr_core()->summarizer(0).now(), 0u);
+}
+
+// The pipeline keeps no level index of its cores: one built over an
+// index_features pattern core switches every level off at construction,
+// before any plan, so an installed slice keeps taking runs and single
+// values with no index rebuild.
+TEST_F(FeaturePipelineSliceTest, IndexedPatternCoreKeepsNoLevelIndex) {
+  ASSERT_TRUE(pattern_config_.index_features);
+  std::unique_ptr<FeaturePipeline> source = MakePipeline(true, false);
+  Feed(source.get(), 40);
+  const std::string slice = SaveSlice(*source, 2);
+
+  FeaturePipeline target(agg_config_, MakeCore(pattern_config_), nullptr,
+                         kStreams);
+  for (std::size_t level = 0; level < pattern_config_.num_levels; ++level) {
+    EXPECT_FALSE(target.pattern_core()->level_indexed(level))
+        << "level " << level;
+  }
+  target.AdoptPlan(*plan_);
+  Reader reader(slice);
+  ASSERT_TRUE(target.RestoreStreamFrom(2, &reader).ok());
+  std::vector<double> run(64);
+  for (std::size_t i = 0; i < run.size(); ++i) run[i] = ValueAt(2, 40 + i);
+  for (FeaturePipeline* pipeline : {source.get(), &target}) {
+    ASSERT_TRUE(pipeline->AppendRun(2, run.data(), run.size()).ok());
+    ASSERT_TRUE(pipeline->Append(2, ValueAt(2, 104)).ok());
+  }
+  EXPECT_EQ(target.AppendCount(2), 105u);
+  EXPECT_EQ(SaveSlice(target, 2), SaveSlice(*source, 2));
 }
 
 TEST_F(FeaturePipelineSliceTest, RestoreRejectsATailOfAnotherHistory) {
@@ -554,11 +586,9 @@ TEST_F(FeaturePipelineSliceTest, EverySingleByteFlipInstallsOrIsRejected) {
         ++rejected;
         continue;
       }
-      // An installed slice must also survive the index rebuild every
-      // restore ends with, keep taking appends (a run through the
-      // batched path, then one value through the scalar one), and
+      // An installed slice must also keep taking appends (a run through
+      // the batched path, then one value through the scalar one) and
       // serialize again.
-      EXPECT_TRUE(target->RebuildIndexes().ok()) << "pos " << pos;
       EXPECT_TRUE(target->AppendRun(1, run.data(), run.size()).ok())
           << "pos " << pos;
       EXPECT_TRUE(target->Append(1, 3.0).ok()) << "pos " << pos;
@@ -803,7 +833,6 @@ TEST(FeaturePipelineSliceRandomTest, RandomizedCoreConfigsRoundTrip) {
           << "trial " << trial << " stream " << s;
       EXPECT_TRUE(reader.AtEnd());
     }
-    ASSERT_TRUE(restored->RebuildIndexes().ok());
     for (StreamId s = 0; s < kStreams; ++s) {
       EXPECT_EQ(SaveSlice(*restored, s), SaveSlice(*original, s))
           << "trial " << trial << " stream " << s;
@@ -969,8 +998,8 @@ TEST(ShardFileTest, FrozenShardFileParsesAndReserializesByteEqual) {
 // --- Checkpoint manifest -----------------------------------------------
 
 /// A manifest with every entry a real checkpoint carries: per shard the
-/// progress stamps and the shard file, the placement epoch and the
-/// queries file. The net file is optional and left out.
+/// progress stamps and the shard file, the placement epoch, the queries
+/// file and the alert log's net file.
 CheckpointManifest BaseManifest() {
   CheckpointManifest manifest;
   manifest.seq = 7;
@@ -983,6 +1012,8 @@ CheckpointManifest BaseManifest() {
   manifest.placement_epoch = 3;
   manifest.queries_file = CheckpointQueriesFileName(7);
   manifest.queries_checksum = 0x1234;
+  manifest.net_file = CheckpointNetFileName(7);
+  manifest.net_checksum = 0x5555;
   return manifest;
 }
 
@@ -1001,7 +1032,22 @@ TEST(CheckpointManifestTest, RoundTripCarriesEveryEntry) {
   EXPECT_EQ(m.placement_epoch, 3u);
   EXPECT_EQ(m.queries_file, CheckpointQueriesFileName(7));
   EXPECT_EQ(m.queries_checksum, 0x1234u);
-  EXPECT_TRUE(m.net_file.empty());
+  EXPECT_EQ(m.net_file, CheckpointNetFileName(7));
+  EXPECT_EQ(m.net_checksum, 0x5555u);
+}
+
+TEST(CheckpointManifestTest, RejectsAMissingQueriesOrNetFile) {
+  CheckpointManifest no_queries = BaseManifest();
+  no_queries.queries_file.clear();
+  EXPECT_FALSE(ParseManifest(SerializeManifest(no_queries)).ok());
+  CheckpointManifest no_net = BaseManifest();
+  no_net.net_file.clear();
+  const Result<CheckpointManifest> parsed =
+      ParseManifest(SerializeManifest(no_net));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("alert log file"),
+            std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(CheckpointManifestTest, RejectsEntryCountShardMismatch) {
@@ -1049,8 +1095,7 @@ TEST(CheckpointManifestTest, RejectsBadVersionsAndChecksum) {
   EXPECT_FALSE(ParseManifest(extended.buffer()).ok());
 }
 
-// Frozen bytes of BaseManifest() plus a net file, written by
-// SerializeManifest. Any change to the on-disk manifest layout fails
+// Frozen bytes of BaseManifest(), written by SerializeManifest. Any change to the on-disk manifest layout fails
 // here instead of silently orphaning existing checkpoints.
 constexpr const char* kManifestFixtureHex =
     "53444d46080000008f300916b7e9b97707000000000000000400000000000000"
@@ -1066,11 +1111,8 @@ TEST(CheckpointManifestTest, FrozenManifestParsesAndReserializesByteEqual) {
   ASSERT_EQ(bytes.size(), 216u);
   const Result<CheckpointManifest> parsed = ParseManifest(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  CheckpointManifest expected = BaseManifest();
-  expected.net_file = CheckpointNetFileName(7);
-  expected.net_checksum = 0x5555;
   EXPECT_EQ(SerializeManifest(parsed.value()), bytes);
-  EXPECT_EQ(SerializeManifest(expected), bytes);
+  EXPECT_EQ(SerializeManifest(BaseManifest()), bytes);
 }
 
 }  // namespace

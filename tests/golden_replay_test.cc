@@ -450,7 +450,31 @@ std::vector<BatchedCoreConfig> BatchedCoreConfigs() {
   exact.exact_levels = true;
   exact.index_features = false;
   configs.push_back({"exact_levels", exact, false});
+  // An indexed core whose history (23) is shorter than the {64}
+  // schedule's runs: one run seals boxes and expires them again, and
+  // those boxes must never reach the level index.
+  StardustConfig short_history = PatternCoreConfig();
+  short_history.normalization = Normalization::kNone;
+  short_history.coefficients = 2;
+  short_history.box_capacity = 2;
+  short_history.history = 23;
+  configs.push_back({"indexed_short_history", short_history, true});
   return configs;
+}
+
+// Every level index's records, as (level, record id, lower bounds, upper
+// bounds), sorted.
+std::vector<std::tuple<std::size_t, RecordId, Point, Point>> IndexRecords(
+    const Stardust& core) {
+  std::vector<std::tuple<std::size_t, RecordId, Point, Point>> records;
+  if (!core.config().index_features) return records;
+  for (std::size_t level = 0; level < core.config().num_levels; ++level) {
+    core.index(level).ForEach([&](const RTreeEntry& entry) {
+      records.emplace_back(level, entry.id, entry.box.lo(), entry.box.hi());
+    });
+  }
+  std::sort(records.begin(), records.end());
+  return records;
 }
 
 TEST(BatchedMaintenanceTest, StardustAppendRunMatchesAppendBitExactly) {
@@ -497,6 +521,9 @@ TEST(BatchedMaintenanceTest, StardustAppendRunMatchesAppendBitExactly) {
           << ": state checksum diverged";
       ASSERT_EQ(scalar_state, batched_state)
           << name << " schedule[0]=" << schedule[0];
+      EXPECT_EQ(IndexRecords(*scalar), IndexRecords(*batched))
+          << name << " schedule[0]=" << schedule[0]
+          << ": level index records diverged";
     }
   }
 }

@@ -350,6 +350,7 @@ TEST(PlacementCheckpointTest, ManifestRoundTripCarriesPlacement) {
   manifest.shards = {{1, 1, CheckpointFeaturesFileName(0, 4), 2}};
   manifest.placement_epoch = 9;
   manifest.queries_file = CheckpointQueriesFileName(4);
+  manifest.net_file = CheckpointNetFileName(4);
   Result<CheckpointManifest> parsed =
       ParseManifest(SerializeManifest(manifest));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
