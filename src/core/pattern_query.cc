@@ -119,8 +119,7 @@ Result<PatternResult> PatternQueryEngine::QueryOnline(
 }
 
 Result<PatternResult> PatternQueryEngine::QueryCompiled(
-    const CompiledPatternQuery& compiled,
-    const std::uint64_t* min_end) const {
+    const CompiledPatternQuery& compiled) const {
   const StardustConfig& config = core_.config();
   if (config.transform != TransformKind::kDwt || !config.index_features ||
       config.update_period != 1 ||
@@ -147,22 +146,13 @@ Result<PatternResult> PatternQueryEngine::QueryCompiled(
   candidates.reserve(entries.size());
   auto seed_candidate = [&](StreamId stream, const LevelThread& thread,
                             const FeatureBox& box) {
-    std::uint64_t end_lo = box.first_time;
-    const std::uint64_t end_hi = box.first_time + box.count - 1;
-    if (min_end != nullptr && min_end[stream] > end_lo) {
-      // Every position in the run below the stream's reportable floor
-      // would be discarded after verification; clamp before paying for
-      // refinement, and drop runs that are entirely historical.
-      if (min_end[stream] > end_hi) return;
-      end_lo = min_end[stream];
-    }
     const double cost =
         thread.Extent(box).MinDist2(first.feature) * first.scale;
     if (cost > total_budget) return;
     Candidate cand;
     cand.stream = stream;
-    cand.end_lo = end_lo;
-    cand.end_hi = end_hi;
+    cand.end_lo = box.first_time;
+    cand.end_hi = box.first_time + box.count - 1;
     cand.budget = total_budget - cost;
     candidates.push_back(cand);
   };

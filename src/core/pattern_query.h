@@ -66,7 +66,8 @@ struct PatternResult {
 /// the decomposition of |Q|/W into pieces with their DWT features,
 /// offsets, and unnormalized budget scales, plus the normalized query for
 /// exact verification. Compiled once per registered query by the plan
-/// compiler (query/eval_plan) and executed per batch via QueryCompiled.
+/// compiler (query/eval_plan); shards run it per batch via
+/// QueryCompiledIncremental.
 struct CompiledPatternQuery {
   struct Piece {
     std::size_t level = 0;
@@ -105,17 +106,9 @@ class PatternQueryEngine {
                                     double radius) const;
 
   /// Algorithm 3 on a precompiled query. `compiled` must have been built
-  /// by CompilePatternQuery against this core's configuration. When
-  /// `min_end` is non-null it points at one minimum reportable match
-  /// end-time per stream (indexed by StreamId); candidate runs ending
-  /// before a stream's minimum are pruned at seed time, before
-  /// refinement and exact verification. Callers that deduplicate
-  /// matches with a per-stream watermark (the shard pattern stage) pass
-  /// the watermark here so standing historical matches are not
-  /// re-verified every batch.
+  /// by CompilePatternQuery against this core's configuration.
   Result<PatternResult> QueryCompiled(
-      const CompiledPatternQuery& compiled,
-      const std::uint64_t* min_end = nullptr) const;
+      const CompiledPatternQuery& compiled) const;
 
   /// Incremental Algorithm 3 for standing (continuous) queries: evaluates
   /// only match-end positions not yet finally decided, instead of

@@ -149,7 +149,6 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
 
   std::unique_ptr<IngestEngine> engine(
       new IngestEngine(engine_config, num_streams));
-  engine->core_config_ = config;
   engine->placement_ =
       std::make_unique<PlacementTable>(num_streams, num_shards);
   if (restoring) {
@@ -173,7 +172,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Create(
     SD_RETURN_NOT_OK(engine->alert_log_->Restore(net_bytes.value()));
   }
   // Thresholds are sugar for aggregate queries, registered before any
-  // shard compiles its first plan.
+  // shard adopts its first plan.
   for (const WindowThreshold& wt : thresholds) {
     Result<QueryId> id = engine->registry_->Register(
         QuerySpec::Aggregate(wt.window, wt.threshold));
@@ -294,70 +293,53 @@ Result<std::size_t> IngestEngine::ProducerSlot() {
 }
 
 Status IngestEngine::Post(StreamId stream, double value) {
-  if (!accepting_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("engine is stopped");
-  }
-  if (stream >= num_streams_) {
-    return Status::InvalidArgument("unknown stream");
-  }
-  Result<std::size_t> slot = ProducerSlot();
-  if (!slot.ok()) return slot.status();
-  // Routing window (odd = inside): the placement snapshot is loaded and
-  // the push lands before the counter returns to even, so a migration's
-  // quiescence wait can order its drain barrier after every push that
-  // routed by the superseded epoch.
-  std::atomic<std::uint64_t>& seq = producer_seq_[slot.value()];
-  seq.fetch_add(1, std::memory_order_seq_cst);
-  const PlacementTable::Snapshot* placement = placement_->Acquire();
-  const Status status =
-      shards_[placement->shard_of[stream]]->Push(slot.value(), stream, value);
-  seq.fetch_add(1, std::memory_order_seq_cst);
-  return status;
+  const StreamValue tuple{stream, value};
+  return PostTuples({&tuple, 1}, /*wait=*/true).status();
 }
 
 Result<PostOutcome> IngestEngine::TryPost(StreamId stream, double value) {
+  const StreamValue tuple{stream, value};
+  return PostTuples({&tuple, 1}, /*wait=*/false);
+}
+
+Status IngestEngine::PostBatch(std::span<const StreamValue> tuples) {
+  return PostTuples(tuples, /*wait=*/true).status();
+}
+
+Result<PostOutcome> IngestEngine::PostTuples(
+    std::span<const StreamValue> tuples, bool wait) {
   if (!accepting_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("engine is stopped");
   }
-  if (stream >= num_streams_) {
+  // The tuples ahead of the first unknown stream are pushed; that stream
+  // then fails the post, and one that leads it takes no producer slot.
+  std::size_t known = 0;
+  while (known < tuples.size() && tuples[known].stream < num_streams_) {
+    ++known;
+  }
+  if (known == 0 && !tuples.empty()) {
     return Status::InvalidArgument("unknown stream");
   }
   Result<std::size_t> slot = ProducerSlot();
   if (!slot.ok()) return slot.status();
+  // One routing window (odd = inside) for all the tuples: every push
+  // routes by one placement snapshot and lands before the counter
+  // returns to even, so a migration's quiescence wait can order its
+  // drain barrier after every push that routed by the superseded epoch.
   std::atomic<std::uint64_t>& seq = producer_seq_[slot.value()];
   seq.fetch_add(1, std::memory_order_seq_cst);
   const PlacementTable::Snapshot* placement = placement_->Acquire();
-  const PostOutcome outcome =
-      shards_[placement->shard_of[stream]]->TryPush(slot.value(), stream,
-                                                    value);
+  Result<PostOutcome> outcome = PostOutcome::kEnqueued;
+  for (std::size_t i = 0; i < known && outcome.ok(); ++i) {
+    const StreamValue& tuple = tuples[i];
+    outcome = shards_[placement->shard_of[tuple.stream]]->Push(
+        slot.value(), tuple.stream, tuple.value, wait);
+  }
   seq.fetch_add(1, std::memory_order_seq_cst);
+  if (outcome.ok() && known < tuples.size()) {
+    return Status::InvalidArgument("unknown stream");
+  }
   return outcome;
-}
-
-Status IngestEngine::PostBatch(std::span<const StreamValue> tuples) {
-  if (!accepting_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("engine is stopped");
-  }
-  Result<std::size_t> slot = ProducerSlot();
-  if (!slot.ok()) return slot.status();
-  // One routing window for the whole batch: every push routes by one
-  // placement snapshot, and a concurrent migration waits the window out
-  // before reading its drain barrier.
-  std::atomic<std::uint64_t>& seq = producer_seq_[slot.value()];
-  seq.fetch_add(1, std::memory_order_seq_cst);
-  const PlacementTable::Snapshot* placement = placement_->Acquire();
-  Status status = Status::OK();
-  for (const StreamValue& tuple : tuples) {
-    if (tuple.stream >= num_streams_) {
-      status = Status::InvalidArgument("unknown stream");
-      break;
-    }
-    status = shards_[placement->shard_of[tuple.stream]]->Push(
-        slot.value(), tuple.stream, tuple.value);
-    if (!status.ok()) break;
-  }
-  seq.fetch_add(1, std::memory_order_seq_cst);
-  return status;
 }
 
 void IngestEngine::WaitProducersQuiescent() const {
@@ -861,39 +843,16 @@ void IngestEngine::TriggerCorrelatorRound() { RunCorrelatorRound(); }
 
 void IngestEngine::RunCorrelatorRound() {
   std::lock_guard<std::mutex> round_lock(correlator_round_mu_);
-  // The correlator consumes the same compiled-plan form as the shard
-  // workers: correlation queries grouped by resolved level, recompiled
-  // only when the registry version moves.
-  const std::uint64_t version = registry_->version();
-  if (corr_plan_ == nullptr || version != corr_plan_version_) {
-    const std::shared_ptr<const QueryRegistry::Snapshot> snapshot =
-        registry_->snapshot();
-    PlanContext ctx;
-    ctx.fleet = &core_config_;
-    ctx.pattern = config_.query.enable_patterns ? &config_.query.pattern
-                                                : nullptr;
-    ctx.correlation = config_.query.enable_correlation
-                          ? &config_.query.correlation
-                          : nullptr;
-    corr_plan_ = CompileEvalPlan(*snapshot, version, ctx);
-    corr_plan_version_ = version;
+  // The correlator runs the same plan object as the shard workers
+  // (correlation queries grouped by resolved level), adopted only when
+  // the registry version moves.
+  if (corr_plan_ == nullptr || corr_plan_->version != registry_->version()) {
+    corr_plan_ = registry_->plan();
     // Drop rising-edge state of queries that left the registry, so the
     // map cannot grow without bound under register/unregister churn.
-    for (auto it = corr_active_pairs_.begin();
-         it != corr_active_pairs_.end();) {
-      bool live = false;
-      for (const EvalPlan::CorrelationGroup& group :
-           corr_plan_->correlation) {
-        for (const auto& q : group.queries) {
-          if (q->id == it->first) {
-            live = true;
-            break;
-          }
-        }
-        if (live) break;
-      }
-      it = live ? std::next(it) : corr_active_pairs_.erase(it);
-    }
+    std::erase_if(corr_active_pairs_, [this](const auto& entry) {
+      return !corr_plan_->Holds(entry.first);
+    });
   }
   if (corr_plan_->correlation.empty()) return;
 
@@ -1005,7 +964,6 @@ bool IngestEngine::RunCorrelatorGroup(
     metrics_->correlator_level_evals[level].fetch_add(
         1, std::memory_order_relaxed);
   }
-  corr_plan_->correlation_evals.fetch_add(1, std::memory_order_relaxed);
 
   // Phase 4: probe every gathered point against the grid, partitioned
   // across the probe pool (the pool only reads the grid and the

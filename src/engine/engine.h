@@ -261,6 +261,12 @@ class IngestEngine {
 
   /// Producer slot of the calling thread, registering it on first use.
   Result<std::size_t> ProducerSlot();
+  /// The post path of Post, TryPost and PostBatch: pushes `tuples` in
+  /// order inside one routing window (`wait` as in Shard::Push) up to the
+  /// first failed push or unknown stream (InvalidArgument; a leading one
+  /// takes no producer slot). Returns the last push's outcome.
+  Result<PostOutcome> PostTuples(std::span<const StreamValue> tuples,
+                                 bool wait);
 
   /// Blocks until no producer is inside a routing window it entered
   /// before the call — after a placement flip this guarantees every
@@ -278,9 +284,6 @@ class IngestEngine {
   const std::uint64_t engine_id_;
   const EngineConfig config_;
   const std::size_t num_streams_;
-  /// Aggregate-path configuration (plan compilation context for the
-  /// correlator); set once in Create.
-  StardustConfig core_config_;
   std::unique_ptr<EngineMetrics> metrics_;
   std::unique_ptr<QueryRegistry> registry_;
   std::unique_ptr<AlertLog> alert_log_;
@@ -328,10 +331,9 @@ class IngestEngine {
   /// Serializes correlator rounds (the background thread against
   /// TriggerCorrelatorRound) and guards the round state below.
   std::mutex correlator_round_mu_;
-  /// Compiled plan of the registry snapshot the correlator last saw;
-  /// recompiled only when the registry version moves.
+  /// The registry plan the correlator last adopted; re-fetched only when
+  /// the registry version moves.
   std::shared_ptr<const EvalPlan> corr_plan_;
-  std::uint64_t corr_plan_version_ = 0;
   /// Last evaluated common feature time per monitored level; rounds where
   /// it did not advance are skipped. Committed only after a level group
   /// evaluated successfully, so a failed gather retries the same round.

@@ -99,7 +99,7 @@ class FeaturePipeline {
     return tails_[stream].size();
   }
 
-  /// Reconfigures the pipeline for a freshly compiled plan: rebuilds the
+  /// Reconfigures the pipeline for a newly adopted plan: rebuilds the
   /// per-stream trackers when the aggregate window set changed (backfilled
   /// from each stream's raw tail, so a query registered mid-stream is
   /// ready as soon as its window fits in the retained tail), and points

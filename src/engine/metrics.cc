@@ -119,10 +119,9 @@ std::string EngineMetricsJson(
             s.sketch_estimates, s.sketch_serialized_bytes);
     AppendF(&out,
             ",\"plan\":{\"version\":%" PRIu64 ",\"aggregate_evals\":%" PRIu64
-            ",\"pattern_evals\":%" PRIu64 ",\"correlation_evals\":%" PRIu64
-            ",\"sketch_evals\":%" PRIu64 "}}",
+            ",\"pattern_evals\":%" PRIu64 ",\"sketch_evals\":%" PRIu64 "}}",
             s.plan_version, s.plan_aggregate_evals, s.plan_pattern_evals,
-            s.plan_correlation_evals, s.plan_sketch_evals);
+            s.plan_sketch_evals);
   }
   out += "]";
 

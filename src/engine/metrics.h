@@ -108,12 +108,12 @@ struct ShardMetricsSnapshot {
   std::uint64_t sketch_serialized_bytes = 0;
   std::size_t sketch_slots = 0;
 
-  // Compiled-plan stage counters: batches (or correlator rounds) that
-  // executed each stage of the shard's current EvalPlan.
+  // Registry version of the EvalPlan the shard runs, and the batches
+  // that ran each of its stages since the shard started (the
+  // correlator's are EngineMetrics::correlator_level_evals).
   std::uint64_t plan_version = 0;
   std::uint64_t plan_aggregate_evals = 0;
   std::uint64_t plan_pattern_evals = 0;
-  std::uint64_t plan_correlation_evals = 0;
   std::uint64_t plan_sketch_evals = 0;
 
   // Batched-maintenance accounting: whether the worker is pinned to its

@@ -122,18 +122,13 @@ Status LoadEdgeSlice(std::unordered_map<QueryId, std::vector<T>>* map,
   return Status::OK();
 }
 
-// Drops the entries of queries missing from `live` (the registry
-// snapshot's queries of the map's class).
-template <typename T, typename Queries>
-void PruneEdgeMap(const Queries& live,
+// Drops the entries of queries `plan` does not hold.
+template <typename T>
+void PruneEdgeMap(const EvalPlan& plan,
                   std::unordered_map<QueryId, std::vector<T>>* map) {
-  for (auto it = map->begin(); it != map->end();) {
-    const QueryId id = it->first;
-    const bool registered =
-        std::any_of(live.begin(), live.end(),
-                    [id](const auto& q) { return q->id == id; });
-    it = registered ? std::next(it) : map->erase(it);
-  }
+  std::erase_if(*map, [&plan](const auto& entry) {
+    return !plan.Holds(entry.first);
+  });
 }
 
 // Resets one slot of an edge-state map to the value a fresh evaluation
@@ -221,7 +216,8 @@ void Shard::set_paused(bool paused) {
   paused_.store(paused, std::memory_order_release);
 }
 
-Status Shard::Push(std::size_t producer, StreamId stream, double value) {
+Result<PostOutcome> Shard::Push(std::size_t producer, StreamId stream,
+                                double value, bool wait) {
   SD_DCHECK(producer < rings_.size());
   SpscRing<StreamValue>& ring = *rings_[producer];
   const StreamValue tuple{stream, value};
@@ -229,12 +225,11 @@ Status Shard::Push(std::size_t producer, StreamId stream, double value) {
     switch (policy_) {
       case OverloadPolicy::kDropNewest:
         metrics_->dropped_newest.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
+        return PostOutcome::kDroppedNewest;
       case OverloadPolicy::kDropOldest: {
         StreamValue victim;
         while (!ring.TryPush(tuple)) {
           if (ring.TryPop(&victim)) {
-            stolen_.fetch_add(1, std::memory_order_relaxed);
             ring_retired_[producer].fetch_add(1, std::memory_order_release);
             metrics_->dropped_oldest.fetch_add(1, std::memory_order_relaxed);
           }
@@ -242,6 +237,10 @@ Status Shard::Push(std::size_t producer, StreamId stream, double value) {
         break;
       }
       case OverloadPolicy::kBlock: {
+        // A caller that cannot wait takes the full ring as its
+        // backpressure signal: nothing is enqueued or accounted, and it
+        // retries after the worker drains.
+        if (!wait) return PostOutcome::kWouldBlock;
         metrics_->block_waits.fetch_add(1, std::memory_order_relaxed);
         std::size_t spins = 0;
         while (!ring.TryPush(tuple)) {
@@ -258,42 +257,6 @@ Status Shard::Push(std::size_t producer, StreamId stream, double value) {
       }
     }
   }
-  enqueued_.fetch_add(1, std::memory_order_release);
-  ring_enqueued_[producer].fetch_add(1, std::memory_order_release);
-  metrics_->posted.fetch_add(1, std::memory_order_relaxed);
-  UpdateMaxSize(&queue_high_water_, ring.ApproxSize());
-  return Status::OK();
-}
-
-PostOutcome Shard::TryPush(std::size_t producer, StreamId stream,
-                           double value) {
-  SD_DCHECK(producer < rings_.size());
-  SpscRing<StreamValue>& ring = *rings_[producer];
-  const StreamValue tuple{stream, value};
-  if (!ring.TryPush(tuple)) {
-    switch (policy_) {
-      case OverloadPolicy::kDropNewest:
-        metrics_->dropped_newest.fetch_add(1, std::memory_order_relaxed);
-        return PostOutcome::kDroppedNewest;
-      case OverloadPolicy::kDropOldest: {
-        StreamValue victim;
-        while (!ring.TryPush(tuple)) {
-          if (ring.TryPop(&victim)) {
-            stolen_.fetch_add(1, std::memory_order_relaxed);
-            ring_retired_[producer].fetch_add(1, std::memory_order_release);
-            metrics_->dropped_oldest.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        break;
-      }
-      case OverloadPolicy::kBlock:
-        // Unlike Push, a full ring is the caller's backpressure signal:
-        // nothing is enqueued or accounted, and the caller retries after
-        // the worker drains (block_waits stays a Push-only counter).
-        return PostOutcome::kWouldBlock;
-    }
-  }
-  enqueued_.fetch_add(1, std::memory_order_release);
   ring_enqueued_[producer].fetch_add(1, std::memory_order_release);
   metrics_->posted.fetch_add(1, std::memory_order_relaxed);
   UpdateMaxSize(&queue_high_water_, ring.ApproxSize());
@@ -391,38 +354,18 @@ void Shard::WorkerLoop() {
   }
 }
 
-void Shard::RefreshQuerySnapshot() {
-  const std::uint64_t version = registry_->version();
-  if (query_snapshot_ != nullptr && version == query_version_) return;
-  query_snapshot_ = registry_->snapshot();
-  query_version_ = version;
-  // Compile outside the state mutex (compilation only reads immutable
-  // configs); the next ApplyBatch commits it, prunes stale evaluation
-  // state, and re-points the pipeline.
-  PlanContext ctx;
-  ctx.fleet = &pipeline_->aggregate_config();
-  ctx.pattern = pipeline_->pattern_core() != nullptr
-                    ? &pipeline_->pattern_core()->config()
-                    : nullptr;
-  ctx.correlation = pipeline_->corr_core() != nullptr
-                        ? &pipeline_->corr_core()->config()
-                        : nullptr;
-  pending_plan_ = CompileEvalPlan(*query_snapshot_, version, ctx);
-}
-
-void Shard::CommitPendingPlanLocked() {
-  if (pending_plan_ == nullptr) return;
-  plan_ = std::move(pending_plan_);
-  pending_plan_ = nullptr;
+void Shard::AdoptPlanLocked() {
+  if (plan_ != nullptr && plan_->version == registry_->version()) return;
+  plan_ = registry_->plan();
   PruneQueryStateLocked();
   pipeline_->AdoptPlan(*plan_);
 }
 
 void Shard::PruneQueryStateLocked() {
-  PruneEdgeMap(query_snapshot_->aggregate, &agg_alarming_);
-  PruneEdgeMap(query_snapshot_->sketch, &sketch_alarming_);
-  PruneEdgeMap(query_snapshot_->pattern, &pattern_watermark_);
-  PruneEdgeMap(query_snapshot_->pattern, &pattern_eval_floor_);
+  PruneEdgeMap(*plan_, &agg_alarming_);
+  PruneEdgeMap(*plan_, &sketch_alarming_);
+  PruneEdgeMap(*plan_, &pattern_watermark_);
+  PruneEdgeMap(*plan_, &pattern_eval_floor_);
 }
 
 void Shard::GroupRuns(const std::vector<StreamValue>& batch) {
@@ -513,6 +456,8 @@ void Shard::ApplyRunLocked(StreamId stream, const double* values,
 
 void Shard::EvaluateQueriesLocked(std::vector<Alert>* out) {
   using Clock = std::chrono::steady_clock;
+  using Queries = std::vector<std::shared_ptr<RegisteredQuery>>;
+  using EdgeMap = std::unordered_map<QueryId, std::vector<char>>;
   const EvalPlan& plan = *plan_;
   if (plan.aggregate.empty() && plan.pattern.empty() &&
       plan.sketch.empty()) {
@@ -522,100 +467,35 @@ void Shard::EvaluateQueriesLocked(std::vector<Alert>* out) {
   const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
   const std::size_t num_streams = pipeline_->num_streams();
 
-  // Aggregate stage: every query sharing a window reads the one tracker
-  // the pipeline maintains for that window — the Algorithm-2 check costs
-  // one tracker read per (group, touched stream) instead of one
-  // filter/verify walk per (query, touched stream). Alerts stay
-  // edge-triggered on the false -> true alarm transition so a window
-  // staying above its threshold emits once, not once per batch.
-  if (!plan.aggregate.empty()) {
-    plan.aggregate_evals.fetch_add(1, std::memory_order_relaxed);
-    for (const EvalPlan::AggregateGroup& group : plan.aggregate) {
-      const Clock::time_point start = Clock::now();
-      if (group.evaluable) {
-        edge_scratch_.clear();
-        for (const auto& q : group.queries) {
-          std::vector<char>& edge = agg_alarming_[q->id];
-          // Prefix-preserving growth: a migration installing a fresh
-          // slot must not wipe the other streams' edge state (a wipe
-          // re-alerts every currently-alarming stream).
-          if (edge.size() < num_streams) edge.resize(num_streams, 0);
-          edge_scratch_.push_back(&edge);
-        }
-        for (StreamId s : touched_list_) {
-          // Ready mirrors Algorithm 2's availability exactly: the
-          // tracker has a full window iff the retained raw tail does.
-          if (!pipeline_->TrackerReady(s, group.tracker_index)) continue;
-          const double exact =
-              pipeline_->TrackerValue(s, group.tracker_index);
-          const std::uint64_t end_time = pipeline_->AppendCount(s) - 1;
-          for (std::size_t qi = 0; qi < group.queries.size(); ++qi) {
-            const auto& q = group.queries[qi];
-            std::vector<char>& edge = *edge_scratch_[qi];
-            // Alarm == the exact aggregate left the query's assess
-            // range. Specs built via Aggregate() carry the legacy
-            // [-inf, threshold) range, making this bit-identical to the
-            // old `exact >= threshold` check.
-            const bool alarm = !q->spec.assess.Contains(exact);
-            if (alarm && !edge[s]) {
-              q->hits.fetch_add(1, std::memory_order_relaxed);
-              // Edge state flips either way: a rate-limited alert is
-              // suppressed, not re-raised when the bucket refills.
-              if (q->AllowAlert()) {
-                Alert alert;
-                alert.query = q->id;
-                alert.kind = QueryKind::kAggregate;
-                alert.stream = global_of_[s];
-                alert.window = group.window;
-                alert.end_time = end_time;
-                alert.epoch = epoch;
-                alert.value = exact;
-                alert.threshold = q->spec.assess.ViolatedBound(exact);
-                out->push_back(alert);
-              }
-            }
-            edge[s] = alarm ? 1 : 0;
-          }
-        }
-      }
-      // Per-query accounting: the group ran once; attribute the shared
-      // cost evenly. Non-evaluable groups (window beyond the retained
-      // history) record the evaluation without alarming, exactly like
-      // the seed path's silent OutOfRange skip.
-      const std::uint64_t shared =
-          ElapsedNanos(start) / group.queries.size();
-      for (const auto& q : group.queries) {
-        q->evals.fetch_add(1, std::memory_order_relaxed);
-        q->eval_nanos.fetch_add(shared, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  // Sketch stage: every query sharing a config reads the one windowed
-  // measure the pipeline maintains in that slot — one Estimate per
-  // (group, touched stream), with per-query assess ranges checked
-  // against the shared estimate. Edge-triggered like the aggregate
-  // stage: an estimate staying outside its range emits once.
-  if (!plan.sketch.empty()) {
-    plan.sketch_evals.fetch_add(1, std::memory_order_relaxed);
-    for (const EvalPlan::SketchGroup& group : plan.sketch) {
-      const Clock::time_point start = Clock::now();
+  // The rising-edge routine of the aggregate and sketch stages: every
+  // query of a group checks the group's one value per touched stream —
+  // `read(s)`, once `ready(s)` holds — against its assess range and
+  // alerts on the false -> true transition of "the value left the
+  // range", so a value staying outside its range emits once, not once
+  // per batch. The group ran once for all its queries, so its cost is
+  // attributed evenly; a null `edges` only records the evaluation.
+  const auto run_edges = [&](QueryKind kind, std::size_t window,
+                             const Queries& queries, EdgeMap* edges,
+                             const auto& ready, const auto& read) {
+    const Clock::time_point start = Clock::now();
+    if (edges != nullptr) {
       edge_scratch_.clear();
-      for (const auto& q : group.queries) {
-        std::vector<char>& edge = sketch_alarming_[q->id];
+      for (const auto& q : queries) {
+        std::vector<char>& edge = (*edges)[q->id];
+        // Prefix-preserving growth: a migration installing a fresh slot
+        // must not wipe the other streams' edge state (a wipe re-alerts
+        // every currently-alarming stream).
         if (edge.size() < num_streams) edge.resize(num_streams, 0);
         edge_scratch_.push_back(&edge);
       }
       for (StreamId s : touched_list_) {
-        // A measure created mid-stream warms up for one full window
-        // before it evaluates (sketch state cannot be backfilled).
-        if (!pipeline_->SketchReady(s, group.slot)) continue;
-        const double estimate = pipeline_->SketchEstimate(s, group.slot);
+        if (!ready(s)) continue;
+        const double value = read(s);
         const std::uint64_t end_time = pipeline_->AppendCount(s) - 1;
-        for (std::size_t qi = 0; qi < group.queries.size(); ++qi) {
-          const auto& q = group.queries[qi];
+        for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+          const auto& q = queries[qi];
           std::vector<char>& edge = *edge_scratch_[qi];
-          const bool alarm = !q->spec.assess.Contains(estimate);
+          const bool alarm = !q->spec.assess.Contains(value);
           if (alarm && !edge[s]) {
             q->hits.fetch_add(1, std::memory_order_relaxed);
             // Edge state flips either way: a rate-limited alert is
@@ -623,25 +503,64 @@ void Shard::EvaluateQueriesLocked(std::vector<Alert>* out) {
             if (q->AllowAlert()) {
               Alert alert;
               alert.query = q->id;
-              alert.kind = QueryKind::kSketch;
+              alert.kind = kind;
               alert.stream = global_of_[s];
-              alert.window = static_cast<std::size_t>(group.config.window);
+              alert.window = window;
               alert.end_time = end_time;
               alert.epoch = epoch;
-              alert.value = estimate;
-              alert.threshold = q->spec.assess.ViolatedBound(estimate);
+              alert.value = value;
+              alert.threshold = q->spec.assess.ViolatedBound(value);
               out->push_back(alert);
             }
           }
           edge[s] = alarm ? 1 : 0;
         }
       }
-      const std::uint64_t shared =
-          ElapsedNanos(start) / group.queries.size();
-      for (const auto& q : group.queries) {
-        q->evals.fetch_add(1, std::memory_order_relaxed);
-        q->eval_nanos.fetch_add(shared, std::memory_order_relaxed);
-      }
+    }
+    const std::uint64_t shared = ElapsedNanos(start) / queries.size();
+    for (const auto& q : queries) {
+      q->evals.fetch_add(1, std::memory_order_relaxed);
+      q->eval_nanos.fetch_add(shared, std::memory_order_relaxed);
+    }
+  };
+
+  // Aggregate stage: every query sharing a window reads the one tracker
+  // the pipeline maintains for that window — the Algorithm-2 check costs
+  // one tracker read per (group, touched stream). Ready mirrors
+  // Algorithm 2's availability exactly: the tracker has a full window iff
+  // the retained raw tail does. Specs built via Aggregate() carry the
+  // legacy [-inf, threshold) range, making the range check bit-identical
+  // to the old `exact >= threshold` one. A non-evaluable group (window
+  // beyond the retained history) records the evaluation without
+  // alarming, exactly like the seed path's silent OutOfRange skip.
+  if (!plan.aggregate.empty()) {
+    ++aggregate_evals_;
+    for (const EvalPlan::AggregateGroup& group : plan.aggregate) {
+      const std::size_t t = group.tracker_index;
+      run_edges(
+          QueryKind::kAggregate, group.window, group.queries,
+          group.evaluable ? &agg_alarming_ : nullptr,
+          [this, t](StreamId s) { return pipeline_->TrackerReady(s, t); },
+          [this, t](StreamId s) { return pipeline_->TrackerValue(s, t); });
+    }
+  }
+
+  // Sketch stage: every query sharing a config reads the one windowed
+  // measure the pipeline maintains in that slot — one Estimate per
+  // (group, touched stream). A measure created mid-stream warms up for
+  // one full window before it evaluates (sketch state cannot be
+  // backfilled).
+  if (!plan.sketch.empty()) {
+    ++sketch_evals_;
+    for (const EvalPlan::SketchGroup& group : plan.sketch) {
+      const std::size_t slot = group.slot;
+      run_edges(
+          QueryKind::kSketch, static_cast<std::size_t>(group.config.window),
+          group.queries, &sketch_alarming_,
+          [this, slot](StreamId s) { return pipeline_->SketchReady(s, slot); },
+          [this, slot](StreamId s) {
+            return pipeline_->SketchEstimate(s, slot);
+          });
     }
   }
 
@@ -651,7 +570,7 @@ void Shard::EvaluateQueriesLocked(std::vector<Alert>* out) {
   // exactly once even though consecutive evaluations keep finding it
   // until it slides out of the history buffer.
   if (!plan.pattern.empty() && pipeline_->pattern_core() != nullptr) {
-    plan.pattern_evals.fetch_add(1, std::memory_order_relaxed);
+    ++pattern_evals_;
     const PatternQueryEngine engine(*pipeline_->pattern_core());
     for (const EvalPlan::PatternEntry& entry : plan.pattern) {
       const auto& q = entry.query;
@@ -704,12 +623,11 @@ void Shard::EvaluateQueriesLocked(std::vector<Alert>* out) {
 void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
   using Clock = std::chrono::steady_clock;
   const Clock::time_point batch_start = Clock::now();
-  if (registry_ != nullptr) RefreshQuerySnapshot();
   std::vector<Alert> alerts;
   std::size_t work_size = 0;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    CommitPendingPlanLocked();
+    if (registry_ != nullptr) AdoptPlanLocked();
     // A completed migration released its parked tuples: apply them
     // first, in arrival order, ahead of this batch — exactly the order
     // the ring would have delivered had the stream been resident.
@@ -717,7 +635,6 @@ void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
     if (!park_.empty() && parked_stream_ == kNoStream) {
       merged_.clear();
       merged_.swap(park_);
-      parked_.fetch_sub(merged_.size(), std::memory_order_release);
       park_pending_.store(false, std::memory_order_release);
       merged_.insert(merged_.end(), batch.begin(), batch.end());
       work = &merged_;
@@ -731,9 +648,6 @@ void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
     // order — leaves every per-stream tail, tracker, and summarizer
     // byte-identical to the per-tuple path.
     GroupRuns(*work);
-    if (newly_parked_ > 0) {
-      parked_.fetch_add(newly_parked_, std::memory_order_release);
-    }
     for (std::size_t i = 0; i < touched_list_.size(); ++i) {
       const StreamId stream = touched_list_[i];
       ApplyRunLocked(stream, run_values_.data() + run_begin_[i],
@@ -750,9 +664,7 @@ void Shard::ApplyBatch(const std::vector<StreamValue>& batch) {
     const Clock::time_point finish_start = Clock::now();
     pipeline_->FinishBatch(touched_list_);
     maintain_ns_ += ElapsedNanos(finish_start);
-    if (registry_ != nullptr && plan_ != nullptr) {
-      EvaluateQueriesLocked(&alerts);
-    }
+    if (registry_ != nullptr) EvaluateQueriesLocked(&alerts);
     // Publish inside the lock so a reader's stamp always matches the
     // stream state it observed. Parked tuples are not applied yet;
     // they count when the post-install drain actually applies them.
@@ -856,11 +768,10 @@ Status Shard::SerializeState(ShardStamp* stamp,
 Status Shard::Restore(const CheckpointShardFile& file, std::uint64_t epoch,
                       std::uint64_t appended) {
   SD_CHECK(!worker_.joinable());
-  if (registry_ != nullptr) RefreshQuerySnapshot();
   std::lock_guard<std::mutex> lock(state_mu_);
   const std::size_t slots = pipeline_->num_streams();
   SD_CHECK(file.globals.size() == slots && file.slices.size() == slots);
-  CommitPendingPlanLocked();
+  if (registry_ != nullptr) AdoptPlanLocked();
   global_of_.assign(slots, kNoStream);
   local_of_.clear();
   free_slots_.clear();
@@ -880,11 +791,10 @@ Status Shard::Restore(const CheckpointShardFile& file, std::uint64_t epoch,
   RebuildSortedLocalsLocked();
   // A query unregistered between the shard capture and the registry
   // capture left edge state in the slices that no plan will prune.
-  if (query_snapshot_ != nullptr) PruneQueryStateLocked();
+  if (plan_ != nullptr) PruneQueryStateLocked();
   epoch_.store(epoch, std::memory_order_release);
   applied_.store(appended, std::memory_order_release);
   alert_progress_.store(appended, std::memory_order_release);
-  enqueued_.store(appended, std::memory_order_release);
   return Status::OK();
 }
 
@@ -1028,8 +938,8 @@ ShardMetricsSnapshot Shard::MetricsSnapshot() const {
   snapshot.apply_batch_p50_ns = apply_batch_latency_.PercentileNanos(0.5);
   snapshot.apply_batch_p99_ns = apply_batch_latency_.PercentileNanos(0.99);
   {
-    // Pipeline counters and the committed plan are guarded by the state
-    // mutex (metrics scraping is a cold path).
+    // Pipeline counters, the adopted plan and the stage counters are
+    // guarded by the state mutex (metrics scraping is a cold path).
     std::lock_guard<std::mutex> lock(state_mu_);
     snapshot.num_streams = sorted_locals_.size();
     snapshot.maintain_ns = maintain_ns_;
@@ -1051,17 +961,10 @@ ShardMetricsSnapshot Shard::MetricsSnapshot() const {
     snapshot.sketch_estimates = counters.sketch_estimates;
     snapshot.sketch_serialized_bytes = counters.sketch_serialized_bytes;
     snapshot.sketch_slots = pipeline_->num_sketch_slots();
-    if (plan_ != nullptr) {
-      snapshot.plan_version = plan_->version;
-      snapshot.plan_aggregate_evals =
-          plan_->aggregate_evals.load(std::memory_order_relaxed);
-      snapshot.plan_pattern_evals =
-          plan_->pattern_evals.load(std::memory_order_relaxed);
-      snapshot.plan_correlation_evals =
-          plan_->correlation_evals.load(std::memory_order_relaxed);
-      snapshot.plan_sketch_evals =
-          plan_->sketch_evals.load(std::memory_order_relaxed);
-    }
+    if (plan_ != nullptr) snapshot.plan_version = plan_->version;
+    snapshot.plan_aggregate_evals = aggregate_evals_;
+    snapshot.plan_pattern_evals = pattern_evals_;
+    snapshot.plan_sketch_evals = sketch_evals_;
   }
   return snapshot;
 }

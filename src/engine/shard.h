@@ -26,10 +26,11 @@
 // z-normalized DWT core plus FeatureStore (feature source for the
 // cross-shard correlator), the per-window sliding trackers serving
 // aggregate queries, and the sketch measures. The worker feeds the
-// pipeline exactly once per applied tuple and batch, then
-// executes the compiled EvalPlan of the current registry snapshot
-// (query/eval_plan.h) against the shared state and appends hits to the
-// alert log (docs/QUERIES.md, docs/FEATURES.md).
+// pipeline exactly once per applied tuple and batch, then executes the
+// registry's compiled EvalPlan (query/eval_plan.h; one plan per query-set
+// version, shared with every other shard and the correlator) against the
+// shared state and appends hits to the alert log (docs/QUERIES.md,
+// docs/FEATURES.md).
 #ifndef STARDUST_ENGINE_SHARD_H_
 #define STARDUST_ENGINE_SHARD_H_
 
@@ -65,8 +66,8 @@ struct StreamValue {
   double value = 0.0;
 };
 
-/// Outcome of a non-blocking post (Shard::TryPush, IngestEngine::TryPost).
-/// The network front door uses this instead of Push so a full ring under
+/// Outcome of one post (Shard::Push; IngestEngine::TryPost returns it).
+/// The network front door posts without waiting, so a full ring under
 /// kBlock surfaces as kWouldBlock — backpressure the caller can map onto
 /// its transport (pause reads, retry later) — rather than stalling the
 /// server's event loop.
@@ -134,30 +135,14 @@ class Shard {
   void set_paused(bool paused);
   bool paused() const { return paused_.load(std::memory_order_acquire); }
 
-  /// Enqueues one tuple from producer slot `producer`, applying the
-  /// shard's overload policy when the ring is full. `stream` is the
-  /// global id. Only thread-safe in the SPSC sense: one thread per
-  /// producer slot.
-  Status Push(std::size_t producer, StreamId stream, double value);
-  /// Non-blocking Push: identical policy handling except that a full
-  /// ring under kBlock returns kWouldBlock immediately instead of
-  /// spinning. Same SPSC contract as Push.
-  PostOutcome TryPush(std::size_t producer, StreamId stream, double value);
+  /// Enqueues one tuple (`stream` is the global id) from producer slot
+  /// `producer`, applying the shard's overload policy when the ring is
+  /// full. Under kBlock a `wait`ing push spins (counted in block_waits;
+  /// Aborted once the shard stops); otherwise it returns kWouldBlock with
+  /// nothing enqueued or counted. One thread per producer slot (SPSC).
+  Result<PostOutcome> Push(std::size_t producer, StreamId stream,
+                           double value, bool wait = true);
 
-  /// Tuples ever accepted into this shard's rings.
-  std::uint64_t enqueued() const {
-    return enqueued_.load(std::memory_order_acquire);
-  }
-  /// Tuples that left the rings: applied by the worker, parked for an
-  /// in-flight migration, or reclaimed by kDropOldest. enqueued() ==
-  /// retired() means the rings are fully drained (parked tuples are
-  /// retired from the ring's point of view; ParkDrained() tells whether
-  /// they have been applied).
-  std::uint64_t retired() const {
-    return applied_.load(std::memory_order_acquire) +
-           stolen_.load(std::memory_order_acquire) +
-           parked_.load(std::memory_order_acquire);
-  }
   /// Tuples applied by the worker.
   std::uint64_t applied() const {
     return applied_.load(std::memory_order_acquire);
@@ -167,11 +152,10 @@ class Shard {
   std::vector<std::uint64_t> RingEnqueueCursors() const;
   /// True once every ring's retire cursor has reached `targets` (a
   /// prior RingEnqueueCursors snapshot): each tuple the snapshot counts
-  /// has been applied, parked, or reclaimed. The aggregate
-  /// retired() >= enqueued() comparison does not give that guarantee —
-  /// under concurrent posting it can be satisfied by post-snapshot
-  /// traffic from *other* rings while an older tuple still sits queued,
-  /// which is exactly what a migration's drain barrier must rule out.
+  /// has been applied, parked, or reclaimed. The check is per ring
+  /// because a shard-wide count could be met by post-snapshot traffic
+  /// from *other* rings while an older tuple still sits queued, which is
+  /// exactly what a migration's drain barrier must rule out.
   bool RingsDrainedPast(const std::vector<std::uint64_t>& targets) const;
   /// Applied-tuple watermark whose batch alerts have all been appended to
   /// the alert log; trails applied() by at most one in-flight batch.
@@ -215,14 +199,14 @@ class Shard {
   /// Restores a checkpointed shard. Only valid before Start(), on a
   /// shard whose pipeline has one slot per entry of `file.globals`, and
   /// with a slot table naming each stream at most once (IngestEngine::
-  /// Create checks the placement across shards). Commits the registry's
+  /// Create checks the placement across shards). Adopts the registry's
   /// plan before installing any slot, so every slice meets the plan it
   /// was taken under: trackers restore bit-exactly, sketch measures are
   /// claimed by config and store rows land in the plan's levels. Then
   /// installs each live slot through the InstallStream path, prunes edge
-  /// state of queries the registry no longer holds, and seeds the
-  /// progress counters with `epoch` and `appended` so stamps and metrics
-  /// continue the pre-crash lineage.
+  /// state of queries the plan does not hold, and seeds the progress
+  /// counters with `epoch` and `appended` so stamps and metrics continue
+  /// the pre-crash lineage.
   Status Restore(const CheckpointShardFile& file, std::uint64_t epoch,
                  std::uint64_t appended);
   /// First non-OK status any append produced on the worker, if any.
@@ -287,9 +271,6 @@ class Shard {
   bool has_correlation_core() const {
     return pipeline_->corr_core() != nullptr;
   }
-  bool has_pattern_core() const {
-    return pipeline_->pattern_core() != nullptr;
-  }
 
   /// Whether the worker thread is currently pinned to options_.pin_core.
   /// False until Start() (and forever when pinning is off or failed).
@@ -300,18 +281,13 @@ class Shard {
   void ApplyBatch(const std::vector<StreamValue>& batch);
   ShardStamp StampLocked() const;
 
-  /// Re-fetches the registry snapshot when its version moved and
-  /// compiles it into a fresh EvalPlan (staged in pending_plan_ until
-  /// the next batch commits it under the state mutex). Worker thread
-  /// only; touches no evaluation state.
-  void RefreshQuerySnapshot();
-  /// Commits the plan RefreshQuerySnapshot staged, if any: swaps it in,
-  /// prunes the edge state of queries it no longer holds, and re-points
-  /// the pipeline. Called with state_mu_ held.
-  void CommitPendingPlanLocked();
-  /// Prunes evaluation state of unregistered queries so the edge maps
-  /// cannot grow without bound under register/unregister churn. Called
-  /// with state_mu_ held (migrations read the maps under the same mutex).
+  /// Adopts the registry's plan when its version moved, pruning edge
+  /// state and re-pointing the pipeline. Called with state_mu_ held (the
+  /// registry mutex is taken inside it, never the other way round).
+  void AdoptPlanLocked();
+  /// Prunes evaluation state of queries plan_ does not hold so the edge
+  /// maps cannot grow without bound under register/unregister churn.
+  /// Called with state_mu_ held (migrations read the maps under it).
   void PruneQueryStateLocked();
   /// Groups the batch into one contiguous per-stream run each (stable:
   /// per-stream value order is batch order), translating global ids to
@@ -328,7 +304,7 @@ class Shard {
   /// with state_mu_ held.
   void ApplyRunLocked(StreamId stream, const double* values,
                       std::size_t count);
-  /// Runs the compiled plan's aggregate + pattern stages against the
+  /// Runs the plan's aggregate, sketch and pattern stages against the
   /// pipeline state; called with state_mu_ held after FinishBatch.
   /// Alerts are collected into `out` and published by the caller after
   /// the lock is released.
@@ -374,13 +350,8 @@ class Shard {
   std::unique_ptr<std::atomic<std::uint64_t>[]> ring_enqueued_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> ring_retired_;
 
-  std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> applied_{0};
   std::atomic<std::uint64_t> alert_progress_{0};
-  std::atomic<std::uint64_t> stolen_{0};
-  /// Tuples currently held in park_ awaiting an InstallStream; moves to
-  /// applied_ when the worker drains the park.
-  std::atomic<std::uint64_t> parked_{0};
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batch_max_{0};
@@ -392,14 +363,14 @@ class Shard {
   /// behind; the next batch (or idle sweep) must drain them.
   std::atomic<bool> park_pending_{false};
 
-  /// Guards the feature pipeline, the committed plan_, the slot tables,
+  /// Guards the feature pipeline, the adopted plan_, the slot tables,
   /// the park, the query edge maps, and worker_status_: held by
   /// the worker while applying a batch (and evaluating queries), by
   /// readers while snapshotting, and by migrations while extracting or
   /// installing stream state.
   mutable std::mutex state_mu_;
   std::unique_ptr<FeaturePipeline> pipeline_;
-  /// Plan currently driving evaluation; swapped in under state_mu_.
+  /// The registry plan driving evaluation; null until first adopted.
   std::shared_ptr<const EvalPlan> plan_;
   Status worker_status_;
 
@@ -420,10 +391,11 @@ class Shard {
   std::vector<StreamValue> park_;
 
   // --- Query evaluation state (state_mu_; written by the worker) -------
-  std::shared_ptr<const QueryRegistry::Snapshot> query_snapshot_;
-  /// Freshly compiled plan awaiting commit (worker thread only).
-  std::shared_ptr<const EvalPlan> pending_plan_;
-  std::uint64_t query_version_ = 0;
+  /// Batches that ran the plan's aggregate, pattern and sketch stages
+  /// since the shard started, across plan swaps.
+  std::uint64_t aggregate_evals_ = 0;
+  std::uint64_t pattern_evals_ = 0;
+  std::uint64_t sketch_evals_ = 0;
   /// Aggregate edge state: last alarm outcome per (query, local stream),
   /// so alerts fire on the false -> true transition only.
   std::unordered_map<QueryId, std::vector<char>> agg_alarming_;

@@ -7,6 +7,20 @@
 
 namespace stardust {
 
+bool EvalPlan::Holds(QueryId id) const {
+  const auto is = [id](const std::shared_ptr<RegisteredQuery>& q) {
+    return q->id == id;
+  };
+  const auto any = [&is](const auto& groups) {
+    return std::any_of(groups.begin(), groups.end(), [&is](const auto& g) {
+      return std::any_of(g.queries.begin(), g.queries.end(), is);
+    });
+  };
+  return any(aggregate) || any(correlation) || any(sketch) ||
+         std::any_of(pattern.begin(), pattern.end(),
+                     [&is](const PatternEntry& e) { return is(e.query); });
+}
+
 std::shared_ptr<const EvalPlan> CompileEvalPlan(
     const QueryRegistry::Snapshot& snapshot, std::uint64_t version,
     const PlanContext& ctx) {
@@ -79,14 +93,10 @@ std::shared_ptr<const EvalPlan> CompileEvalPlan(
         group.window = ctx.correlation->LevelWindow(level);
         plan->correlation.push_back(std::move(group));
       }
+      // Radii are validated non-negative, so the 0 a group starts from
+      // never exceeds its largest radius.
       EvalPlan::CorrelationGroup& group = plan->correlation.back();
-      if (group.queries.empty()) {
-        group.min_radius = q->spec.radius;
-        group.max_radius = q->spec.radius;
-      } else {
-        group.min_radius = std::min(group.min_radius, q->spec.radius);
-        group.max_radius = std::max(group.max_radius, q->spec.radius);
-      }
+      group.max_radius = std::max(group.max_radius, q->spec.radius);
       group.queries.push_back(q);
     }
   }

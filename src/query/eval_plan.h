@@ -1,4 +1,4 @@
-// Compiled per-shard evaluation plans.
+// Compiled evaluation plans, one per query-set version.
 //
 // A QueryRegistry snapshot is a flat list of queries; executing it
 // naively re-derives per-query state every batch (pattern piece features,
@@ -8,13 +8,12 @@
 // sliding tracker serves every query on that window), pattern queries
 // precompiled once (CompilePatternQuery), correlation queries by resolved
 // resolution level (one feature gather serves every query on that level).
-// Shard workers and the correlator swap plans atomically when the
-// registry version moves; a plan is never mutated after compilation
-// except for its per-stage counters.
+// The registry compiles the plan whenever it publishes a snapshot, and
+// every shard worker and the correlator adopt that same object when the
+// registry version moves; a plan is never mutated after compilation.
 #ifndef STARDUST_QUERY_EVAL_PLAN_H_
 #define STARDUST_QUERY_EVAL_PLAN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -74,11 +73,10 @@ struct EvalPlan {
   struct CorrelationGroup {
     std::size_t level = 0;   // resolved (kTopLevel mapped to the top)
     std::size_t window = 0;  // LevelWindow(level) of the correlation core
-    /// Radius extremes over the group's queries: `max_radius` is the one
-    /// probe radius serving every query of the round (per-query radii
-    /// re-filter the verified pairs) and the grid cell of the round's
-    /// CorrelationIndex (1.0 when it is 0).
-    double min_radius = 0.0;
+    /// Largest radius over the group's queries: the one probe radius
+    /// serving every query of the round (per-query radii re-filter the
+    /// verified pairs) and the grid cell of the round's CorrelationIndex
+    /// (1.0 when it is 0).
     double max_radius = 0.0;
     std::vector<std::shared_ptr<RegisteredQuery>> queries;
   };
@@ -99,17 +97,9 @@ struct EvalPlan {
   /// The deduplicated configs the pipeline maintains, indexed by slot.
   std::vector<SketchConfig> sketch_slots;
 
-  /// Per-stage evaluation counters over the plan's lifetime (batches or
-  /// rounds that executed the stage), surfaced through shard metrics.
-  mutable std::atomic<std::uint64_t> aggregate_evals{0};
-  mutable std::atomic<std::uint64_t> pattern_evals{0};
-  mutable std::atomic<std::uint64_t> correlation_evals{0};
-  mutable std::atomic<std::uint64_t> sketch_evals{0};
-
-  bool empty() const {
-    return aggregate.empty() && pattern.empty() && correlation.empty() &&
-           sketch.empty();
-  }
+  /// True when query `id` is evaluated under this plan, whatever its
+  /// kind; edge state of ids it does not hold is pruned.
+  bool Holds(QueryId id) const;
 };
 
 /// Compiles `snapshot` (at registry `version`) into an immutable plan.

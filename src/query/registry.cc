@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/serialize.h"
+#include "query/eval_plan.h"
 
 namespace stardust {
 
@@ -35,13 +36,26 @@ Status ValidateAlertRate(const QuerySpec& spec) {
   return Status::OK();
 }
 
+/// Compiles `snapshot` against the configs its specs were validated
+/// against: the query cores only when their kind is enabled.
+std::shared_ptr<const EvalPlan> CompilePlan(
+    const StardustConfig& aggregate, const QueryConfig& query,
+    const QueryRegistry::Snapshot& snapshot, std::uint64_t version) {
+  const PlanContext ctx{&aggregate,
+                        query.enable_patterns ? &query.pattern : nullptr,
+                        query.enable_correlation ? &query.correlation
+                                                 : nullptr};
+  return CompileEvalPlan(snapshot, version, ctx);
+}
+
 }  // namespace
 
 QueryRegistry::QueryRegistry(const StardustConfig& aggregate_config,
                              const QueryConfig& query_config)
     : aggregate_config_(aggregate_config),
       query_config_(query_config),
-      snapshot_(std::make_shared<const Snapshot>()) {}
+      snapshot_(std::make_shared<const Snapshot>()),
+      plan_(CompilePlan(aggregate_config_, query_config_, *snapshot_, 0)) {}
 
 Status QueryRegistry::ValidateSpec(const QuerySpec& spec) const {
   SD_RETURN_NOT_OK(ValidateAlertRate(spec));
@@ -149,8 +163,12 @@ void QueryRegistry::PublishLocked() {
         break;
     }
   }
+  // The plan carries the version it is published under, so evaluators
+  // compare it against version() to tell whether theirs is current.
+  const std::uint64_t version = version_.load(std::memory_order_relaxed) + 1;
+  plan_ = CompilePlan(aggregate_config_, query_config_, *snapshot, version);
   snapshot_ = std::move(snapshot);
-  version_.fetch_add(1, std::memory_order_release);
+  version_.store(version, std::memory_order_release);
 }
 
 Result<QueryId> QueryRegistry::Register(QuerySpec spec) {
@@ -179,6 +197,11 @@ std::shared_ptr<const QueryRegistry::Snapshot> QueryRegistry::snapshot()
     const {
   std::lock_guard<std::mutex> lock(mu_);
   return snapshot_;
+}
+
+std::shared_ptr<const EvalPlan> QueryRegistry::plan() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return plan_;
 }
 
 std::size_t QueryRegistry::size() const {

@@ -1,16 +1,17 @@
 // QueryRegistry: runtime registration of continuous queries while
 // ingestion is live.
 //
-// Register/Unregister may be called from any thread at any time; the
+// Register/Unregister may be called from any thread at any time; every
+// mutation publishes a fresh immutable snapshot and compiles it, on the
+// mutating thread, into the one EvalPlan all evaluators share. The
 // evaluation hot paths (shard workers, the correlator) never take the
 // registry mutex per tuple — they poll the cheap atomic version() and,
-// only when it changed, fetch a new immutable snapshot (copy-on-write:
-// every mutation publishes a fresh shared_ptr<const Snapshot>). A worker
-// holding an old snapshot keeps evaluating the old query set for at most
-// one batch; per-query counters live on the RegisteredQuery objects
-// themselves, so metrics survive snapshot swaps and even unregistration
-// races (a worker mid-evaluation bumps counters on a query that was just
-// removed — harmless, the object is shared-ptr kept alive).
+// only when it changed, fetch the new plan. A worker holding an old plan
+// keeps evaluating the old query set for at most one batch; per-query
+// counters live on the RegisteredQuery objects themselves, so metrics
+// survive plan swaps and even unregistration races (a worker
+// mid-evaluation bumps counters on a query that was just removed —
+// harmless, the object is shared-ptr kept alive).
 #ifndef STARDUST_QUERY_REGISTRY_H_
 #define STARDUST_QUERY_REGISTRY_H_
 
@@ -29,6 +30,8 @@
 #include "query/query_spec.h"
 
 namespace stardust {
+
+struct EvalPlan;  // query/eval_plan.h
 
 /// A registered query plus its live counters. Immutable spec; atomic
 /// counters are bumped by evaluators without synchronization.
@@ -115,7 +118,8 @@ class QueryRegistry {
 
   /// `aggregate_config` is the engine's aggregate-path configuration
   /// (validates aggregate query windows); `query_config` gates the
-  /// pattern/correlation kinds and validates their specs.
+  /// pattern/correlation kinds and validates their specs; plans are
+  /// compiled against the same configs.
   QueryRegistry(const StardustConfig& aggregate_config,
                 const QueryConfig& query_config);
 
@@ -125,13 +129,16 @@ class QueryRegistry {
   /// NotFound for ids that are unknown (or already unregistered).
   Status Unregister(QueryId id);
 
-  /// Bumped by every successful Register/Unregister. Evaluators poll
-  /// this (acquire) and refetch snapshot() only on change.
+  /// Bumped by every successful Register/Unregister/Restore. Evaluators
+  /// poll this (acquire) and refetch plan() only on change.
   std::uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
   /// The current immutable query set.
   std::shared_ptr<const Snapshot> snapshot() const;
+  /// The compiled plan of the current query set (its `version` is
+  /// version()); the same object until the next mutation.
+  std::shared_ptr<const EvalPlan> plan() const;
 
   std::size_t size() const;
   std::vector<QueryMetricsSnapshot> Metrics() const;
@@ -149,7 +156,8 @@ class QueryRegistry {
 
  private:
   Status ValidateSpec(const QuerySpec& spec) const;
-  /// Rebuilds and publishes the snapshot; callers hold mu_.
+  /// Rebuilds the snapshot, compiles its plan and publishes both under
+  /// the next version; callers hold mu_.
   void PublishLocked();
 
   const StardustConfig aggregate_config_;
@@ -159,6 +167,7 @@ class QueryRegistry {
   std::vector<std::shared_ptr<RegisteredQuery>> queries_;
   QueryId next_id_ = 1;
   std::shared_ptr<const Snapshot> snapshot_;
+  std::shared_ptr<const EvalPlan> plan_;
   std::atomic<std::uint64_t> version_{0};
 };
 

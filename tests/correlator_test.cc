@@ -453,7 +453,6 @@ TEST(CorrelatorFaultTest, FailedLevelGroupRetriesWithoutLosingAlerts) {
   EXPECT_NE(json.find("\"correlator_errors\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"correlator_level_evals\":[1,1]"), std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"correlation_evals\":"), std::string::npos) << json;
   ASSERT_TRUE(engine->Stop().ok());
 }
 

@@ -324,6 +324,11 @@ TEST(IngestEngineTest, DropNewestCountsTheOverflow) {
     ASSERT_TRUE(engine->Post(0, 1.0).ok());
   }
   EXPECT_EQ(engine->metrics().dropped_newest.load(), 37u);
+  // TryPost takes the same drop and reports it.
+  const Result<PostOutcome> dropped = engine->TryPost(0, 1.0);
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+  EXPECT_EQ(dropped.value(), PostOutcome::kDroppedNewest);
+  EXPECT_EQ(engine->metrics().dropped_newest.load(), 38u);
   engine->Resume();
   ASSERT_TRUE(engine->Flush().ok());
   EXPECT_EQ(engine->StreamAppendCount(0), 64u);  // the oldest 64 survived
@@ -353,6 +358,53 @@ TEST(IngestEngineTest, DropOldestKeepsTheFreshestData) {
   EXPECT_EQ(engine->StreamAppendCount(0), 64u);
   EXPECT_EQ(engine->metrics().appended.load(), 64u);
   EXPECT_EQ(engine->metrics().dropped_newest.load(), 0u);
+}
+
+// PostBatch pushes the tuples ahead of the first unknown stream, then
+// fails; nothing after it is posted.
+TEST(IngestEngineTest, PostBatchPushesTheKnownPrefix) {
+  auto engine =
+      std::move(IngestEngine::Create(StreamConfig(), Thresholds(2.0), 2))
+          .value();
+  const std::vector<StreamValue> batch{{0, 1.0}, {1, 2.0}, {9, 3.0}, {0, 4.0}};
+  EXPECT_EQ(engine->PostBatch(batch).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(engine->Flush().ok());
+  EXPECT_EQ(engine->metrics().posted.load(), 2u);
+  EXPECT_EQ(engine->StreamAppendCount(0), 1u);
+  EXPECT_EQ(engine->StreamAppendCount(1), 1u);
+  ASSERT_TRUE(engine->Stop().ok());
+}
+
+// TryPost, the network front door's entry point, keeps Post's statuses,
+// and a full kBlock ring surfaces as kWouldBlock: nothing waits, and
+// nothing is enqueued or counted.
+TEST(IngestEngineTest, TryPostReportsBackpressureWithoutWaiting) {
+  EngineConfig econfig;
+  econfig.num_shards = 1;
+  econfig.queue_capacity = 64;  // power of two: exact ring capacity
+  econfig.overload = OverloadPolicy::kBlock;
+  econfig.start_paused = true;  // nothing drains until Resume
+  auto engine = std::move(IngestEngine::Create(StreamConfig(),
+                                               Thresholds(2.0), 1, econfig))
+                    .value();
+  EXPECT_EQ(engine->TryPost(5, 1.0).status().code(),
+            StatusCode::kInvalidArgument);
+  for (int i = 0; i < 64; ++i) {
+    const Result<PostOutcome> posted = engine->TryPost(0, 1.0);
+    ASSERT_TRUE(posted.ok()) << posted.status().ToString();
+    ASSERT_EQ(posted.value(), PostOutcome::kEnqueued);
+  }
+  const Result<PostOutcome> full = engine->TryPost(0, 2.0);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full.value(), PostOutcome::kWouldBlock);
+  EXPECT_EQ(engine->metrics().block_waits.load(), 0u);
+  EXPECT_EQ(engine->metrics().posted.load(), 64u);
+  engine->Resume();
+  ASSERT_TRUE(engine->Flush().ok());
+  EXPECT_EQ(engine->StreamAppendCount(0), 64u);
+  ASSERT_TRUE(engine->Stop().ok());
+  EXPECT_EQ(engine->TryPost(0, 1.0).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(IngestEngineTest, MetricsJsonHasTheSchemaFields) {

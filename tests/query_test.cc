@@ -21,6 +21,7 @@
 
 #include "engine/engine.h"
 #include "fixture_bytes.h"
+#include "query/eval_plan.h"
 #include "query/sinks.h"
 #include "stream/threshold.h"
 
@@ -124,6 +125,43 @@ TEST(QueryRegistryTest, SnapshotSplitsQueriesByKind) {
   EXPECT_EQ(snapshot->pattern.size(), 1u);
   EXPECT_EQ(snapshot->correlation.size(), 1u);
   EXPECT_EQ(snapshot->size(), 3u);
+}
+
+// The registry compiles one plan per published version, and the plan's
+// Holds names exactly the ids it evaluates, of every kind.
+TEST(QueryRegistryTest, PlanHoldsEveryRegisteredKind) {
+  QueryRegistry registry(AggregateConfig(), FullQueryConfig());
+  EXPECT_EQ(registry.plan()->version, 0u);
+  EXPECT_FALSE(registry.plan()->Holds(1));
+  SketchConfig distinct;
+  distinct.kind = SketchKind::kDistinct;
+  distinct.window = 4;
+  distinct.buckets = 1;
+  distinct.hll_precision = 4;
+  const QueryId agg =
+      registry.Register(QuerySpec::Aggregate(20, 100.0)).value();
+  const QueryId pat =
+      registry.Register(QuerySpec::Pattern(std::vector<double>(8, 1.0), 0.1))
+          .value();
+  const QueryId corr = registry.Register(QuerySpec::Correlation(0.5)).value();
+  const QueryId sketch =
+      registry.Register(QuerySpec::Sketch(distinct, AssessRange{})).value();
+  const std::shared_ptr<const EvalPlan> plan = registry.plan();
+  EXPECT_EQ(plan->version, registry.version());
+  EXPECT_EQ(registry.plan(), plan);
+  for (const QueryId id : {agg, pat, corr, sketch}) {
+    EXPECT_TRUE(plan->Holds(id)) << "query " << id;
+  }
+  EXPECT_FALSE(plan->Holds(sketch + 1));
+  EXPECT_FALSE(plan->Holds(kInvalidQueryId));
+
+  ASSERT_TRUE(registry.Unregister(pat).ok());
+  const std::shared_ptr<const EvalPlan> next = registry.plan();
+  EXPECT_NE(next, plan);
+  EXPECT_EQ(next->version, registry.version());
+  EXPECT_FALSE(next->Holds(pat));
+  EXPECT_TRUE(next->Holds(agg));
+  EXPECT_TRUE(plan->Holds(pat));  // an adopted plan never changes
 }
 
 TEST(QueryRegistryTest, ValidatesAggregateSpecs) {
@@ -587,6 +625,58 @@ TEST(QueryEngineTest, ServesAllThreeQueryClassesConcurrently) {
   ASSERT_TRUE(engine->Stop().ok());
   // Everything published made it out before Stop returned.
   EXPECT_EQ(engine->alerts().published(), engine->alerts().delivered());
+}
+
+// One plan per query-set version: every shard runs the registry's plan
+// object, and a shard's stage counters count from shard start, so they
+// keep counting across a plan swap instead of restarting with each plan.
+TEST(QueryEngineTest, ShardsRunTheRegistryPlanOfEachVersion) {
+  constexpr std::size_t kStreams = 4;
+  EngineConfig econfig;
+  econfig.num_shards = 2;
+  econfig.max_batch = 8;
+  econfig.query = FullQueryConfig();
+  econfig.query.correlator_period_ms = 60000;  // rounds only on demand
+  auto engine = std::move(IngestEngine::Create(AggregateConfig(), {},
+                                               kStreams, econfig))
+                    .value();
+  ASSERT_TRUE(engine->RegisterQuery(QuerySpec::Aggregate(20, 1e9)).ok());
+  ASSERT_TRUE(engine->RegisterQuery(QuerySpec::Correlation(0.5)).ok());
+  for (int t = 0; t < 200; ++t) {
+    for (StreamId s = 0; s < kStreams; ++s) {
+      ASSERT_TRUE(engine->Post(s, std::sin(0.1 * t + s)).ok());
+    }
+  }
+  ASSERT_TRUE(engine->Flush().ok());
+  engine->TriggerCorrelatorRound();
+
+  const std::shared_ptr<const EvalPlan> plan = engine->queries().plan();
+  EXPECT_EQ(plan->version, engine->queries().version());
+  EXPECT_EQ(engine->queries().plan(), plan);
+  std::vector<std::uint64_t> before;
+  for (const ShardMetricsSnapshot& shard : engine->ShardMetrics()) {
+    EXPECT_EQ(shard.plan_version, engine->queries().version());
+    // 400 tuples per shard in batches of at most 8.
+    EXPECT_GE(shard.plan_aggregate_evals, 50u);
+    before.push_back(shard.plan_aggregate_evals);
+  }
+
+  ASSERT_TRUE(engine
+                  ->RegisterQuery(QuerySpec::Pattern(
+                      std::vector<double>(8, 1.0), 0.1))
+                  .ok());
+  EXPECT_NE(engine->queries().plan(), plan);
+  for (StreamId s = 0; s < kStreams; ++s) {
+    ASSERT_TRUE(engine->Post(s, 1.0).ok());
+  }
+  ASSERT_TRUE(engine->Flush().ok());
+  const std::vector<ShardMetricsSnapshot> after = engine->ShardMetrics();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].plan_version, engine->queries().version());
+    EXPECT_GT(after[i].plan_aggregate_evals, before[i]) << "shard " << i;
+  }
+  ASSERT_TRUE(engine->Stop().ok());
 }
 
 TEST(QueryEngineTest, UnregisteredQueryStopsAlerting) {
